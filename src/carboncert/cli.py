@@ -83,6 +83,8 @@ def cmd_simulate(args) -> int:
         print(f"flagged minutes: {result.flagged_minutes}")
     if result.missing_windows:
         print(f"missing windows: {len(result.missing_windows)}")
+    for notice in result.notices:
+        print(f"notice: {notice}", file=sys.stderr)
     return 0
 
 

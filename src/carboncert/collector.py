@@ -2,8 +2,11 @@
 
 Each collector owns a disjoint meter subset (A: 1-4, B: 5-8 in the
 reference configuration). Ingestion is idempotent under at-least-once
-redelivery: the (meter_id, phase, ts) key of every accepted sample is
-remembered and redeliveries are classified as duplicates.
+redelivery: each (meter_id, phase, ts) key is accepted once and its
+redeliveries are classified as duplicates. Messages arrive one at a time
+(``ingest``) or as a whole delivery of columns (``ingest_columns``); both
+buffer the accepted samples, and ``close_day`` averages them per minute in
+one array kernel.
 
 CSV contract (bit-exact): one file per meter per day at
 ``<output_root>/<collector_id>/<YYYY-MM-DD>/SEM<meter_id>.csv``, header
@@ -15,32 +18,34 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, product
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
+
+import numpy as np
 
 from .model import (
     MINUTES_PER_DAY,
     PHASES,
+    SECONDS_PER_DAY,
     MinuteRecord,
-    align_to_minute,
-    date_str,
     format_ts,
     parse_date,
     parse_ts,
 )
-from .metersim import TransportMessage
+from .metersim import ReadingColumns, TransportMessage
 
 CSV_HEADER = (
     "timestamp_utc,meter_id,phase,active_power_w,voltage_v,current_a,"
     "power_factor,frequency_hz,apparent_power_va,sample_count"
 )
 
-DEFAULT_ASSIGNMENTS = {"A": frozenset({1, 2, 3, 4}), "B": frozenset({5, 6, 7, 8})}
-
 ACCEPTED = "accepted"
 DUPLICATE = "duplicate"
 REJECTED = "rejected"
+
+_ABSENT = (None,) * 6
 
 
 class IoFailure(OSError):
@@ -54,93 +59,110 @@ class CollectorConfig:
     collector_id: str
     assigned_meters: frozenset
     output_root: Path
-    watermark_seconds: int = 30
-
-    @classmethod
-    def reference(cls, collector_id: str, output_root) -> "CollectorConfig":
-        return cls(
-            collector_id=collector_id,
-            assigned_meters=DEFAULT_ASSIGNMENTS[collector_id],
-            output_root=Path(output_root),
-        )
 
 
-@dataclass
-class CollectorMinuteSummary:
-    collector_id: str
-    minute_start: int
-    collector_power: float  # sum of present phases' average active power
-    present_phases: int
+class IngestCounts(NamedTuple):
+    accepted: int
+    duplicates: int
+    rejected: int
+
+
+def _pack(meter_id, phase, ts):
+    """One int64 per (meter, phase, ts) key, ordered like the tuple; exact for
+    every timestamp parse_date can produce (|ts| < 2**39)."""
+    return ((meter_id * 4 + phase) << 40) + ts
+
+
+def _columns(readings: List) -> ReadingColumns:
+    """PhaseReadings as columns; the int fields pass through float64 exactly."""
+    n = len(readings)
+    flat = np.fromiter(chain.from_iterable(readings), np.float64, 9 * n).reshape(n, 9).T
+    return ReadingColumns(*(col.astype(np.int64) for col in flat[:3]), *flat[3:])
 
 
 class Collector:
-    """One ingestion context; buffers samples per (meter, phase, minute)."""
+    """One ingestion context; buffers each accepted sample until its day closes."""
 
-    def __init__(self, config: CollectorConfig, retain_samples: bool = False):
+    def __init__(self, config: CollectorConfig):
         self.config = config
-        self._seen = set()
-        self._sums: Dict[tuple, list] = {}  # (meter, phase, minute) -> [6 sums, count]
-        self._raw: Optional[Dict[tuple, list]] = {} if retain_samples else None
+        self._seen = set()  # packed keys accepted by ingest
+        self._readings: List = []  # PhaseReadings accepted by ingest, in arrival order
+        self._blocks: List[ReadingColumns] = []  # samples accepted by ingest_columns or not yet closed
 
     def ingest(self, msg: TransportMessage) -> str:
         r = msg.reading
         if r.meter_id not in self.config.assigned_meters:
             return REJECTED
-        key = (r.meter_id, r.phase, r.ts)
+        key = ((r.meter_id * 4 + r.phase) << 40) + r.ts  # _pack, inlined on the per-message path
         seen = self._seen
         if key in seen:
             return DUPLICATE
         seen.add(key)
-        bucket_key = (r.meter_id, r.phase, r.ts - r.ts % 60)
-        bucket = self._sums.get(bucket_key)
-        if bucket is None:
-            bucket = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0]
-            self._sums[bucket_key] = bucket
-        bucket[0] += r.active_power
-        bucket[1] += r.voltage
-        bucket[2] += r.current
-        bucket[3] += r.power_factor
-        bucket[4] += r.frequency
-        bucket[5] += r.apparent_power
-        bucket[6] += 1
-        if self._raw is not None:
-            self._raw.setdefault(bucket_key, []).append(r)
+        self._readings.append(r)
         return ACCEPTED
 
-    def raw_samples(self, meter_id: int, phase: int, minute_start: int) -> list:
-        """Debug sidecar: retained raw samples for one closed-or-open minute."""
-        if self._raw is None:
-            raise RuntimeError("collector was not built with retain_samples=True")
-        return list(self._raw.get((meter_id, phase, minute_start), []))
+    def ingest_columns(self, readings: ReadingColumns, index: "np.ndarray") -> IngestCounts:
+        """Ingest one delivery of messages, given as row indices into a day's
+        readings (a row appears once per delivery of it, as in metersim.Delivery).
 
-    def close_minute(self, meter_id: int, phase: int, minute_start: int) -> MinuteRecord:
-        """Arithmetic mean of buffered samples in the minute; buffer is released."""
-        bucket = self._sums.pop((meter_id, phase, minute_start), None)
-        if bucket is None or bucket[6] == 0:
-            return MinuteRecord(meter_id, phase, minute_start, None, None, None, None, None, None, 0)
-        n = bucket[6]
-        return MinuteRecord(
-            meter_id,
-            phase,
-            minute_start,
-            bucket[0] / n,
-            bucket[1] / n,
-            bucket[2] / n,
-            bucket[3] / n,
-            bucket[4] / n,
-            bucket[5] / n,
-            n,
+        The outcomes are those of calling ingest once per message; duplicates
+        are counted within this delivery.
+        """
+        assigned = np.array(sorted(self.config.assigned_meters), dtype=np.int64)
+        mine = index[np.isin(readings.meter_id[index], assigned)]
+        _, first = np.unique(
+            _pack(readings.meter_id[mine], readings.phase[mine], readings.ts[mine]), return_index=True
         )
+        rows = mine[first]
+        self._blocks.append(ReadingColumns(*(col[rows] for col in readings)))
+        return IngestCounts(rows.shape[0], mine.shape[0] - rows.shape[0], index.shape[0] - mine.shape[0])
+
+    def _take_samples(self) -> ReadingColumns:
+        """Every buffered sample, in no particular order; the buffers are emptied."""
+        if self._readings:
+            self._blocks.append(_columns(self._readings))
+            self._readings = []
+        blocks, self._blocks = self._blocks or [_columns([])], []
+        if len(blocks) == 1:
+            return blocks[0]
+        return ReadingColumns(*map(np.concatenate, zip(*blocks)))
 
     def close_day(self, date: str) -> List[MinuteRecord]:
-        """Close every minute of the date for every assigned meter-phase."""
+        """Close every minute of the date for every assigned meter-phase.
+
+        A minute's means add its samples in ts order, whatever order they
+        arrived in. Samples of other dates stay buffered.
+        """
         day0 = parse_date(date)
-        records = []
-        for meter_id in sorted(self.config.assigned_meters):
-            for phase in PHASES:
-                for m in range(MINUTES_PER_DAY):
-                    records.append(self.close_minute(meter_id, phase, day0 + 60 * m))
-        return records
+        samples = self._take_samples()
+        key = _pack(samples.meter_id, samples.phase, samples.ts)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.shape[0], dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        rows = order[first]  # each key once, in (meter, phase, ts) order
+        ts = samples.ts[rows]
+        in_day = (ts >= day0) & (ts < day0 + SECONDS_PER_DAY)
+        if not in_day.all():
+            self._blocks.append(ReadingColumns(*(col[rows[~in_day]] for col in samples)))
+            rows, ts = rows[in_day], ts[in_day]
+        meters = sorted(self.config.assigned_meters)
+        cell = np.searchsorted(meters, samples.meter_id[rows]) * len(PHASES) + samples.phase[rows] - 1
+        bins = cell * MINUTES_PER_DAY + (ts - day0) // 60
+        size = len(meters) * len(PHASES) * MINUTES_PER_DAY
+        counts = np.bincount(bins, minlength=size)
+        # bincount adds each bin's weights in input order: (meter, phase, ts) order.
+        sums = [np.bincount(bins, weights=col[rows], minlength=size) for col in samples[3:]]
+        with np.errstate(invalid="ignore"):  # empty minutes: nan, written as None below
+            means = zip(*(np.divide(s, counts).tolist() for s in sums))
+        return [
+            MinuteRecord(meter_id, phase, day0 + 60 * m, *avg, n)
+            if n
+            else MinuteRecord(meter_id, phase, day0 + 60 * m, *_ABSENT, 0)
+            for (meter_id, phase, m), n, avg in zip(
+                product(meters, PHASES, range(MINUTES_PER_DAY)), counts.tolist(), means
+            )
+        ]
 
     def write_day_csv(self, date: str, records: Iterable[MinuteRecord]) -> List[Path]:
         """One CSV per assigned meter; atomic publish; byte-stable on rewrite."""
@@ -186,20 +208,6 @@ class Collector:
 
 def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value + 0.0, ".3f")
-
-
-def collector_minute_power(
-    collector_id: str, records: Iterable[MinuteRecord]
-) -> CollectorMinuteSummary:
-    """Sum present phases' average active power for one minute."""
-    records = list(records)
-    minutes = {r.minute_start for r in records}
-    if len(minutes) > 1:
-        raise ValueError("records span multiple minutes")
-    present = [r for r in records if r.sample_count > 0]
-    total = sum(r.avg_active_power for r in present)
-    minute = minutes.pop() if minutes else 0
-    return CollectorMinuteSummary(collector_id, minute, total, len(present))
 
 
 def read_day_csv(path) -> List[MinuteRecord]:

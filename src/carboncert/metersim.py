@@ -5,22 +5,26 @@ drawn from an RNG keyed by (seed, meter_id, timestamp), so samples can be
 regenerated in any order. Delivery faults (duplicates, drop-then-retry,
 bounded reordering) come from a separate RNG stream so the generated
 readings are identical across fault configurations.
+
+A day travels as columns (``generate_day_columns``) and its delivery as
+index arrays into them (``deliver``); ``generate_day_readings`` and
+``run_day`` give the same day as ``PhaseReading`` and ``TransportMessage``
+tuples.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import List, NamedTuple
 
 import numpy as np
 
 from .model import (
     METER_IDS,
-    PHASES,
     SECONDS_PER_DAY,
     TOTAL_PHASES,
     PhaseReading,
@@ -55,7 +59,7 @@ class SolarProfile:
 class FaultConfig:
     duplicate_probability: float = 0.0
     drop_then_retry_probability: float = 0.0
-    reorder_jitter_max: float = 0.0  # seconds, keep <= collector watermark
+    reorder_jitter_max: float = 0.0  # seconds a delivery may arrive after its reading
     rng_seed: int = 0
 
 
@@ -86,6 +90,28 @@ class FleetConfig:
 class TransportMessage(NamedTuple):
     reading: PhaseReading
     delivery_attempt: int
+
+
+class ReadingColumns(NamedTuple):
+    """Readings as parallel arrays, one row per ``PhaseReading`` with the same field names."""
+
+    meter_id: "np.ndarray"
+    phase: "np.ndarray"
+    ts: "np.ndarray"
+    active_power: "np.ndarray"
+    voltage: "np.ndarray"
+    current: "np.ndarray"
+    power_factor: "np.ndarray"
+    frequency: "np.ndarray"
+    apparent_power: "np.ndarray"
+
+
+class Delivery(NamedTuple):
+    """Transport messages in arrival order: the reading each one carries, as a
+    row index into the day's readings, and its delivery attempt."""
+
+    index: "np.ndarray"
+    attempt: "np.ndarray"
 
 
 def clear_sky_power(t: float, profile: SolarProfile) -> float:
@@ -224,20 +250,54 @@ def meter_sample_times(fleet: FleetConfig, meter_id: int, date: str) -> List[int
     return times
 
 
-def generate_day_readings(fleet: FleetConfig, date: str) -> List[PhaseReading]:
-    """All readings for the simulated day, grouped (meter, phase, time-ordered).
+def generate_day_columns(fleet: FleetConfig, date: str) -> ReadingColumns:
+    """All readings for the simulated day as columns, grouped (meter, phase, time-ordered).
 
     The per-meter values are identical to calling sample_meter at each instant.
     """
-    out: List[PhaseReading] = []
+    schedules = []
     for meter_id in fleet.meters:
         if meter_id not in METER_IDS:
             raise InvalidMeter(f"meter_id must be in 1..8, got {meter_id}")
-        times = meter_sample_times(fleet, meter_id, date)
-        ts_arr = np.array(times, dtype=np.int64)
+        schedules.append((meter_id, np.array(meter_sample_times(fleet, meter_id, date), dtype=np.int64)))
+    total = 3 * sum(ts_arr.shape[0] for _, ts_arr in schedules)
+    cols = ReadingColumns(*(np.empty(total, dtype=np.int64 if k < 3 else np.float64) for k in range(9)))
+    start = 0
+    for meter_id, ts_arr in schedules:
         block = _sample_block(meter_id, ts_arr, fleet.profile, fleet.seed, fleet.accuracy_band)
-        freq = block["frequency"].tolist()
+        stop = start + ts_arr.shape[0]
         for idx in range(3):
+            values = (
+                meter_id,
+                idx + 1,
+                ts_arr,
+                block["active"][idx],
+                block["voltage"][idx],
+                block["current"][idx],
+                block["power_factor"][idx],
+                block["frequency"],
+                block["apparent"][idx],
+            )
+            for col, value in zip(cols, values):
+                col[start:stop] = value
+            start, stop = stop, stop + ts_arr.shape[0]
+    return cols
+
+
+def generate_day_readings(fleet: FleetConfig, date: str) -> List[PhaseReading]:
+    """All readings for the simulated day as tuples, in generate_day_columns' order."""
+    cols = generate_day_columns(fleet, date)
+    out: List[PhaseReading] = []
+    edges = [0, *(np.flatnonzero(np.diff(cols.meter_id)) + 1).tolist(), cols.ts.shape[0]]
+    for start, stop in zip(edges, edges[1:]):
+        # A meter's three phases share its instants and frequency: one Python
+        # object per instant, not per reading, keeps a day's tuples smaller.
+        n = (stop - start) // 3
+        times = cols.ts[start : start + n].tolist()
+        freq = cols.frequency[start : start + n].tolist()
+        meter_id = int(cols.meter_id[start])
+        for idx in range(3):
+            lo, hi = start + idx * n, start + (idx + 1) * n
             out.extend(
                 map(
                     PhaseReading._make,
@@ -245,46 +305,47 @@ def generate_day_readings(fleet: FleetConfig, date: str) -> List[PhaseReading]:
                         repeat(meter_id),
                         repeat(idx + 1),
                         times,
-                        block["active"][idx].tolist(),
-                        block["voltage"][idx].tolist(),
-                        block["current"][idx].tolist(),
-                        block["power_factor"][idx].tolist(),
+                        cols.active_power[lo:hi].tolist(),
+                        cols.voltage[lo:hi].tolist(),
+                        cols.current[lo:hi].tolist(),
+                        cols.power_factor[lo:hi].tolist(),
                         freq,
-                        block["apparent"][idx].tolist(),
+                        cols.apparent_power[lo:hi].tolist(),
                     ),
                 )
             )
     return out
 
 
-def run_day(fleet: FleetConfig, date: str, faults: FaultConfig) -> List[TransportMessage]:
-    """Deliver a day of telemetry through the at-least-once transport.
+def deliver(meter_id, phase, ts, faults: FaultConfig) -> Delivery:
+    """The at-least-once transport, applied to readings given by their key columns.
 
-    Every generated reading is delivered at least once; drops are always
-    retried (attempt 2), duplicates are redelivered with an incremented
-    attempt, and reordering is bounded by reorder_jitter_max seconds.
+    Every reading is delivered at least once: a dropped first attempt is always
+    retried (attempt 2), a duplicate is delivered as attempts 1 and 2, and a
+    delivery arrives up to reorder_jitter_max seconds after its reading's ts.
+    Messages are ordered by (arrival, meter, phase, attempt). Fault decisions
+    and jitter come from ``np.random.default_rng(faults.rng_seed)``.
     """
+    n = ts.shape[0]
+    rng = np.random.default_rng(faults.rng_seed)
+    u = rng.random(n)
+    dropped = u < faults.drop_then_retry_probability
+    doubled = ~dropped & (u < faults.drop_then_retry_probability + faults.duplicate_probability)
+    copies = 1 + doubled
+    index = np.repeat(np.arange(n), copies)
+    first = np.cumsum(copies) - copies  # position of each reading's first message
+    attempt = np.ones(index.shape[0], dtype=np.int64)
+    attempt[first[dropped]] = 2
+    attempt[first[doubled] + 1] = 2
+    arrival = ts[index] + rng.random(index.shape[0]) * faults.reorder_jitter_max
+    order = np.lexsort((attempt, phase[index], meter_id[index], arrival))
+    return Delivery(index[order], attempt[order])
+
+
+def run_day(fleet: FleetConfig, date: str, faults: FaultConfig) -> List[TransportMessage]:
+    """Deliver a day of telemetry through the at-least-once transport (see deliver)."""
     readings = generate_day_readings(fleet, date)
-    dup_p = faults.duplicate_probability
-    drop_p = faults.drop_then_retry_probability
-    jitter = faults.reorder_jitter_max
-    if dup_p == 0.0 and drop_p == 0.0 and jitter == 0.0:
-        readings.sort(key=operator.itemgetter(2, 0, 1))  # (ts, meter_id, phase)
-        return [TransportMessage(r, 1) for r in readings]
-    frng = random.Random(faults.rng_seed)
-    rand = frng.random
-    deliveries = []
-    append = deliveries.append
-    for r in readings:
-        u = rand()
-        if u < drop_p:
-            attempts = (2,)  # first attempt lost, redelivery succeeds
-        elif u < drop_p + dup_p:
-            attempts = (1, 2)
-        else:
-            attempts = (1,)
-        for attempt in attempts:
-            offset = rand() * jitter if jitter > 0 else 0.0
-            append((r.ts + offset, r.meter_id, r.phase, attempt, r))
-    deliveries.sort()
-    return [TransportMessage(d[4], d[3]) for d in deliveries]
+    n = len(readings)
+    keys = (np.fromiter(map(itemgetter(k), readings), np.int64, n) for k in range(3))
+    index, attempt = deliver(*keys, faults)
+    return list(map(TransportMessage, map(readings.__getitem__, index.tolist()), attempt.tolist()))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import aggregator as agg_mod
 from . import collector as col_mod
@@ -122,6 +122,11 @@ class DayResult:
     missing_windows: List[int]
     tip_hash: str
     csv_paths: List[Path]
+    messages: int  # transport messages delivered
+    accepted: int  # readings the collectors took, each once
+    duplicates: int  # redeliveries of an accepted reading
+    rejected: int  # messages for a meter no collector is assigned
+    notices: List[str]  # aggregation notices: unreadable files, missing collectors
 
 
 def run_simulation(config: RunConfig, ledger: Optional[Ledger] = None) -> DayResult:
@@ -132,32 +137,26 @@ def run_simulation(config: RunConfig, ledger: Optional[Ledger] = None) -> DayRes
     bootstrap_identities(ledger, config)
     producer = ledger.get_identity(config.producer)
 
-    messages = metersim.run_day(config.fleet, config.date, config.faults)
-
-    collectors: Dict[str, col_mod.Collector] = {}
+    readings = metersim.generate_day_columns(config.fleet, config.date)
+    delivery = metersim.deliver(readings.meter_id, readings.phase, readings.ts, config.faults)
+    messages = delivery.index.shape[0]
+    accepted = duplicates = csv_rows = 0
+    csv_paths: List[Path] = []
     for cid, meters in sorted(config.fleet.assignments.items()):
-        collectors[cid] = col_mod.Collector(
+        instance = col_mod.Collector(
             col_mod.CollectorConfig(
                 collector_id=cid,
                 assigned_meters=frozenset(meters),
                 output_root=config.collectors_root,
             )
         )
-    route: Dict[int, col_mod.Collector] = {}
-    for cid, meters in config.fleet.assignments.items():
-        for meter in meters:
-            route[meter] = collectors[cid]
-    for msg in messages:
-        owner = route.get(msg.reading.meter_id)
-        if owner is not None:
-            owner.ingest(msg)
-
-    csv_paths: List[Path] = []
-    csv_rows = 0
-    for cid, instance in sorted(collectors.items()):
+        counts = instance.ingest_columns(readings, delivery.index)
+        accepted += counts.accepted
+        duplicates += counts.duplicates
         records = instance.close_day(config.date)
-        csv_rows += sum(1 for r in records)
+        csv_rows += len(records)
         csv_paths.extend(instance.write_day_csv(config.date, records))
+    del readings, delivery  # the day's arrays are not needed past the CSVs
 
     summary = agg_mod.run_day_aggregation(
         date=config.date,
@@ -177,4 +176,9 @@ def run_simulation(config: RunConfig, ledger: Optional[Ledger] = None) -> DayRes
         missing_windows=summary.missing_windows,
         tip_hash=ledger.tip_hash,
         csv_paths=csv_paths,
+        messages=messages,
+        accepted=accepted,
+        duplicates=duplicates,
+        rejected=messages - accepted - duplicates,
+        notices=summary.notices,
     )

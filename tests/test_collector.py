@@ -1,4 +1,10 @@
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carboncert.collector import (
     ACCEPTED,
@@ -7,14 +13,15 @@ from carboncert.collector import (
     REJECTED,
     Collector,
     CollectorConfig,
+    IngestCounts,
     IoFailure,
-    collector_minute_power,
     read_day_csv,
 )
-from carboncert.metersim import TransportMessage
-from carboncert.model import MINUTES_PER_DAY, PhaseReading, parse_date
+from carboncert.metersim import ReadingColumns, TransportMessage
+from carboncert.model import MINUTES_PER_DAY, SECONDS_PER_DAY, PhaseReading, parse_date
 
 DAY0 = parse_date("2025-06-01")
+ASSIGNED = {"A": frozenset({1, 2, 3, 4}), "B": frozenset({5, 6, 7, 8})}
 
 
 def _msg(meter=1, phase=1, ts=DAY0, power=4000.0, attempt=1):
@@ -23,7 +30,16 @@ def _msg(meter=1, phase=1, ts=DAY0, power=4000.0, attempt=1):
 
 
 def _collector(tmp_path, cid="A"):
-    return Collector(CollectorConfig.reference(cid, tmp_path))
+    return Collector(CollectorConfig(cid, ASSIGNED[cid], tmp_path))
+
+
+def _minute(records, meter=1, phase=1, minute_start=DAY0):
+    (rec,) = [r for r in records if (r.meter_id, r.phase, r.minute_start) == (meter, phase, minute_start)]
+    return rec
+
+
+def _columns(readings):
+    return ReadingColumns(*map(np.array, zip(*readings)))
 
 
 def test_ingest_accepts_assigned_meters(tmp_path):
@@ -53,7 +69,7 @@ def test_close_minute_means(tmp_path):
     c = _collector(tmp_path)
     for i, p in enumerate([1000.0, 2000.0, 3000.0]):
         c.ingest(_msg(ts=DAY0 + i, power=p))
-    rec = c.close_minute(1, 1, DAY0)
+    rec = _minute(c.close_day("2025-06-01"))
     assert rec.sample_count == 3
     assert rec.avg_active_power == pytest.approx(2000.0)
     assert rec.avg_voltage == pytest.approx(230.0)
@@ -65,13 +81,13 @@ def test_close_minute_duplicate_does_not_skew_mean(tmp_path):
     c.ingest(_msg(ts=DAY0, power=1000.0))
     c.ingest(_msg(ts=DAY0, power=1000.0, attempt=2))
     c.ingest(_msg(ts=DAY0 + 1, power=3000.0))
-    rec = c.close_minute(1, 1, DAY0)
+    rec = _minute(c.close_day("2025-06-01"))
     assert rec.sample_count == 2
     assert rec.avg_active_power == pytest.approx(2000.0)
 
 
 def test_close_minute_empty_yields_zero_count_nulls(tmp_path):
-    rec = _collector(tmp_path).close_minute(1, 1, DAY0)
+    rec = _minute(_collector(tmp_path).close_day("2025-06-01"))
     assert rec.sample_count == 0
     assert rec.avg_active_power is None and rec.avg_voltage is None
 
@@ -126,7 +142,7 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
 
 def test_write_rejects_unassigned_record(tmp_path):
     c = _collector(tmp_path, "A")
-    bad = c.close_minute(1, 1, DAY0)._replace(meter_id=7)
+    bad = c.close_day("2025-06-01")[0]._replace(meter_id=7)
     with pytest.raises(ValueError):
         c.write_day_csv("2025-06-01", [bad])
 
@@ -151,24 +167,58 @@ def test_read_missing_file_is_io_failure(tmp_path):
         read_day_csv(tmp_path / "absent.csv")
 
 
-def test_retained_samples_sidecar(tmp_path):
-    c = Collector(CollectorConfig.reference("A", tmp_path), retain_samples=True)
-    c.ingest(_msg(ts=DAY0 + 1))
-    c.ingest(_msg(ts=DAY0 + 2))
-    assert len(c.raw_samples(1, 1, DAY0)) == 2
-    plain = _collector(tmp_path)
-    with pytest.raises(RuntimeError):
-        plain.raw_samples(1, 1, DAY0)
-
-
-def test_collector_minute_power_sums_present_phases(tmp_path):
+def test_close_day_keeps_other_dates_buffered(tmp_path):
     c = _collector(tmp_path)
-    for phase in (1, 2, 3):
-        c.ingest(_msg(phase=phase, power=1000.0 * phase))
-    recs = [c.close_minute(1, p, DAY0) for p in (1, 2, 3)]
-    recs.append(c.close_minute(2, 1, DAY0))  # empty phase
-    summary = collector_minute_power("A", recs)
-    assert summary.collector_power == pytest.approx(6000.0)
-    assert summary.present_phases == 3
-    with pytest.raises(ValueError):
-        collector_minute_power("A", [recs[0], recs[0]._replace(minute_start=DAY0 + 60)])
+    c.ingest(_msg(ts=DAY0 + SECONDS_PER_DAY + 5, power=700.0))
+    c.ingest(_msg(ts=DAY0 + 5, power=300.0))
+    assert _minute(c.close_day("2025-06-01")).avg_active_power == 300.0
+    assert _minute(c.close_day("2025-06-02"), minute_start=DAY0 + SECONDS_PER_DAY).avg_active_power == 700.0
+    assert sum(r.sample_count for r in c.close_day("2025-06-02")) == 0
+
+
+def test_ingest_columns_counts_outcomes_like_ingest(tmp_path):
+    readings = [_msg(meter=m, ts=DAY0 + t).reading for m in (1, 5) for t in range(3)]
+    index = np.array([0, 1, 1, 3, 2, 0, 4])  # rows 0-2 meter 1, rows 3-5 meter 5
+    c = _collector(tmp_path)
+    counts = c.ingest_columns(_columns(readings), index)
+    assert counts == IngestCounts(accepted=3, duplicates=2, rejected=2)
+    one_by_one = _collector(tmp_path)
+    outcomes = Counter(one_by_one.ingest(TransportMessage(readings[i], 1)) for i in index.tolist())
+    assert outcomes == {ACCEPTED: 3, DUPLICATE: 2, REJECTED: 2}
+    c.ingest_columns(_columns(readings), index[:2])  # a redelivered batch adds no sample
+    assert c.close_day("2025-06-01") == one_by_one.close_day("2025-06-01")
+
+
+_sample = st.tuples(
+    st.integers(1, 2),  # phase
+    st.integers(0, 179),  # second of the day: three minutes
+    st.floats(-1e9, 1e9, allow_nan=False),  # active power, summed in ts order
+    st.integers(1, 2),  # deliveries
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.lists(_sample, min_size=1, max_size=30, unique_by=lambda s: s[:2]), data=st.data())
+def test_close_day_is_independent_of_arrival_order(samples, data):
+    readings = [PhaseReading(1, p, DAY0 + t, w, 230.0, 1.0, 0.97, 50.0, w) for p, t, w, _ in samples]
+    messages = [TransportMessage(r, a) for r, s in zip(readings, samples) for a in range(1, s[3] + 1)]
+    arrived = data.draw(st.permutations(messages))
+    config = CollectorConfig("A", frozenset({1}), Path("unused"))
+    in_order, shuffled, columnar = Collector(config), Collector(config), Collector(config)
+    for msg in messages:
+        in_order.ingest(msg)
+    for msg in arrived:
+        shuffled.ingest(msg)
+    columnar.ingest_columns(_columns(readings), np.array([readings.index(m.reading) for m in arrived]))
+    expected = in_order.close_day("2025-06-01")
+    assert shuffled.close_day("2025-06-01") == expected
+    assert columnar.close_day("2025-06-01") == expected
+    for rec in (r for r in expected if r.minute_start < DAY0 + 180):
+        in_minute = sorted(
+            (r.ts, r.active_power) for r in readings if r.phase == rec.phase and r.ts - r.ts % 60 == rec.minute_start
+        )
+        total = 0.0
+        for _, w in in_minute:  # left to right, in ts order
+            total += w
+        assert rec.sample_count == len(in_minute)
+        assert rec.avg_active_power == (total / len(in_minute) if in_minute else None)

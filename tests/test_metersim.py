@@ -10,12 +10,13 @@ from carboncert.metersim import (
     InvalidMeter,
     SolarProfile,
     clear_sky_power,
+    generate_day_columns,
     generate_day_readings,
     meter_sample_times,
     run_day,
     sample_meter,
 )
-from carboncert.model import METER_IDS, SECONDS_PER_DAY, TOTAL_PHASES
+from carboncert.model import METER_IDS, SECONDS_PER_DAY, TOTAL_PHASES, PhaseReading
 
 PROFILE = SolarProfile()
 
@@ -139,6 +140,10 @@ def test_sample_times_deterministic_per_meter():
 def test_generate_day_matches_scalar_sampler():
     fleet = FleetConfig(seed=11, meters=(1, 4, 8))
     readings = generate_day_readings(fleet, "2025-06-01")
+    columns = generate_day_columns(fleet, "2025-06-01")
+    rows = list(zip(*(col.tolist() for col in columns)))
+    assert [r[:3] for r in rows] == sorted(r[:3] for r in rows)  # grouped (meter, phase, ts)
+    assert readings == [PhaseReading._make(r) for r in rows]
     by_key = {(r.meter_id, r.phase, r.ts): r for r in readings}
     rng = random.Random(0)
     probes = rng.sample(list(by_key), 50)
@@ -185,6 +190,11 @@ def test_run_day_at_least_once_under_faults():
         assert by_key.setdefault(k, m.reading) == m.reading
     clean_by_key = {(m.reading.meter_id, m.reading.phase, m.reading.ts): m.reading for m in clean}
     assert by_key == clean_by_key
+    # a dropped first attempt is retried, a duplicate is attempts 1 and 2
+    attempts = {}
+    for m in faulted:
+        attempts.setdefault(m.reading, []).append(m.delivery_attempt)
+    assert {tuple(sorted(a)) for a in attempts.values()} == {(1,), (2,), (1, 2)}
 
 
 def test_run_day_reordering_bounded_by_jitter():
