@@ -19,7 +19,6 @@ from .model import (  # noqa: F401
     Quality,
     Role,
     align_to_minute,
-    canonical_serialize,
     digest,
     window_index,
 )

@@ -115,7 +115,6 @@ class DayReplay:
     missing_windows: List[int]
     energy_kwh: float
     co2_by_factor: Dict[float, float] = field(default_factory=dict)
-    notices: List[str] = field(default_factory=list)
 
 
 def _parse_csv(path: Path) -> List[dict]:
@@ -242,7 +241,6 @@ def compare_with_chain(replay: DayReplay, chain, producer: str) -> AuditReport:
         chain_ok=first_bad is None,
         first_bad_height=first_bad,
         replay_matches=True,
-        notices=list(replay.notices),
     )
 
     compact = replay.date.replace("-", "")

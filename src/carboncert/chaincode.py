@@ -31,7 +31,6 @@ from .model import (
     parse_ts,
 )
 
-CREDIT_STATES = ("PENDING", "VERIFIED", "ISSUED", "SOLD", "RETIRED")
 LEGAL_STEPS = {
     "PENDING": ("VERIFIED",),
     "VERIFIED": ("ISSUED",),
@@ -256,7 +255,17 @@ class CreditContract:
             return ChainResult(False, "structure", {}, ())
         if not all(isinstance(w, int) and 0 <= w < WINDOWS_PER_DAY for w in windows):
             return ChainResult(False, "structure", {}, ())
+        try:
+            compact = compact_date(parse_date(date))
+        except ValueError:
+            return ChainResult(False, "structure", {}, ())
         key = f"missing/{submitter.name}/{date}"
+        # a report never replaces committed data: neither a batch nor an earlier report
+        prefix = f"batch/{submitter.name}/{submitter.name}-{compact}-"
+        if any(state.get(f"{prefix}{w:03d}") is not None for w in windows):
+            return ChainResult(False, "window_committed", {}, (key,))
+        if state.get(key) is not None:
+            return ChainResult(False, "already_reported", {}, (key,))
         return ChainResult(True, None, {key: _store({"windows": sorted(windows)})}, (key,))
 
     def _quarantine(self, op, submitter, state) -> ChainResult:

@@ -17,7 +17,6 @@ reals at 3 decimals, empty fields for absent averages, LF endings, UTF-8.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from itertools import chain, product
 from pathlib import Path
@@ -33,6 +32,7 @@ from .model import (
     format_ts,
     parse_date,
     parse_ts,
+    write_atomic,
 )
 from .metersim import ReadingColumns, TransportMessage
 
@@ -197,9 +197,7 @@ class Collector:
             data = ("\n".join(lines) + "\n").encode("utf-8")
             try:
                 day_dir.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".csv.tmp")
-                tmp.write_bytes(data)
-                os.replace(tmp, path)
+                write_atomic(path, data)
             except OSError as exc:
                 raise IoFailure(path, exc) from exc
             paths.append(path)

@@ -5,9 +5,10 @@ at submission time; invalid transactions are recorded with their reason
 rather than dropped, so the full history stays auditable.
 
 Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64)
-plus ``identities.json``. block_hash covers the entire block content except
-the block_hash field itself, so any byte change in a committed block file
-is detectable.
+plus ``identities.json``, each written whole (temp file, fsync, rename).
+block_hash covers the entire block content except the block_hash field
+itself, so any byte change in a committed block file is detectable.
+Opening replays every block; a chain found damaged opens read-only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     digest_hex,
     format_ts,
     parse_ts,
+    write_atomic,
 )
 
 BLOCK_TX_LIMIT = 12
@@ -42,6 +44,11 @@ class DuplicateName(ValueError):
 
 class UnknownIdentity(KeyError):
     pass
+
+
+class ChainDamaged(ValueError):
+    """Append refused: a block file up to the highest on disk is missing or
+    unreadable, or a committed transaction does not replay as recorded."""
 
 
 @dataclass
@@ -128,6 +135,12 @@ def _block_file_bytes(block: Block) -> bytes:
     return canonical_json(content)
 
 
+def _state_digest(state: Dict[str, Tuple[bytes, str]]) -> str:
+    return digest_hex(
+        canonical_json({k: base64.b64encode(v[0]).decode("ascii") for k, v in state.items()})
+    )
+
+
 Chaincode = Callable[[dict, Identity, StateView], ChainResult]
 
 
@@ -146,9 +159,8 @@ class Ledger:
         self._pending: List[Transaction] = []
         self._blocks: List[Block] = []
         self._next_sequence = 0
+        self._damage: Optional[Tuple[int, str]] = None  # (first bad height, why)
         self._load()
-        if not self._blocks:
-            self._write_genesis()
 
     # -- membership ---------------------------------------------------------
 
@@ -170,20 +182,15 @@ class Ledger:
     # -- ordering -----------------------------------------------------------
 
     def submit_tx(self, payload: bytes, submitter: str) -> str:
+        if self._damage is not None:
+            height, why = self._damage
+            raise ChainDamaged(f"chain damaged at height {height}: {why}; refusing to append")
         identity = self.get_identity(submitter)
         sequence = self._next_sequence
         self._next_sequence += 1
         payload_digest = digest_hex(payload)
         tx_id = _tx_id(payload, submitter, sequence)
-        try:
-            op = json.loads(payload.decode("utf-8"))
-            if not isinstance(op, dict):
-                raise ValueError("payload must be a JSON object")
-        except (ValueError, UnicodeDecodeError):
-            result = ChainResult(False, "structure", {}, ())
-        else:
-            result = self.chaincode(op, identity, StateView(self._state))
-        status = VALID if result.valid else INVALID
+        result = self._execute(payload, tx_id, identity, self._state, self._history)
         tx = Transaction(
             sequence=sequence,
             tx_id=tx_id,
@@ -191,17 +198,28 @@ class Ledger:
             payload_digest=payload_digest,
             submitter=submitter,
             endorsement=_endorse(identity.key_id, payload_digest),
-            status=status,
+            status=_status(result),
             reason=result.reason,
         )
-        if result.valid:
-            for key, value in result.writes.items():
-                self._state[key] = (value, tx_id)
-        for key in result.touched:
-            self._history.setdefault(key, []).append(tx_id)
         self._tx_index[tx_id] = tx
         self._pending.append(tx)
         return tx_id
+
+    def _execute(self, payload: bytes, tx_id: str, identity: Identity, state, history) -> ChainResult:
+        """Run one transaction's chaincode on ``state``; apply its writes and history."""
+        try:
+            op = json.loads(payload.decode("utf-8"))
+            if not isinstance(op, dict):
+                raise ValueError("payload must be a JSON object")
+        except (ValueError, UnicodeDecodeError):
+            return ChainResult(False, "structure", {}, ())
+        result = self.chaincode(op, identity, StateView(state))
+        if result.valid:
+            for key, value in result.writes.items():
+                state[key] = (value, tx_id)
+        for key in result.touched:
+            history.setdefault(key, []).append(tx_id)
+        return result
 
     def cut_block(self) -> Optional[Block]:
         """Drain up to 12 pending transactions into a new block."""
@@ -232,11 +250,11 @@ class Ledger:
 
     @property
     def height(self) -> int:
-        return self._blocks[-1].height
+        return self._blocks[-1].height if self._blocks else -1
 
     @property
     def tip_hash(self) -> str:
-        return self._blocks[-1].block_hash
+        return self._blocks[-1].block_hash if self._blocks else ZERO_HASH_HEX
 
     @property
     def pending_count(self) -> int:
@@ -262,37 +280,26 @@ class Ledger:
         return [self._tx_index[t] for t in self._history.get(key, [])]
 
     def state_digest(self) -> str:
-        payload = canonical_json(
-            {k: base64.b64encode(v[0]).decode("ascii") for k, v in self._state.items()}
-        )
-        return digest_hex(payload)
+        return _state_digest(self._state)
 
     # -- verification and replay --------------------------------------------
 
     def verify_chain(self) -> Optional[int]:
-        """Recompute every hash and linkage from the on-disk chain.
+        """Recompute every hash and linkage of the loaded chain from its files.
 
-        Returns None when consistent, else the first bad height.
+        Returns None when consistent, else the first bad height, or the
+        height at which opening found the chain damaged if that is lower.
         """
+        damaged = self._damage[0] if self._damage else None
         prev_hash = ZERO_HASH_HEX
-        height = 0
-        while True:
-            path = self.blocks_dir / f"{height}.json"
-            if not path.exists():
-                if self._blocks and height <= self._blocks[-1].height:
-                    return height  # committed block file deleted
-                return None
-            try:
-                raw = path.read_bytes()
-                content = json.loads(raw.decode("utf-8"))
-                block = _block_from_dict(content)
-            except (ValueError, KeyError, TypeError):
+        for height in range(self.height + 1):
+            read = _read_block(self._block_path(height))
+            if read is None or height == damaged:
                 return height
-            if _block_file_bytes(block) != raw:
+            raw, block = read
+            if _block_file_bytes(block) != raw or block.prev_hash != prev_hash:
                 return height
-            if block.height != height or block.prev_hash != prev_hash:
-                return height
-            if height == 0 and (block.prev_hash != ZERO_HASH_HEX or block.transactions):
+            if height == 0 and block.transactions:
                 return height
             if _block_hash(block) != block.block_hash:
                 return height
@@ -307,34 +314,41 @@ class Ledger:
                 if tx.endorsement != _endorse(identity.key_id, tx.payload_digest):
                     return height
             prev_hash = block.block_hash
-            height += 1
+        return damaged
 
     def rebuild_state(self) -> Dict[str, Tuple[bytes, str]]:
         """Replay oracle: re-execute chaincode over the committed chain from genesis."""
-        state: Dict[str, Tuple[bytes, str]] = {}
-        for block in self._blocks:
-            for tx in block.transactions:
-                try:
-                    op = json.loads(tx.payload.decode("utf-8"))
-                    if not isinstance(op, dict):
-                        raise ValueError
-                except (ValueError, UnicodeDecodeError):
-                    continue
-                identity = self.identities[tx.submitter]
-                result = self.chaincode(op, identity, StateView(state))
-                if result.valid:
-                    for key, value in result.writes.items():
-                        state[key] = (value, tx.tx_id)
-        return state
+        return self._replay()[0]
 
     def rebuilt_state_digest(self) -> str:
-        state = self.rebuild_state()
-        payload = canonical_json(
-            {k: base64.b64encode(v[0]).decode("ascii") for k, v in state.items()}
-        )
-        return digest_hex(payload)
+        return _state_digest(self.rebuild_state())
+
+    def _replay(self):
+        """Re-execute the loaded blocks into a fresh (state, history).
+
+        Also returns the first (height, why) at which a transaction cannot
+        run or replays to another (status, reason) than the one recorded.
+        """
+        state: Dict[str, Tuple[bytes, str]] = {}
+        history: Dict[str, List[str]] = {}
+        damage = None
+        for block in self._blocks:
+            for tx in block.transactions:
+                identity = self.identities.get(tx.submitter)
+                if identity is None:
+                    damage = damage or (block.height, f"unknown submitter {tx.submitter!r}")
+                    continue
+                result = self._execute(tx.payload, tx.tx_id, identity, state, history)
+                if result.valid != (tx.status == VALID) or result.reason != tx.reason:
+                    replayed = f"{_status(result)} ({result.reason})"
+                    why = f"tx {tx.tx_id[:16]} replays {replayed}, recorded {tx.status} ({tx.reason})"
+                    damage = damage or (block.height, why)
+        return state, history, damage
 
     # -- persistence --------------------------------------------------------
+
+    def _block_path(self, height: int) -> Path:
+        return self.blocks_dir / f"{height}.json"
 
     def _write_genesis(self):
         genesis = Block(
@@ -348,16 +362,15 @@ class Ledger:
         self._blocks.append(genesis)
 
     def _write_block(self, block: Block):
-        (self.blocks_dir / f"{block.height}.json").write_bytes(_block_file_bytes(block))
+        write_atomic(self._block_path(block.height), _block_file_bytes(block))
 
     def _save_identities(self):
         payload = {
             name: {"role": ident.role.value, "key_id": ident.key_id}
             for name, ident in sorted(self.identities.items())
         }
-        (self.root / "identities.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        write_atomic(self.root / "identities.json", text.encode("utf-8"))
 
     def _load(self):
         reg = self.root / "identities.json"
@@ -367,42 +380,40 @@ class Ledger:
                 self.identities[name] = Identity(
                     name=name, role=Role(info["role"]), key_id=info["key_id"]
                 )
-        heights = sorted(
-            int(p.stem) for p in self.blocks_dir.glob("*.json") if p.stem.isdigit()
-        )
-        for h in heights:
-            try:
-                content = json.loads((self.blocks_dir / f"{h}.json").read_text(encoding="utf-8"))
-                block = _block_from_dict(content)
-            except (ValueError, KeyError, TypeError):
-                # unreadable block file: stop loading here and let verify_chain
-                # report the damaged height instead of failing to open
+        heights = [int(p.stem) for p in self.blocks_dir.glob("*.json") if p.stem.isdigit()]
+        if not heights:
+            self._write_genesis()
+            return
+        unreadable = None
+        for height in range(max(heights) + 1):
+            read = _read_block(self._block_path(height))
+            if read is None:
+                # load the readable prefix only; nothing is appended past it
+                unreadable = (height, "block file missing or unreadable")
                 break
+            _, block = read
             self._blocks.append(block)
             for tx in block.transactions:
                 self._tx_index[tx.tx_id] = tx
                 self._next_sequence = max(self._next_sequence, tx.sequence + 1)
-        if self._blocks:
-            self._replay_into_live_state()
+        self._state, self._history, replay_damage = self._replay()
+        self._damage = replay_damage or unreadable
 
-    def _replay_into_live_state(self):
-        for block in self._blocks:
-            for tx in block.transactions:
-                try:
-                    op = json.loads(tx.payload.decode("utf-8"))
-                    if not isinstance(op, dict):
-                        raise ValueError
-                except (ValueError, UnicodeDecodeError):
-                    continue
-                identity = self.identities.get(tx.submitter)
-                if identity is None:
-                    continue
-                result = self.chaincode(op, identity, StateView(self._state))
-                if result.valid:
-                    for key, value in result.writes.items():
-                        self._state[key] = (value, tx.tx_id)
-                for key in result.touched:
-                    self._history.setdefault(key, []).append(tx.tx_id)
+
+def _status(result: ChainResult) -> str:
+    return VALID if result.valid else INVALID
+
+
+def _read_block(path: Path) -> Optional[Tuple[bytes, Block]]:
+    """A block file's bytes and parsed block; None when missing or unreadable."""
+    try:
+        raw = path.read_bytes()
+        block = _block_from_dict(json.loads(raw.decode("utf-8")))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if block.height != int(path.stem):
+        return None
+    return raw, block
 
 
 def _block_from_dict(content: dict) -> Block:

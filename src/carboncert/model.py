@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -47,10 +48,6 @@ def parse_date(text: str) -> int:
     """Midnight epoch of a YYYY-MM-DD date."""
     dt = datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
-
-
-def date_str(epoch: int) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
 def compact_date(epoch: int) -> str:
@@ -211,10 +208,6 @@ def batch_to_dict(batch: Batch) -> dict:
     }
 
 
-def canonical_serialize(batch: Batch) -> bytes:
-    return canonical_json(batch_to_dict(batch))
-
-
 def digest(payload: bytes) -> bytes:
     """SHA-256 content digest."""
     return hashlib.sha256(payload).digest()
@@ -222,6 +215,18 @@ def digest(payload: bytes) -> bytes:
 
 def digest_hex(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` whole or not at all: temp file, fsync, rename.
+
+    The temp name ``<name>.tmp`` matches no reader's ``*.json`` or ``*.csv``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 def batch_id_for(producer_id: str, window_start: int) -> str:

@@ -303,6 +303,19 @@ def test_report_missing_validation(env):
     assert _submit(ledger, other, "plant-1").reason == "unauthorized"
 
 
+def test_report_missing_never_replaces_committed_data(env):
+    ledger, *_ = env
+    _submit_batch(ledger, _batch_dict(0))
+    report = {"op": "report_missing", "producer": "plant-1", "date": "2025-06-01"}
+    assert _submit(ledger, {**report, "windows": [0, 1]}, "plant-1").reason == "window_committed"
+    assert _submit(ledger, {**report, "windows": [1, 2]}, "plant-1").status == "VALID"
+    assert _submit(ledger, {**report, "windows": [3]}, "plant-1").reason == "already_reported"
+    assert json.loads(ledger.query_state("missing/plant-1/2025-06-01"))["windows"] == [1, 2]
+    assert len(ledger.get_history("missing/plant-1/2025-06-01")) == 3
+    not_a_date = {**report, "date": "June 1st", "windows": [1]}
+    assert _submit(ledger, not_a_date, "plant-1").reason == "structure"
+
+
 # -- credit lifecycle --------------------------------------------------------
 
 

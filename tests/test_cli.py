@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -135,3 +136,46 @@ def test_config_file_overrides(tmp_path, capsys):
     assert rc == 0
     assert out.splitlines()[0] == "34560 / 1440 / 288"
     assert (tmp_path / "home" / "collectors" / "A" / "2025-07-01").is_dir()
+
+
+def _copy_home(cli_home, tmp_path):
+    home = tmp_path / "home"
+    shutil.copytree(cli_home, home)
+    return home
+
+
+def test_torn_tip_block_fails_loudly(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    blocks = home / "chain" / "blocks"
+    tip = max(int(p.stem) for p in blocks.glob("*.json"))
+    path = blocks / f"{tip}.json"
+    path.write_bytes(path.read_bytes()[:50])
+    rc, _, err = _run(capsys, "--home", str(home), "credits", "accrue",
+                      "--date", "2025-06-02", "--as", "plant-1")
+    assert rc == 1 and f"chain damaged at height {tip}" in err
+    assert not (blocks / f"{tip + 1}.json").exists()
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert rc == 1 and out == f"chain BROKEN at height {tip}\n"
+
+
+def test_torn_genesis_block_fails_without_traceback(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    genesis = home / "chain" / "blocks" / "0.json"
+    genesis.write_bytes(genesis.read_bytes()[:20])
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert rc == 1 and out == "chain BROKEN at height 0\n"
+    rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
+    assert rc == 1 and out.splitlines()[0] == "AUDIT FAIL 2025-06-01"
+    assert genesis.read_bytes() == (cli_home / "chain" / "blocks" / "0.json").read_bytes()[:20]
+
+
+def test_same_date_rerun_keeps_audit_passing(cli_home, tmp_path, capsys):
+    # the re-run sees no new CSVs and reports all 288 windows missing; the
+    # chaincode refuses that report because the windows have committed batches
+    home = _copy_home(cli_home, tmp_path)
+    rc, out, _ = _run(capsys, "--home", str(home), "simulate", "--date", "2025-06-01", "--seed", "3")
+    assert rc == 0 and out.splitlines()[0] == "34560 / 0 / 0"
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "history", "missing/plant-1/2025-06-01")
+    assert rc == 0 and "status=INVALID reason=window_committed" in out
+    rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
+    assert rc == 0 and out.splitlines()[0] == "AUDIT PASS 2025-06-01"

@@ -1,10 +1,16 @@
 import base64
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from carboncert.ledger import (
     BLOCK_TX_LIMIT,
+    ChainDamaged,
     ChainResult,
     DuplicateName,
     Ledger,
@@ -212,3 +218,179 @@ def test_endorsement_binds_submitter_key(ledger):
     b = ledger.get_transaction(ledger.submit_tx(_payload(1), "certifier-1"))
     assert a.payload_digest == b.payload_digest
     assert a.endorsement != b.endorsement
+
+
+# -- damaged chains ------------------------------------------------------------
+
+
+def _committed(root, txs=30):
+    """A ledger with blocks 0..3 on disk (30 txs cut 12/12/6)."""
+    led = Ledger(root, echo_chaincode)
+    led.register_identity("plant-1", Role.PRODUCER)
+    for i in range(txs):
+        led.submit_tx(_payload(i), "plant-1")
+    led.cut_all()
+    return led
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "height, damage",
+    [(0, "torn"), (1, "torn"), (3, "torn"), (0, "missing"), (1, "missing")],
+)
+def test_damaged_block_file_opens_but_refuses_appends(tmp_path, height, damage):
+    root = tmp_path / "chain"
+    _committed(root)
+    path = root / "blocks" / f"{height}.json"
+    if damage == "torn":
+        path.write_bytes(path.read_bytes()[:100])
+    else:
+        path.unlink()
+    files = _files(root)
+
+    reopened = Ledger(root, echo_chaincode)  # opening never raises
+    assert reopened.height == height - 1  # only the readable prefix is loaded
+    assert len(reopened.blocks()) == height
+    assert reopened.verify_chain() == height
+    with pytest.raises(ChainDamaged, match=f"height {height}"):
+        reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.pending_count == 0 and reopened.cut_all() == []
+    # a second open does not heal it, and nothing on disk was rewritten
+    assert Ledger(root, echo_chaincode).verify_chain() == height
+    assert _files(root) == files
+
+
+def test_stray_temp_file_neither_loads_nor_damages(tmp_path):
+    root = tmp_path / "chain"
+    led = _committed(root)
+    (root / "blocks" / "5.json.tmp").write_bytes(b'{"height": 5')
+    reopened = Ledger(root, echo_chaincode)
+    assert reopened.height == led.height == 3
+    assert reopened.verify_chain() is None
+    reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.cut_block().height == 4
+
+
+def test_unknown_submitter_marks_damage(tmp_path):
+    root = tmp_path / "chain"
+    led = _committed(root)
+    led.register_identity("certifier-1", Role.CERTIFIER)
+    led.submit_tx(_payload(99), "certifier-1")
+    led.cut_all()
+    registry = root / "identities.json"
+    names = json.loads(registry.read_text())
+    del names["certifier-1"]
+    registry.write_text(json.dumps(names))
+
+    reopened = Ledger(root, echo_chaincode)
+    assert reopened.verify_chain() == 4
+    with pytest.raises(ChainDamaged, match="height 4: unknown submitter 'certifier-1'"):
+        reopened.submit_tx(_payload(100), "plant-1")
+
+
+def test_replayed_status_mismatch_marks_damage(tmp_path):
+    # the chain was written by a chaincode that accepted value 20; one that
+    # rejects it cannot rebuild the recorded state, so the chain is damaged there
+    root = tmp_path / "chain"
+    _committed(root)
+
+    def stricter(op, submitter, state):
+        if op.get("value") == 20:
+            return ChainResult(False, "ranges", {}, ())
+        return echo_chaincode(op, submitter, state)
+
+    reopened = Ledger(root, stricter)
+    assert reopened.verify_chain() == 2  # tx 20 sits in the second block of 12
+    with pytest.raises(ChainDamaged, match="height 2: .* replays INVALID \\(ranges\\), recorded VALID \\(None\\)"):
+        reopened.submit_tx(_payload(99), "plant-1")
+
+
+# -- state machine: live, rebuilt and reopened state agree ----------------------
+
+KEYS = 4
+
+
+def _histories(led):
+    return {k: [t.tx_id for t in led.get_history(f"k{k}")] for k in range(KEYS)}
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Random submits, cuts, reopens and tip truncations on the echo chaincode."""
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = Path(tempfile.mkdtemp())
+        self.root = self.tmp / "chain"
+        self.led = Ledger(self.root, echo_chaincode)
+        self.led.register_identity("plant-1", Role.PRODUCER)
+        self.torn = None  # height of the truncated tip block file
+        self.files = None  # every file under the chain root when it was torn
+
+    def teardown(self):
+        shutil.rmtree(self.tmp)
+
+    @precondition(lambda self: self.torn is None)
+    @rule(key=st.integers(0, KEYS - 1), value=st.integers(0, 9))
+    def submit_valid(self, key, value):
+        tx = self.led.get_transaction(self.led.submit_tx(_payload(key, value=value), "plant-1"))
+        assert tx.status == "VALID"
+
+    @precondition(lambda self: self.torn is None)
+    @rule(payload=st.sampled_from([b'{"op": "bad"}', b"not json", b"[1,2]", b"\xff\x00"]))
+    def submit_rejected(self, payload):
+        tx = self.led.get_transaction(self.led.submit_tx(payload, "plant-1"))
+        assert (tx.status, tx.reason) == ("INVALID", "structure")
+
+    @precondition(lambda self: self.torn is None)
+    @rule(drain=st.booleans())
+    def cut(self, drain):
+        if drain:
+            self.led.cut_all()
+        else:
+            self.led.cut_block()
+
+    @precondition(lambda self: self.torn is None)
+    @rule()
+    def reopen(self):
+        # pending transactions were never committed, so a reopen drops them
+        committed = self.led.rebuilt_state_digest()
+        live = None
+        if self.led.pending_count == 0:
+            live = (self.led.state_digest(), _histories(self.led))
+        self.led = Ledger(self.root, echo_chaincode)
+        assert self.led.state_digest() == committed
+        if live is not None:
+            assert (self.led.state_digest(), _histories(self.led)) == live
+        assert self.led.verify_chain() is None
+
+    @precondition(lambda self: self.torn is None)
+    @rule(data=st.data())
+    def truncate_tip(self, data):
+        path = self.root / "blocks" / f"{self.led.height}.json"
+        raw = path.read_bytes()
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
+        self.torn = self.led.height
+        self.files = _files(self.root)
+        self.reopen_damaged()
+
+    @precondition(lambda self: self.torn is not None)
+    @rule()
+    def reopen_damaged(self):
+        self.led = Ledger(self.root, echo_chaincode)
+        assert self.led.verify_chain() == self.torn
+        with pytest.raises(ChainDamaged):
+            self.led.submit_tx(_payload(0), "plant-1")
+        assert self.led.cut_all() == []
+        assert _files(self.root) == self.files
+
+    @invariant()
+    def live_state_is_replayable(self):
+        if self.torn is None and self.led.pending_count == 0:
+            assert self.led.state_digest() == self.led.rebuilt_state_digest()
+
+
+LedgerMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
+test_ledger_state_machine = LedgerMachine.TestCase

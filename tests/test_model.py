@@ -11,13 +11,14 @@ from carboncert.model import (
     PlantMinuteAggregate,
     Quality,
     align_to_minute,
+    batch_to_dict,
     canonical_json,
-    canonical_serialize,
     digest,
     digest_hex,
     format_ts,
     parse_ts,
     window_index,
+    write_atomic,
 )
 
 
@@ -100,28 +101,32 @@ def _batch(minutes_powers, producer="plant-1"):
     )
 
 
+def _canonical(batch):
+    return canonical_json(batch_to_dict(batch))
+
+
 def test_canonical_serialize_deterministic():
     b = _batch([(parse_ts("2025-06-01T10:15:00Z") + 60 * i, 1000.0 * i) for i in range(5)])
-    assert canonical_serialize(b) == canonical_serialize(b)
+    assert _canonical(b) == _canonical(b)
 
 
 def test_canonical_serialize_sorts_aggregates():
     minutes = [(parse_ts("2025-06-01T10:15:00Z") + 60 * i, 100.0) for i in range(3)]
     b1 = _batch(minutes)
     b2 = _batch(list(reversed(minutes)))
-    assert canonical_serialize(b1) == canonical_serialize(b2)
+    assert _canonical(b1) == _canonical(b2)
 
 
 def test_canonical_serialize_three_decimal_reals():
     b = _batch([(parse_ts("2025-06-01T10:15:00Z"), 24000.0)])
-    assert b'"total_power":24000.000' in canonical_serialize(b)
+    assert b'"total_power":24000.000' in _canonical(b)
 
 
 def test_canonical_serialize_null_for_absent_averages():
     b = _batch([(parse_ts("2025-06-01T10:15:00Z"), 0.0)])
     b.aggregates[0].avg_voltage = None
     b.aggregates[0].phase_count = 0
-    assert b'"avg_voltage":null' in canonical_serialize(b)
+    assert b'"avg_voltage":null' in _canonical(b)
 
 
 def test_canonical_serialize_injective_over_field_changes():
@@ -130,7 +135,7 @@ def test_canonical_serialize_injective_over_field_changes():
     for _ in range(200):
         b1 = _batch([(base_minute + 60 * i, rng.uniform(0, 90000)) for i in range(5)])
         b2 = _batch([(base_minute + 60 * i, rng.uniform(0, 90000)) for i in range(5)])
-        if canonical_serialize(b1) == canonical_serialize(b2):
+        if _canonical(b1) == _canonical(b2):
             # equal bytes must mean equal (3-decimal) content
             assert [round(a.total_power, 3) for a in b1.aggregates] == [
                 round(a.total_power, 3) for a in b2.aggregates
@@ -184,3 +189,11 @@ def test_emission_config_bounds():
 def test_batch_id_embeds_producer_date_window():
     start = parse_ts("2025-06-01T10:15:00Z")
     assert model.batch_id_for("plant-1", start) == "plant-1-20250601-123"
+
+
+def test_write_atomic_replaces_whole_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "3.json"
+    path.write_bytes(b"old contents, longer than the new ones")
+    write_atomic(path, b"new")
+    assert path.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["3.json"]
