@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -96,8 +97,17 @@ def _ts(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_CSV_TS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII).fullmatch
+
+
 def _epoch(text: str) -> int:
-    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    if _CSV_TS(text):
+        # the fixed-width form the collectors write; datetime() range-checks
+        # each field, so it rejects exactly what strptime rejects
+        dt = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
+                      int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc)
+    else:
+        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
 
 

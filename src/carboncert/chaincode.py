@@ -56,6 +56,7 @@ _AGG_KEYS = {
     "quality",
     "flags",
 }
+_QUALITIES = frozenset(q.value for q in Quality)
 _TS_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 
 
@@ -122,7 +123,7 @@ def _check_structure(batch, submitter: Identity) -> Optional[str]:
                 return "structure"
         if not isinstance(agg["phase_count"], int) or not 0 <= agg["phase_count"] <= 24:
             return "structure"
-        if agg["quality"] not in {q.value for q in Quality}:
+        if agg["quality"] not in _QUALITIES:
             return "structure"
         if not isinstance(agg["flags"], list):
             return "structure"
@@ -211,9 +212,7 @@ class CreditContract:
     ):
         self.emission = emission or EmissionConfig()
         self.rules = rules or AnomalyRules()
-
-    def __call__(self, op: dict, submitter: Identity, state: StateView) -> ChainResult:
-        handler = {
+        self._handlers = {
             "submit_batch": self._submit_batch,
             "report_missing": self._report_missing,
             "quarantine": self._quarantine,
@@ -221,7 +220,10 @@ class CreditContract:
             "credit_verify": self._credit_verify,
             "credit_issue": self._credit_issue,
             "credit_transition": self._credit_transition,
-        }.get(op.get("op"))
+        }
+
+    def __call__(self, op: dict, submitter: Identity, state: StateView) -> ChainResult:
+        handler = self._handlers.get(op.get("op"))
         if handler is None:
             return ChainResult(False, "structure", {}, ())
         return handler(op, submitter, state)
@@ -303,11 +305,14 @@ class CreditContract:
         except ValueError:
             return ChainResult(False, "structure", {}, touched)
         compact = compact_date(day0)
+        # a validated batch id is <producer>-<date>-<window>: look the day's 288 up
         prefix = f"batch/{producer}/{producer}-{compact}-"
-        batches = state.scan(prefix)
-        covered = set()
-        for key in batches:
-            covered.add(int(key.rsplit("-", 1)[1]))
+        batches = {}
+        for w in range(WINDOWS_PER_DAY):
+            raw = state.get(f"{prefix}{w:03d}")
+            if raw is not None:
+                batches[w] = raw
+        covered = set(batches)
         missing_raw = state.get(f"missing/{producer}/{date}")
         missing = set(json.loads(missing_raw.decode())["windows"]) if missing_raw else set()
         if covered | missing != set(range(WINDOWS_PER_DAY)):
@@ -317,8 +322,8 @@ class CreditContract:
         power_sum = 0.0
         unflagged = 0
         excluded: List[str] = []
-        for key in sorted(batches):
-            batch = json.loads(batches[key].decode("utf-8"))
+        for raw in batches.values():  # in window order
+            batch = json.loads(raw.decode("utf-8"))
             for agg in batch["aggregates"]:
                 if agg["quality"] == Quality.FLAGGED.value:
                     excluded.append(agg["minute_start"])

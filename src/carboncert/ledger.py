@@ -91,9 +91,6 @@ class StateView:
         entry = self._state.get(key)
         return entry[0] if entry else None
 
-    def scan(self, prefix: str) -> Dict[str, bytes]:
-        return {k: v[0] for k, v in self._state.items() if k.startswith(prefix)}
-
 
 def _endorse(key_id: str, payload_digest: str) -> str:
     return hashlib.sha256(f"{key_id}:{payload_digest}".encode()).hexdigest()[:32]
@@ -181,10 +178,14 @@ class Ledger:
 
     # -- ordering -----------------------------------------------------------
 
-    def submit_tx(self, payload: bytes, submitter: str) -> str:
+    def check_appendable(self) -> None:
+        """Raise ChainDamaged if opening found the chain damaged; no file is read."""
         if self._damage is not None:
             height, why = self._damage
             raise ChainDamaged(f"chain damaged at height {height}: {why}; refusing to append")
+
+    def submit_tx(self, payload: bytes, submitter: str) -> str:
+        self.check_appendable()
         identity = self.get_identity(submitter)
         sequence = self._next_sequence
         self._next_sequence += 1
@@ -274,7 +275,8 @@ class Ledger:
         return StateView(self._state)
 
     def state_items(self, prefix: str = "") -> Dict[str, bytes]:
-        return {k: v[0] for k, v in sorted(self._state.items()) if k.startswith(prefix)}
+        keys = sorted(k for k in self._state if k.startswith(prefix))
+        return {k: self._state[k][0] for k in keys}
 
     def get_history(self, key: str) -> List[Transaction]:
         return [self._tx_index[t] for t in self._history.get(key, [])]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -29,6 +30,7 @@ SCHEMA_VERSION = 1
 ZERO_HASH_HEX = "0" * 64
 
 _TS_FMT = "%Y-%m-%dT%H:%M:%SZ"
+_TS_FIXED = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z").fullmatch
 
 
 class NonAligned(ValueError):
@@ -36,7 +38,15 @@ class NonAligned(ValueError):
 
 
 def parse_ts(text: str) -> int:
-    dt = datetime.strptime(text, _TS_FMT).replace(tzinfo=timezone.utc)
+    if _TS_FIXED(text):
+        # the canonical form: datetime() range-checks the fields as strptime does
+        dt = datetime(
+            int(text[0:4]), int(text[5:7]), int(text[8:10]),
+            int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc,
+        )
+    else:
+        # strptime also takes unpadded fields, a lower-case "t"/"z" and non-ASCII digits
+        dt = datetime.strptime(text, _TS_FMT).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
 
 
@@ -156,7 +166,21 @@ class EmissionConfig:
             raise ValueError("plant capacity must be positive")
 
 
+_json_str = json.encoder.encode_basestring_ascii  # the bytes json.dumps gives a str
+
+
 def _emit(value) -> str:
+    # exact-type fast paths for what batches are made of; the rest below
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is float:
+        return format(value + 0.0, ".3f")  # +0.0 normalizes -0.0
+    if kind is dict and all(type(key) is str for key in value):
+        items = [_json_str(key) + ":" + _emit(value[key]) for key in sorted(value)]
+        return "{" + ",".join(items) + "}"
+    if kind is list:
+        return "[" + ",".join([_emit(v) for v in value]) + "]"
     if value is None:
         return "null"
     if value is True:

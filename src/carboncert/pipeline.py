@@ -134,6 +134,7 @@ def run_simulation(config: RunConfig, ledger: Optional[Ledger] = None) -> DayRes
     own_ledger = ledger is None
     if own_ledger:
         ledger = open_ledger(config)
+    ledger.check_appendable()  # before any CSV is published or identity registered
     bootstrap_identities(ledger, config)
     producer = ledger.get_identity(config.producer)
 

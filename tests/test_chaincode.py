@@ -20,6 +20,7 @@ from carboncert.model import (
     EmissionConfig,
     Role,
     canonical_json,
+    compact_date,
     format_ts,
     parse_date,
 )
@@ -91,10 +92,10 @@ def _agg_dict(minute, power=24000.0, quality="OK", flags=None, voltage=230.0, fr
     }
 
 
-def _batch_dict(window=0, producer="plant-1", n=5, power=24000.0, **kw):
-    start = DAY0 + window * 300
+def _batch_dict(window=0, producer="plant-1", n=5, power=24000.0, day=DAY0, **kw):
+    start = day + window * 300
     return {
-        "batch_id": f"{producer}-20250601-{window:03d}",
+        "batch_id": f"{producer}-{compact_date(day)}-{window:03d}",
         "window_start": format_ts(start),
         "window_end": format_ts(start + 300),
         "producer_id": producer,
@@ -281,6 +282,32 @@ def test_accrue_double_counting_prevented(env):
     assert _accrue(ledger).status == "VALID"
     assert _accrue(ledger).reason == "already_accrued"
     assert ledger.query_state("credit/CC-plant-1-20250601-2") is None
+
+
+def test_accrue_counts_only_its_own_producer_and_date(env):
+    ledger, *_ = env
+    ledger.register_identity("plant-10", Role.PRODUCER)
+    for w in range(WINDOWS_PER_DAY):
+        other = _batch_dict(w, producer="plant-10", power=9000.0)
+        assert _submit_batch(ledger, other, "plant-10").status == "VALID"
+    expected = 0.0
+    for w in range(WINDOWS_PER_DAY):
+        power = 20000.0 + 7.125 * w
+        assert _submit_batch(ledger, _batch_dict(w, power=power)).status == "VALID"
+        for _ in range(5):
+            expected += compute_energy(power, 1)  # window by window, as accrue sums
+    for w in range(3):  # the next day's first windows
+        next_day = _batch_dict(w, power=50000.0, day=DAY0 + 86400)
+        assert _submit_batch(ledger, next_day).status == "VALID"
+    assert _accrue(ledger).status == "VALID"
+    credit = json.loads(ledger.query_state("credit/CC-plant-1-20250601-1").decode())
+    assert credit["duration_min"] == 1440
+    assert credit["energy_kwh"] == expected
+    assert _accrue(ledger, date="2025-06-02").reason == "unresolved_windows"
+    assert _accrue(ledger, who="plant-10", producer="plant-10").status == "VALID"
+    other_credit = json.loads(ledger.query_state("credit/CC-plant-10-20250601-1").decode())
+    assert other_credit["duration_min"] == 1440
+    assert other_credit["energy_kwh"] == pytest.approx(9000.0 * 1440 / 60000.0, rel=1e-9)
 
 
 def test_accrue_no_valid_energy(env):

@@ -158,6 +158,19 @@ def test_torn_tip_block_fails_loudly(cli_home, tmp_path, capsys):
     assert rc == 1 and out == f"chain BROKEN at height {tip}\n"
 
 
+def test_simulate_on_damaged_chain_refuses_before_any_work(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    blocks = home / "chain" / "blocks"
+    tip = max(int(p.stem) for p in blocks.glob("*.json"))
+    path = blocks / f"{tip}.json"
+    path.write_bytes(path.read_bytes()[:50])
+    before = {p: p.read_bytes() for p in home.rglob("*") if p.is_file()}
+    rc, out, err = _run(capsys, "--home", str(home), "simulate", "--date", "2025-06-02", "--seed", "3")
+    assert rc == 1 and out == "" and f"chain damaged at height {tip}" in err
+    assert not list((home / "collectors").glob("*/2025-06-02/*.csv"))
+    assert {p: p.read_bytes() for p in home.rglob("*") if p.is_file()} == before
+
+
 def test_torn_genesis_block_fails_without_traceback(cli_home, tmp_path, capsys):
     home = _copy_home(cli_home, tmp_path)
     genesis = home / "chain" / "blocks" / "0.json"

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import random
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from carboncert import model
+from carboncert import audit, model
 from carboncert.model import (
     Batch,
     NonAligned,
@@ -24,6 +26,56 @@ from carboncert.model import (
 
 def test_timestamp_round_trip():
     assert format_ts(parse_ts("2025-06-01T10:15:37Z")) == "2025-06-01T10:15:37Z"
+
+
+def _outcome(fn, *args):
+    """fn's result, or the exception type it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+def _strptime_epoch(text):
+    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+@st.composite
+def timestamp_texts(draw):
+    """Timestamp-like strings: the fixed-width form, half of them with one field
+    out of range, some unpadded, with other separators or with non-ASCII digits."""
+    dt = draw(st.datetimes(min_value=datetime(1, 1, 1)))
+    fields = [dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 5))
+        fields[i] = draw(st.integers(0, 9999 if i == 0 else 99))
+    widths = [4, 2, 2, 2, 2, 2]
+    if draw(st.integers(0, 3)) == 0:  # unpadded
+        widths = [draw(st.sampled_from([1, w])) for w in widths]
+    y, mo, d, h, mi, s = (f"{v:0{w}d}" for v, w in zip(fields, widths))
+    t, z = draw(st.sampled_from([("T", "Z"), ("T", "Z"), ("t", "z"), ("T", "z"), (" ", "Z"), ("T", "")]))
+    text = f"{y}-{mo}-{d}{t}{h}:{mi}:{s}{z}"
+    if draw(st.integers(0, 9)) == 0:  # Arabic-Indic digits, which \d and int() take
+        text = text.translate({ord(c): 0x660 + int(c) for c in "0123456789"})
+    return text
+
+
+@given(text=timestamp_texts())
+@example(text="2025-06-01T00:00:60Z")
+@example(text="2025-06-01T00:00:61Z")
+@example(text="2025-06-01T24:00:00Z")
+@example(text="2025-02-30T00:00:00Z")
+@example(text="2024-02-29T00:00:00Z")
+@example(text="2025-02-29T00:00:00Z")
+@example(text="0000-01-01T00:00:00Z")
+@example(text="0001-01-01T00:00:00Z")
+@example(text="2025-06-01T00:00:00Z\n")
+@example(text="2025-6-1T0:0:0Z")
+@example(text="2025-06-01t00:00:00z")
+@pytest.mark.parametrize("parse", [parse_ts, audit._epoch], ids=["parse_ts", "audit_epoch"])
+def test_timestamp_parsers_match_strptime(parse, text):
+    assert _outcome(parse, text) == _outcome(_strptime_epoch, text)
 
 
 def test_timestamp_ordering_matches_chronology():
@@ -144,6 +196,65 @@ def test_canonical_serialize_injective_over_field_changes():
 
 def test_canonical_json_normalizes_negative_zero():
     assert canonical_json(-0.0) == b"0.000"
+
+
+def _emit_oracle(value) -> str:
+    """The recursive emitter canonical_json had before its exact-type fast paths."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, float):
+        return format(value + 0.0, ".3f")  # +0.0 normalizes -0.0
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_emit_oracle(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = []
+        for key in sorted(value):
+            items.append(json.dumps(key) + ":" + _emit_oracle(value[key]))
+        return "{" + ",".join(items) + "}"
+    raise TypeError(f"not canonically serializable: {type(value)!r}")
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, -0.0004, 0.0005, 1e300]),
+    st.text(),
+    st.text("aé\u2603\U0001f600\"\\\n\x00"),
+    st.sampled_from(Quality),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+        st.dictionaries(st.sampled_from(Quality), children, max_size=3),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+@example({"a": [1, 2.5, None, True, False], "b": {"nested": -0.0, "s": 'quote"inside'}})
+@example({Quality.OK: 1, "OK": 2.0})
+@example([float("nan"), float("inf"), float("-inf"), -0.0])
+@example({"x": {1, 2}})
+@example({1: "a", "b": 2})
+def test_canonical_json_matches_recursive_oracle(value):
+    expected = _outcome(_emit_oracle, value)
+    expected = expected.encode("utf-8") if isinstance(expected, str) else expected
+    assert _outcome(canonical_json, value) == expected
 
 
 def test_digest_deterministic():
