@@ -170,16 +170,17 @@ _json_str = json.encoder.encode_basestring_ascii  # the bytes json.dumps gives a
 
 
 def _emit(value) -> str:
-    # exact-type fast paths for what batches are made of; the rest below
-    kind = type(value)
-    if kind is str:
+    if isinstance(value, str):
         return _json_str(value)
-    if kind is float:
+    if isinstance(value, float):
         return format(value + 0.0, ".3f")  # +0.0 normalizes -0.0
-    if kind is dict and all(type(key) is str for key in value):
-        items = [_json_str(key) + ":" + _emit(value[key]) for key in sorted(value)]
+    if isinstance(value, dict):
+        items = [
+            (_json_str(key) if isinstance(key, str) else json.dumps(key)) + ":" + _emit(value[key])
+            for key in sorted(value)
+        ]
         return "{" + ",".join(items) + "}"
-    if kind is list:
+    if isinstance(value, (list, tuple)):
         return "[" + ",".join([_emit(v) for v in value]) + "]"
     if value is None:
         return "null"
@@ -187,19 +188,8 @@ def _emit(value) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, int):
         return repr(value)
-    if isinstance(value, float):
-        return format(value + 0.0, ".3f")  # +0.0 normalizes -0.0
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = []
-        for key in sorted(value):
-            items.append(json.dumps(key) + ":" + _emit(value[key]))
-        return "{" + ",".join(items) + "}"
     raise TypeError(f"not canonically serializable: {type(value)!r}")
 
 

@@ -131,20 +131,13 @@ def test_history_tracks_touched_keys(ledger):
 
 
 def test_state_queries(ledger):
-    for i in range(3):
-        ledger.submit_tx(_payload(i), "plant-1")
-    items = ledger.state_items("k")
-    assert sorted(items) == ["k0", "k1", "k2"]
-    assert ledger.query_state("absent") is None
-
-
-def test_state_items_filters_prefix_in_key_order(ledger):
     for key in ("k2", "x1", "k10", "k0"):
         ledger.submit_tx(_payload(0, key=key), "plant-1")
     items = ledger.state_items("k")
     assert list(items) == ["k0", "k10", "k2"]
     assert items["k10"] == ledger.query_state("k10")
     assert list(ledger.state_items()) == ["k0", "k10", "k2", "x1"]
+    assert ledger.query_state("absent") is None
 
 
 def test_verify_chain_detects_any_single_byte_flip(ledger, tmp_path):
