@@ -30,7 +30,10 @@ config = pipeline.RunConfig(
 
 print(f"simulating {config.date} (seed {config.seed}) into {home}/ ...")
 started = time.perf_counter()
-result = pipeline.run_simulation(config)
+try:
+    result = pipeline.run_simulation(config)
+except pipeline.DateCommitted as exc:
+    sys.exit(f"{exc}: a committed date is never re-simulated; pass a fresh home-dir")
 elapsed = time.perf_counter() - started
 
 print(f"done in {elapsed:.1f}s")

@@ -18,7 +18,5 @@ from .model import (  # noqa: F401
     PlantMinuteAggregate,
     Quality,
     Role,
-    align_to_minute,
-    digest,
     window_index,
 )

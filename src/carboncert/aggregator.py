@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import collector as collector_mod
 from .model import (
-    MINUTES_PER_DAY,
     SCHEMA_VERSION,
     TOTAL_PHASES,
     WINDOW_SECONDS,
@@ -30,7 +29,6 @@ from .model import (
     batch_to_dict,
     canonical_json,
     format_ts,
-    parse_date,
 )
 
 RANGE_POWER = "RANGE_POWER"
@@ -91,13 +89,6 @@ class AnomalyRules:
 class ScanResult:
     files: List[Path]
     notices: List[str] = field(default_factory=list)
-
-
-@dataclass
-class Receipt:
-    tx_id: str
-    status: str
-    reason: Optional[str] = None
 
 
 def scan_new_files(roots: Iterable[Path]) -> ScanResult:
@@ -237,8 +228,8 @@ def make_batches(
     return batches, missing
 
 
-def submit(batch: Batch, producer: Identity, client) -> Receipt:
-    """Serialize canonically and submit as a ledger transaction."""
+def submit(batch: Batch, producer: Identity, client) -> str:
+    """Serialize canonically and submit as a ledger transaction; returns its tx id."""
     if producer.role != Role.PRODUCER:
         raise Unauthorized(f"role {producer.role.value} may not submit batches")
     payload = canonical_json({"batch": batch_to_dict(batch), "op": "submit_batch"})
@@ -246,7 +237,7 @@ def submit(batch: Batch, producer: Identity, client) -> Receipt:
     tx = client.get_transaction(tx_id)
     if tx.status != "VALID":
         raise Rejected(tx.reason or "rejected")
-    return Receipt(tx_id=tx_id, status=tx.status, reason=tx.reason)
+    return tx_id
 
 
 @dataclass
@@ -257,7 +248,6 @@ class AggregationSummary:
     flagged_minutes: int
     missing_windows: List[int]
     notices: List[str]
-    receipts: List[Receipt]
 
 
 def run_day_aggregation(
@@ -316,7 +306,8 @@ def run_day_aggregation(
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
     batches, missing = make_batches(aggregates, producer.name)
-    receipts = [submit(b, producer, client) for b in batches]
+    for batch in batches:
+        submit(batch, producer, client)
 
     if quarantine_entries:
         payload = canonical_json(
@@ -348,5 +339,4 @@ def run_day_aggregation(
         flagged_minutes=len(quarantine_entries),
         missing_windows=missing,
         notices=scan.notices,
-        receipts=receipts,
     )

@@ -124,7 +124,6 @@ class DayReplay:
     flagged_minutes: List[str]
     missing_windows: List[int]
     energy_kwh: float
-    co2_by_factor: Dict[float, float] = field(default_factory=dict)
 
 
 def _parse_csv(path: Path) -> List[dict]:

@@ -13,7 +13,6 @@ at most one credit, so no unit of energy can be counted twice.
 from __future__ import annotations
 
 import json
-import re
 from typing import List, Optional, Tuple
 
 from .aggregator import AnomalyRules
@@ -25,6 +24,7 @@ from .model import (
     Identity,
     Quality,
     Role,
+    batch_id_for,
     canonical_json,
     compact_date,
     parse_date,
@@ -57,7 +57,6 @@ _AGG_KEYS = {
     "flags",
 }
 _QUALITIES = frozenset(q.value for q in Quality)
-_TS_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 
 
 class ChaincodeError(ValueError):
@@ -96,12 +95,23 @@ def compute_co2(energy_kwh: float, config: EmissionConfig) -> float:
 
 
 def _ts_or_none(value) -> Optional[int]:
-    if isinstance(value, str) and _TS_RE.match(value):
-        try:
-            return parse_ts(value)
-        except ValueError:
-            return None
-    return None
+    try:
+        return parse_ts(value)
+    except (TypeError, ValueError):  # TypeError: not a str
+        return None
+
+
+def _day_batch_keys(producer: str, day0: int) -> List[str]:
+    """State keys of the producer's batches for windows 0..287 of the day at ``day0``."""
+    prefix = f"batch/{producer}/{producer}-{compact_date(day0)}-"
+    return [f"{prefix}{w:03d}" for w in range(WINDOWS_PER_DAY)]
+
+
+def day_on_chain(state: StateView, producer: str, date: str) -> bool:
+    """Whether the state holds a batch or a missing-window report of the producer's date."""
+    if state.get(f"missing/{producer}/{date}") is not None:
+        return True
+    return any(state.get(key) is not None for key in _day_batch_keys(producer, parse_date(date)))
 
 
 def _check_structure(batch, submitter: Identity) -> Optional[str]:
@@ -139,8 +149,7 @@ def _check_timestamps(batch, state: StateView) -> Optional[str]:
         return "timestamps"
     if start % WINDOW_SECONDS != 0 or end != start + WINDOW_SECONDS:
         return "timestamps"
-    expected_id = f"{batch['producer_id']}-{compact_date(start)}-{(start % 86400) // WINDOW_SECONDS:03d}"
-    if batch["batch_id"] != expected_id:
+    if batch["batch_id"] != batch_id_for(batch["producer_id"], start):
         return "timestamps"
     prev = None
     for agg in batch["aggregates"]:
@@ -258,13 +267,12 @@ class CreditContract:
         if not all(isinstance(w, int) and 0 <= w < WINDOWS_PER_DAY for w in windows):
             return ChainResult(False, "structure", {}, ())
         try:
-            compact = compact_date(parse_date(date))
+            batch_keys = _day_batch_keys(submitter.name, parse_date(date))
         except ValueError:
             return ChainResult(False, "structure", {}, ())
         key = f"missing/{submitter.name}/{date}"
         # a report never replaces committed data: neither a batch nor an earlier report
-        prefix = f"batch/{submitter.name}/{submitter.name}-{compact}-"
-        if any(state.get(f"{prefix}{w:03d}") is not None for w in windows):
+        if any(state.get(batch_keys[w]) is not None for w in windows):
             return ChainResult(False, "window_committed", {}, (key,))
         if state.get(key) is not None:
             return ChainResult(False, "already_reported", {}, (key,))
@@ -276,6 +284,10 @@ class CreditContract:
         date = op.get("date")
         entries = op.get("entries")
         if not isinstance(date, str) or not isinstance(entries, list):
+            return ChainResult(False, "structure", {}, ())
+        try:
+            parse_date(date)
+        except ValueError:
             return ChainResult(False, "structure", {}, ())
         writes = {}
         for entry in entries:
@@ -304,12 +316,10 @@ class CreditContract:
             day0 = parse_date(date)
         except ValueError:
             return ChainResult(False, "structure", {}, touched)
-        compact = compact_date(day0)
         # a validated batch id is <producer>-<date>-<window>: look the day's 288 up
-        prefix = f"batch/{producer}/{producer}-{compact}-"
         batches = {}
-        for w in range(WINDOWS_PER_DAY):
-            raw = state.get(f"{prefix}{w:03d}")
+        for w, key in enumerate(_day_batch_keys(producer, day0)):
+            raw = state.get(key)
             if raw is not None:
                 batches[w] = raw
         covered = set(batches)
@@ -339,7 +349,7 @@ class CreditContract:
         seq_key = f"creditseq/{producer}"
         seq_raw = state.get(seq_key)
         seq = (json.loads(seq_raw.decode())["next"] if seq_raw else 1)
-        serial = f"CC-{producer}-{compact}-{seq}"
+        serial = f"CC-{producer}-{compact_date(day0)}-{seq}"
         credit_key = f"credit/{serial}"
         record = {
             "serial": serial,

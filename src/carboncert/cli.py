@@ -14,7 +14,7 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import pipeline
 from .ledger import UnknownIdentity
-from .model import canonical_json
+from .model import canonical_json, parse_date
 
 DEFAULT_HOME = "carbon-ledger-data"
 
@@ -32,10 +32,8 @@ def _config(args, date=None, seed=None) -> pipeline.RunConfig:
 
 
 def _valid_date(text: str) -> str:
-    from datetime import datetime
-
     try:
-        datetime.strptime(text, "%Y-%m-%d")
+        parse_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}")
     return text

@@ -74,17 +74,15 @@ class FleetConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FleetConfig":
-        profile = SolarProfile(**raw.get("profile", {}))
-        cfg = cls(
-            meters=tuple(raw.get("meters", METER_IDS)),
-            profile=profile,
-            seed=int(raw.get("seed", 0)),
-            accuracy_band=float(raw.get("accuracy_band", 0.01)),
-            producer_id=raw.get("producer_id", "plant-1"),
-        )
-        if "assignments" in raw:
-            cfg.assignments = {k: tuple(v) for k, v in raw["assignments"].items()}
-        return cfg
+        convert = {
+            "meters": tuple,
+            "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
+            "profile": lambda p: SolarProfile(**p),
+            "seed": int,
+            "accuracy_band": float,
+            "producer_id": lambda p: p,
+        }
+        return cls(**{key: fn(raw[key]) for key, fn in convert.items() if key in raw})
 
 
 class TransportMessage(NamedTuple):

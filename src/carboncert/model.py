@@ -31,6 +31,7 @@ ZERO_HASH_HEX = "0" * 64
 
 _TS_FMT = "%Y-%m-%dT%H:%M:%SZ"
 _TS_FIXED = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z").fullmatch
+_DATE_FIXED = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
 class NonAligned(ValueError):
@@ -38,15 +39,14 @@ class NonAligned(ValueError):
 
 
 def parse_ts(text: str) -> int:
-    if _TS_FIXED(text):
-        # the canonical form: datetime() range-checks the fields as strptime does
-        dt = datetime(
-            int(text[0:4]), int(text[5:7]), int(text[8:10]),
-            int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc,
-        )
-    else:
-        # strptime also takes unpadded fields, a lower-case "t"/"z" and non-ASCII digits
-        dt = datetime.strptime(text, _TS_FMT).replace(tzinfo=timezone.utc)
+    """Epoch of a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp; no other spelling is accepted."""
+    if not _TS_FIXED(text):
+        raise ValueError(f"not a YYYY-MM-DDTHH:MM:SSZ timestamp: {text!r}")
+    # datetime() range-checks the fields: no second 60, hour 24 or 30 February
+    dt = datetime(
+        int(text[0:4]), int(text[5:7]), int(text[8:10]),
+        int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc,
+    )
     return int(dt.timestamp())
 
 
@@ -55,18 +55,15 @@ def format_ts(epoch: int) -> str:
 
 
 def parse_date(text: str) -> int:
-    """Midnight epoch of a YYYY-MM-DD date."""
-    dt = datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    """Midnight epoch of a ``YYYY-MM-DD`` date; no other spelling is accepted."""
+    if not _DATE_FIXED(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    dt = datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]), tzinfo=timezone.utc)
     return int(dt.timestamp())
 
 
 def compact_date(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y%m%d")
-
-
-def align_to_minute(epoch: int) -> int:
-    """Truncate seconds to the containing minute; idempotent."""
-    return epoch - epoch % 60
 
 
 def window_index(minute_start: int) -> int:
@@ -220,11 +217,6 @@ def batch_to_dict(batch: Batch) -> dict:
         "schema_version": batch.schema_version,
         "aggregates": [aggregate_to_dict(a) for a in aggs],
     }
-
-
-def digest(payload: bytes) -> bytes:
-    """SHA-256 content digest."""
-    return hashlib.sha256(payload).digest()
 
 
 def digest_hex(payload: bytes) -> str:

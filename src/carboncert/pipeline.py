@@ -19,9 +19,13 @@ from . import aggregator as agg_mod
 from . import collector as col_mod
 from . import metersim
 from .aggregator import AnomalyRules
-from .chaincode import CreditContract
+from .chaincode import CreditContract, day_on_chain
 from .ledger import Ledger
-from .model import EmissionConfig, Role
+from .model import EmissionConfig, Role, parse_date
+
+
+class DateCommitted(ValueError):
+    """The chain already holds batches or a missing-window report of the date."""
 
 
 @dataclass
@@ -74,27 +78,21 @@ def load_run_config(
     raw: dict = {}
     if path:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    fleet = metersim.FleetConfig.from_dict(raw)
-    faults = metersim.FaultConfig(**raw.get("faults", {}))
-    rules = AnomalyRules.from_dict(raw.get("rules", {}))
-    emission = EmissionConfig(**raw.get("emission", {}))
-    cfg = RunConfig(
-        home=home,
-        date=raw.get("date", "2025-06-01"),
-        seed=int(raw.get("seed", 0)),
-        fleet=fleet,
-        faults=faults,
-        rules=rules,
-        emission=emission,
-        certifier=raw.get("certifier", "certifier-1"),
-        auditor=raw.get("auditor", "auditor-1"),
-    )
+    kw = {key: raw[key] for key in ("date", "certifier", "auditor") if key in raw}
+    if "seed" in raw:
+        kw["seed"] = int(raw["seed"])
     if date is not None:
-        cfg.date = date
+        kw["date"] = date
     if seed is not None:
-        cfg.seed = seed
-        cfg.fleet.seed = seed
-    return cfg
+        kw["seed"] = seed
+    return RunConfig(
+        home=home,
+        fleet=metersim.FleetConfig.from_dict(raw),
+        faults=metersim.FaultConfig(**raw.get("faults", {})),
+        rules=AnomalyRules.from_dict(raw.get("rules", {})),
+        emission=EmissionConfig(**raw.get("emission", {})),
+        **kw,
+    )
 
 
 def open_ledger(config: RunConfig) -> Ledger:
@@ -130,11 +128,16 @@ class DayResult:
 
 
 def run_simulation(config: RunConfig, ledger: Optional[Ledger] = None) -> DayResult:
-    """Drive all four pipeline stages for one simulated day."""
-    own_ledger = ledger is None
-    if own_ledger:
+    """Drive all four pipeline stages for one simulated day.
+
+    Refuses, before any CSV is published or identity registered, a date that
+    does not parse, a damaged chain and a date the chain already holds."""
+    parse_date(config.date)
+    if ledger is None:
         ledger = open_ledger(config)
-    ledger.check_appendable()  # before any CSV is published or identity registered
+    ledger.check_appendable()
+    if day_on_chain(ledger.state_view(), config.producer, config.date):
+        raise DateCommitted(f"{config.date} of {config.producer} is already on the chain")
     bootstrap_identities(ledger, config)
     producer = ledger.get_identity(config.producer)
 

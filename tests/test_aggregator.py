@@ -184,8 +184,8 @@ def test_submit_round_trip(tmp_path):
     ledger, producer = _ledger(tmp_path)
     aggs = [aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in range(5)]
     batch = make_batches(aggs, "plant-1")[0][0]
-    receipt = submit(batch, producer, ledger)
-    assert receipt.status == "VALID"
+    tx_id = submit(batch, producer, ledger)
+    assert ledger.get_transaction(tx_id).status == "VALID"
     assert ledger.query_state("batch/plant-1/plant-1-20250601-000") is not None
 
 

@@ -165,6 +165,12 @@ def test_timestamp_rejections(env):
     bad = _batch_dict(0)
     bad["window_start"] = "June first"
     assert _submit_batch(ledger, bad).reason == "timestamps"
+    bad = _batch_dict(0)
+    bad["window_start"] = "2025-06-01T00:00:0\u0660Z"  # an Arabic-Indic zero
+    assert _submit_batch(ledger, bad).reason == "timestamps"
+    bad = _batch_dict(0)
+    bad["aggregates"][1]["minute_start"] = "2025-06-01T00:01:0\u0660Z"
+    assert _submit_batch(ledger, bad).reason == "timestamps"
 
 
 def test_head_monotonicity(env):
@@ -281,7 +287,10 @@ def test_accrue_double_counting_prevented(env):
     _fill_day(ledger)
     assert _accrue(ledger).status == "VALID"
     assert _accrue(ledger).reason == "already_accrued"
-    assert ledger.query_state("credit/CC-plant-1-20250601-2") is None
+    for spelling in ("2025-6-1", "2025-06-1"):  # the same day, spelled another way
+        tx = _accrue(ledger, date=spelling)
+        assert (tx.status, tx.reason) == ("INVALID", "structure")
+    assert list(ledger.state_items("credit/")) == ["credit/CC-plant-1-20250601-1"]
 
 
 def test_accrue_counts_only_its_own_producer_and_date(env):
@@ -328,6 +337,15 @@ def test_report_missing_validation(env):
     assert _submit(ledger, bad, "plant-1").reason == "structure"
     other = {"op": "report_missing", "producer": "plant-2", "date": "2025-06-01", "windows": [1]}
     assert _submit(ledger, other, "plant-1").reason == "unauthorized"
+    entry = {"minute_start": format_ts(DAY0 + 60), "codes": ["RAMP"]}
+    for date in ("2025-6-1", "2025-06-1", "2025-06-01\n", "2025-06-0\u0661", 20250601):
+        report = {"op": "report_missing", "producer": "plant-1", "date": date, "windows": [1]}
+        assert _submit(ledger, report, "plant-1").reason == "structure"
+        quarantine = {"op": "quarantine", "date": date, "entries": [entry]}
+        assert _submit(ledger, quarantine, "plant-1").reason == "structure"
+    quarantine = {"op": "quarantine", "date": "2025-06-01", "entries": [entry]}
+    assert _submit(ledger, quarantine, "plant-1").status == "VALID"
+    assert ledger.state_items("missing/") == {}
 
 
 def test_report_missing_never_replaces_committed_data(env):

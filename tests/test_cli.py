@@ -119,12 +119,18 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main([]) == 2
     assert cli.main(["frobnicate"]) == 2
     assert cli.main(["simulate", "--date", "not-a-date"]) == 2
+    assert cli.main(["simulate", "--date", "2025-6-1"]) == 2
+    assert cli.main(["credits", "accrue", "--date", "2025-06-1", "--as", "plant-1"]) == 2
     capsys.readouterr()
 
 
 def test_bad_config_path_exits_one(tmp_path, capsys):
     rc = cli.main(["--home", str(tmp_path), "simulate", "--config", str(tmp_path / "nope.json")])
     assert rc == 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"date": "2025-7-1"}))  # checked like --date, before any write
+    rc = cli.main(["--home", str(tmp_path / "home"), "simulate", "--config", str(cfg)])
+    assert rc == 1 and not (tmp_path / "home").exists()
     capsys.readouterr()
 
 
@@ -183,12 +189,11 @@ def test_torn_genesis_block_fails_without_traceback(cli_home, tmp_path, capsys):
 
 
 def test_same_date_rerun_keeps_audit_passing(cli_home, tmp_path, capsys):
-    # the re-run sees no new CSVs and reports all 288 windows missing; the
-    # chaincode refuses that report because the windows have committed batches
+    # a date the chain already holds is refused before anything is generated
     home = _copy_home(cli_home, tmp_path)
-    rc, out, _ = _run(capsys, "--home", str(home), "simulate", "--date", "2025-06-01", "--seed", "3")
-    assert rc == 0 and out.splitlines()[0] == "34560 / 0 / 0"
-    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "history", "missing/plant-1/2025-06-01")
-    assert rc == 0 and "status=INVALID reason=window_committed" in out
+    before = {p: p.read_bytes() for p in home.rglob("*") if p.is_file()}
+    rc, out, err = _run(capsys, "--home", str(home), "simulate", "--date", "2025-06-01", "--seed", "3")
+    assert rc == 1 and out == "" and "2025-06-01 of plant-1 is already on the chain" in err
+    assert {p: p.read_bytes() for p in home.rglob("*") if p.is_file()} == before
     rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
     assert rc == 0 and out.splitlines()[0] == "AUDIT PASS 2025-06-01"

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,12 +12,11 @@ from carboncert.model import (
     NonAligned,
     PlantMinuteAggregate,
     Quality,
-    align_to_minute,
     batch_to_dict,
     canonical_json,
-    digest,
     digest_hex,
     format_ts,
+    parse_date,
     parse_ts,
     window_index,
     write_atomic,
@@ -36,9 +35,21 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _strptime_epoch(text):
-    dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+def _strptime_epoch(text, fmt="%Y-%m-%dT%H:%M:%SZ"):
+    dt = datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+def _fixed_width(text, template):
+    """Whether text spells template with each "d" an ASCII digit."""
+    return len(text) == len(template) and all(
+        c in "0123456789" if t == "d" else c == t for c, t in zip(text, template)
+    )
+
+
+def _arabic_indic(text):
+    """The same text with Arabic-Indic digits, which \\d, int() and strptime take."""
+    return text.translate({ord(c): 0x660 + int(c) for c in "0123456789"})
 
 
 @st.composite
@@ -56,8 +67,8 @@ def timestamp_texts(draw):
     y, mo, d, h, mi, s = (f"{v:0{w}d}" for v, w in zip(fields, widths))
     t, z = draw(st.sampled_from([("T", "Z"), ("T", "Z"), ("t", "z"), ("T", "z"), (" ", "Z"), ("T", "")]))
     text = f"{y}-{mo}-{d}{t}{h}:{mi}:{s}{z}"
-    if draw(st.integers(0, 9)) == 0:  # Arabic-Indic digits, which \d and int() take
-        text = text.translate({ord(c): 0x660 + int(c) for c in "0123456789"})
+    if draw(st.integers(0, 9)) == 0:
+        text = _arabic_indic(text)
     return text
 
 
@@ -75,31 +86,50 @@ def timestamp_texts(draw):
 @example(text="2025-06-01t00:00:00z")
 @pytest.mark.parametrize("parse", [parse_ts, audit._epoch], ids=["parse_ts", "audit_epoch"])
 def test_timestamp_parsers_match_strptime(parse, text):
-    assert _outcome(parse, text) == _outcome(_strptime_epoch, text)
+    expected = _outcome(_strptime_epoch, text)
+    if parse is parse_ts and not _fixed_width(text, "dddd-dd-ddTdd:dd:ddZ"):
+        expected = ValueError  # the pipeline takes the canonical spelling only
+    assert _outcome(parse, text) == expected
+
+
+@st.composite
+def date_texts(draw):
+    """Date-like strings: YYYY-MM-DD, half of them with one field out of range,
+    some unpadded, some with non-ASCII digits or trailing whitespace."""
+    day = draw(st.dates(min_value=date(1, 1, 1)))
+    fields = [day.year, day.month, day.day]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 2))
+        fields[i] = draw(st.integers(0, 9999 if i == 0 else 99))
+    widths = [4, 2, 2]
+    if draw(st.integers(0, 3)) == 0:  # unpadded
+        widths = [draw(st.sampled_from([1, w])) for w in widths]
+    text = "-".join(f"{v:0{w}d}" for v, w in zip(fields, widths))
+    if draw(st.integers(0, 9)) == 0:
+        text = _arabic_indic(text)
+    return text + draw(st.sampled_from(["", "", "", "\n", " "]))
+
+
+@given(text=date_texts())
+@example(text="2025-06-01")
+@example(text="2025-6-1")
+@example(text="2025-06-1")
+@example(text="2025-06-01\n")
+@example(text="2025-02-30")
+@example(text="2024-02-29")
+@example(text="0000-01-01")
+@example(text="\u0662\u0660\u0662\u0665-\u0660\u0666-\u0660\u0661")
+def test_parse_date_takes_the_canonical_spelling_only(text):
+    expected = _outcome(_strptime_epoch, text, "%Y-%m-%d")
+    if not _fixed_width(text, "dddd-dd-dd"):
+        expected = ValueError
+    assert _outcome(parse_date, text) == expected
 
 
 def test_timestamp_ordering_matches_chronology():
     a = parse_ts("2025-06-01T10:15:37Z")
     b = parse_ts("2025-06-01T10:15:38Z")
     assert a < b
-
-
-def test_align_to_minute_truncates():
-    assert format_ts(align_to_minute(parse_ts("2025-06-01T10:15:37Z"))) == "2025-06-01T10:15:00Z"
-
-
-def test_align_to_minute_identity_on_aligned():
-    t = parse_ts("2025-06-01T10:15:00Z")
-    assert align_to_minute(t) == t
-
-
-def test_align_to_minute_no_day_rollover():
-    assert format_ts(align_to_minute(parse_ts("2025-06-01T23:59:59Z"))) == "2025-06-01T23:59:00Z"
-
-
-@given(st.integers(min_value=0, max_value=4 * 10**9))
-def test_align_to_minute_idempotent(epoch):
-    assert align_to_minute(align_to_minute(epoch)) == align_to_minute(epoch)
 
 
 def test_window_index_origin():
@@ -258,7 +288,7 @@ def test_canonical_json_matches_recursive_oracle(value):
 
 
 def test_digest_deterministic():
-    assert digest(b"abc") == digest(b"abc")
+    assert digest_hex(b"abc") == digest_hex(b"abc")
 
 
 def test_digest_is_sha256_reference_vector():
@@ -267,7 +297,7 @@ def test_digest_is_sha256_reference_vector():
         digest_hex(b"")
         == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     )
-    assert digest(b"").hex() == hashlib.sha256(b"").hexdigest()
+    assert digest_hex(b"") == hashlib.sha256(b"").hexdigest()
 
 
 def test_digest_bit_flip_changes_output():
@@ -278,7 +308,7 @@ def test_digest_bit_flip_changes_output():
         flipped = bytes(
             b ^ (1 << rng.randrange(8)) if j == i else b for j, b in enumerate(data)
         )
-        assert digest(data) != digest(flipped)
+        assert digest_hex(data) != digest_hex(flipped)
 
 
 def test_hash_hex_is_64_lowercase_chars():
