@@ -29,6 +29,7 @@ from .model import (
     batch_to_dict,
     canonical_json,
     format_ts,
+    write_atomic,
 )
 
 RANGE_POWER = "RANGE_POWER"
@@ -300,10 +301,8 @@ def run_day_aggregation(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    quarantine_path = out_dir / f"anomalies-{date}.jsonl"
-    with open(quarantine_path, "w", encoding="utf-8") as fh:
-        for entry in quarantine_entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    sidecar = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in quarantine_entries)
+    write_atomic(out_dir / f"anomalies-{date}.jsonl", sidecar.encode("utf-8"))
 
     batches, missing = make_batches(aggregates, producer.name)
     for batch in batches:

@@ -3,7 +3,8 @@
 This module deliberately re-implements CSV parsing, minute fusion, anomaly
 rules, canonical serialization, and the energy arithmetic instead of calling
 the pipeline modules: an audit must not assume the system under audit is
-honest. Only the shared type definitions are reused.
+honest. Only the shared type definitions and the atomic file publish are
+reused.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .aggregator import AnomalyRules
+from .model import write_atomic
 
 WINDOWS_PER_DAY = 288
 TOTAL_PHASES = 24
@@ -40,6 +43,13 @@ class MissingData(RuntimeError):
     def __init__(self, date: str):
         super().__init__(f"no collector CSV data for {date}")
         self.date = date
+
+
+class UnreadableCsv(ValueError):
+    """A collector CSV that does not parse, named by file and line."""
+
+    def __init__(self, path: Path, line: int, cause):
+        super().__init__(f"{path} line {line}: {cause}")
 
 
 @dataclass
@@ -101,13 +111,13 @@ _CSV_TS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII).fullmatch
 
 
 def _epoch(text: str) -> int:
-    if _CSV_TS(text):
-        # the fixed-width form the collectors write; datetime() range-checks
-        # each field, so it rejects exactly what strptime rejects
-        dt = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
-                      int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc)
-    else:
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    """Epoch of the fixed-width form the collectors write; any other spelling
+    is refused, so the audit is no more lenient than the pipeline it checks."""
+    if not _CSV_TS(text):
+        raise ValueError(f"not a YYYY-MM-DDTHH:MM:SSZ timestamp: {text!r}")
+    # datetime() range-checks each field, so it rejects what strptime rejects
+    dt = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
+                  int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc)
     return int(dt.timestamp())
 
 
@@ -127,15 +137,20 @@ class DayReplay:
 
 
 def _parse_csv(path: Path) -> List[dict]:
-    rows = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise UnreadableCsv(path, raw.count(b"\n", 0, exc.start) + 1, exc) from exc
     if not lines or lines[0].split(",") != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {path}")
-    for line in lines[1:]:
+        raise UnreadableCsv(path, 1, "unexpected CSV header")
+    epoch = lru_cache(maxsize=None)(_epoch)  # a day's rows share 1,440 spellings
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        rows.append(
-            {
-                "minute": _epoch(cells[0]),
+        try:
+            row = {
+                "minute": epoch(cells[0]),
                 "meter_id": int(cells[1]),
                 "phase": int(cells[2]),
                 "power": float(cells[3]) if cells[3] else None,
@@ -144,7 +159,11 @@ def _parse_csv(path: Path) -> List[dict]:
                 "frequency": float(cells[7]) if cells[7] else None,
                 "samples": int(cells[9]),
             }
-        )
+            if row["samples"] > 0 and None in (row["power"], row["voltage"], row["pf"], row["frequency"]):
+                raise ValueError("a row with samples has an empty reading")
+        except (ValueError, IndexError) as exc:
+            raise UnreadableCsv(path, number, exc) from exc
+        rows.append(row)
     return rows
 
 
@@ -376,20 +395,21 @@ def replay_verify(
     """Full third-party verification for one day.
 
     A precomputed replay may be passed when the CSV inputs are known
-    unchanged (e.g. repeated chain checks over the same day).
+    unchanged (e.g. repeated chain checks over the same day). Missing or
+    unparseable CSVs give a failed report whose notice says why.
     """
     rules = rules or AnomalyRules()
     try:
         if replay is None:
             replay = replay_day(csv_roots, date, rules, producer)
-    except MissingData as exc:
+    except (MissingData, UnreadableCsv) as exc:
         first_bad = chain.verify_chain()
         return AuditReport(
             date=date,
             chain_ok=first_bad is None,
             first_bad_height=first_bad,
             replay_matches=False,
-            notices=[f"MissingData: {exc}"],
+            notices=[f"{type(exc).__name__}: {exc}"],
         )
     return compare_with_chain(replay, chain, producer)
 
@@ -420,10 +440,8 @@ def emit_report(report: AuditReport, out_dir) -> Tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"audit-{report.date}.json"
     txt_path = out_dir / f"audit-{report.date}.txt"
-    json_path.write_text(
-        json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    write_atomic(json_path, text.encode("utf-8"))
     lines = [f"AUDIT {'PASS' if report.passed else 'FAIL'} {report.date}"]
     if not report.chain_ok:
         lines.append(f"chain inconsistent at height {report.first_bad_height}")
@@ -433,5 +451,5 @@ def emit_report(report: AuditReport, out_dir) -> Tuple[Path, Path]:
         )
     for notice in report.notices:
         lines.append(notice)
-    txt_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(txt_path, ("\n".join(lines) + "\n").encode("utf-8"))
     return json_path, txt_path

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional
@@ -172,6 +173,7 @@ class Collector:
                 raise ValueError(f"record for unassigned meter {rec.meter_id}")
             per_meter[rec.meter_id].append(rec)
         day_dir = Path(self.config.output_root) / self.config.collector_id / date
+        stamps = {m: format_ts(m) for m in {r.minute_start for recs in per_meter.values() for r in recs}}
         paths = []
         for meter_id, recs in per_meter.items():
             recs.sort(key=lambda r: (r.minute_start, r.phase))
@@ -181,7 +183,7 @@ class Collector:
                 lines.append(
                     ",".join(
                         (
-                            format_ts(r.minute_start),
+                            stamps[r.minute_start],
                             str(r.meter_id),
                             str(r.phase),
                             _fmt(r.avg_active_power),
@@ -218,13 +220,14 @@ def read_day_csv(path) -> List[MinuteRecord]:
     rows = list(csv.reader(text.splitlines()))
     if not rows or ",".join(rows[0]) != CSV_HEADER:
         raise ValueError(f"bad CSV header in {path}")
+    minute_start = lru_cache(maxsize=None)(parse_ts)  # a day's rows share 1,440 spellings
     records = []
     for row in rows[1:]:
         records.append(
             MinuteRecord(
                 meter_id=int(row[1]),
                 phase=int(row[2]),
-                minute_start=parse_ts(row[0]),
+                minute_start=minute_start(row[0]),
                 avg_active_power=_parse(row[3]),
                 avg_voltage=_parse(row[4]),
                 avg_current=_parse(row[5]),

@@ -122,14 +122,22 @@ def _block_content_dict(block: Block) -> dict:
     }
 
 
-def _block_hash(block: Block) -> str:
-    return digest_hex(canonical_json(_block_content_dict(block)))
+def _block_content(block: Block) -> bytes:
+    """The canonical bytes that block_hash covers."""
+    return canonical_json(_block_content_dict(block))
 
 
-def _block_file_bytes(block: Block) -> bytes:
-    content = _block_content_dict(block)
-    content["block_hash"] = block.block_hash
-    return canonical_json(content)
+def _block_file_bytes(block: Block, content: bytes) -> bytes:
+    """A block file from its hashed ``content``: keys sort, so the file is the
+    content with ``block_hash`` as its first key."""
+    return b'{"block_hash":' + canonical_json(block.block_hash) + b"," + content[1:]
+
+
+def _seal(block: Block) -> bytes:
+    """Set block_hash from the block's content; return the block file's bytes."""
+    content = _block_content(block)
+    block.block_hash = digest_hex(content)
+    return _block_file_bytes(block, content)
 
 
 def _state_digest(state: Dict[str, Tuple[bytes, str]]) -> str:
@@ -234,8 +242,7 @@ class Ledger:
             prev_hash=tip.block_hash,
             transactions=txs,
         )
-        block.block_hash = _block_hash(block)
-        self._write_block(block)
+        write_atomic(self._block_path(block.height), _seal(block))
         self._blocks.append(block)
         return block
 
@@ -299,11 +306,12 @@ class Ledger:
             if read is None or height == damaged:
                 return height
             raw, block = read
-            if _block_file_bytes(block) != raw or block.prev_hash != prev_hash:
+            content = _block_content(block)
+            if _block_file_bytes(block, content) != raw or block.prev_hash != prev_hash:
                 return height
             if height == 0 and block.transactions:
                 return height
-            if _block_hash(block) != block.block_hash:
+            if digest_hex(content) != block.block_hash:
                 return height
             for tx in block.transactions:
                 if tx.payload_digest != digest_hex(tx.payload):
@@ -359,12 +367,8 @@ class Ledger:
             prev_hash=ZERO_HASH_HEX,
             transactions=[],
         )
-        genesis.block_hash = _block_hash(genesis)
-        self._write_block(genesis)
+        write_atomic(self._block_path(0), _seal(genesis))
         self._blocks.append(genesis)
-
-    def _write_block(self, block: Block):
-        write_atomic(self._block_path(block.height), _block_file_bytes(block))
 
     def _save_identities(self):
         payload = {

@@ -10,6 +10,13 @@ A day travels as columns (``generate_day_columns``) and its delivery as
 index arrays into them (``deliver``); ``generate_day_readings`` and
 ``run_day`` give the same day as ``PhaseReading`` and ``TransportMessage``
 tuples.
+
+Each meter's sampling schedule is the step sequence that
+``random.Random(s).choice((1, 2))`` draws, read in one numpy pass: the
+seeded Mersenne Twister state goes to ``np.random.MT19937``, whose raw 32-bit
+outputs are the same stream. ``choice`` of two takes ``getrandbits(2)``, the
+top two bits of one output, and redraws on 2 or 3; so each output whose top
+bits are 0 or 1 is a step of 1 or 2 seconds and the others are skipped.
 """
 
 from __future__ import annotations
@@ -235,17 +242,24 @@ def sample_meter(
 
 
 def meter_sample_times(fleet: FleetConfig, meter_id: int, date: str) -> List[int]:
-    """Sampling instants for one meter; period drawn per-message from {1 s, 2 s}."""
+    """Sampling instants for one meter; period drawn per-message from {1 s, 2 s}
+    (the module docstring says how the draws are read)."""
     day0 = parse_date(date)
-    end = day0 + SECONDS_PER_DAY
-    sched = random.Random(fleet.seed * 2**48 + meter_id * 2**44 + 7_777_777)
-    choice = sched.choice
-    times = []
-    t = day0
-    while t < end:
-        times.append(t)
-        t += choice((1, 2))
-    return times
+    key = random.Random(fleet.seed * 2**48 + meter_id * 2**44 + 7_777_777).getstate()[1]
+    mt = np.random.MT19937()
+    mt.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(key[:624], dtype=np.uint32), "pos": key[624]},
+    }
+    steps, span = [], 0
+    while span < SECONDS_PER_DAY:
+        # half the outputs are kept, 1.5 s apart on average: 2 per second of the
+        # day span about 1.5 days, so one pass nearly always covers the day
+        top = (mt.random_raw(2 * SECONDS_PER_DAY) >> 30).astype(np.int64)
+        steps.append(top[top < 2] + 1)
+        span += int(steps[-1].sum())
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(steps))))
+    return (day0 + offsets[offsets < SECONDS_PER_DAY]).tolist()
 
 
 def generate_day_columns(fleet: FleetConfig, date: str) -> ReadingColumns:

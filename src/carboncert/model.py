@@ -224,7 +224,8 @@ def digest_hex(payload: bytes) -> str:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Publish ``data`` at ``path`` whole or not at all: temp file, fsync, rename.
+    """Publish ``data`` at ``path`` whole or not at all: temp file, fsync, rename,
+    then fsync the directory so the rename itself survives a power cut.
 
     The temp name ``<name>.tmp`` matches no reader's ``*.json`` or ``*.csv``."""
     tmp = f"{path}.tmp"
@@ -233,6 +234,11 @@ def write_atomic(path, data: bytes) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def batch_id_for(producer_id: str, window_start: int) -> str:

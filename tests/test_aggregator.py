@@ -29,6 +29,7 @@ from carboncert.model import (
     MinuteRecord,
     Quality,
     Role,
+    digest_hex,
     parse_date,
 )
 
@@ -243,7 +244,11 @@ def test_quarantine_entries_are_json_lines(tmp_path):
         tmp_path / "out",
     )
     assert summary.flagged_minutes == 1
-    lines = (tmp_path / "out" / "anomalies-2025-06-01.jsonl").read_text().splitlines()
+    sidecar = (tmp_path / "out" / "anomalies-2025-06-01.jsonl").read_bytes()
+    # published whole (no temp file left), with the bytes the sidecar has always had
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["anomalies-2025-06-01.jsonl"]
+    assert digest_hex(sidecar) == "285e71385672cf5e7d5aacc132af31a8efec8be97e38b87594ff138797c886e1"
+    lines = sidecar.decode().splitlines()
     entry = json.loads(lines[0])
     assert entry["codes"] == [RANGE_POWER]
     assert entry["aggregate"]["quality"] == "FLAGGED"

@@ -4,7 +4,9 @@ import pytest
 
 from carboncert import audit, pipeline
 from carboncert.audit import (
+    AuditReport,
     DayReplay,
+    Mismatch,
     MissingData,
     emit_report,
     replay_day,
@@ -146,6 +148,24 @@ def test_emit_report_format_and_stability(audited, tmp_path):
     before = json_path.read_bytes(), txt_path.read_bytes()
     emit_report(report, tmp_path / "reports")
     assert (json_path.read_bytes(), txt_path.read_bytes()) == before
+
+
+def test_emit_report_publishes_whole_files_with_unchanged_bytes(tmp_path):
+    report = AuditReport(
+        date="2025-06-01",
+        chain_ok=False,
+        first_bad_height=3,
+        replay_matches=False,
+        mismatches=[Mismatch("aggregate", "plant-1-20250601-007@2025-06-01T00:35:00Z", "ab", None)],
+        quarantine_summary={"replayed_flagged_minutes": 1, "on_chain_entries": 0},
+        notices=["MissingData: no collector CSV data for 2025-06-01"],
+    )
+    paths = emit_report(report, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["audit-2025-06-01.json", "audit-2025-06-01.txt"]
+    assert [digest_hex(p.read_bytes()) for p in paths] == [
+        "30b04f27c74842a9db2ce4a0d047da9e18ddbbd3cfc5de3273838b5ac006d102",
+        "ea8e0907dd2d33e69e39d9c02b3d7547c4833ff2e4dcbe68c43ddf843b878927",
+    ]
 
 
 def test_failing_report_lists_mismatches(tmp_path, audited):

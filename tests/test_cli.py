@@ -188,6 +188,34 @@ def test_torn_genesis_block_fails_without_traceback(cli_home, tmp_path, capsys):
     assert genesis.read_bytes() == (cli_home / "chain" / "blocks" / "0.json").read_bytes()[:20]
 
 
+@pytest.mark.parametrize(
+    "cell, text",
+    [
+        (0, "2025-6-01T00:01:00Z"),  # a respelling of the minute the line above parsed
+        (9, "4x"),
+        (3, ""),  # no power in a row with samples
+        (7, "50.\udcff00"),  # written as the byte 0xff, which is not UTF-8
+    ],
+    ids=["respelled_timestamp", "garbled_count", "empty_power", "not_utf8"],
+)
+def test_audit_of_an_unparseable_csv_fails_with_a_report(cli_home, tmp_path, capsys, cell, text):
+    home = _copy_home(cli_home, tmp_path)
+    path = home / "collectors" / "A" / "2025-06-01" / "SEM1.csv"
+    lines = path.read_text().split("\n")
+    cells = lines[5].split(",")  # line 6: minute 00:01, phase 2
+    assert cells[0] == "2025-06-01T00:01:00Z" and int(cells[9]) > 0
+    cells[cell] = text
+    lines[5] = ",".join(cells)
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    rc, out, err = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
+    assert rc == 1 and err == ""
+    assert out.splitlines()[0] == "AUDIT FAIL 2025-06-01"
+    assert f"UnreadableCsv: {path} line 6: " in out
+    report = json.loads((home / "reports" / "audit-2025-06-01.json").read_text())
+    assert report["result"] == "FAIL" and report["chain_ok"] is True
+    assert report["notices"] == [line for line in out.splitlines() if line.startswith("UnreadableCsv")]
+
+
 def test_same_date_rerun_keeps_audit_passing(cli_home, tmp_path, capsys):
     # a date the chain already holds is refused before anything is generated
     home = _copy_home(cli_home, tmp_path)

@@ -155,6 +155,19 @@ def test_write_surfaces_io_failure(tmp_path):
         c.write_day_csv("2025-06-01", c.close_day("2025-06-01")[:3])
 
 
+def test_read_rejects_a_later_respelling_of_a_parsed_minute(tmp_path):
+    c = _collector(tmp_path)
+    c.ingest(_msg(ts=DAY0 + 60))
+    c.write_day_csv("2025-06-01", c.close_day("2025-06-01"))
+    path = tmp_path / "A" / "2025-06-01" / "SEM1.csv"
+    lines = path.read_text().split("\n")
+    assert lines[4].startswith("2025-06-01T00:01:00Z,1,1,")  # parsed before the respelled row
+    lines[5] = lines[5].replace("2025-06-01T00:01:00Z", "2025-6-01T00:01:00Z")
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match="2025-6-01T00:01:00Z"):
+        read_day_csv(path)
+
+
 def test_read_rejects_bad_header(tmp_path):
     p = tmp_path / "SEM1.csv"
     p.write_text("time,stuff\n1,2\n")

@@ -182,9 +182,45 @@ def test_verify_chain_detects_semantic_tamper_after_rehash(ledger):
     tx.tx_id = ledger_mod._tx_id(tx.payload, tx.submitter, tx.sequence)
     ident = ledger.get_identity(tx.submitter)
     tx.endorsement = ledger_mod._endorse(ident.key_id, tx.payload_digest)
-    block.block_hash = ledger_mod._block_hash(block)
-    path.write_bytes(ledger_mod._block_file_bytes(block))
+    path.write_bytes(ledger_mod._seal(block))
     assert ledger.verify_chain() == 2  # linkage breaks at the next block
+
+
+def _escape_first_zero(raw: bytes, block_hash: str) -> bytes:
+    i = block_hash.index("0")
+    return raw.replace(block_hash.encode(), f"{block_hash[:i]}\\u0030{block_hash[i + 1:]}".encode(), 1)
+
+
+REWRITES = {
+    "spaces": lambda raw, content: json.dumps(content, sort_keys=True).encode(),
+    "block_hash_last": lambda raw, content: json.dumps(
+        {**{k: v for k, v in content.items() if k != "block_hash"}, "block_hash": content["block_hash"]},
+        separators=(",", ":"),
+    ).encode(),
+    "escaped_zero_in_hash": lambda raw, content: _escape_first_zero(raw, content["block_hash"]),
+    "wrong_block_hash": lambda raw, content: raw.replace(
+        content["block_hash"].encode(), digest_hex(content["block_hash"].encode()).encode(), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(REWRITES))
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_verify_chain_reports_a_rewritten_block_at_its_height(ledger, rewrite, height):
+    # every rewrite but wrong_block_hash parses to the same block; only its bytes differ
+    for i in range(30):
+        ledger.submit_tx(_payload(i), "plant-1")
+    ledger.cut_all()
+    assert ledger.height == 3
+    path = ledger.blocks_dir / f"{height}.json"
+    raw = path.read_bytes()
+    content = json.loads(raw)
+    rewritten = REWRITES[rewrite](raw, content)
+    assert rewritten != raw
+    if rewrite != "wrong_block_hash":
+        assert json.loads(rewritten) == content
+    path.write_bytes(rewritten)
+    assert ledger.verify_chain() == height
 
 
 def test_persistence_round_trip(tmp_path):

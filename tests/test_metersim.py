@@ -1,7 +1,9 @@
 import math
 import random
+from datetime import date
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from carboncert import metersim
 from carboncert.metersim import (
@@ -16,7 +18,7 @@ from carboncert.metersim import (
     run_day,
     sample_meter,
 )
-from carboncert.model import METER_IDS, SECONDS_PER_DAY, TOTAL_PHASES, PhaseReading
+from carboncert.model import METER_IDS, SECONDS_PER_DAY, TOTAL_PHASES, PhaseReading, parse_date
 
 PROFILE = SolarProfile()
 
@@ -129,6 +131,33 @@ def test_sample_times_periods_and_coverage():
     assert times[-1] < day0 + SECONDS_PER_DAY
     # ~57.6k samples/day at mean period 1.5 s
     assert 0.9 * 86400 / 1.5 <= len(times) <= 1.1 * 86400 / 1.5
+
+
+def _choice_loop_sample_times(fleet, meter_id, day_text):
+    """Reference schedule: one random.Random(...).choice((1, 2)) per step."""
+    day0 = parse_date(day_text)
+    choice = random.Random(fleet.seed * 2**48 + meter_id * 2**44 + 7_777_777).choice
+    times, t = [], day0
+    while t < day0 + SECONDS_PER_DAY:
+        times.append(t)
+        t += choice((1, 2))
+    return times
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+    day=st.dates(),
+)
+@example(seed=0, day=date(2025, 6, 1))
+@example(seed=-1, day=date(1969, 12, 31))
+@example(seed=2**32, day=date(2025, 6, 1))
+def test_sample_times_equal_the_choice_loop(seed, day):
+    fleet = FleetConfig(seed=seed)
+    for meter_id in METER_IDS:
+        times = meter_sample_times(fleet, meter_id, day.isoformat())
+        assert times == _choice_loop_sample_times(fleet, meter_id, day.isoformat())
+        assert all(type(t) is int for t in times[:3])
 
 
 def test_sample_times_deterministic_per_meter():

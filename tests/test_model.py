@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import stat
 from datetime import date, datetime, timezone
 
 import pytest
@@ -87,8 +89,8 @@ def timestamp_texts(draw):
 @pytest.mark.parametrize("parse", [parse_ts, audit._epoch], ids=["parse_ts", "audit_epoch"])
 def test_timestamp_parsers_match_strptime(parse, text):
     expected = _outcome(_strptime_epoch, text)
-    if parse is parse_ts and not _fixed_width(text, "dddd-dd-ddTdd:dd:ddZ"):
-        expected = ValueError  # the pipeline takes the canonical spelling only
+    if not _fixed_width(text, "dddd-dd-ddTdd:dd:ddZ"):
+        expected = ValueError  # the pipeline and the audit take the canonical spelling only
     assert _outcome(parse, text) == expected
 
 
@@ -332,9 +334,18 @@ def test_batch_id_embeds_producer_date_window():
     assert model.batch_id_for("plant-1", start) == "plant-1-20250601-123"
 
 
-def test_write_atomic_replaces_whole_file_and_leaves_no_temp(tmp_path):
+def test_write_atomic_replaces_whole_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    synced = []  # per fsync call: whether it synced a directory
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
     path = tmp_path / "3.json"
     path.write_bytes(b"old contents, longer than the new ones")
     write_atomic(path, b"new")
     assert path.read_bytes() == b"new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["3.json"]
+    assert synced == [False, True]  # the file, then the directory holding the rename
