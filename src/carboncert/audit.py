@@ -149,6 +149,8 @@ def _parse_csv(path: Path) -> List[dict]:
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         try:
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, expected {len(CSV_COLUMNS)}")
             row = {
                 "minute": epoch(cells[0]),
                 "meter_id": int(cells[1]),
@@ -161,7 +163,7 @@ def _parse_csv(path: Path) -> List[dict]:
             }
             if row["samples"] > 0 and None in (row["power"], row["voltage"], row["pf"], row["frequency"]):
                 raise ValueError("a row with samples has an empty reading")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise UnreadableCsv(path, number, exc) from exc
         rows.append(row)
     return rows

@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 from .aggregator import AnomalyRules
 from .ledger import ChainResult, StateView
 from .model import (
+    SECONDS_PER_DAY,
     WINDOW_SECONDS,
     WINDOWS_PER_DAY,
     EmissionConfig,
@@ -27,9 +28,14 @@ from .model import (
     batch_id_for,
     canonical_json,
     compact_date,
+    digest_hex,
     parse_date,
     parse_ts,
 )
+
+# Raise with every change to what a transaction validates or writes: write-set
+# journals written under one contract version are never applied under another.
+CONTRACT_VERSION = 1
 
 LEGAL_STEPS = {
     "PENDING": ("VERIFIED",),
@@ -92,6 +98,13 @@ def compute_co2(energy_kwh: float, config: EmissionConfig) -> float:
     if not 0.25 <= factor <= 1.06:
         raise FactorOutOfRange(str(factor))
     return energy_kwh * factor
+
+
+def contract_version(emission: EmissionConfig, rules: AnomalyRules) -> str:
+    """The version of a CreditContract built with ``emission`` and ``rules``: the
+    contract logic's version and a digest of the exact values (repr, so no
+    rounding) it validates and computes with."""
+    return f"{CONTRACT_VERSION}:{digest_hex(repr((emission, rules)).encode())}"
 
 
 def _ts_or_none(value) -> Optional[int]:
@@ -286,7 +299,7 @@ class CreditContract:
         if not isinstance(date, str) or not isinstance(entries, list):
             return ChainResult(False, "structure", {}, ())
         try:
-            parse_date(date)
+            day0 = parse_date(date)
         except ValueError:
             return ChainResult(False, "structure", {}, ())
         writes = {}
@@ -294,7 +307,9 @@ class CreditContract:
             minute = _ts_or_none(entry.get("minute_start")) if isinstance(entry, dict) else None
             if minute is None:
                 return ChainResult(False, "structure", {}, ())
-            minute_index = (minute % 86400) // 60
+            if minute % 60 != 0 or not day0 <= minute < day0 + SECONDS_PER_DAY:
+                return ChainResult(False, "timestamps", {}, ())
+            minute_index = (minute - day0) // 60
             key = f"quarantine/{date}/{minute_index:04d}"
             writes[key] = _store(entry)
         return ChainResult(True, None, writes, tuple(sorted(writes)))

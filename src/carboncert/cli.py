@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_led = sub.add_parser("ledger", help="inspect the chain")
     led_sub = p_led.add_subparsers(dest="ledger_command", required=True)
-    led_sub.add_parser("verify", help="recompute all hashes and linkage")
+    led_sub.add_parser("verify", help="recompute all hashes and linkage; re-execute every transaction")
     led_sub.add_parser("inspect", help="print block summaries")
     p_hist = led_sub.add_parser("history", help="transaction history of a state key")
     p_hist.add_argument("key")

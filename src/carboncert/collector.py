@@ -211,7 +211,11 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def read_day_csv(path) -> List[MinuteRecord]:
-    """Parse one per-meter day file back into minute records."""
+    """Parse one per-meter day file back into minute records.
+
+    A row must have exactly the header's cells, and a row with samples a
+    power, voltage, power factor and frequency; else ValueError names the
+    file and line."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -221,22 +225,25 @@ def read_day_csv(path) -> List[MinuteRecord]:
     if not rows or ",".join(rows[0]) != CSV_HEADER:
         raise ValueError(f"bad CSV header in {path}")
     minute_start = lru_cache(maxsize=None)(parse_ts)  # a day's rows share 1,440 spellings
+    width = len(rows[0])
     records = []
-    for row in rows[1:]:
-        records.append(
-            MinuteRecord(
-                meter_id=int(row[1]),
-                phase=int(row[2]),
-                minute_start=minute_start(row[0]),
-                avg_active_power=_parse(row[3]),
-                avg_voltage=_parse(row[4]),
-                avg_current=_parse(row[5]),
-                avg_power_factor=_parse(row[6]),
-                avg_frequency=_parse(row[7]),
-                avg_apparent_power=_parse(row[8]),
-                sample_count=int(row[9]),
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} cells, the header has {width}")
+            stamp, meter, phase, power, voltage, current, pf, frequency, apparent, count = row
+            samples = int(count)
+            if samples > 0 and "" in (power, voltage, pf, frequency):
+                raise ValueError("a row with samples has an empty reading")
+            records.append(
+                MinuteRecord(
+                    int(meter), int(phase), minute_start(stamp),
+                    _parse(power), _parse(voltage), _parse(current),
+                    _parse(pf), _parse(frequency), _parse(apparent), samples,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from exc
     return records
 
 

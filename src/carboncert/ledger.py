@@ -8,7 +8,15 @@ Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64)
 plus ``identities.json``, each written whole (temp file, fsync, rename).
 block_hash covers the entire block content except the block_hash field
 itself, so any byte change in a committed block file is detectable.
-Opening replays every block; a chain found damaged opens read-only.
+
+A ledger opened with a contract version also writes ``writes/<height>.json``
+beside each block it cuts: the block's write-set journal, holding each
+transaction's status, reason, touched keys and written values, bound to the
+block's hash, to the version and to a SHA-256 of its own body. Opening applies
+a block's journal when it is whole, bound to this block and version, and
+agrees with the block's records; it re-executes every other block through the
+chaincode. ``verify_chain`` re-executes every block and compares each result
+with what the open applied. A chain found damaged opens read-only.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -48,7 +57,8 @@ class UnknownIdentity(KeyError):
 
 class ChainDamaged(ValueError):
     """Append refused: a block file up to the highest on disk is missing or
-    unreadable, or a committed transaction does not replay as recorded."""
+    unreadable, or a committed transaction does not replay as recorded or
+    as its write-set journal holds."""
 
 
 @dataclass
@@ -147,24 +157,97 @@ def _state_digest(state: Dict[str, Tuple[bytes, str]]) -> str:
 
 
 Chaincode = Callable[[dict, Identity, StateView], ChainResult]
+Effect = Tuple[Dict[str, bytes], Tuple[str, ...]]  # a transaction's applied writes and touched keys
+
+_JOURNAL_HEAD = b'{"body":'
+_JOURNAL_TAIL = len(b',"sha256":"') + 64 + len(b'"}')
+
+
+def _effect(result: ChainResult) -> Effect:
+    """What a result applies: its writes when valid, and the keys it touched."""
+    return (result.writes if result.valid else {}), tuple(result.touched)
+
+
+def _apply(tx_id: str, effect: Effect, state, history) -> None:
+    writes, touched = effect
+    for key, value in writes.items():
+        state[key] = (value, tx_id)
+    for key in touched:
+        history.setdefault(key, []).append(tx_id)
+
+
+def _journal_bytes(block: Block, version: str, effects: List[Effect]) -> bytes:
+    """A block's write-set journal file."""
+    return _journal_file(canonical_json({
+        "block_hash": block.block_hash,
+        "version": version,
+        "txs": [
+            {
+                "tx_id": tx.tx_id,
+                "status": tx.status,
+                "reason": tx.reason,
+                "touched": list(touched),
+                "writes": {k: base64.b64encode(v).decode("ascii") for k, v in writes.items()},
+            }
+            for tx, (writes, touched) in zip(block.transactions, effects)
+        ],
+    }))
+
+
+def _journal_file(body: bytes) -> bytes:
+    """A journal's canonical body followed by the body's SHA-256; keys sort, as in a block file."""
+    return _JOURNAL_HEAD + body + b',"sha256":' + canonical_json(digest_hex(body)) + b"}"
+
+
+def _read_journal(path: Path, block_hash: str, version: str):
+    """A journal's (tx_id, status, reason) records and effects, one per
+    transaction; None when it is missing, torn, or bound to another block or
+    contract version."""
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    body = raw[len(_JOURNAL_HEAD):-_JOURNAL_TAIL]
+    if raw != _journal_file(body):
+        return None
+    try:
+        content = json.loads(body.decode("utf-8"))
+        if content["block_hash"] != block_hash or content["version"] != version:
+            return None
+        txs = content["txs"]
+        records = [(t["tx_id"], t["status"], t["reason"]) for t in txs]
+        effects = [
+            ({k: base64.b64decode(v, validate=True) for k, v in t["writes"].items()}, tuple(t["touched"]))
+            for t in txs
+        ]
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+    return records, effects
 
 
 class Ledger:
     """Single-organization channel emulation with file-backed persistence."""
 
-    def __init__(self, root, chaincode: Chaincode):
+    def __init__(self, root, chaincode: Chaincode, version: Optional[str] = None):
+        """``version`` names the chaincode's logic and settings; without one no
+        write-set journal is written or applied, and opening re-executes every
+        block."""
         self.root = Path(root)
         self.chaincode = chaincode
+        self.version = version
         self.blocks_dir = self.root / "blocks"
+        self.writes_dir = self.root / "writes"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
         self.identities: Dict[str, Identity] = {}
         self._state: Dict[str, Tuple[bytes, str]] = {}
         self._history: Dict[str, List[str]] = {}
         self._tx_index: Dict[str, Transaction] = {}
-        self._pending: List[Transaction] = []
+        self._pending: List[Tuple[Transaction, Effect]] = []
         self._blocks: List[Block] = []
         self._next_sequence = 0
         self._damage: Optional[Tuple[int, str]] = None  # (first bad height, why)
+        self._journaled: Dict[int, List[Effect]] = {}  # height -> effects the open applied from its journal
+        self._replayed = (-1, {}, {}, None)  # _replay's (height, state, history, damage) so far
         self._load()
 
     # -- membership ---------------------------------------------------------
@@ -187,7 +270,7 @@ class Ledger:
     # -- ordering -----------------------------------------------------------
 
     def check_appendable(self) -> None:
-        """Raise ChainDamaged if opening found the chain damaged; no file is read."""
+        """Raise ChainDamaged if opening or ``verify_chain`` found the chain damaged; no file is read."""
         if self._damage is not None:
             height, why = self._damage
             raise ChainDamaged(f"chain damaged at height {height}: {why}; refusing to append")
@@ -211,7 +294,7 @@ class Ledger:
             reason=result.reason,
         )
         self._tx_index[tx_id] = tx
-        self._pending.append(tx)
+        self._pending.append((tx, _effect(result)))
         return tx_id
 
     def _execute(self, payload: bytes, tx_id: str, identity: Identity, state, history) -> ChainResult:
@@ -223,28 +306,44 @@ class Ledger:
         except (ValueError, UnicodeDecodeError):
             return ChainResult(False, "structure", {}, ())
         result = self.chaincode(op, identity, StateView(state))
-        if result.valid:
-            for key, value in result.writes.items():
-                state[key] = (value, tx_id)
-        for key in result.touched:
-            history.setdefault(key, []).append(tx_id)
+        _apply(tx_id, _effect(result), state, history)
         return result
 
     def cut_block(self) -> Optional[Block]:
-        """Drain up to 12 pending transactions into a new block."""
+        """Drain up to 12 pending transactions into a new block, then its journal.
+
+        Raises ChainDamaged, writing nothing, once the chain is known damaged:
+        ``verify_chain`` can find damage after transactions were submitted."""
         if not self._pending:
             return None
-        txs, self._pending = self._pending[:BLOCK_TX_LIMIT], self._pending[BLOCK_TX_LIMIT:]
+        self.check_appendable()
+        cut, self._pending = self._pending[:BLOCK_TX_LIMIT], self._pending[BLOCK_TX_LIMIT:]
         tip = self._blocks[-1]
         block = Block(
             height=tip.height + 1,
             timestamp=format_ts(GENESIS_EPOCH + 60 * (tip.height + 1)),
             prev_hash=tip.block_hash,
-            transactions=txs,
+            transactions=[tx for tx, _ in cut],
         )
         write_atomic(self._block_path(block.height), _seal(block))
         self._blocks.append(block)
+        if self.version is not None:
+            self._write_journal(block, [effect for _, effect in cut])
         return block
+
+    def _write_journal(self, block: Block, effects: List[Effect]) -> None:
+        """Publish ``block``'s journal by rename, without fsync: a journal is
+        checked on use, so one lost or torn in a crash, or never written for
+        want of space, only makes the next open re-execute the block."""
+        path = self._journal_path(block.height)
+        tmp = f"{path}.tmp"
+        try:
+            self.writes_dir.mkdir(exist_ok=True)
+            with open(tmp, "wb") as f:
+                f.write(_journal_bytes(block, self.version, effects))
+            os.replace(tmp, path)
+        except OSError:
+            pass
 
     def cut_all(self) -> List[Block]:
         out = []
@@ -294,11 +393,18 @@ class Ledger:
     # -- verification and replay --------------------------------------------
 
     def verify_chain(self) -> Optional[int]:
-        """Recompute every hash and linkage of the loaded chain from its files.
+        """Recompute every hash and linkage of the loaded chain from its files,
+        and re-execute every committed transaction.
 
-        Returns None when consistent, else the first bad height, or the
-        height at which opening found the chain damaged if that is lower.
+        Returns None when consistent, else the lowest of: the first bad height,
+        the height at which opening found the chain damaged, and the first
+        height whose re-execution disagrees with the block's records or with
+        the journal the open applied. The last also marks the chain damaged,
+        so appends are refused from then on.
         """
+        replayed = self._replay()[2]
+        if replayed is not None and (self._damage is None or replayed[0] < self._damage[0]):
+            self._damage = replayed
         damaged = self._damage[0] if self._damage else None
         prev_hash = ZERO_HASH_HEX
         for height in range(self.height + 1):
@@ -326,39 +432,51 @@ class Ledger:
             prev_hash = block.block_hash
         return damaged
 
-    def rebuild_state(self) -> Dict[str, Tuple[bytes, str]]:
-        """Replay oracle: re-execute chaincode over the committed chain from genesis."""
-        return self._replay()[0]
-
     def rebuilt_state_digest(self) -> str:
-        return _state_digest(self.rebuild_state())
+        """Replay oracle: the state digest of re-executing the committed chain from genesis."""
+        return _state_digest(self._replay()[0])
 
     def _replay(self):
         """Re-execute the loaded blocks into a fresh (state, history).
 
         Also returns the first (height, why) at which a transaction cannot
-        run or replays to another (status, reason) than the one recorded.
+        run or replays to another (status, reason) than the one recorded, or
+        to other writes than the open applied from the block's journal.
+        Blocks are re-executed once per Ledger; later calls run only blocks
+        cut since.
         """
-        state: Dict[str, Tuple[bytes, str]] = {}
-        history: Dict[str, List[str]] = {}
-        damage = None
-        for block in self._blocks:
-            for tx in block.transactions:
-                identity = self.identities.get(tx.submitter)
-                if identity is None:
-                    damage = damage or (block.height, f"unknown submitter {tx.submitter!r}")
-                    continue
-                result = self._execute(tx.payload, tx.tx_id, identity, state, history)
-                if result.valid != (tx.status == VALID) or result.reason != tx.reason:
-                    replayed = f"{_status(result)} ({result.reason})"
-                    why = f"tx {tx.tx_id[:16]} replays {replayed}, recorded {tx.status} ({tx.reason})"
-                    damage = damage or (block.height, why)
+        height, state, history, damage = self._replayed
+        for block in self._blocks[height + 1:]:
+            found = self._run_block(block, state, history, self._journaled.get(block.height))
+            damage = damage or found
+        self._replayed = (self.height, state, history, damage)
         return state, history, damage
+
+    def _run_block(self, block: Block, state, history, journaled: Optional[List[Effect]] = None):
+        """Execute ``block``'s transactions on ``state``: the first (height, why)
+        at which one cannot run, or replays to another (status, reason) than
+        recorded or to other effects than ``journaled``; else None."""
+        damage = None
+        for i, tx in enumerate(block.transactions):
+            identity = self.identities.get(tx.submitter)
+            if identity is None:
+                damage = damage or f"unknown submitter {tx.submitter!r}"
+                continue
+            result = self._execute(tx.payload, tx.tx_id, identity, state, history)
+            if result.valid != (tx.status == VALID) or result.reason != tx.reason:
+                replayed = f"{_status(result)} ({result.reason})"
+                damage = damage or f"tx {tx.tx_id[:16]} replays {replayed}, recorded {tx.status} ({tx.reason})"
+            elif journaled is not None and _effect(result) != journaled[i]:
+                damage = damage or f"tx {tx.tx_id[:16]} replays other writes than its journal holds"
+        return None if damage is None else (block.height, damage)
 
     # -- persistence --------------------------------------------------------
 
     def _block_path(self, height: int) -> Path:
         return self.blocks_dir / f"{height}.json"
+
+    def _journal_path(self, height: int) -> Path:
+        return self.writes_dir / f"{height}.json"
 
     def _write_genesis(self):
         genesis = Block(
@@ -390,20 +508,41 @@ class Ledger:
         if not heights:
             self._write_genesis()
             return
-        unreadable = None
+        damage = None
         for height in range(max(heights) + 1):
             read = _read_block(self._block_path(height))
             if read is None:
                 # load the readable prefix only; nothing is appended past it
-                unreadable = (height, "block file missing or unreadable")
+                damage = damage or (height, "block file missing or unreadable")
                 break
             _, block = read
             self._blocks.append(block)
             for tx in block.transactions:
                 self._tx_index[tx.tx_id] = tx
                 self._next_sequence = max(self._next_sequence, tx.sequence + 1)
-        self._state, self._history, replay_damage = self._replay()
-        self._damage = replay_damage or unreadable
+            found = self._open_block(block)
+            damage = damage or found
+        self._damage = damage
+
+    def _open_block(self, block: Block):
+        """Apply ``block`` to the open's state from its journal when the journal is
+        usable and every submitter is known, else re-execute it. Returns the
+        first (height, why) that damages the chain, or None."""
+        journal = None
+        if self.version is not None and block.transactions:
+            journal = _read_journal(self._journal_path(block.height), block.block_hash, self.version)
+        records = [(tx.tx_id, tx.status, tx.reason) for tx in block.transactions]
+        agrees = journal is not None and journal[0] == records
+        if agrees and all(tx.submitter in self.identities for tx in block.transactions):
+            effects = journal[1]
+            for tx, effect in zip(block.transactions, effects):
+                _apply(tx.tx_id, effect, self._state, self._history)
+            self._journaled[block.height] = effects
+            return None
+        damage = self._run_block(block, self._state, self._history)
+        if damage is None and journal is not None and not agrees:
+            damage = (block.height, "block records disagree with its write-set journal")
+        return damage
 
 
 def _status(result: ChainResult) -> str:

@@ -4,7 +4,7 @@ The data root (``CARBON_LEDGER_HOME`` or --home) is laid out as:
 
     collectors/<A|B>/<date>/SEM<k>.csv   collector output
     aggregator/anomalies-<date>.jsonl    quarantine sidecar
-    chain/                               ledger emulation (blocks, identities)
+    chain/                               ledger emulation (blocks, write-set journals, identities)
     reports/                             audit reports
 """
 
@@ -19,7 +19,7 @@ from . import aggregator as agg_mod
 from . import collector as col_mod
 from . import metersim
 from .aggregator import AnomalyRules
-from .chaincode import CreditContract, day_on_chain
+from .chaincode import CreditContract, contract_version, day_on_chain
 from .ledger import Ledger
 from .model import EmissionConfig, Role, parse_date
 
@@ -97,7 +97,7 @@ def load_run_config(
 
 def open_ledger(config: RunConfig) -> Ledger:
     contract = CreditContract(emission=config.emission, rules=config.rules)
-    return Ledger(config.chain_root, contract)
+    return Ledger(config.chain_root, contract, contract_version(config.emission, config.rules))
 
 
 def bootstrap_identities(ledger: Ledger, config: RunConfig) -> None:

@@ -257,3 +257,18 @@ def test_quarantine_entries_are_json_lines(tmp_path):
     # 287 windows were reported missing (only window 0 had data)
     missing = json.loads(ledger.query_state("missing/plant-1/2025-06-01").decode())
     assert missing["windows"] == list(range(1, WINDOWS_PER_DAY))
+
+
+@pytest.mark.parametrize("column", [3, 4, 6, 7])  # power, voltage, power factor, frequency
+def test_run_day_aggregation_refuses_a_row_with_samples_and_an_empty_reading(tmp_path, column):
+    ledger, producer = _ledger(tmp_path)
+    day = tmp_path / "colls" / "A" / "2025-06-01"
+    day.mkdir(parents=True)
+    from carboncert.collector import CSV_HEADER
+
+    cells = "2025-06-01T00:00:00Z,1,1,4000.000,230.000,17.900,0.970,50.000,4123.000,40".split(",")
+    cells[column] = ""
+    (day / "SEM1.csv").write_text(CSV_HEADER + "\n" + ",".join(cells) + "\n")
+    with pytest.raises(ValueError, match="SEM1.csv line 2: a row with samples has an empty reading"):
+        agg_mod.run_day_aggregation("2025-06-01", [day.parent], RULES, producer, ledger, tmp_path / "out")
+    assert ledger.pending_count == 0

@@ -108,6 +108,23 @@ def test_detects_tampered_csv_field(audited, tmp_path):
         target.write_bytes(original)
 
 
+def test_a_row_with_extra_cells_fails_the_audit(audited):
+    config, ledger, _ = audited
+    target = config.collector_roots[0] / config.date / "SEM1.csv"
+    original = target.read_bytes()
+    try:
+        lines = original.decode().splitlines()
+        lines[3] += ",junk,more"
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(audit.UnreadableCsv, match="SEM1.csv line 4: 12 cells, expected 10"):
+            replay_day(config.collector_roots, config.date, RULES, config.producer)
+        report = replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES)
+        assert not report.passed and report.chain_ok
+        assert report.notices == [f"UnreadableCsv: {target} line 4: 12 cells, expected 10"]
+    finally:
+        target.write_bytes(original)
+
+
 def test_detects_tampered_block_file(audited):
     config, ledger, replay = audited
     target = ledger.blocks_dir / "3.json"

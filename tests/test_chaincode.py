@@ -429,3 +429,15 @@ def test_legal_steps_table_is_a_dag_with_two_terminals():
 def test_unknown_op_is_structure(env):
     ledger, *_ = env
     assert _submit(ledger, {"op": "mint_money"}, "plant-1").reason == "structure"
+
+
+def test_quarantine_refuses_entries_off_its_date_or_minute(env):
+    ledger, *_ = env
+    for minute_start in (DAY0 - 60, DAY0 + 86400, DAY0 + 4 * 86400 + 60, DAY0 + 61):
+        entry = {"minute_start": format_ts(minute_start), "codes": ["RAMP"]}
+        quarantine = {"op": "quarantine", "date": "2025-06-01", "entries": [entry]}
+        assert _submit(ledger, quarantine, "plant-1").reason == "timestamps"
+    last = {"minute_start": format_ts(DAY0 + 86400 - 60), "codes": ["RAMP"]}
+    quarantine = {"op": "quarantine", "date": "2025-06-01", "entries": [last]}
+    assert _submit(ledger, quarantine, "plant-1").status == "VALID"
+    assert list(ledger.state_items("quarantine/")) == ["quarantine/2025-06-01/1439"]

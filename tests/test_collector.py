@@ -168,6 +168,29 @@ def test_read_rejects_a_later_respelling_of_a_parsed_minute(tmp_path):
         read_day_csv(path)
 
 
+@pytest.mark.parametrize(
+    "edit, why",
+    [
+        (lambda cells: cells + ["junk", "more"], "12 cells"),
+        (lambda cells: cells[:9], "9 cells"),
+        (lambda cells: cells[:3] + [""] + cells[4:], "empty reading"),
+        (lambda cells: cells[:7] + [""] + cells[8:], "empty reading"),
+    ],
+    ids=["extra_cells", "missing_cell", "empty_power", "empty_frequency"],
+)
+def test_read_rejects_a_row_of_other_width_or_with_an_empty_reading(tmp_path, edit, why):
+    c = _collector(tmp_path)
+    c.ingest(_msg(ts=DAY0 + 60))
+    c.write_day_csv("2025-06-01", c.close_day("2025-06-01"))
+    path = tmp_path / "A" / "2025-06-01" / "SEM1.csv"
+    lines = path.read_text().split("\n")
+    assert lines[4].startswith("2025-06-01T00:01:00Z,1,1,") and lines[4].endswith(",1")
+    lines[4] = ",".join(edit(lines[4].split(",")))
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"SEM1.csv line 5: .*{why}"):
+        read_day_csv(path)
+
+
 def test_read_rejects_bad_header(tmp_path):
     p = tmp_path / "SEM1.csv"
     p.write_text("time,stuff\n1,2\n")

@@ -16,7 +16,8 @@ from carboncert.ledger import (
     Ledger,
     UnknownIdentity,
 )
-from carboncert.model import ZERO_HASH_HEX, Role, digest_hex
+from carboncert import ledger as ledger_mod
+from carboncert.model import ZERO_HASH_HEX, Role, canonical_json, digest_hex
 
 
 def echo_chaincode(op, submitter, state):
@@ -171,8 +172,6 @@ def test_verify_chain_detects_semantic_tamper_after_rehash(ledger):
     for i in range(30):
         ledger.submit_tx(_payload(i), "plant-1")
     ledger.cut_all()
-    from carboncert import ledger as ledger_mod
-
     path = ledger.blocks_dir / "1.json"
     content = json.loads(path.read_bytes())
     block = ledger_mod._block_from_dict(content)
@@ -261,9 +260,9 @@ def test_endorsement_binds_submitter_key(ledger):
 # -- damaged chains ------------------------------------------------------------
 
 
-def _committed(root, txs=30):
+def _committed(root, txs=30, version=None):
     """A ledger with blocks 0..3 on disk (30 txs cut 12/12/6)."""
-    led = Ledger(root, echo_chaincode)
+    led = Ledger(root, echo_chaincode, version)
     led.register_identity("plant-1", Role.PRODUCER)
     for i in range(txs):
         led.submit_tx(_payload(i), "plant-1")
@@ -331,19 +330,112 @@ def test_unknown_submitter_marks_damage(tmp_path):
 
 def test_replayed_status_mismatch_marks_damage(tmp_path):
     # the chain was written by a chaincode that accepted value 20; one that
-    # rejects it cannot rebuild the recorded state, so the chain is damaged there
-    root = tmp_path / "chain"
-    _committed(root)
-
+    # rejects it cannot rebuild the recorded state, so the chain is damaged there.
+    # Under an unchanged version the open applies the journals instead, and
+    # verify_chain's re-execution finds it.
     def stricter(op, submitter, state):
         if op.get("value") == 20:
             return ChainResult(False, "ranges", {}, ())
         return echo_chaincode(op, submitter, state)
 
-    reopened = Ledger(root, stricter)
-    assert reopened.verify_chain() == 2  # tx 20 sits in the second block of 12
-    with pytest.raises(ChainDamaged, match="height 2: .* replays INVALID \\(ranges\\), recorded VALID \\(None\\)"):
+    for version in (None, "v1"):
+        root = tmp_path / f"chain-{version}"
+        _committed(root, version=version)
+        reopened = Ledger(root, stricter, version)
+        assert reopened.verify_chain() == 2  # tx 20 sits in the second block of 12
+        with pytest.raises(ChainDamaged, match="height 2: .* replays INVALID \\(ranges\\), recorded VALID \\(None\\)"):
+            reopened.submit_tx(_payload(99), "plant-1")
+
+
+# -- write-set journals ----------------------------------------------------------
+
+
+class Counting:
+    """echo_chaincode, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, op, submitter, state):
+        self.calls += 1
+        return echo_chaincode(op, submitter, state)
+
+
+def _rewrite_journal(path, edit):
+    """Apply ``edit`` to a journal's parsed body and reseal it with the new body's digest."""
+    content = json.loads(path.read_bytes())
+    edit(content["body"])
+    path.write_bytes(ledger_mod._journal_file(canonical_json(content["body"])))
+
+
+def test_journaled_open_applies_writes_without_executing(tmp_path):
+    root = tmp_path / "chain"
+    led = _committed(root, version="v1")
+    assert sorted(p.name for p in (root / "writes").iterdir()) == ["1.json", "2.json", "3.json"]
+    files = _files(root)
+
+    counting = Counting()
+    reopened = Ledger(root, counting, "v1")
+    assert counting.calls == 0
+    assert reopened.state_digest() == led.state_digest()
+    assert _histories(reopened) == _histories(led)
+    assert reopened.verify_chain() is None
+    assert counting.calls == 30  # verify_chain re-executes every transaction, once
+    assert reopened.verify_chain() is None and counting.calls == 30
+    assert _files(root) == files  # opening and verifying write nothing
+
+
+@pytest.mark.parametrize("version", [None, "v2"])
+def test_open_under_another_version_re_executes(tmp_path, version):
+    root = tmp_path / "chain"
+    led = _committed(root, version="v1")
+    counting = Counting()
+    reopened = Ledger(root, counting, version)
+    assert counting.calls == 30
+    assert reopened.state_digest() == led.state_digest()
+    assert reopened.verify_chain() is None
+
+
+def test_a_block_whose_recorded_status_was_flipped_is_damaged_at_open(tmp_path):
+    root = tmp_path / "chain"
+    _committed(root, version="v1")
+    path = root / "blocks" / "2.json"
+    path.write_bytes(path.read_bytes().replace(b'"status":"VALID"', b'"status":"INVALID"', 1))
+    reopened = Ledger(root, echo_chaincode, "v1")
+    with pytest.raises(ChainDamaged, match="height 2: .* replays VALID \\(None\\), recorded INVALID \\(None\\)"):
         reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.verify_chain() == 2
+
+
+def test_a_journal_disagreeing_with_its_block_records_is_damage_at_open(tmp_path):
+    root = tmp_path / "chain"
+    _committed(root, version="v1")
+
+    def flip(body):
+        body["txs"][0]["status"], body["txs"][0]["reason"] = "INVALID", "structure"
+
+    _rewrite_journal(root / "writes" / "2.json", flip)
+    reopened = Ledger(root, echo_chaincode, "v1")
+    with pytest.raises(ChainDamaged, match="height 2: block records disagree with its write-set journal"):
+        reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.verify_chain() == 2
+
+
+def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path):
+    root = tmp_path / "chain"
+    _committed(root, version="v1")
+
+    def tamper(body):
+        body["txs"][0]["writes"] = {"k0": base64.b64encode(b"tampered").decode()}
+
+    _rewrite_journal(root / "writes" / "1.json", tamper)
+    reopened = Ledger(root, echo_chaincode, "v1")
+    reopened.submit_tx(_payload(99), "plant-1")  # the open applied the journal unseen
+    files = _files(root)
+    assert reopened.verify_chain() == 1
+    with pytest.raises(ChainDamaged, match="height 1: .* other writes than its journal"):
+        reopened.cut_block()
+    assert _files(root) == files
 
 
 # -- state machine: live, rebuilt and reopened state agree ----------------------
@@ -355,34 +447,45 @@ def _histories(led):
     return {k: [t.tx_id for t in led.get_history(f"k{k}")] for k in range(KEYS)}
 
 
+def _parses(path):
+    try:
+        json.loads(path.read_bytes())
+    except ValueError:
+        return False
+    return True
+
+
 class LedgerMachine(RuleBasedStateMachine):
-    """Random submits, cuts, reopens and tip truncations on the echo chaincode."""
+    """Random submits, cuts, reopens and tip truncations on the echo chaincode;
+    with a VERSION also deletions, truncations and rewrites of journals."""
+
+    VERSION = None
 
     def __init__(self):
         super().__init__()
         self.tmp = Path(tempfile.mkdtemp())
         self.root = self.tmp / "chain"
-        self.led = Ledger(self.root, echo_chaincode)
+        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
         self.led.register_identity("plant-1", Role.PRODUCER)
-        self.torn = None  # height of the truncated tip block file
-        self.files = None  # every file under the chain root when it was torn
+        self.damaged = None  # height of the truncated tip block or the rewritten journal
+        self.files = None  # every file under the chain root when it was damaged
 
     def teardown(self):
         shutil.rmtree(self.tmp)
 
-    @precondition(lambda self: self.torn is None)
+    @precondition(lambda self: self.damaged is None)
     @rule(key=st.integers(0, KEYS - 1), value=st.integers(0, 9))
     def submit_valid(self, key, value):
         tx = self.led.get_transaction(self.led.submit_tx(_payload(key, value=value), "plant-1"))
         assert tx.status == "VALID"
 
-    @precondition(lambda self: self.torn is None)
+    @precondition(lambda self: self.damaged is None)
     @rule(payload=st.sampled_from([b'{"op": "bad"}', b"not json", b"[1,2]", b"\xff\x00"]))
     def submit_rejected(self, payload):
         tx = self.led.get_transaction(self.led.submit_tx(payload, "plant-1"))
         assert (tx.status, tx.reason) == ("INVALID", "structure")
 
-    @precondition(lambda self: self.torn is None)
+    @precondition(lambda self: self.damaged is None)
     @rule(drain=st.booleans())
     def cut(self, drain):
         if drain:
@@ -390,7 +493,7 @@ class LedgerMachine(RuleBasedStateMachine):
         else:
             self.led.cut_block()
 
-    @precondition(lambda self: self.torn is None)
+    @precondition(lambda self: self.damaged is None)
     @rule()
     def reopen(self):
         # pending transactions were never committed, so a reopen drops them
@@ -398,27 +501,67 @@ class LedgerMachine(RuleBasedStateMachine):
         live = None
         if self.led.pending_count == 0:
             live = (self.led.state_digest(), _histories(self.led))
-        self.led = Ledger(self.root, echo_chaincode)
+        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
         assert self.led.state_digest() == committed
         if live is not None:
             assert (self.led.state_digest(), _histories(self.led)) == live
         assert self.led.verify_chain() is None
 
-    @precondition(lambda self: self.torn is None)
+    @precondition(lambda self: self.damaged is None)
     @rule(data=st.data())
     def truncate_tip(self, data):
         path = self.root / "blocks" / f"{self.led.height}.json"
         raw = path.read_bytes()
         path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
-        self.torn = self.led.height
+        self.damaged = self.led.height
         self.files = _files(self.root)
         self.reopen_damaged()
 
-    @precondition(lambda self: self.torn is not None)
+    def _journals(self):
+        """The journal files not yet truncated."""
+        return [p for p in sorted((self.root / "writes").glob("*.json"), key=lambda p: int(p.stem)) if _parses(p)]
+
+    @precondition(lambda self: self.damaged is None and self.VERSION is not None)
+    @rule(data=st.data(), delete=st.booleans())
+    def drop_journal(self, data, delete):
+        # a journal is a cache: without it the open re-executes that block
+        journals = self._journals()
+        if not journals:
+            return
+        path = data.draw(st.sampled_from(journals), label="journal")
+        if delete:
+            path.unlink()
+        else:
+            raw = path.read_bytes()
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
+        self.reopen()
+
+    @precondition(lambda self: self.damaged is None and self.VERSION is not None)
+    @rule(data=st.data())
+    def rewrite_journal(self, data):
+        # a resealed journal with other writes is applied by the open, and only
+        # verify_chain's re-execution finds it
+        journals = self._journals()
+        if not journals:
+            return
+        path = data.draw(st.sampled_from(journals), label="journal")
+
+        def tamper(body):
+            body["txs"][0]["writes"] = {"k0": base64.b64encode(b"tampered").decode()}
+
+        _rewrite_journal(path, tamper)
+        self.damaged = int(path.stem)
+        self.files = _files(self.root)
+        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
+        assert self.led.verify_chain() == self.damaged
+        with pytest.raises(ChainDamaged, match=f"height {self.damaged}: .* other writes than its journal"):
+            self.led.submit_tx(_payload(0), "plant-1")
+
+    @precondition(lambda self: self.damaged is not None)
     @rule()
     def reopen_damaged(self):
-        self.led = Ledger(self.root, echo_chaincode)
-        assert self.led.verify_chain() == self.torn
+        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
+        assert self.led.verify_chain() == self.damaged
         with pytest.raises(ChainDamaged):
             self.led.submit_tx(_payload(0), "plant-1")
         assert self.led.cut_all() == []
@@ -426,9 +569,15 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @invariant()
     def live_state_is_replayable(self):
-        if self.torn is None and self.led.pending_count == 0:
+        if self.damaged is None and self.led.pending_count == 0:
             assert self.led.state_digest() == self.led.rebuilt_state_digest()
 
 
+class JournaledLedgerMachine(LedgerMachine):
+    VERSION = "echo-1"
+
+
 LedgerMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
+JournaledLedgerMachine.TestCase.settings = LedgerMachine.TestCase.settings
 test_ledger_state_machine = LedgerMachine.TestCase
+test_journaled_ledger_state_machine = JournaledLedgerMachine.TestCase

@@ -3,7 +3,9 @@ import hashlib
 import pytest
 
 from carboncert import cli, metersim, pipeline
+from carboncert.aggregator import AnomalyRules
 from carboncert.collector import Collector, CollectorConfig
+from carboncert.model import canonical_json
 
 FAULTS = dict(duplicate_probability=0.1, drop_then_retry_probability=0.05, reorder_jitter_max=30.0)
 
@@ -63,3 +65,50 @@ def test_simulate_prints_notices_to_stderr(tmp_path, capsys):
     assert rc == 0
     assert captured.out.splitlines()[0] == "34560 / 1440 / 288"
     assert captured.err.splitlines() == [f"notice: IoFailure: {tmp_path / 'collectors/A/2025-06-01/SEM9.csv'}"]
+
+
+def test_simulate_exits_one_on_a_row_with_samples_and_an_empty_reading(tmp_path, capsys):
+    from carboncert.collector import CSV_HEADER
+
+    stray = tmp_path / "collectors" / "A" / "2025-06-01" / "SEM9.csv"
+    stray.parent.mkdir(parents=True)
+    stray.write_text(CSV_HEADER + "\n2025-06-01T00:00:00Z,9,1,,230.000,17.900,0.970,50.000,4123.000,40\n")
+    config = tmp_path / "run.json"
+    config.write_text('{"meters": [2, 7]}')  # one meter per collector keeps the day short
+    rc = cli.main(["--home", str(tmp_path), "simulate", "--config", str(config), "--date", "2025-06-01"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error [simulate]: {stray} line 2: a row with samples has an empty reading\n"
+    assert not (tmp_path / "chain" / "blocks" / "1.json").exists()
+
+
+def test_open_ledger_applies_journals_only_under_the_same_contract_settings(tmp_path, monkeypatch):
+    config = pipeline.RunConfig(home=tmp_path)
+    ledger = pipeline.open_ledger(config)
+    pipeline.bootstrap_identities(ledger, config)
+    entry = {"minute_start": "2025-06-01T00:01:00Z", "codes": ["RAMP"]}
+    op = canonical_json({"op": "quarantine", "date": config.date, "entries": [entry]})
+    assert ledger.get_transaction(ledger.submit_tx(op, config.producer)).status == "VALID"
+    ledger.cut_all()
+
+    calls = []
+    contract_cls = pipeline.CreditContract
+
+    def counting(**kw):
+        contract = contract_cls(**kw)
+
+        def call(op, submitter, state):
+            calls.append(op["op"])
+            return contract(op, submitter, state)
+
+        return call
+
+    monkeypatch.setattr(pipeline, "CreditContract", counting)
+    reopened = pipeline.open_ledger(config)
+    assert calls == []  # the open applied the block's journal
+    assert reopened.verify_chain() is None and calls == ["quarantine"]
+    calls.clear()
+    # a ramp limit that differs only past the third decimal is another version
+    config.rules = AnomalyRules(max_ramp_watts_per_minute=60_000.0001)
+    pipeline.open_ledger(config)
+    assert calls == ["quarantine"]
