@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--date", type=_valid_date, required=True)
 
     p_led = sub.add_parser("ledger", help="inspect the chain")
+    p_led.add_argument("--config", help="run configuration JSON (the contract verify re-executes)")
     led_sub = p_led.add_subparsers(dest="ledger_command", required=True)
     led_sub.add_parser("verify", help="recompute all hashes and linkage; re-execute every transaction")
     led_sub.add_parser("inspect", help="print block summaries")

@@ -25,6 +25,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -504,7 +505,9 @@ class Ledger:
                 self.identities[name] = Identity(
                     name=name, role=Role(info["role"]), key_id=info["key_id"]
                 )
-        heights = [int(p.stem) for p in self.blocks_dir.glob("*.json") if p.stem.isdigit()]
+        # only names _block_path writes count: "007.json" or a non-ASCII digit is a stray file
+        names = (p.stem for p in self.blocks_dir.glob("*.json"))
+        heights = [int(name) for name in names if re.fullmatch(r"0|[1-9][0-9]*", name)]
         if not heights:
             self._write_genesis()
             return

@@ -17,13 +17,24 @@ seeded Mersenne Twister state goes to ``np.random.MT19937``, whose raw 32-bit
 outputs are the same stream. ``choice`` of two takes ``getrandbits(2)``, the
 top two bits of one output, and redraws on 2 or 3; so each output whose top
 bits are 0 or 1 is a step of 1 or 2 seconds and the others are skipped.
+
+The cyclic garbage collector is paused while a day's tuples are built.
+CPython stops tracking only exact tuples whose items cannot hold references
+back, never tuple subclasses: every ``PhaseReading`` and ``TransportMessage``
+stays tracked, so each collection during the build would walk all of those
+built so far. Pausing is safe because they hold only ints, floats and other
+such tuples and so can form no reference cycle; there is nothing for the
+collector to free, and nothing it would have freed is kept.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from typing import List, NamedTuple
@@ -69,6 +80,13 @@ class FaultConfig:
     reorder_jitter_max: float = 0.0  # seconds a delivery may arrive after its reading
     rng_seed: int = 0
 
+    def __post_init__(self):
+        p, q = self.duplicate_probability, self.drop_then_retry_probability
+        if not (0.0 <= p and 0.0 <= q and p + q <= 1.0 and 0.0 <= self.reorder_jitter_max):
+            raise ValueError("fault probabilities must be >= 0 with a sum <= 1, and the jitter >= 0")
+        if not isinstance(self.rng_seed, int):
+            raise ValueError(f"fault rng_seed must be an integer, got {self.rng_seed!r}")
+
 
 @dataclass
 class FleetConfig:
@@ -95,6 +113,24 @@ class FleetConfig:
 class TransportMessage(NamedTuple):
     reading: PhaseReading
     delivery_attempt: int
+
+
+# C-level constructors from a tuple of fields; the namedtuple ``__new__`` and
+# ``_make`` are Python functions, called once per tuple.
+_new_reading = partial(tuple.__new__, PhaseReading)
+_new_message = partial(tuple.__new__, TransportMessage)
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; leave it enabled or disabled as found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ReadingColumns(NamedTuple):
@@ -301,31 +337,32 @@ def generate_day_readings(fleet: FleetConfig, date: str) -> List[PhaseReading]:
     cols = generate_day_columns(fleet, date)
     out: List[PhaseReading] = []
     edges = [0, *(np.flatnonzero(np.diff(cols.meter_id)) + 1).tolist(), cols.ts.shape[0]]
-    for start, stop in zip(edges, edges[1:]):
-        # A meter's three phases share its instants and frequency: one Python
-        # object per instant, not per reading, keeps a day's tuples smaller.
-        n = (stop - start) // 3
-        times = cols.ts[start : start + n].tolist()
-        freq = cols.frequency[start : start + n].tolist()
-        meter_id = int(cols.meter_id[start])
-        for idx in range(3):
-            lo, hi = start + idx * n, start + (idx + 1) * n
-            out.extend(
-                map(
-                    PhaseReading._make,
-                    zip(
-                        repeat(meter_id),
-                        repeat(idx + 1),
-                        times,
-                        cols.active_power[lo:hi].tolist(),
-                        cols.voltage[lo:hi].tolist(),
-                        cols.current[lo:hi].tolist(),
-                        cols.power_factor[lo:hi].tolist(),
-                        freq,
-                        cols.apparent_power[lo:hi].tolist(),
-                    ),
+    with _collector_paused():
+        for start, stop in zip(edges, edges[1:]):
+            # A meter's three phases share its instants and frequency: one Python
+            # object per instant, not per reading, keeps a day's tuples smaller.
+            n = (stop - start) // 3
+            times = cols.ts[start : start + n].tolist()
+            freq = cols.frequency[start : start + n].tolist()
+            meter_id = int(cols.meter_id[start])
+            for idx in range(3):
+                lo, hi = start + idx * n, start + (idx + 1) * n
+                out.extend(
+                    map(
+                        _new_reading,
+                        zip(
+                            repeat(meter_id),
+                            repeat(idx + 1),
+                            times,
+                            cols.active_power[lo:hi].tolist(),
+                            cols.voltage[lo:hi].tolist(),
+                            cols.current[lo:hi].tolist(),
+                            cols.power_factor[lo:hi].tolist(),
+                            freq,
+                            cols.apparent_power[lo:hi].tolist(),
+                        ),
+                    )
                 )
-            )
     return out
 
 
@@ -356,8 +393,9 @@ def deliver(meter_id, phase, ts, faults: FaultConfig) -> Delivery:
 
 def run_day(fleet: FleetConfig, date: str, faults: FaultConfig) -> List[TransportMessage]:
     """Deliver a day of telemetry through the at-least-once transport (see deliver)."""
-    readings = generate_day_readings(fleet, date)
-    n = len(readings)
-    keys = (np.fromiter(map(itemgetter(k), readings), np.int64, n) for k in range(3))
-    index, attempt = deliver(*keys, faults)
-    return list(map(TransportMessage, map(readings.__getitem__, index.tolist()), attempt.tolist()))
+    with _collector_paused():
+        readings = generate_day_readings(fleet, date)
+        n = len(readings)
+        keys = (np.fromiter(map(itemgetter(k), readings), np.int64, n) for k in range(3))
+        index, attempt = deliver(*keys, faults)
+        return list(map(_new_message, zip(map(readings.__getitem__, index.tolist()), attempt.tolist())))

@@ -75,24 +75,34 @@ def load_run_config(
     date: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> RunConfig:
+    """The run configuration from the JSON file at ``path`` (defaults without one);
+    ``date`` and ``seed`` override the file's. A file that is not such a
+    configuration raises ``ValueError`` naming it."""
     raw: dict = {}
-    if path:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    kw = {key: raw[key] for key in ("date", "certifier", "auditor") if key in raw}
-    if "seed" in raw:
-        kw["seed"] = int(raw["seed"])
-    if date is not None:
-        kw["date"] = date
-    if seed is not None:
-        kw["seed"] = seed
-    return RunConfig(
-        home=home,
-        fleet=metersim.FleetConfig.from_dict(raw),
-        faults=metersim.FaultConfig(**raw.get("faults", {})),
-        rules=AnomalyRules.from_dict(raw.get("rules", {})),
-        emission=EmissionConfig(**raw.get("emission", {})),
-        **kw,
-    )
+    try:
+        if path:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError("not a JSON object")
+        kw = {key: raw[key] for key in ("date", "certifier", "auditor") if key in raw}
+        if not all(isinstance(name, str) for name in [*kw.values(), raw.get("producer_id", "")]):
+            raise ValueError("date, certifier, auditor and producer_id must be strings")
+        if "seed" in raw:
+            kw["seed"] = int(raw["seed"])
+        if date is not None:
+            kw["date"] = date
+        if seed is not None:
+            kw["seed"] = seed
+        return RunConfig(
+            home=home,
+            fleet=metersim.FleetConfig.from_dict(raw),
+            faults=metersim.FaultConfig(**raw.get("faults", {})),
+            rules=AnomalyRules.from_dict(raw.get("rules", {})),
+            emission=EmissionConfig(**raw.get("emission", {})),
+            **kw,
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad run configuration {path}: {exc}") from exc
 
 
 def open_ledger(config: RunConfig) -> Ledger:

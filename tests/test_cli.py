@@ -134,6 +134,31 @@ def test_bad_config_path_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "[]",
+        '{"faults": {"bogus": 1}}',
+        '{"emission": {"factor_kg_per_kwh": "x"}}',
+        '{"rules": {"voltage_range": 5}}',
+        '{"seed": "abc"}',
+        '{"faults": {"duplicate_probability": "x"}}',
+        '{"date": 5}',
+        '{"producer_id": 5}',
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "ledger"])
+def test_malformed_config_fails_with_one_line(tmp_path, capsys, raw, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(raw)
+    tail = ["verify"] if command == "ledger" else []
+    rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), command, "--config", str(cfg), *tail)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error [{command}]: bad run configuration {cfg}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "home").exists()
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 5, "date": "2025-07-01", "emission": {"factor_kg_per_kwh": 0.5}}))

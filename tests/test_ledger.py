@@ -311,6 +311,18 @@ def test_stray_temp_file_neither_loads_nor_damages(tmp_path):
     assert reopened.cut_block().height == 4
 
 
+@pytest.mark.parametrize("name", ["007.json", "\u0663.json", "\u00b2.json"])  # 007, Arabic-Indic 3, superscript 2
+def test_stray_height_like_file_neither_loads_nor_damages(tmp_path, name):
+    root = tmp_path / "chain"
+    led = _committed(root, txs=5)
+    (root / "blocks" / name).write_bytes(b'{"height": 3')
+    reopened = Ledger(root, echo_chaincode)
+    assert reopened.height == led.height == 1
+    assert reopened.verify_chain() is None
+    reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.cut_block().height == 2
+
+
 def test_unknown_submitter_marks_damage(tmp_path):
     root = tmp_path / "chain"
     led = _committed(root)

@@ -1,7 +1,10 @@
+import gc
 import math
 import random
 from datetime import date
+from operator import itemgetter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,6 +14,7 @@ from carboncert.metersim import (
     FleetConfig,
     InvalidMeter,
     SolarProfile,
+    TransportMessage,
     clear_sky_power,
     generate_day_columns,
     generate_day_readings,
@@ -236,6 +240,68 @@ def test_run_day_reordering_bounded_by_jitter():
         # a reading may arrive late by at most the jitter bound
         assert m.reading.ts >= max_seen - jitter
         max_seen = max(max_seen, m.reading.ts)
+
+
+def test_run_day_equals_the_namedtuple_construction():
+    # reference: the same day built through the namedtuple constructors,
+    # with the collector running
+    fleet = FleetConfig(seed=13, meters=(2, 7))
+    rows = zip(*(col.tolist() for col in generate_day_columns(fleet, "2025-06-01")))
+    readings = list(map(PhaseReading._make, rows))
+    keys = [np.fromiter(map(itemgetter(k), readings), np.int64, len(readings)) for k in range(3)]
+    faulted = FaultConfig(
+        duplicate_probability=0.1, drop_then_retry_probability=0.05, reorder_jitter_max=30.0, rng_seed=8
+    )
+    for faults in (FaultConfig(), faulted):
+        index, attempt = metersim.deliver(*keys, faults)
+        expected = list(map(TransportMessage, map(readings.__getitem__, index.tolist()), attempt.tolist()))
+        msgs = run_day(fleet, "2025-06-01", faults)
+        assert msgs == expected
+        assert all(type(m) is TransportMessage and type(m.reading) is PhaseReading for m in msgs)
+    del msgs, expected
+    day = generate_day_readings(fleet, "2025-06-01")
+    assert day == readings and all(type(r) is PhaseReading for r in day)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+def test_day_builds_leave_the_collector_as_found(enabled, monkeypatch):
+    fleet = FleetConfig(seed=5, meters=(1,))
+    found = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        generate_day_readings(fleet, "2025-06-01")
+        assert gc.isenabled() is enabled
+        run_day(fleet, "2025-06-01", FaultConfig())
+        assert gc.isenabled() is enabled
+
+        seen = []
+
+        def failing_deliver(*args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("transport down")
+
+        monkeypatch.setattr(metersim, "deliver", failing_deliver)
+        with pytest.raises(RuntimeError, match="transport down"):
+            run_day(fleet, "2025-06-01", FaultConfig())
+        assert seen == [False]  # paused while the day is built
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if found else gc.disable()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(duplicate_probability=0.6, drop_then_retry_probability=0.5),
+        dict(duplicate_probability=-0.1),
+        dict(reorder_jitter_max=-1.0),
+        dict(drop_then_retry_probability=float("nan")),
+        dict(rng_seed=1.5),
+    ],
+)
+def test_fault_config_rejects_impossible_values(bad):
+    with pytest.raises(ValueError):
+        FaultConfig(**bad)
 
 
 def test_fleet_config_from_dict():
