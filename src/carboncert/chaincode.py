@@ -63,6 +63,7 @@ _AGG_KEYS = {
     "flags",
 }
 _QUALITIES = frozenset(q.value for q in Quality)
+_FLAGGED = Quality.FLAGGED.value
 
 
 class ChaincodeError(ValueError):
@@ -187,7 +188,7 @@ def _check_ranges(batch, rules: AnomalyRules, emission: EmissionConfig) -> Optio
     v_lo, v_hi = rules.voltage_range
     f_lo, f_hi = rules.frequency_range
     for agg in batch["aggregates"]:
-        if agg["quality"] == Quality.FLAGGED.value:
+        if agg["quality"] == _FLAGGED:
             continue  # flagged minutes are carried for audit, not range-enforced
         if not 0 <= agg["total_power"] <= cap:
             return "ranges"
@@ -350,7 +351,7 @@ class CreditContract:
         for raw in batches.values():  # in window order
             batch = json.loads(raw.decode("utf-8"))
             for agg in batch["aggregates"]:
-                if agg["quality"] == Quality.FLAGGED.value:
+                if agg["quality"] == _FLAGGED:
                     excluded.append(agg["minute_start"])
                     continue
                 power = float(agg["total_power"])

@@ -11,11 +11,13 @@ itself, so any byte change in a committed block file is detectable.
 
 A ledger opened with a contract version also writes ``writes/<height>.json``
 beside each block it cuts: the block's write-set journal, holding each
-transaction's status, reason, touched keys and written values, bound to the
-block's hash, to the version and to a SHA-256 of its own body. Opening applies
-a block's journal when it is whole, bound to this block and version, and
-agrees with the block's records; it re-executes every other block through the
-chaincode. ``verify_chain`` re-executes every block and compares each result
+transaction's status, reason, touched keys and written values (a value whose
+bytes occur in the transaction's payload as an ``[offset, length]`` slice of
+it, any other in base64), bound to the block's hash, to the version and to a
+SHA-256 of its own body. Opening applies a block's journal when it is whole,
+bound to this block and version, agrees with the block's records and holds
+only slices inside their payloads; it re-executes every other block through
+the chaincode. ``verify_chain`` re-executes every block and compares each result
 with what the open applied. A chain found damaged opens read-only.
 """
 
@@ -177,6 +179,28 @@ def _apply(tx_id: str, effect: Effect, state, history) -> None:
         history.setdefault(key, []).append(tx_id)
 
 
+def _journal_value(value: bytes, payload: bytes):
+    """A written value as its journal holds it: ``[offset, length]`` into the
+    transaction's payload when its bytes occur there, else base64."""
+    offset = payload.find(value)
+    if offset < 0:
+        return base64.b64encode(value).decode("ascii")
+    return [offset, len(value)]
+
+
+def _value_from_journal(entry, payload: bytes) -> bytes:
+    """The written value a journal entry holds; ValueError unless it is base64
+    or a slice of non-negative ints inside ``payload``."""
+    if isinstance(entry, str):
+        return base64.b64decode(entry, validate=True)
+    offset, length = entry
+    if type(offset) is not int or type(length) is not int or offset < 0 or length < 0:
+        raise ValueError("a journal slice needs two non-negative ints")
+    if offset + length > len(payload):
+        raise ValueError("a journal slice reaches past its payload")
+    return payload[offset:offset + length]
+
+
 def _journal_bytes(block: Block, version: str, effects: List[Effect]) -> bytes:
     """A block's write-set journal file."""
     return _journal_file(canonical_json({
@@ -188,7 +212,7 @@ def _journal_bytes(block: Block, version: str, effects: List[Effect]) -> bytes:
                 "status": tx.status,
                 "reason": tx.reason,
                 "touched": list(touched),
-                "writes": {k: base64.b64encode(v).decode("ascii") for k, v in writes.items()},
+                "writes": {k: _journal_value(v, tx.payload) for k, v in writes.items()},
             }
             for tx, (writes, touched) in zip(block.transactions, effects)
         ],
@@ -200,10 +224,11 @@ def _journal_file(body: bytes) -> bytes:
     return _JOURNAL_HEAD + body + b',"sha256":' + canonical_json(digest_hex(body)) + b"}"
 
 
-def _read_journal(path: Path, block_hash: str, version: str):
+def _read_journal(path: Path, block_hash: str, version: str, payloads: List[bytes]):
     """A journal's (tx_id, status, reason) records and effects, one per
-    transaction; None when it is missing, torn, or bound to another block or
-    contract version."""
+    transaction, with ``payloads`` the block's transaction payloads in order.
+    None when it is missing, torn, bound to another block or contract version,
+    or holds a slice outside its payload."""
     try:
         raw = path.read_bytes()
     except OSError:
@@ -218,8 +243,8 @@ def _read_journal(path: Path, block_hash: str, version: str):
         txs = content["txs"]
         records = [(t["tx_id"], t["status"], t["reason"]) for t in txs]
         effects = [
-            ({k: base64.b64decode(v, validate=True) for k, v in t["writes"].items()}, tuple(t["touched"]))
-            for t in txs
+            ({k: _value_from_journal(v, payload) for k, v in t["writes"].items()}, tuple(t["touched"]))
+            for t, payload in zip(txs, payloads)
         ]
     except (ValueError, KeyError, TypeError, AttributeError):
         return None
@@ -533,7 +558,8 @@ class Ledger:
         first (height, why) that damages the chain, or None."""
         journal = None
         if self.version is not None and block.transactions:
-            journal = _read_journal(self._journal_path(block.height), block.block_hash, self.version)
+            path, payloads = self._journal_path(block.height), [tx.payload for tx in block.transactions]
+            journal = _read_journal(path, block.block_hash, self.version, payloads)
         records = [(tx.tx_id, tx.status, tx.reason) for tx in block.transactions]
         agrees = journal is not None and journal[0] == records
         if agrees and all(tx.submitter in self.identities for tx in block.transactions):

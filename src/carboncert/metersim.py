@@ -99,6 +99,8 @@ class FleetConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FleetConfig":
+        """The fleet a run configuration describes; ValueError when its
+        ``assignments`` name a meter outside ``meters`` or route none of them."""
         convert = {
             "meters": tuple,
             "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
@@ -107,7 +109,14 @@ class FleetConfig:
             "accuracy_band": float,
             "producer_id": lambda p: p,
         }
-        return cls(**{key: fn(raw[key]) for key, fn in convert.items() if key in raw})
+        fleet = cls(**{key: fn(raw[key]) for key, fn in convert.items() if key in raw})
+        assigned = {m for meters in fleet.assignments.values() for m in meters}
+        outside = assigned - set(fleet.meters)
+        if "assignments" in raw and outside:
+            raise ValueError(f"assigned meters {sorted(outside, key=repr)} are not in the fleet's meters")
+        if assigned.isdisjoint(fleet.meters):
+            raise ValueError("the assignments route no meter of the fleet")
+        return fleet
 
 
 class TransportMessage(NamedTuple):

@@ -159,6 +159,25 @@ def test_malformed_config_fails_with_one_line(tmp_path, capsys, raw, command):
     assert not (tmp_path / "home").exists()
 
 
+@pytest.mark.parametrize(
+    "raw, why",
+    [
+        ({"assignments": {"A": [9]}}, "assigned meters [9] are not in the fleet's meters"),
+        ({"assignments": {"A": [1, 2], "B": [8, 9]}}, "assigned meters [9] are not in the fleet's meters"),
+        ({"assignments": {"A": ["1"]}}, "assigned meters ['1'] are not in the fleet's meters"),
+        ({"meters": [9]}, "the assignments route no meter of the fleet"),
+        ({"assignments": {}}, "the assignments route no meter of the fleet"),
+    ],
+)
+def test_fleet_assignments_that_route_no_meter_are_refused(tmp_path, capsys, raw, why):
+    # such a day used to commit 288 batches of empty minutes that no credit could accrue
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))
+    assert (rc, out, err) == (1, "", f"error [simulate]: bad run configuration {cfg}: {why}\n")
+    assert not (tmp_path / "home").exists()
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 5, "date": "2025-07-01", "emission": {"factor_kg_per_kwh": 0.5}}))

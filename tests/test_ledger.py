@@ -450,6 +450,79 @@ def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path):
     assert _files(root) == files
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda o, n: [o, n + 1],  # past the payload's end
+        lambda o, n: [o + n + 1, 0],
+        lambda o, n: [-1, n],
+        lambda o, n: [o, -1],
+        lambda o, n: [False, n],
+        lambda o, n: [o, True],
+        lambda o, n: [float(o), n],
+        lambda o, n: [o],
+        lambda o, n: [o, n, 0],
+        lambda o, n: {"offset": o, "length": n},
+        lambda o, n: None,
+    ],
+    ids=["long", "offset-past-end", "negative-offset", "negative-length", "bool-offset", "bool-length",
+         "float", "one-int", "three-ints", "object", "null"],
+)
+def test_a_journal_slice_outside_its_payload_re_executes_the_block(tmp_path, bad):
+    root = tmp_path / "chain"
+    led = _committed(root, version="v1")
+
+    def tamper(body):
+        body["txs"][0]["writes"]["k12"] = bad(*body["txs"][0]["writes"]["k12"])
+
+    _rewrite_journal(root / "writes" / "2.json", tamper)
+    counting = Counting()
+    reopened = Ledger(root, counting, "v1")
+    assert counting.calls == 12  # block 2 alone, like a torn journal
+    assert reopened.state_digest() == reopened.rebuilt_state_digest() == led.state_digest()
+    assert reopened.verify_chain() is None
+
+
+def test_a_journal_slice_to_other_bytes_of_its_payload_is_found_by_verify_chain(tmp_path):
+    root = tmp_path / "chain"
+    _committed(root, version="v1")
+
+    def tamper(body):
+        offset, length = body["txs"][0]["writes"]["k12"]
+        body["txs"][0]["writes"]["k12"] = [offset + 1, length - 1]
+
+    _rewrite_journal(root / "writes" / "2.json", tamper)
+    counting = Counting()
+    reopened = Ledger(root, counting, "v1")
+    assert counting.calls == 0  # the open applied the slice unseen
+    assert reopened.verify_chain() == 2
+    with pytest.raises(ChainDamaged, match="height 2: .* other writes than its journal"):
+        reopened.submit_tx(_payload(99), "plant-1")
+
+
+def test_an_all_base64_journal_opens_without_executing(tmp_path):
+    # journals written before values became payload slices hold every value in base64
+    root = tmp_path / "chain"
+    led = _committed(root, version="v1")
+    for block in led.blocks()[1:]:
+
+        def to_base64(body):
+            for t, tx in zip(body["txs"], block.transactions):
+                assert all(isinstance(v, list) for v in t["writes"].values())
+                t["writes"] = {
+                    k: base64.b64encode(tx.payload[offset:offset + length]).decode()
+                    for k, (offset, length) in t["writes"].items()
+                }
+
+        _rewrite_journal(root / "writes" / f"{block.height}.json", to_base64)
+    counting = Counting()
+    reopened = Ledger(root, counting, "v1")
+    assert counting.calls == 0
+    assert reopened.state_digest() == led.state_digest()
+    assert _histories(reopened) == _histories(led)
+    assert reopened.verify_chain() is None
+
+
 # -- state machine: live, rebuilt and reopened state agree ----------------------
 
 KEYS = 4

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -112,3 +113,14 @@ def test_open_ledger_applies_journals_only_under_the_same_contract_settings(tmp_
     config.rules = AnomalyRules(max_ramp_watts_per_minute=60_000.0001)
     pipeline.open_ledger(config)
     assert calls == ["quarantine"]
+
+
+def test_journals_hold_batches_as_slices_of_their_payloads(sim_day):
+    config, _ = sim_day
+    blocks = sorted((config.chain_root / "blocks").glob("*.json"))
+    journals = sorted((config.chain_root / "writes").glob("*.json"))
+    assert len(journals) == len(blocks) - 1  # every block but genesis
+    txs = [t for p in journals for t in json.loads(p.read_bytes())["body"]["txs"]]
+    assert all(isinstance(v, list) == k.startswith("batch/") for t in txs for k, v in t["writes"].items())
+    # the batch bytes sit in the block payloads once; each journal points at them
+    assert sum(p.stat().st_size for p in journals) < sum(p.stat().st_size for p in blocks) / 3
