@@ -8,7 +8,7 @@ party can replay later.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -28,6 +28,7 @@ from .model import (
     batch_id_for,
     batch_to_dict,
     canonical_json,
+    finite_number,
     format_ts,
     write_atomic,
 )
@@ -38,8 +39,6 @@ RANGE_FREQUENCY = "RANGE_FREQUENCY"
 RAMP = "RAMP"
 PF_BOUNDS = "PF_BOUNDS"
 
-PROCESSED_MARKER = ".processed"
-
 
 class DuplicatePhase(ValueError):
     """Two minute records share the same (meter, phase)."""
@@ -49,9 +48,12 @@ class Unauthorized(PermissionError):
     pass
 
 
-class Rejected(RuntimeError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
+class Rejected(ValueError):
+    """The ledger marked a submitted batch INVALID; ``reason`` is the chaincode's."""
+
+    def __init__(self, batch_id: str, reason: str):
+        super().__init__(f"batch {batch_id} rejected: {reason}")
+        self.batch_id = batch_id
         self.reason = reason
 
 
@@ -69,10 +71,14 @@ class AnomalyRules:
     max_ramp_watts_per_minute: float = 60_000.0
 
     def __post_init__(self):
-        for lo, hi in (self.phase_power_range, self.voltage_range, self.frequency_range):
-            if lo >= hi:
+        for what, (lo, hi) in (
+            ("phase power range", self.phase_power_range),
+            ("voltage range", self.voltage_range),
+            ("frequency range", self.frequency_range),
+        ):
+            if finite_number(lo, what) >= finite_number(hi, what):
                 raise ValueError("range lower bound must be below upper bound")
-        if self.max_ramp_watts_per_minute <= 0:
+        if finite_number(self.max_ramp_watts_per_minute, "ramp limit") <= 0:
             raise ValueError("ramp limit must be positive")
 
     @classmethod
@@ -82,52 +88,17 @@ class AnomalyRules:
             if key in raw:
                 kw[key] = tuple(raw[key])
         if "max_ramp_watts_per_minute" in raw:
-            kw["max_ramp_watts_per_minute"] = float(raw["max_ramp_watts_per_minute"])
+            # stored as a float, so 100 and 100.0 give the same contract version
+            ramp = finite_number(raw["max_ramp_watts_per_minute"], "ramp limit")
+            kw["max_ramp_watts_per_minute"] = float(ramp)
         return cls(**kw)
 
 
-@dataclass
-class ScanResult:
-    files: List[Path]
-    notices: List[str] = field(default_factory=list)
-
-
-def scan_new_files(roots: Iterable[Path]) -> ScanResult:
-    """Day-files not yet marked processed, in path-sorted order."""
-    files: List[Path] = []
-    notices: List[str] = []
-    for root in sorted(Path(r) for r in roots):
-        if not root.is_dir():
-            notices.append(f"MissingCollector: {root}")
-            continue
-        for day_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-            done = _processed_set(day_dir)
-            for f in sorted(day_dir.glob("SEM*.csv")):
-                if f.name in done:
-                    continue
-                if not f.is_file():
-                    notices.append(f"IoFailure: {f}")
-                    continue
-                files.append(f)
-    return ScanResult(files=files, notices=notices)
-
-
-def _processed_set(day_dir: Path) -> set:
-    marker = day_dir / PROCESSED_MARKER
-    if not marker.exists():
-        return set()
-    return set(marker.read_text(encoding="utf-8").split())
-
-
 def mark_processed(files: Iterable[Path]) -> None:
-    by_dir: Dict[Path, set] = {}
-    for f in files:
-        by_dir.setdefault(Path(f).parent, set()).add(Path(f).name)
-    for day_dir, names in by_dir.items():
-        done = _processed_set(day_dir) | names
-        (day_dir / PROCESSED_MARKER).write_text(
-            "\n".join(sorted(done)) + "\n", encoding="utf-8"
-        )
+    """Writes nothing. The chain and ``pipeline.DateCommitted`` are the record of
+    which days are committed; this no-op remains only because the chain-30d
+    set-up of ``perfbench/workloads.py`` still calls it, and the next change to
+    the benchmark drops that call and this function."""
 
 
 def aggregate_minute(records: Iterable[MinuteRecord]) -> PlantMinuteAggregate:
@@ -237,7 +208,7 @@ def submit(batch: Batch, producer: Identity, client) -> str:
     tx_id = client.submit_tx(payload, producer.name)
     tx = client.get_transaction(tx_id)
     if tx.status != "VALID":
-        raise Rejected(tx.reason or "rejected")
+        raise Rejected(batch.batch_id, tx.reason or "rejected")
     return tx_id
 
 
@@ -259,13 +230,21 @@ def run_day_aggregation(
     client,
     out_dir: Path,
 ) -> AggregationSummary:
-    """One aggregation pass: scan, fuse, flag, quarantine, batch, submit."""
-    scan = scan_new_files(collector_roots)
-    day_files = [f for f in scan.files if f.parent.name == date]
+    """One aggregation pass over the date's ``<root>/<date>/SEM*.csv`` files, in
+    path order: fuse, flag, quarantine, batch, submit. A batch the chain already
+    holds raises ``Rejected`` with reason ``duplicate``."""
+    notices: List[str] = []
     per_minute: Dict[int, List[MinuteRecord]] = {}
-    for f in day_files:
-        for rec in collector_mod.read_day_csv(f):
-            per_minute.setdefault(rec.minute_start, []).append(rec)
+    for root in sorted(Path(r) for r in collector_roots):
+        if not root.is_dir():
+            notices.append(f"MissingCollector: {root}")
+            continue
+        for f in sorted((root / date).glob("SEM*.csv")):
+            if not f.is_file():
+                notices.append(f"IoFailure: {f}")
+                continue
+            for rec in collector_mod.read_day_csv(f):
+                per_minute.setdefault(rec.minute_start, []).append(rec)
 
     aggregates: List[PlantMinuteAggregate] = []
     quarantine_entries = []
@@ -330,12 +309,11 @@ def run_day_aggregation(
         )
         client.submit_tx(payload, producer.name)
 
-    mark_processed(day_files)
     return AggregationSummary(
         date=date,
         aggregate_count=len(aggregates),
         batch_count=len(batches),
         flagged_minutes=len(quarantine_entries),
         missing_windows=missing,
-        notices=scan.notices,
+        notices=notices,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -149,6 +150,13 @@ class Identity:
     key_id: str
 
 
+def finite_number(value, what: str):
+    """``value`` itself if it is a finite int or float (not a bool), else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number: {value!r}")
+    return value
+
+
 @dataclass
 class EmissionConfig:
     """Carbon conversion configuration; factor bounded to the plausible range."""
@@ -157,6 +165,8 @@ class EmissionConfig:
     plant_capacity_watts: float = 100_000.0
 
     def __post_init__(self):
+        finite_number(self.factor_kg_per_kwh, "emission factor")
+        finite_number(self.plant_capacity_watts, "plant capacity")
         if not 0.25 <= self.factor_kg_per_kwh <= 1.06:
             raise ValueError(f"emission factor out of range: {self.factor_kg_per_kwh}")
         if self.plant_capacity_watts <= 0:

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from carboncert import aggregator as agg_mod
+from carboncert import collector as col_mod
+from carboncert import metersim, pipeline
 from carboncert.aggregator import (
     PF_BOUNDS,
     RAMP,
@@ -16,8 +18,6 @@ from carboncert.aggregator import (
     detect_anomalies,
     flag_aggregate,
     make_batches,
-    mark_processed,
-    scan_new_files,
     submit,
 )
 from carboncert.chaincode import CreditContract
@@ -159,22 +159,6 @@ def test_make_batches_empty():
     assert batches == [] and missing == list(range(WINDOWS_PER_DAY))
 
 
-def test_scan_and_mark_processed(tmp_path):
-    root_a = tmp_path / "A"
-    day = root_a / "2025-06-01"
-    day.mkdir(parents=True)
-    for k in (2, 1):
-        (day / f"SEM{k}.csv").write_text("x")
-    result = scan_new_files([root_a, tmp_path / "B"])
-    assert [f.name for f in result.files] == ["SEM1.csv", "SEM2.csv"]
-    assert result.notices and "MissingCollector" in result.notices[0]
-    mark_processed(result.files[:1])
-    again = scan_new_files([root_a])
-    assert [f.name for f in again.files] == ["SEM2.csv"]
-    mark_processed(again.files)
-    assert scan_new_files([root_a]).files == []
-
-
 def _ledger(tmp_path):
     ledger = Ledger(tmp_path / "chain", CreditContract())
     producer = ledger.register_identity("plant-1", Role.PRODUCER)
@@ -207,6 +191,52 @@ def test_submit_raises_rejected_with_reason(tmp_path):
     with pytest.raises(Rejected) as exc:
         submit(batch, producer, ledger)
     assert exc.value.reason == "duplicate"
+
+
+def test_run_day_aggregation_reads_only_the_dates_csvs_in_path_order(tmp_path, monkeypatch):
+    ledger, producer = _ledger(tmp_path)
+    colls = tmp_path / "colls"
+    for rel in ("A/2025-06-01/SEM2.csv", "A/2025-06-01/SEM1.csv", "A/2025-06-02/SEM1.csv", "C/2025-06-01/SEM3.csv"):
+        (colls / rel).parent.mkdir(parents=True, exist_ok=True)
+        (colls / rel).write_text("x")
+    (colls / "A/2025-06-01/SEM9.csv").mkdir()  # not a file
+    (colls / "A/2025-06-01/.processed").write_text("SEM1.csv\nSEM2.csv\n")  # an old marker is ignored
+    read = []
+    monkeypatch.setattr(col_mod, "read_day_csv", lambda path: read.append(path) or [])
+    summary = agg_mod.run_day_aggregation(
+        "2025-06-01", [colls / "C", colls / "B", colls / "A"], RULES, producer, ledger, tmp_path / "out"
+    )
+    assert read == [colls / "A/2025-06-01/SEM1.csv", colls / "A/2025-06-01/SEM2.csv", colls / "C/2025-06-01/SEM3.csv"]
+    assert summary.notices == [f"IoFailure: {colls / 'A/2025-06-01/SEM9.csv'}", f"MissingCollector: {colls / 'B'}"]
+
+
+def test_second_aggregation_of_a_committed_day_keeps_its_sidecar_and_is_rejected(tmp_path):
+    # the date's files used to be hidden by .processed markers: the second pass
+    # emptied the sidecar and filed an INVALID report_missing instead of failing
+    config = pipeline.RunConfig(
+        home=tmp_path,
+        seed=3,
+        fleet=metersim.FleetConfig.from_dict({"meters": [2, 7]}),
+        rules=AnomalyRules(max_ramp_watts_per_minute=100.0),
+    )
+    result = pipeline.run_simulation(config)
+    assert result.flagged_minutes > 0
+    assert not list(tmp_path.rglob(".processed"))
+    sidecar = config.aggregator_dir / f"anomalies-{config.date}.jsonl"
+    before = sidecar.read_bytes()
+    ledger = pipeline.open_ledger(config)
+    with pytest.raises(Rejected) as exc:
+        agg_mod.run_day_aggregation(
+            config.date,
+            config.collector_roots,
+            config.rules,
+            ledger.get_identity(config.producer),
+            ledger,
+            config.aggregator_dir,
+        )
+    assert exc.value.reason == "duplicate"
+    assert str(exc.value) == "batch plant-1-20250601-000 rejected: duplicate"
+    assert sidecar.read_bytes() == before
 
 
 def test_run_day_aggregation_end_to_end(sim_day):

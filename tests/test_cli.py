@@ -178,6 +178,39 @@ def test_fleet_assignments_that_route_no_meter_are_refused(tmp_path, capsys, raw
     assert not (tmp_path / "home").exists()
 
 
+@pytest.mark.parametrize(
+    "raw, why",
+    [
+        ('{"rules": {"max_ramp_watts_per_minute": NaN}}', "ramp limit must be a finite number: nan"),
+        ('{"rules": {"max_ramp_watts_per_minute": true}}', "ramp limit must be a finite number: True"),
+        ('{"rules": {"voltage_range": [NaN, 253]}}', "voltage range must be a finite number: nan"),
+        ('{"rules": {"voltage_range": ["200", "250"]}}', "voltage range must be a finite number: '200'"),
+        ('{"rules": {"frequency_range": [true, 51]}}', "frequency range must be a finite number: True"),
+        ('{"rules": {"phase_power_range": [-Infinity, 6000]}}', "phase power range must be a finite number: -inf"),
+        ('{"emission": {"plant_capacity_watts": NaN}}', "plant capacity must be a finite number: nan"),
+        ('{"emission": {"factor_kg_per_kwh": true}}', "emission factor must be a finite number: True"),
+    ],
+)
+def test_rule_and_emission_bounds_must_be_finite_numbers(tmp_path, capsys, raw, why):
+    # each used to be accepted: a NaN ramp limit turned the RAMP rule off, and
+    # string bounds failed with a traceback after the CSVs were published
+    cfg = tmp_path / "run.json"
+    cfg.write_text(raw)
+    rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))
+    assert (rc, out, err) == (1, "", f"error [simulate]: bad run configuration {cfg}: {why}\n")
+    assert not (tmp_path / "home").exists()
+
+
+def test_rejected_batch_fails_with_one_line(tmp_path, capsys):
+    # a daytime batch above the plant's capacity is INVALID ``ranges``
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"emission": {"plant_capacity_watts": 1000}, "meters": [2, 7]}))
+    home = tmp_path / "home"
+    rc, out, err = _run(capsys, "--home", str(home), "simulate", "--config", str(cfg))
+    assert (rc, out, err) == (1, "", "error [simulate]: batch plant-1-20250601-074 rejected: ranges\n")
+    assert [p.name for p in (home / "chain" / "blocks").iterdir()] == ["0.json"]  # genesis only
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 5, "date": "2025-07-01", "emission": {"factor_kg_per_kwh": 0.5}}))
