@@ -83,15 +83,8 @@ class AnomalyRules:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnomalyRules":
-        kw = {}
-        for key in ("phase_power_range", "voltage_range", "frequency_range"):
-            if key in raw:
-                kw[key] = tuple(raw[key])
-        if "max_ramp_watts_per_minute" in raw:
-            # stored as a float, so 100 and 100.0 give the same contract version
-            ramp = finite_number(raw["max_ramp_watts_per_minute"], "ramp limit")
-            kw["max_ramp_watts_per_minute"] = float(ramp)
-        return cls(**kw)
+        """The rules a JSON object gives, ranges as lists; TypeError for an unknown key."""
+        return cls(**{key: tuple(value) if key.endswith("_range") else value for key, value in raw.items()})
 
 
 def mark_processed(files: Iterable[Path]) -> None:

@@ -28,13 +28,13 @@ from .model import (
     batch_id_for,
     canonical_json,
     compact_date,
-    digest_hex,
     parse_date,
     parse_ts,
 )
 
 # Raise with every change to what a transaction validates or writes: write-set
 # journals written under one contract version are never applied under another.
+# The values it validates and computes with are the chain's: its genesis records them.
 CONTRACT_VERSION = 1
 
 LEGAL_STEPS = {
@@ -99,13 +99,6 @@ def compute_co2(energy_kwh: float, config: EmissionConfig) -> float:
     if not 0.25 <= factor <= 1.06:
         raise FactorOutOfRange(str(factor))
     return energy_kwh * factor
-
-
-def contract_version(emission: EmissionConfig, rules: AnomalyRules) -> str:
-    """The version of a CreditContract built with ``emission`` and ``rules``: the
-    contract logic's version and a digest of the exact values (repr, so no
-    rounding) it validates and computes with."""
-    return f"{CONTRACT_VERSION}:{digest_hex(repr((emission, rules)).encode())}"
 
 
 def _ts_or_none(value) -> Optional[int]:

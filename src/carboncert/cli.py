@@ -25,10 +25,12 @@ def _home(args) -> Path:
     return Path(os.environ.get("CARBON_LEDGER_HOME", DEFAULT_HOME))
 
 
-def _config(args, date=None, seed=None) -> pipeline.RunConfig:
-    return pipeline.load_run_config(
-        getattr(args, "config", None), _home(args), date=date, seed=seed
-    )
+def _existing_ledger(args):
+    """The ledger of the data root, under the contract its genesis records;
+    NoChain, creating nothing, where there is no chain."""
+    config = pipeline.RunConfig(home=_home(args))
+    pipeline.chain_parameters(config.chain_root)
+    return pipeline.open_ledger(config)
 
 
 def _valid_date(text: str) -> str:
@@ -54,19 +56,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cred = sub.add_parser("credits", help="drive the credit lifecycle")
     p_cred.add_argument("action", choices=["accrue", "verify", "issue", "sell", "retire"])
-    p_cred.add_argument("--config", help="run configuration JSON")
     p_cred.add_argument("--date", type=_valid_date, help="date for accrue")
     p_cred.add_argument("--serial", help="credit serial for verify/issue/sell/retire")
     p_cred.add_argument("--as", dest="identity", required=True, help="acting identity name")
 
     p_audit = sub.add_parser("audit", help="third-party replay verification")
-    p_audit.add_argument("--config", help="run configuration JSON")
+    p_audit.add_argument("--config", help="run configuration JSON; its emission and rules must be the chain's")
     p_audit.add_argument("--date", type=_valid_date, required=True)
 
     p_led = sub.add_parser("ledger", help="inspect the chain")
-    p_led.add_argument("--config", help="run configuration JSON (the contract verify re-executes)")
     led_sub = p_led.add_subparsers(dest="ledger_command", required=True)
-    led_sub.add_parser("verify", help="recompute all hashes and linkage; re-execute every transaction")
+    led_sub.add_parser(
+        "verify",
+        help="recompute all hashes and linkage; re-execute every transaction under the "
+        "emission and rules the genesis block records",
+    )
     led_sub.add_parser("inspect", help="print block summaries")
     p_hist = led_sub.add_parser("history", help="transaction history of a state key")
     p_hist.add_argument("key")
@@ -74,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    config = _config(args, date=args.date, seed=args.seed)
+    config = pipeline.load_run_config(args.config, _home(args), date=args.date, seed=args.seed)
     result = pipeline.run_simulation(config)
     print(f"{result.csv_rows} / {result.aggregate_count} / {result.batch_count}")
     print(f"chain tip {result.tip_hash}")
@@ -88,8 +92,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_credits(args) -> int:
-    config = _config(args)
-    ledger = pipeline.open_ledger(config)
+    ledger = _existing_ledger(args)
     try:
         identity = ledger.get_identity(args.identity)
     except UnknownIdentity:
@@ -134,7 +137,8 @@ def cmd_credits(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = _config(args)
+    config = pipeline.load_run_config(args.config, _home(args))
+    pipeline.check_agreement(config)
     ledger = pipeline.open_ledger(config)
     report = audit_mod.replay_verify(
         csv_roots=config.collector_roots,
@@ -150,8 +154,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    config = _config(args)
-    ledger = pipeline.open_ledger(config)
+    ledger = _existing_ledger(args)
     if args.ledger_command == "verify":
         bad = ledger.verify_chain()
         if bad is None:

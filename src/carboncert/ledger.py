@@ -7,18 +7,21 @@ rather than dropped, so the full history stays auditable.
 Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64)
 plus ``identities.json``, each written whole (temp file, fsync, rename).
 block_hash covers the entire block content except the block_hash field
-itself, so any byte change in a committed block file is detectable.
+itself, so any byte change in a committed block file is detectable. A
+genesis block may carry ``params``: a text the ledger stores and hashes but
+does not read, the parameters of the chain's contract.
 
 A ledger opened with a contract version also writes ``writes/<height>.json``
 beside each block it cuts: the block's write-set journal, holding each
 transaction's status, reason, touched keys and written values (a value whose
 bytes occur in the transaction's payload as an ``[offset, length]`` slice of
-it, any other in base64), bound to the block's hash, to the version and to a
-SHA-256 of its own body. Opening applies a block's journal when it is whole,
-bound to this block and version, agrees with the block's records and holds
-only slices inside their payloads; it re-executes every other block through
-the chaincode. ``verify_chain`` re-executes every block and compares each result
-with what the open applied. A chain found damaged opens read-only.
+it, any other in base64), bound to the block's hash, to the version and the
+genesis content, and to a SHA-256 of its own body. Opening applies a block's
+journal when it is whole, bound to this block, version and genesis, agrees
+with the block's records and holds only slices inside their payloads; it
+re-executes every other block through the chaincode. ``verify_chain``
+re-executes every block and compares each result with what the open
+applied. A chain found damaged opens read-only.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -58,6 +62,10 @@ class UnknownIdentity(KeyError):
     pass
 
 
+class NoChain(ValueError):
+    """The data root holds no block file: there is no chain to open."""
+
+
 class ChainDamaged(ValueError):
     """Append refused: a block file up to the highest on disk is missing or
     unreadable, or a committed transaction does not replay as recorded or
@@ -83,6 +91,7 @@ class Block:
     prev_hash: str
     transactions: List[Transaction]
     block_hash: str = ""
+    params: Optional[str] = None  # genesis only: the contract's parameters
 
 
 class ChainResult(NamedTuple):
@@ -127,12 +136,15 @@ def _tx_to_dict(tx: Transaction) -> dict:
 
 
 def _block_content_dict(block: Block) -> dict:
-    return {
+    content = {
         "height": block.height,
         "timestamp": block.timestamp,
         "prev_hash": block.prev_hash,
         "transactions": [_tx_to_dict(t) for t in block.transactions],
     }
+    if block.params is not None:  # a genesis without parameters keeps its bytes
+        content["params"] = block.params
+    return content
 
 
 def _block_content(block: Block) -> bytes:
@@ -227,8 +239,8 @@ def _journal_file(body: bytes) -> bytes:
 def _read_journal(path: Path, block_hash: str, version: str, payloads: List[bytes]):
     """A journal's (tx_id, status, reason) records and effects, one per
     transaction, with ``payloads`` the block's transaction payloads in order.
-    None when it is missing, torn, bound to another block or contract version,
-    or holds a slice outside its payload."""
+    None when it is missing, torn, bound to another block, contract version or
+    genesis, or holds a slice outside its payload."""
     try:
         raw = path.read_bytes()
     except OSError:
@@ -254,10 +266,13 @@ def _read_journal(path: Path, block_hash: str, version: str, payloads: List[byte
 class Ledger:
     """Single-organization channel emulation with file-backed persistence."""
 
-    def __init__(self, root, chaincode: Chaincode, version: Optional[str] = None):
-        """``version`` names the chaincode's logic and settings; without one no
-        write-set journal is written or applied, and opening re-executes every
-        block."""
+    def __init__(
+        self, root, chaincode: Chaincode, version: Optional[str] = None, params: Optional[str] = None
+    ):
+        """``version`` names the chaincode's logic; without one no write-set
+        journal is written or applied, and opening re-executes every block.
+        ``params`` is what a genesis written by this open records; a chain
+        that exists keeps its own."""
         self.root = Path(root)
         self.chaincode = chaincode
         self.version = version
@@ -274,7 +289,7 @@ class Ledger:
         self._damage: Optional[Tuple[int, str]] = None  # (first bad height, why)
         self._journaled: Dict[int, List[Effect]] = {}  # height -> effects the open applied from its journal
         self._replayed = (-1, {}, {}, None)  # _replay's (height, state, history, damage) so far
-        self._load()
+        self._load(params)
 
     # -- membership ---------------------------------------------------------
 
@@ -366,7 +381,7 @@ class Ledger:
         try:
             self.writes_dir.mkdir(exist_ok=True)
             with open(tmp, "wb") as f:
-                f.write(_journal_bytes(block, self.version, effects))
+                f.write(_journal_bytes(block, self._journal_binding, effects))
             os.replace(tmp, path)
         except OSError:
             pass
@@ -441,7 +456,7 @@ class Ledger:
             content = _block_content(block)
             if _block_file_bytes(block, content) != raw or block.prev_hash != prev_hash:
                 return height
-            if height == 0 and block.transactions:
+            if (block.transactions if height == 0 else block.params is not None):
                 return height
             if digest_hex(content) != block.block_hash:
                 return height
@@ -504,12 +519,20 @@ class Ledger:
     def _journal_path(self, height: int) -> Path:
         return self.writes_dir / f"{height}.json"
 
-    def _write_genesis(self):
+    @cached_property
+    def _journal_binding(self) -> str:
+        """What a journal is bound to besides its block: the contract version and
+        the digest of the genesis content as read, which records the contract's
+        parameters; a genesis edited in place binds no journal written before."""
+        return f"{self.version}:{digest_hex(_block_content(self._blocks[0]))}"
+
+    def _write_genesis(self, params: Optional[str]):
         genesis = Block(
             height=0,
             timestamp=format_ts(GENESIS_EPOCH),
             prev_hash=ZERO_HASH_HEX,
             transactions=[],
+            params=params,
         )
         write_atomic(self._block_path(0), _seal(genesis))
         self._blocks.append(genesis)
@@ -522,7 +545,7 @@ class Ledger:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         write_atomic(self.root / "identities.json", text.encode("utf-8"))
 
-    def _load(self):
+    def _load(self, params: Optional[str]):
         reg = self.root / "identities.json"
         if reg.exists():
             raw = json.loads(reg.read_text(encoding="utf-8"))
@@ -530,11 +553,9 @@ class Ledger:
                 self.identities[name] = Identity(
                     name=name, role=Role(info["role"]), key_id=info["key_id"]
                 )
-        # only names _block_path writes count: "007.json" or a non-ASCII digit is a stray file
-        names = (p.stem for p in self.blocks_dir.glob("*.json"))
-        heights = [int(name) for name in names if re.fullmatch(r"0|[1-9][0-9]*", name)]
+        heights = _heights(self.blocks_dir)
         if not heights:
-            self._write_genesis()
+            self._write_genesis(params)
             return
         damage = None
         for height in range(max(heights) + 1):
@@ -559,7 +580,7 @@ class Ledger:
         journal = None
         if self.version is not None and block.transactions:
             path, payloads = self._journal_path(block.height), [tx.payload for tx in block.transactions]
-            journal = _read_journal(path, block.block_hash, self.version, payloads)
+            journal = _read_journal(path, block.block_hash, self._journal_binding, payloads)
         records = [(tx.tx_id, tx.status, tx.reason) for tx in block.transactions]
         agrees = journal is not None and journal[0] == records
         if agrees and all(tx.submitter in self.identities for tx in block.transactions):
@@ -576,6 +597,24 @@ class Ledger:
 
 def _status(result: ChainResult) -> str:
     return VALID if result.valid else INVALID
+
+
+def _heights(blocks_dir: Path) -> List[int]:
+    """The heights of the block files in ``blocks_dir``; only names ``_block_path``
+    writes count: "007.json" or a non-ASCII digit is a stray file."""
+    names = (p.stem for p in blocks_dir.glob("*.json"))
+    return [int(name) for name in names if re.fullmatch(r"0|[1-9][0-9]*", name)]
+
+
+def read_genesis(root) -> Optional[Block]:
+    """The genesis block of the chain at ``root``; None when its file is missing
+    or unreadable, so that an open finds the chain damaged at height 0.
+    Raises NoChain, creating nothing, when ``root`` holds no block file."""
+    path = Path(root) / "blocks" / "0.json"
+    read = _read_block(path)
+    if read is None and not _heights(path.parent):
+        raise NoChain(f"no chain at {root}")
+    return None if read is None else read[1]
 
 
 def _read_block(path: Path) -> Optional[Tuple[bytes, Block]]:
@@ -604,10 +643,14 @@ def _block_from_dict(content: dict) -> Block:
         )
         for t in content["transactions"]
     ]
+    params = content.get("params")
+    if params is not None and not isinstance(params, str):
+        raise TypeError("a block's params must be a string")
     return Block(
         height=content["height"],
         timestamp=content["timestamp"],
         prev_hash=content["prev_hash"],
         transactions=txs,
         block_hash=content["block_hash"],
+        params=params,
     )

@@ -46,7 +46,9 @@ from .model import (
     SECONDS_PER_DAY,
     TOTAL_PHASES,
     PhaseReading,
+    finite_number,
     parse_date,
+    whole_number,
 )
 
 NOMINAL_VOLTAGE = 230.0
@@ -69,6 +71,8 @@ class SolarProfile:
     noise_stddev_fraction: float = 0.01
 
     def __post_init__(self):
+        for what, value in vars(self).items():
+            finite_number(value, f"profile {what}")
         if not 0 <= self.sunrise < self.sunset <= SECONDS_PER_DAY:
             raise ValueError("sunrise/sunset must satisfy 0 <= sunrise < sunset <= 86400")
 
@@ -84,8 +88,7 @@ class FaultConfig:
         p, q = self.duplicate_probability, self.drop_then_retry_probability
         if not (0.0 <= p and 0.0 <= q and p + q <= 1.0 and 0.0 <= self.reorder_jitter_max):
             raise ValueError("fault probabilities must be >= 0 with a sum <= 1, and the jitter >= 0")
-        if not isinstance(self.rng_seed, int):
-            raise ValueError(f"fault rng_seed must be an integer, got {self.rng_seed!r}")
+        whole_number(self.rng_seed, "fault rng_seed")
 
 
 @dataclass
@@ -99,17 +102,16 @@ class FleetConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FleetConfig":
-        """The fleet a run configuration describes; ValueError when its
-        ``assignments`` name a meter outside ``meters`` or route none of them."""
+        """The fleet a run configuration describes; TypeError for a key that is
+        not a field, ValueError when its ``assignments`` name a meter outside
+        ``meters`` or route none of them."""
         convert = {
             "meters": tuple,
             "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
             "profile": lambda p: SolarProfile(**p),
-            "seed": int,
-            "accuracy_band": float,
-            "producer_id": lambda p: p,
+            "accuracy_band": lambda b: finite_number(b, "accuracy band"),
         }
-        fleet = cls(**{key: fn(raw[key]) for key, fn in convert.items() if key in raw})
+        fleet = cls(**{key: convert.get(key, lambda v: v)(value) for key, value in raw.items()})
         assigned = {m for meters in fleet.assignments.values() for m in meters}
         outside = assigned - set(fleet.meters)
         if "assignments" in raw and outside:

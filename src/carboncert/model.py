@@ -157,6 +157,13 @@ def finite_number(value, what: str):
     return value
 
 
+def whole_number(value, what: str) -> int:
+    """``value`` itself if it is an int (not a bool), else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer: {value!r}")
+    return value
+
+
 @dataclass
 class EmissionConfig:
     """Carbon conversion configuration; factor bounded to the plausible range."""

@@ -6,22 +6,28 @@ The data root (``CARBON_LEDGER_HOME`` or --home) is laid out as:
     aggregator/anomalies-<date>.jsonl    quarantine sidecar
     chain/                               ledger emulation (blocks, write-set journals, identities)
     reports/                             audit reports
+
+The chain's genesis block records the contract's parameters, its emission
+configuration and anomaly rules: see ``open_ledger``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import aggregator as agg_mod
 from . import collector as col_mod
 from . import metersim
 from .aggregator import AnomalyRules
-from .chaincode import CreditContract, contract_version, day_on_chain
-from .ledger import Ledger
-from .model import EmissionConfig, Role, parse_date
+from .chaincode import CONTRACT_VERSION, CreditContract, day_on_chain
+from .ledger import Ledger, NoChain, read_genesis
+from .model import EmissionConfig, Role, parse_date, whole_number
+
+# the keys of a run configuration beside the fleet's (FleetConfig.from_dict)
+_RUN_KEYS = ("date", "seed", "certifier", "auditor", "faults", "rules", "emission")
 
 
 class DateCommitted(ValueError):
@@ -88,26 +94,70 @@ def load_run_config(
         if not all(isinstance(name, str) for name in [*kw.values(), raw.get("producer_id", "")]):
             raise ValueError("date, certifier, auditor and producer_id must be strings")
         if "seed" in raw:
-            kw["seed"] = int(raw["seed"])
+            kw["seed"] = whole_number(raw["seed"], "seed")
         if date is not None:
             kw["date"] = date
         if seed is not None:
             kw["seed"] = seed
-        return RunConfig(
+        config = RunConfig(
             home=home,
-            fleet=metersim.FleetConfig.from_dict(raw),
+            fleet=metersim.FleetConfig.from_dict({k: v for k, v in raw.items() if k not in _RUN_KEYS}),
             faults=metersim.FaultConfig(**raw.get("faults", {})),
             rules=AnomalyRules.from_dict(raw.get("rules", {})),
             emission=EmissionConfig(**raw.get("emission", {})),
             **kw,
         )
+        if len({config.producer, config.certifier, config.auditor}) < 3:
+            raise ValueError("producer_id, certifier and auditor must be three different names")
+        return config
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"bad run configuration {path}: {exc}") from exc
 
 
+def chain_parameters(chain_root: Path) -> Optional[Tuple[EmissionConfig, AnomalyRules]]:
+    """The emission configuration and rules the genesis at ``chain_root`` records;
+    None when the genesis file is missing or unreadable, so the chain opens
+    damaged at height 0. Raises ``NoChain`` where there is no chain, and
+    ValueError for a genesis that records no parameters or unreadable ones."""
+    genesis = read_genesis(chain_root)
+    if genesis is None:
+        return None
+    if genesis.params is None:
+        raise ValueError(f"chain {chain_root} predates recorded contract parameters: its genesis has none")
+    try:
+        raw = json.loads(genesis.params)
+        return EmissionConfig(**raw["emission"]), AnomalyRules.from_dict(raw["rules"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"chain {chain_root}: unreadable contract parameters in genesis: {exc}") from exc
+
+
 def open_ledger(config: RunConfig) -> Ledger:
-    contract = CreditContract(emission=config.emission, rules=config.rules)
-    return Ledger(config.chain_root, contract, contract_version(config.emission, config.rules))
+    """The ledger at the config's chain root, with the contract its genesis
+    records; where there is no chain, one is created with the config's
+    emission and rules, in plain JSON so that reals keep every digit
+    (canonical JSON keeps three decimals)."""
+    try:
+        params = chain_parameters(config.chain_root)
+    except NoChain:
+        params = None
+    emission, rules = params or (config.emission, config.rules)
+    contract = CreditContract(emission=emission, rules=rules)
+    text = json.dumps({"emission": asdict(config.emission), "rules": asdict(config.rules)}, sort_keys=True)
+    return Ledger(config.chain_root, contract, str(CONTRACT_VERSION), text)
+
+
+def check_agreement(config: RunConfig) -> None:
+    """Refuse, with one line (ValueError), a config whose emission or rules
+    differ from those the chain records; once it passes, the config's are the
+    chain's. Raises NoChain, creating nothing, where there is no chain. A chain
+    whose genesis is unreadable records nothing to compare; it opens damaged."""
+    params = chain_parameters(config.chain_root)
+    for what, ours, chains in zip(("emission", "rules"), (config.emission, config.rules), params or ()):
+        if ours != chains:
+            raise ValueError(
+                f"the run configuration disagrees with chain {config.chain_root} on {what}: "
+                f"the chain records {chains}"
+            )
 
 
 def bootstrap_identities(ledger: Ledger, config: RunConfig) -> None:
@@ -137,15 +187,16 @@ class DayResult:
     notices: List[str]  # aggregation notices: unreadable files, missing collectors
 
 
-def run_simulation(config: RunConfig, ledger: Optional[Ledger] = None) -> DayResult:
+def run_simulation(config: RunConfig) -> DayResult:
     """Drive all four pipeline stages for one simulated day.
 
     Refuses, before any CSV is published or identity registered, a date that
-    does not parse, a damaged chain and a date the chain already holds."""
+    does not parse, a damaged chain, a config whose emission or rules differ
+    from the chain's and a date the chain already holds."""
     parse_date(config.date)
-    if ledger is None:
-        ledger = open_ledger(config)
+    ledger = open_ledger(config)
     ledger.check_appendable()
+    check_agreement(config)
     if day_on_chain(ledger.state_view(), config.producer, config.date):
         raise DateCommitted(f"{config.date} of {config.producer} is already on the chain")
     bootstrap_identities(ledger, config)

@@ -145,13 +145,22 @@ def test_bad_config_path_exits_one(tmp_path, capsys):
         '{"faults": {"duplicate_probability": "x"}}',
         '{"date": 5}',
         '{"producer_id": 5}',
+        # each of these used to run, silently dropping or bending the value
+        '{"meterz": [2, 7]}',
+        '{"rules": {"max_ramp_watt_per_minute": 100}}',
+        '{"seed": 3.7}',
+        '{"seed": true}',
+        '{"seed": "5"}',
+        '{"accuracy_band": true}',
+        '{"profile": {"peak_plant_power": NaN}}',
+        '{"faults": {"rng_seed": true}}',
     ],
 )
-@pytest.mark.parametrize("command", ["simulate", "ledger"])
+@pytest.mark.parametrize("command", ["simulate", "audit"])
 def test_malformed_config_fails_with_one_line(tmp_path, capsys, raw, command):
     cfg = tmp_path / "run.json"
     cfg.write_text(raw)
-    tail = ["verify"] if command == "ledger" else []
+    tail = ["--date", "2025-06-01"] if command == "audit" else []
     rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), command, "--config", str(cfg), *tail)
     assert rc == 1 and out == ""
     assert err.startswith(f"error [{command}]: bad run configuration {cfg}: ")
@@ -302,3 +311,118 @@ def test_same_date_rerun_keeps_audit_passing(cli_home, tmp_path, capsys):
     assert {p: p.read_bytes() for p in home.rglob("*") if p.is_file()} == before
     rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
     assert rc == 0 and out.splitlines()[0] == "AUDIT PASS 2025-06-01"
+
+
+def _tree(home):
+    return {p: p.read_bytes() for p in sorted(home.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def factor_home(tmp_path_factory):
+    """A day simulated under emission factor 0.5, and that run's configuration."""
+    root = tmp_path_factory.mktemp("factor-home")
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps({"meters": [2, 7], "emission": {"factor_kg_per_kwh": 0.5}}))
+    assert cli.main(["--home", str(root / "home"), "simulate", "--config", str(cfg), "--seed", "3"]) == 0
+    return root / "home", cfg
+
+
+def test_chain_records_the_emission_factor_its_credits_use(factor_home, tmp_path, capsys):
+    # credits and ledger used to re-execute under whatever --config each reader
+    # passed: accrue under factor 0.5 printed one co2_kg, verify without it another
+    home = _copy_home(factor_home[0], tmp_path)
+    rc, accrued, _ = _run(capsys, "--home", str(home), "credits", "accrue", "--date", "2025-06-01", "--as", "plant-1")
+    assert rc == 0
+    serial = accrued.split()[0]
+    rc, verified, _ = _run(capsys, "--home", str(home), "credits", "verify", "--serial", serial, "--as", "certifier-1")
+    assert rc == 0
+    co2 = [line.split("co2_kg=")[1] for line in (accrued, verified)]
+    assert co2[0] == co2[1]
+    energy = float(accrued.split("energy_kwh=")[1].split()[0])
+    assert float(co2[0]) == pytest.approx(0.5 * energy, abs=1e-3)
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert rc == 0 and out.startswith("chain OK")
+    rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01", "--config", str(factor_home[1]))
+    assert rc == 0 and out.splitlines()[0] == "AUDIT PASS 2025-06-01"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["credits", "accrue", "--date", "2025-06-01", "--as", "plant-1", "--config", "run.json"],
+        ["ledger", "--config", "run.json", "verify"],
+        ["ledger", "verify", "--config", "run.json"],
+    ],
+)
+def test_credits_and_ledger_take_no_config(tmp_path, capsys, argv):
+    rc, _, err = _run(capsys, "--home", str(tmp_path / "home"), *argv)
+    assert rc == 2 and "error:" in err
+    assert not (tmp_path / "home").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, what",
+    [
+        ({"meters": [2, 7]}, "emission"),
+        ({"meters": [2, 7], "emission": {"factor_kg_per_kwh": 0.5000001}}, "emission"),
+        ({"meters": [2, 7], "emission": {"factor_kg_per_kwh": 0.5}, "rules": {"voltage_range": [200, 260]}}, "rules"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_config_that_disagrees_with_the_chain_is_refused(factor_home, tmp_path, capsys, raw, what, command):
+    home = factor_home[0]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    before = _tree(home)
+    rc, out, err = _run(capsys, "--home", str(home), command, "--config", str(cfg), "--date", "2025-06-02")
+    assert (rc, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith(f"error [{command}]: the run configuration disagrees with chain {home / 'chain'} on {what}: ")
+    assert _tree(home) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["credits", "accrue", "--date", "2025-06-01", "--as", "plant-1"],
+        ["audit", "--date", "2025-06-01"],
+        ["ledger", "verify"],
+        ["ledger", "inspect"],
+    ],
+)
+def test_commands_other_than_simulate_need_a_chain(tmp_path, capsys, argv):
+    # each used to write a genesis block into the empty home
+    home = tmp_path / "home"
+    rc, out, err = _run(capsys, "--home", str(home), *argv)
+    assert (rc, out, err) == (1, "", f"error [{argv[0]}]: no chain at {home / 'chain'}\n")
+    assert not home.exists()
+
+
+def test_genesis_without_contract_parameters_is_refused(tmp_path, capsys):
+    from carboncert.chaincode import CreditContract
+    from carboncert.ledger import Ledger
+
+    home = tmp_path / "home"
+    Ledger(home / "chain", CreditContract())  # a genesis as written before it recorded parameters
+    before = _tree(home)
+    for argv in (["ledger", "verify"], ["credits", "accrue", "--date", "2025-06-01", "--as", "plant-1"],
+                 ["simulate", "--date", "2025-06-01"]):
+        rc, out, err = _run(capsys, "--home", str(home), *argv)
+        assert (rc, out) == (1, "")
+        assert err == (f"error [{argv[0]}]: chain {home / 'chain'} predates recorded contract parameters: "
+                       "its genesis has none\n")
+    assert _tree(home) == before
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"certifier": "plant-1"}, {"auditor": "certifier-1"}, {"producer_id": "auditor-1"}],
+)
+def test_role_names_must_differ(tmp_path, capsys, raw):
+    # {"certifier": "plant-1"} used to register no certifier: no credit could ever be verified
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))
+    assert (rc, out) == (1, "")
+    assert err == (f"error [simulate]: bad run configuration {cfg}: "
+                   "producer_id, certifier and auditor must be three different names\n")
+    assert not (tmp_path / "home").exists()

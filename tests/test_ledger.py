@@ -45,6 +45,8 @@ def test_genesis_block(ledger):
     assert genesis.prev_hash == ZERO_HASH_HEX
     assert genesis.transactions == []
     assert ledger.tip_hash == genesis.block_hash
+    # a ledger given no parameters writes the genesis it wrote before genesis could hold them
+    assert genesis.block_hash == "d1c444343cb1c490d231f45a65d90c8fb8ed89b747940e956eb497a60dfacb41"
 
 
 def test_register_identity_unique_names(ledger):
@@ -406,6 +408,46 @@ def test_open_under_another_version_re_executes(tmp_path, version):
     assert counting.calls == 30
     assert reopened.state_digest() == led.state_digest()
     assert reopened.verify_chain() is None
+
+
+def test_genesis_params_are_hashed_kept_and_bind_the_journals(tmp_path):
+    root = tmp_path / "chain"
+    led = Ledger(root, echo_chaincode, "v1", params='{"factor": 0.4123456}')
+    led.register_identity("plant-1", Role.PRODUCER)
+    for i in range(5):
+        led.submit_tx(_payload(i), "plant-1")
+    led.cut_all()
+    assert ledger_mod.read_genesis(root).params == '{"factor": 0.4123456}'
+    counting = Counting()
+    reopened = Ledger(root, counting, "v1", params="ignored: the chain keeps its own")
+    assert reopened.blocks()[0].params == '{"factor": 0.4123456}'
+    assert counting.calls == 0 and reopened.verify_chain() is None
+
+    # parameters edited in place: block_hash covers them, and the journals
+    # written under the old ones are not applied under the new
+    genesis = root / "blocks" / "0.json"
+    genesis.write_bytes(genesis.read_bytes().replace(b"0.4123456", b"0.4123457"))
+    counting = Counting()
+    reopened = Ledger(root, counting, "v1")
+    assert reopened.blocks()[0].params == '{"factor": 0.4123457}'
+    assert counting.calls == 5
+    assert reopened.verify_chain() == 0
+
+
+def test_params_outside_genesis_break_the_chain(tmp_path):
+    root = tmp_path / "chain"
+    _committed(root, txs=5)
+    path = root / "blocks" / "1.json"
+    block = ledger_mod._read_block(path)[1]
+    block.params = "{}"
+    path.write_bytes(ledger_mod._seal(block))
+    assert Ledger(root, echo_chaincode).verify_chain() == 1
+
+
+def test_read_genesis_without_a_chain_creates_nothing(tmp_path):
+    with pytest.raises(ledger_mod.NoChain):
+        ledger_mod.read_genesis(tmp_path / "chain")
+    assert not (tmp_path / "chain").exists()
 
 
 def test_a_block_whose_recorded_status_was_flipped_is_damaged_at_open(tmp_path):

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from carboncert import cli, metersim, pipeline
 from carboncert.aggregator import AnomalyRules
 from carboncert.collector import Collector, CollectorConfig
-from carboncert.model import canonical_json
+from carboncert.model import EmissionConfig, canonical_json
 
 FAULTS = dict(duplicate_probability=0.1, drop_then_retry_probability=0.05, reorder_jitter_max=30.0)
 
@@ -92,10 +94,11 @@ def test_open_ledger_applies_journals_only_under_the_same_contract_settings(tmp_
     assert ledger.get_transaction(ledger.submit_tx(op, config.producer)).status == "VALID"
     ledger.cut_all()
 
-    calls = []
+    calls, contracts = [], []
     contract_cls = pipeline.CreditContract
 
     def counting(**kw):
+        contracts.append(kw)
         contract = contract_cls(**kw)
 
         def call(op, submitter, state):
@@ -109,10 +112,46 @@ def test_open_ledger_applies_journals_only_under_the_same_contract_settings(tmp_
     assert calls == []  # the open applied the block's journal
     assert reopened.verify_chain() is None and calls == ["quarantine"]
     calls.clear()
-    # a ramp limit that differs only past the third decimal is another version
+    # the reopened contract has the chain's rules, whatever the caller's say, so
+    # the journals written under them still apply
     config.rules = AnomalyRules(max_ramp_watts_per_minute=60_000.0001)
     pipeline.open_ledger(config)
+    assert calls == [] and contracts[-1] == {"emission": EmissionConfig(), "rules": AnomalyRules()}
+    # a change of contract logic is another version: the journals are not applied
+    monkeypatch.setattr(pipeline, "CONTRACT_VERSION", pipeline.CONTRACT_VERSION + 1)
+    pipeline.open_ledger(config)
     assert calls == ["quarantine"]
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def _number(lo, hi):
+    return st.integers(math.ceil(lo), math.floor(hi)) | st.floats(lo, hi, **finite)
+
+
+def _range(lo, hi):
+    return st.tuples(_number(lo, hi), _number(lo, hi)).filter(lambda r: r[0] < r[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    emission=st.builds(EmissionConfig, _number(0.25, 1.06), _number(1e-3, 1e9)),
+    rules=st.builds(
+        AnomalyRules, _range(-1e6, 1e6), _range(0, 1e3), _range(0, 100), _number(1e-3, 1e9)
+    ),
+)
+@example(  # differs from the defaults only past canonical JSON's third decimal
+    emission=EmissionConfig(0.4000001, 100_000.0001),
+    rules=AnomalyRules((-200.0, 6000.0), (207.0, 253.0004), (49.5, 50.5), 60_000.0001),
+)
+def test_a_chain_reopens_with_exactly_the_parameters_it_was_created_with(tmp_path_factory, emission, rules):
+    home = tmp_path_factory.mktemp("params")
+    pipeline.open_ledger(pipeline.RunConfig(home=home, emission=emission, rules=rules))
+    reopened = pipeline.open_ledger(pipeline.RunConfig(home=home))  # no config given
+    assert repr((reopened.chaincode.emission, reopened.chaincode.rules)) == repr((emission, rules))
+    assert repr(pipeline.chain_parameters(home / "chain")) == repr((emission, rules))
+    assert reopened.verify_chain() is None
 
 
 def test_journals_hold_batches_as_slices_of_their_payloads(sim_day):
