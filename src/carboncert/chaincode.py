@@ -44,6 +44,15 @@ LEGAL_STEPS = {
     "SOLD": (),
     "RETIRED": (),
 }
+# credit op -> (the role that may take it, the states it may move a credit to);
+# an op that may reach more than one names its choice in its ``target``. A
+# producer steps only its own credits; whether the step is legal from the
+# credit's state is LEGAL_STEPS's to say.
+_CREDIT_OPS = {
+    "credit_verify": (Role.CERTIFIER, ("VERIFIED",)),
+    "credit_issue": (Role.CERTIFIER, ("ISSUED",)),
+    "credit_transition": (Role.PRODUCER, ("SOLD", "RETIRED")),
+}
 
 _BATCH_KEYS = {
     "batch_id",
@@ -233,9 +242,7 @@ class CreditContract:
             "report_missing": self._report_missing,
             "quarantine": self._quarantine,
             "accrue": self._accrue,
-            "credit_verify": self._credit_verify,
-            "credit_issue": self._credit_issue,
-            "credit_transition": self._credit_transition,
+            **dict.fromkeys(_CREDIT_OPS, self._credit_step),
         }
 
     def __call__(self, op: dict, submitter: Identity, state: StateView) -> ChainResult:
@@ -380,49 +387,24 @@ class CreditContract:
         }
         return ChainResult(True, None, writes, (credit_key, accrual_key, seq_key))
 
-    def _load_credit(self, op, state):
+    def _credit_step(self, op, submitter, state) -> ChainResult:
         serial = op.get("serial")
         if not isinstance(serial, str):
-            return None, None, ChainResult(False, "structure", {}, ())
+            return ChainResult(False, "structure", {}, ())
         key = f"credit/{serial}"
         raw = state.get(key)
         if raw is None:
-            return None, key, ChainResult(False, "unknown_credit", {}, (key,))
-        return json.loads(raw.decode("utf-8")), key, None
-
-    def _credit_verify(self, op, submitter, state) -> ChainResult:
-        credit, key, err = self._load_credit(op, state)
-        if err:
-            return err
-        if submitter.role != Role.CERTIFIER:
-            return ChainResult(False, "unauthorized", {}, (key,))
-        if credit["state"] != "PENDING":
-            return ChainResult(False, "illegal_transition", {}, (key,))
-        credit["state"] = "VERIFIED"
-        credit["certifier"] = submitter.name
-        return ChainResult(True, None, {key: _store(credit)}, (key,))
-
-    def _credit_issue(self, op, submitter, state) -> ChainResult:
-        credit, key, err = self._load_credit(op, state)
-        if err:
-            return err
-        if submitter.role != Role.CERTIFIER:
-            return ChainResult(False, "unauthorized", {}, (key,))
-        if credit["state"] != "VERIFIED":
-            return ChainResult(False, "illegal_transition", {}, (key,))
-        credit["state"] = "ISSUED"
-        return ChainResult(True, None, {key: _store(credit)}, (key,))
-
-    def _credit_transition(self, op, submitter, state) -> ChainResult:
-        credit, key, err = self._load_credit(op, state)
-        if err:
-            return err
-        target = op.get("target")
-        if target not in ("SOLD", "RETIRED"):
+            return ChainResult(False, "unknown_credit", {}, (key,))
+        credit = json.loads(raw.decode("utf-8"))
+        role, reachable = _CREDIT_OPS[op["op"]]
+        target = reachable[0] if len(reachable) == 1 else op.get("target")
+        if target not in reachable:
             return ChainResult(False, "structure", {}, (key,))
-        if submitter.role != Role.PRODUCER or credit["producer"] != submitter.name:
+        if submitter.role != role or (role == Role.PRODUCER and credit["producer"] != submitter.name):
             return ChainResult(False, "unauthorized", {}, (key,))
         if target not in LEGAL_STEPS[credit["state"]]:
             return ChainResult(False, "illegal_transition", {}, (key,))
         credit["state"] = target
+        if target == "VERIFIED":
+            credit["certifier"] = submitter.name
         return ChainResult(True, None, {key: _store(credit)}, (key,))

@@ -166,14 +166,16 @@ class Delivery(NamedTuple):
     attempt: "np.ndarray"
 
 
-def clear_sky_power(t: float, profile: SolarProfile) -> float:
-    """Plant power at second-of-day t: half-sine bump between sunrise and sunset."""
-    if not 0 <= t < SECONDS_PER_DAY:
+def clear_sky_power(t, profile: SolarProfile):
+    """Plant power at second-of-day t: half-sine bump between sunrise and sunset.
+    A number gives a float; an array of them gives an array."""
+    tod = np.asarray(t)
+    if not np.all((0 <= tod) & (tod < SECONDS_PER_DAY)):
         raise ValueError(f"second-of-day out of range: {t}")
-    if t <= profile.sunrise or t >= profile.sunset:
-        return 0.0
     span = profile.sunset - profile.sunrise
-    return profile.peak_plant_power * math.sin(math.pi * (t - profile.sunrise) / span)
+    inside = (tod > profile.sunrise) & (tod < profile.sunset)
+    power = np.where(inside, profile.peak_plant_power * np.sin(math.pi * (tod - profile.sunrise) / span), 0.0)
+    return float(power) if power.ndim == 0 else power
 
 
 _MASK64 = (1 << 64) - 1
@@ -224,14 +226,7 @@ def _sample_block(
         g[2 * pair + 1] = r * np.sin(a)
     np.clip(g, -3.0, 3.0, out=g)
 
-    tod = ts_arr % SECONDS_PER_DAY
-    span = profile.sunset - profile.sunrise
-    inside = (tod > profile.sunrise) & (tod < profile.sunset)
-    nominal = np.where(
-        inside,
-        profile.peak_plant_power * np.sin(math.pi * (tod - profile.sunrise) / span),
-        0.0,
-    ) / TOTAL_PHASES
+    nominal = clear_sky_power(ts_arr % SECONDS_PER_DAY, profile) / TOTAL_PHASES
     scale = (1.0 + _meter_bias(seed, meter_id, accuracy_band)) * nominal
     sigma = profile.noise_stddev_fraction
 

@@ -14,7 +14,7 @@ configuration and anomaly rules: see ``open_ledger``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -48,7 +48,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.home = Path(self.home)
-        self.fleet.seed = self.seed
+        self.fleet = replace(self.fleet, seed=self.seed)  # the caller's fleet keeps its own seed
 
     @property
     def producer(self) -> str:
@@ -161,11 +161,21 @@ def check_agreement(config: RunConfig) -> None:
 
 
 def bootstrap_identities(ledger: Ledger, config: RunConfig) -> None:
-    for name, role in (
+    """Register the config's producer, certifier and auditor where the chain
+    does not know them yet. A name the chain holds under another role raises
+    ValueError, before any name is registered."""
+    wanted = (
         (config.producer, Role.PRODUCER),
         (config.certifier, Role.CERTIFIER),
         (config.auditor, Role.AUDITOR),
-    ):
+    )
+    for name, role in wanted:
+        known = ledger.identities.get(name)
+        if known is not None and known.role != role:
+            raise ValueError(
+                f"identity {name} is registered as {known.role.value}; the run configuration makes it {role.value}"
+            )
+    for name, role in wanted:
         if name not in ledger.identities:
             ledger.register_identity(name, role)
 

@@ -441,3 +441,77 @@ def test_quarantine_refuses_entries_off_its_date_or_minute(env):
     quarantine = {"op": "quarantine", "date": "2025-06-01", "entries": [last]}
     assert _submit(ledger, quarantine, "plant-1").status == "VALID"
     assert list(ledger.state_items("quarantine/")) == ["quarantine/2025-06-01/1439"]
+
+
+_SERIAL = "CC-plant-1-20250601-1"
+# the legal steps, each (op, submitter, extra op members), that bring a new credit to a state
+_STEPS_TO = {
+    "PENDING": (),
+    "VERIFIED": (("credit_verify", "certifier-1", {}),),
+    "ISSUED": (("credit_verify", "certifier-1", {}), ("credit_issue", "certifier-1", {})),
+}
+_STEPS_TO["SOLD"] = _STEPS_TO["ISSUED"] + (("credit_transition", "plant-1", {"target": "SOLD"}),)
+_STEPS_TO["RETIRED"] = _STEPS_TO["ISSUED"] + (("credit_transition", "plant-1", {"target": "RETIRED"}),)
+# op -> (the state it is taken from, a submitter allowed to take it, its extra op members)
+_CREDIT_OPS = {
+    "credit_verify": ("PENDING", "certifier-1", {}),
+    "credit_issue": ("VERIFIED", "certifier-1", {}),
+    "credit_transition": ("ISSUED", "plant-1", {"target": "SOLD"}),
+}
+
+
+def _credit_op_cases():
+    """(op, credit state, submitter, op members, reason, lists the tx in the serial's history)."""
+    for op, (legal_from, who, extra) in _CREDIT_OPS.items():
+        yield op, legal_from, who, {"serial": _SERIAL, **extra}, None, True
+        for serial in (7, None, ["x"]):
+            yield op, legal_from, who, {"serial": serial, **extra}, "structure", False
+        yield op, legal_from, who, {**extra}, "structure", False  # no serial at all
+        yield op, legal_from, who, {"serial": "CC-ghost-1", **extra}, "unknown_credit", True
+        for wrong in ("plant-1", "plant-2", "certifier-1", "auditor-1"):
+            if wrong != who:
+                yield op, legal_from, wrong, {"serial": _SERIAL, **extra}, "unauthorized", True
+        for state in LEGAL_STEPS:
+            if state != legal_from:
+                yield op, state, who, {"serial": _SERIAL, **extra}, "illegal_transition", True
+                # the role is checked before the step
+                yield op, state, "auditor-1", {"serial": _SERIAL, **extra}, "unauthorized", True
+    transition = "credit_transition"
+    yield transition, "ISSUED", "plant-1", {"serial": _SERIAL, "target": "RETIRED"}, None, True
+    for state in ("PENDING", "VERIFIED", "SOLD", "RETIRED"):
+        yield transition, state, "plant-1", {"serial": _SERIAL, "target": "RETIRED"}, "illegal_transition", True
+    for members in ({}, {"target": "BURNED"}, {"target": "ISSUED"}, {"target": None}, {"target": ["SOLD"]}):
+        for who in ("plant-1", "plant-2", "certifier-1"):  # the target is checked before the role
+            yield transition, "ISSUED", who, {"serial": _SERIAL, **members}, "structure", True
+        yield transition, "PENDING", "plant-1", {"serial": _SERIAL, **members}, "structure", True
+        yield transition, "ISSUED", "plant-1", {"serial": "CC-ghost-1", **members}, "unknown_credit", True
+        yield transition, "ISSUED", "plant-1", {"serial": 7, **members}, "structure", False
+
+
+@pytest.mark.parametrize("op,state,who,members,reason,in_history", list(_credit_op_cases()))
+def test_credit_ops_reason_precedence(env, op, state, who, members, reason, in_history):
+    ledger, *_ = env
+    ledger.register_identity("plant-2", Role.PRODUCER)
+    _fill_day(ledger, windows=(0,))
+    missing = {"op": "report_missing", "producer": "plant-1", "date": "2025-06-01"}
+    assert _submit(ledger, {**missing, "windows": list(range(1, WINDOWS_PER_DAY))}, "plant-1").status == "VALID"
+    assert _accrue(ledger).status == "VALID"
+    for step, step_who, step_extra in _STEPS_TO[state]:
+        assert _step(ledger, step, _SERIAL, step_who, **step_extra).status == "VALID"
+    before = ledger.query_state(f"credit/{_SERIAL}")
+
+    tx = _submit(ledger, {"op": op, **members}, who)
+
+    assert (tx.status, tx.reason) == (("VALID", None) if reason is None else ("INVALID", reason))
+    listed = [t.tx_id for t in ledger.get_history(f"credit/{members.get('serial')}")]
+    assert (tx.tx_id in listed) == in_history
+    if not in_history:
+        assert tx.tx_id not in [t.tx_id for t in ledger.get_history(f"credit/{_SERIAL}")]
+    if reason is not None:
+        assert ledger.query_state(f"credit/{_SERIAL}") == before
+        return
+    credit = json.loads(before.decode())
+    credit["state"] = {"credit_verify": "VERIFIED", "credit_issue": "ISSUED"}.get(op, members.get("target"))
+    if op == "credit_verify":
+        credit["certifier"] = who
+    assert ledger.query_state(f"credit/{_SERIAL}") == json.dumps(credit, sort_keys=True).encode()

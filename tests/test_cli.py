@@ -426,3 +426,19 @@ def test_role_names_must_differ(tmp_path, capsys, raw):
     assert err == (f"error [simulate]: bad run configuration {cfg}: "
                    "producer_id, certifier and auditor must be three different names\n")
     assert not (tmp_path / "home").exists()
+
+
+def test_a_name_registered_under_another_role_is_refused(tmp_path, capsys):
+    # it used to be kept silently: certifier "auditor-1" stayed an AUDITOR and
+    # every `credits verify --as auditor-1` was unauthorized
+    home = tmp_path / "home"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"meters": [2, 7]}))
+    assert _run(capsys, "--home", str(home), "simulate", "--config", str(cfg), "--date", "2025-06-01")[0] == 0
+    before = _tree(home)
+    cfg.write_text(json.dumps({"meters": [2, 7], "certifier": "auditor-1", "auditor": "certifier-1"}))
+    rc, out, err = _run(capsys, "--home", str(home), "simulate", "--config", str(cfg), "--date", "2025-06-02")
+    assert (rc, out) == (1, "")
+    assert err == ("error [simulate]: identity auditor-1 is registered as AUDITOR; "
+                   "the run configuration makes it CERTIFIER\n")
+    assert _tree(home) == before

@@ -47,6 +47,15 @@ def test_clear_sky_rejects_out_of_day():
         clear_sky_power(SECONDS_PER_DAY, PROFILE)
 
 
+def test_clear_sky_takes_an_array_of_seconds():
+    t = np.array([0, PROFILE.sunrise, PROFILE.sunrise + 1, 43200, PROFILE.sunset - 1, PROFILE.sunset, 86399])
+    power = clear_sky_power(t, PROFILE)
+    assert power.shape == t.shape
+    assert power.tolist() == [clear_sky_power(int(s), PROFILE) for s in t]
+    with pytest.raises(ValueError):
+        clear_sky_power(np.array([0, SECONDS_PER_DAY]), PROFILE)
+
+
 def test_clear_sky_daily_integral_matches_analytic():
     # integral of peak*sin(pi x / span) over the span = 2/pi * peak * span
     total = sum(clear_sky_power(t, PROFILE) for t in range(SECONDS_PER_DAY))

@@ -163,3 +163,14 @@ def test_journals_hold_batches_as_slices_of_their_payloads(sim_day):
     assert all(isinstance(v, list) == k.startswith("batch/") for t in txs for k, v in t["writes"].items())
     # the batch bytes sit in the block payloads once; each journal points at them
     assert sum(p.stat().st_size for p in journals) < sum(p.stat().st_size for p in blocks) / 3
+
+
+def test_run_config_leaves_the_given_fleet_alone(tmp_path):
+    # RunConfig used to write its seed into the fleet it was given, so a
+    # second config built on the same fleet changed the first one's telemetry
+    fleet = metersim.FleetConfig(meters=(2, 7))
+    first = pipeline.RunConfig(home=tmp_path, seed=1, fleet=fleet)
+    second = pipeline.RunConfig(home=tmp_path, seed=2, fleet=fleet)
+    assert (first.seed, first.fleet.seed) == (1, 1)
+    assert (second.seed, second.fleet.seed) == (2, 2)
+    assert fleet == metersim.FleetConfig(meters=(2, 7))
