@@ -4,7 +4,7 @@ Each collector owns a disjoint meter subset (A: 1-4, B: 5-8 in the
 reference configuration). Ingestion is idempotent under at-least-once
 redelivery: each (meter_id, phase, ts) key is accepted once and its
 redeliveries are classified as duplicates. Messages arrive one at a time
-(``ingest``) or as a whole delivery of columns (``ingest_columns``); both
+(``ingest``) or as a delivery of columns (``ingest_columns``); both
 buffer the accepted samples, and ``close_day`` averages them per minute in
 one array kernel.
 
@@ -126,7 +126,9 @@ class Collector:
         blocks, self._blocks = self._blocks or [_columns([])], []
         if len(blocks) == 1:
             return blocks[0]
-        return ReadingColumns(*map(np.concatenate, zip(*blocks)))
+        parts = list(zip(*blocks))  # joined column by column, each column's blocks freed as it is
+        del blocks
+        return ReadingColumns(*(np.concatenate(parts.pop(0)) for _ in range(len(parts))))
 
     def close_day(self, date: str) -> List[MinuteRecord]:
         """Close every minute of the date for every assigned meter-phase.

@@ -9,7 +9,9 @@ readings are identical across fault configurations.
 A day travels as columns (``generate_day_columns``) and its delivery as
 index arrays into them (``deliver``); ``generate_day_readings`` and
 ``run_day`` give the same day as ``PhaseReading`` and ``TransportMessage``
-tuples.
+tuples. ``DayStream`` gives the same day one meter at a time, each meter's
+columns and delivery drawn from the one fault stream of the whole day, so
+that a pipeline holds one meter's arrays at once.
 
 Each meter's sampling schedule is the step sequence that
 ``random.Random(s).choice((1, 2))`` draws, read in one numpy pass: the
@@ -61,6 +63,11 @@ class InvalidMeter(ValueError):
     """Meter id outside 1..8."""
 
 
+def _check_meter(meter_id) -> None:
+    if meter_id not in METER_IDS:
+        raise InvalidMeter(f"meter_id must be in 1..8, got {meter_id}")
+
+
 @dataclass
 class SolarProfile:
     """Half-sine clear-sky generation curve for the plant."""
@@ -100,11 +107,17 @@ class FleetConfig:
     accuracy_band: float = 0.01  # fixed per-meter calibration offset, +-1%
     producer_id: str = "plant-1"
 
+    def __post_init__(self):
+        # a day is generated and delivered meter by meter (DayStream), keyed by meter
+        if len(set(self.meters)) < len(self.meters):
+            raise ValueError(f"meters {list(self.meters)} name a meter twice")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "FleetConfig":
         """The fleet a run configuration describes; TypeError for a key that is
         not a field, ValueError when its ``assignments`` name a meter outside
-        ``meters`` or route none of them."""
+        ``meters`` or route none of them, or when ``meters`` holds a meter that
+        is not an int in 1..8 (checked last) or holds one twice."""
         convert = {
             "meters": tuple,
             "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
@@ -118,6 +131,8 @@ class FleetConfig:
             raise ValueError(f"assigned meters {sorted(outside, key=repr)} are not in the fleet's meters")
         if assigned.isdisjoint(fleet.meters):
             raise ValueError("the assignments route no meter of the fleet")
+        for meter_id in fleet.meters:
+            _check_meter(whole_number(meter_id, "meter_id"))
         return fleet
 
 
@@ -264,8 +279,7 @@ def sample_meter(
     Gaussian noise is clipped at three standard deviations so per-phase power
     stays inside the physical sanity envelope.
     """
-    if meter_id not in METER_IDS:
-        raise InvalidMeter(f"meter_id must be in 1..8, got {meter_id}")
+    _check_meter(meter_id)
     block = _sample_block(meter_id, np.array([ts], dtype=np.int64), profile, seed, accuracy_band)
     return [
         PhaseReading(
@@ -304,16 +318,18 @@ def meter_sample_times(fleet: FleetConfig, meter_id: int, date: str) -> List[int
     return (day0 + offsets[offsets < SECONDS_PER_DAY]).tolist()
 
 
-def generate_day_columns(fleet: FleetConfig, date: str) -> ReadingColumns:
-    """All readings for the simulated day as columns, grouped (meter, phase, time-ordered).
-
-    The per-meter values are identical to calling sample_meter at each instant.
-    """
+def _schedules(fleet: FleetConfig, date: str) -> List[tuple]:
+    """(meter, sample instants as an int64 array) for each fleet meter, in fleet order."""
     schedules = []
     for meter_id in fleet.meters:
-        if meter_id not in METER_IDS:
-            raise InvalidMeter(f"meter_id must be in 1..8, got {meter_id}")
+        _check_meter(meter_id)
         schedules.append((meter_id, np.array(meter_sample_times(fleet, meter_id, date), dtype=np.int64)))
+    return schedules
+
+
+def _readings(fleet: FleetConfig, schedules: List[tuple]) -> ReadingColumns:
+    """The readings of the given (meter, instants) schedules as columns,
+    grouped (meter, phase, time-ordered)."""
     total = 3 * sum(ts_arr.shape[0] for _, ts_arr in schedules)
     cols = ReadingColumns(*(np.empty(total, dtype=np.int64 if k < 3 else np.float64) for k in range(9)))
     start = 0
@@ -336,6 +352,14 @@ def generate_day_columns(fleet: FleetConfig, date: str) -> ReadingColumns:
                 col[start:stop] = value
             start, stop = stop, stop + ts_arr.shape[0]
     return cols
+
+
+def generate_day_columns(fleet: FleetConfig, date: str) -> ReadingColumns:
+    """All readings for the simulated day as columns, grouped (meter, phase, time-ordered).
+
+    The per-meter values are identical to calling sample_meter at each instant.
+    """
+    return _readings(fleet, _schedules(fleet, date))
 
 
 def generate_day_readings(fleet: FleetConfig, date: str) -> List[PhaseReading]:
@@ -379,22 +403,75 @@ def deliver(meter_id, phase, ts, faults: FaultConfig) -> Delivery:
     retried (attempt 2), a duplicate is delivered as attempts 1 and 2, and a
     delivery arrives up to reorder_jitter_max seconds after its reading's ts.
     Messages are ordered by (arrival, meter, phase, attempt). Fault decisions
-    and jitter come from ``np.random.default_rng(faults.rng_seed)``.
+    and jitter come from ``np.random.default_rng(faults.rng_seed)``: first one
+    draw per reading, then one per message.
     """
-    n = ts.shape[0]
     rng = np.random.default_rng(faults.rng_seed)
-    u = rng.random(n)
+    return _deliver(meter_id, phase, ts, faults, rng.random(ts.shape[0]), rng)
+
+
+def _fault_masks(u: "np.ndarray", faults: FaultConfig):
+    """(dropped, doubled): the readings whose fault draws ``u`` drop their first
+    attempt, and those delivered twice."""
     dropped = u < faults.drop_then_retry_probability
     doubled = ~dropped & (u < faults.drop_then_retry_probability + faults.duplicate_probability)
+    return dropped, doubled
+
+
+def _deliver(meter_id, phase, ts, faults: FaultConfig, u: "np.ndarray", jitter: np.random.Generator) -> Delivery:
+    """deliver, given each reading's fault draw ``u`` and the generator whose
+    next draws are the messages' jitter."""
+    dropped, doubled = _fault_masks(u, faults)
     copies = 1 + doubled
-    index = np.repeat(np.arange(n), copies)
+    index = np.repeat(np.arange(ts.shape[0]), copies)
     first = np.cumsum(copies) - copies  # position of each reading's first message
     attempt = np.ones(index.shape[0], dtype=np.int64)
     attempt[first[dropped]] = 2
     attempt[first[doubled] + 1] = 2
-    arrival = ts[index] + rng.random(index.shape[0]) * faults.reorder_jitter_max
+    arrival = ts[index] + jitter.random(index.shape[0]) * faults.reorder_jitter_max
     order = np.lexsort((attempt, phase[index], meter_id[index], arrival))
     return Delivery(index[order], attempt[order])
+
+
+def _draws_from(seed: int, skip: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` after ``skip`` draws of ``random()``: a
+    float64 draw takes one output of PCG64, which ``advance`` skips at once."""
+    return np.random.Generator(np.random.PCG64(seed).advance(skip))
+
+
+class DayStream:
+    """A day of the fleet's telemetry, generated and delivered one meter at a time.
+
+    ``meter(m)`` gives meter m's rows of ``generate_day_columns`` and its
+    messages of ``deliver`` over the whole day, so one day needs one meter's
+    arrays at a time. The fault stream is still the whole day's: a meter's
+    fault draws are the day's at its reading offset in ``fleet.meters`` order,
+    and its jitter draws the day's at the day's reading count plus its message
+    offset. Each meter's schedule is computed once, when the stream is made.
+    """
+
+    def __init__(self, fleet: FleetConfig, date: str, faults: FaultConfig):
+        self.fleet, self.faults = fleet, faults
+        self._meters = {}  # meter -> (instants, offset of its first reading, of its first message)
+        rng = np.random.default_rng(faults.rng_seed)
+        readings = messages = 0
+        for meter_id, ts_arr in _schedules(fleet, date):
+            self._meters[meter_id] = (ts_arr, readings, messages)
+            n = 3 * ts_arr.shape[0]
+            readings += n
+            messages += n + int(np.count_nonzero(_fault_masks(rng.random(n), faults)[1]))
+        self.readings = readings  # of the whole fleet's day, each once
+        self.messages = messages  # transport messages of the whole fleet's day
+
+    def meter(self, meter_id: int):
+        """(readings, delivery) of one fleet meter, as ``ReadingColumns`` and a
+        ``Delivery`` whose indices are rows of those readings."""
+        ts_arr, first_reading, first_message = self._meters[meter_id]
+        cols = _readings(self.fleet, [(meter_id, ts_arr)])
+        seed = self.faults.rng_seed
+        u = _draws_from(seed, first_reading).random(cols.ts.shape[0])
+        jitter = _draws_from(seed, self.readings + first_message)
+        return cols, _deliver(cols.meter_id, cols.phase, cols.ts, self.faults, u, jitter)
 
 
 def run_day(fleet: FleetConfig, date: str, faults: FaultConfig) -> List[TransportMessage]:

@@ -200,6 +200,11 @@ class DayResult:
 def run_simulation(config: RunConfig) -> DayResult:
     """Drive all four pipeline stages for one simulated day.
 
+    The telemetry is generated, delivered and ingested one meter at a time
+    (``metersim.DayStream``, one fault stream for the whole day), collector
+    by collector; each collector closes and publishes its CSVs, emptying its
+    buffers, before the next one starts.
+
     Refuses, before any CSV is published or identity registered, a date that
     does not parse, a damaged chain, a config whose emission or rules differ
     from the chain's and a date the chain already holds."""
@@ -212,9 +217,7 @@ def run_simulation(config: RunConfig) -> DayResult:
     bootstrap_identities(ledger, config)
     producer = ledger.get_identity(config.producer)
 
-    readings = metersim.generate_day_columns(config.fleet, config.date)
-    delivery = metersim.deliver(readings.meter_id, readings.phase, readings.ts, config.faults)
-    messages = delivery.index.shape[0]
+    day = metersim.DayStream(config.fleet, config.date, config.faults)
     accepted = duplicates = csv_rows = 0
     csv_paths: List[Path] = []
     for cid, meters in sorted(config.fleet.assignments.items()):
@@ -225,13 +228,17 @@ def run_simulation(config: RunConfig) -> DayResult:
                 output_root=config.collectors_root,
             )
         )
-        counts = instance.ingest_columns(readings, delivery.index)
-        accepted += counts.accepted
-        duplicates += counts.duplicates
-        records = instance.close_day(config.date)
+        for meter_id in config.fleet.meters:
+            if meter_id in instance.config.assigned_meters:
+                readings, delivery = day.meter(meter_id)
+                counts = instance.ingest_columns(readings, delivery.index)
+                del readings, delivery  # one meter's arrays at a time
+                accepted += counts.accepted
+                duplicates += counts.duplicates
+        records = instance.close_day(config.date)  # empties the collector's buffers
         csv_rows += len(records)
         csv_paths.extend(instance.write_day_csv(config.date, records))
-    del readings, delivery  # the day's arrays are not needed past the CSVs
+        del instance, records  # before the next collector's meters
 
     summary = agg_mod.run_day_aggregation(
         date=config.date,
@@ -251,9 +258,9 @@ def run_simulation(config: RunConfig) -> DayResult:
         missing_windows=summary.missing_windows,
         tip_hash=ledger.tip_hash,
         csv_paths=csv_paths,
-        messages=messages,
+        messages=day.messages,
         accepted=accepted,
         duplicates=duplicates,
-        rejected=messages - accepted - duplicates,
+        rejected=day.messages - accepted - duplicates,
         notices=summary.notices,
     )

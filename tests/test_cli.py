@@ -190,6 +190,27 @@ def test_fleet_assignments_that_route_no_meter_are_refused(tmp_path, capsys, raw
 @pytest.mark.parametrize(
     "raw, why",
     [
+        ({"meters": [1, 9]}, "meter_id must be in 1..8, got 9"),
+        ({"meters": [0, 2]}, "meter_id must be in 1..8, got 0"),
+        ({"meters": [True, 2]}, "meter_id must be an integer: True"),
+        ({"meters": [2.0, 7]}, "meter_id must be an integer: 2.0"),
+        ({"meters": ["2", 7]}, "meter_id must be an integer: '2'"),
+        ({"meters": [1, 1, 5]}, "meters [1, 1, 5] name a meter twice"),
+    ],
+)
+def test_fleet_meters_outside_1_to_8_or_repeated_are_refused(tmp_path, capsys, raw, why):
+    # a bad id used to fail only after the genesis block and identities were
+    # written, and a repeated meter ran, generating that meter twice
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))
+    assert (rc, out, err) == (1, "", f"error [simulate]: bad run configuration {cfg}: {why}\n")
+    assert not (tmp_path / "home").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, why",
+    [
         ('{"rules": {"max_ramp_watts_per_minute": NaN}}', "ramp limit must be a finite number: nan"),
         ('{"rules": {"max_ramp_watts_per_minute": true}}', "ramp limit must be a finite number: True"),
         ('{"rules": {"voltage_range": [NaN, 253]}}', "voltage range must be a finite number: nan"),

@@ -126,6 +126,12 @@ def test_sample_meter_rejects_bad_meter():
         sample_meter(9, 1_748_736_000, PROFILE, seed=1)
 
 
+def test_a_fleet_names_each_meter_once():
+    # a repeated meter used to be generated twice; a day is now kept per meter
+    with pytest.raises(ValueError, match=r"meters \[2, 2, 7\] name a meter twice"):
+        FleetConfig(meters=(2, 2, 7))
+
+
 def test_meter_bias_within_band_and_fixed():
     for meter in METER_IDS:
         b = metersim._meter_bias(7, meter, 0.01)
@@ -270,6 +276,27 @@ def test_run_day_equals_the_namedtuple_construction():
     del msgs, expected
     day = generate_day_readings(fleet, "2025-06-01")
     assert day == readings and all(type(r) is PhaseReading for r in day)
+
+
+def test_day_stream_gives_each_meter_its_share_of_the_whole_day():
+    fleet = FleetConfig(seed=13, meters=(2, 5, 7))
+    faults = FaultConfig(
+        duplicate_probability=0.1, drop_then_retry_probability=0.05, reorder_jitter_max=30.0, rng_seed=8
+    )
+    readings = generate_day_columns(fleet, "2025-06-01")
+    index, attempt = metersim.deliver(readings.meter_id, readings.phase, readings.ts, faults)
+    day = metersim.DayStream(fleet, "2025-06-01", faults)
+    assert (day.readings, day.messages) == (readings.ts.shape[0], index.shape[0])
+    for meter_id in (7, 2, 5):  # any order
+        cols, delivery = day.meter(meter_id)
+        rows = readings.meter_id == meter_id
+        first = np.flatnonzero(rows)[0]
+        for got, whole in zip(cols, readings):
+            np.testing.assert_array_equal(got, whole[rows])
+        # the meter's messages, in the order the whole day's delivery has them
+        mine = readings.meter_id[index] == meter_id
+        np.testing.assert_array_equal(delivery.index, index[mine] - first)
+        np.testing.assert_array_equal(delivery.attempt, attempt[mine])
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
