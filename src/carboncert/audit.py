@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .aggregator import AnomalyRules
-from .model import write_atomic
+from .model import EmissionConfig, write_atomic
 
 WINDOWS_PER_DAY = 288
 TOTAL_PHASES = 24
@@ -263,8 +263,9 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
 # -- comparison against the chain --------------------------------------------
 
 
-def compare_with_chain(replay: DayReplay, chain, producer: str) -> AuditReport:
-    """Compare an independent replay against chain contents for one day."""
+def compare_with_chain(replay: DayReplay, chain, producer: str, emission: EmissionConfig) -> AuditReport:
+    """Compare an independent replay against chain contents for one day; the
+    credit's carbon is recomputed at ``emission``'s factor, not its own."""
     first_bad = chain.verify_chain()
     report = AuditReport(
         date=replay.date,
@@ -298,21 +299,38 @@ def compare_with_chain(replay: DayReplay, chain, producer: str) -> AuditReport:
             )
         )
 
-    # quarantine keys
-    expected_q = {(_epoch(m) % 86400) // 60 for m in replay.flagged_minutes}
-    chain_q = {
-        int(k.rsplit("/", 1)[1])
-        for k in chain.state_items(f"quarantine/{replay.date}/")
+    # quarantine records: one per flagged minute, holding its codes and aggregate
+    expected_q = {
+        (_epoch(agg["minute_start"]) % 86400) // 60: agg
+        for batch in replay.batches.values()
+        for agg in batch["aggregates"]
+        if agg["flags"]
     }
-    for minute_index in sorted(expected_q ^ chain_q):
-        report.mismatches.append(
-            Mismatch(
-                stage="quarantine",
-                key=f"quarantine/{replay.date}/{minute_index:04d}",
-                expected="present" if minute_index in expected_q else None,
-                found="present" if minute_index in chain_q else None,
+    chain_q = {
+        int(k.rsplit("/", 1)[1]): json.loads(v.decode("utf-8"))
+        for k, v in chain.state_items(f"quarantine/{replay.date}/").items()
+    }
+    for minute_index in sorted(expected_q.keys() | chain_q.keys()):
+        key = f"quarantine/{replay.date}/{minute_index:04d}"
+        agg, record = expected_q.get(minute_index), chain_q.get(minute_index)
+        if agg is None or record is None:
+            report.mismatches.append(
+                Mismatch(
+                    stage="quarantine",
+                    key=key,
+                    expected=None if agg is None else "present",
+                    found=None if record is None else "present",
+                )
             )
-        )
+            continue
+        codes, found_codes = _canon(agg["flags"]), _canon(record.get("codes"))
+        if found_codes != codes:
+            report.mismatches.append(Mismatch("quarantine", f"{key}:codes", codes, found_codes))
+        aggregate, found_aggregate = _canon(agg), _canon(record.get("aggregate"))
+        if found_aggregate != aggregate:
+            report.mismatches.append(
+                Mismatch("quarantine", f"{key}:aggregate", _sha(aggregate.encode()), _sha(found_aggregate.encode()))
+            )
     report.quarantine_summary = {
         "replayed_flagged_minutes": len(expected_q),
         "on_chain_entries": len(chain_q),
@@ -342,11 +360,11 @@ def compare_with_chain(replay: DayReplay, chain, producer: str) -> AuditReport:
             )
         else:
             credit = json.loads(credit_raw.decode("utf-8"))
-            expected_energy = replay.energy_kwh
-            expected_co2 = expected_energy * credit["factor_used"]
+            factor = emission.factor_kg_per_kwh
             for name, expected, found in (
-                ("energy_kwh", expected_energy, credit["energy_kwh"]),
-                ("co2_kg", expected_co2, credit["co2_kg"]),
+                ("energy_kwh", replay.energy_kwh, credit["energy_kwh"]),
+                ("co2_kg", replay.energy_kwh * factor, credit["co2_kg"]),
+                ("factor_used", factor, credit["factor_used"]),
             ):
                 if abs(found - expected) > REL_TOL * max(1.0, abs(expected)):
                     report.mismatches.append(
@@ -393,8 +411,10 @@ def replay_verify(
     producer: str,
     rules: Optional[AnomalyRules] = None,
     replay: Optional[DayReplay] = None,
+    emission: Optional[EmissionConfig] = None,
 ) -> AuditReport:
-    """Full third-party verification for one day.
+    """Full third-party verification for one day, under the chain's ``rules``
+    and ``emission`` (the defaults when not given).
 
     A precomputed replay may be passed when the CSV inputs are known
     unchanged (e.g. repeated chain checks over the same day). Missing or
@@ -413,7 +433,7 @@ def replay_verify(
             replay_matches=False,
             notices=[f"{type(exc).__name__}: {exc}"],
         )
-    return compare_with_chain(replay, chain, producer)
+    return compare_with_chain(replay, chain, producer, emission or EmissionConfig())
 
 
 # -- report emission ----------------------------------------------------------

@@ -146,6 +146,7 @@ def cmd_audit(args) -> int:
         date=args.date,
         producer=config.producer,
         rules=config.rules,
+        emission=config.emission,
     )
     json_path, txt_path = audit_mod.emit_report(report, config.reports_dir)
     print(txt_path.read_text(encoding="utf-8"), end="")

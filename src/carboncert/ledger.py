@@ -7,9 +7,16 @@ rather than dropped, so the full history stays auditable.
 Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64)
 plus ``identities.json``, each written whole (temp file, fsync, rename).
 block_hash covers the entire block content except the block_hash field
-itself, so any byte change in a committed block file is detectable. A
-genesis block may carry ``params``: a text the ledger stores and hashes but
-does not read, the parameters of the chain's contract.
+itself. A block file opens with ``{"block_hash":"<hex>",`` and the rest of
+its bytes, after ``{``, is the hashed content, so ``verify_chain`` checks a
+file's bytes against its hash without re-serializing the block: any byte
+change in a committed block file is detectable. Below the tip the next
+block's ``prev_hash`` pins those bytes; the tip's file could be rewritten in
+another JSON spelling under a freshly computed hash, which the byte check
+accepts as it accepts a canonical rewrite, and only the re-execution can
+then catch a changed status. A genesis block may carry ``params``: a text the
+ledger stores and hashes but does not read, the parameters of the chain's
+contract.
 
 A ledger opened with a contract version also writes ``writes/<height>.json``
 beside each block it cuts: the block's write-set journal, holding each
@@ -152,17 +159,26 @@ def _block_content(block: Block) -> bytes:
     return canonical_json(_block_content_dict(block))
 
 
-def _block_file_bytes(block: Block, content: bytes) -> bytes:
-    """A block file from its hashed ``content``: keys sort, so the file is the
-    content with ``block_hash`` as its first key."""
-    return b'{"block_hash":' + canonical_json(block.block_hash) + b"," + content[1:]
+_FILE_HEAD = b'{"block_hash":"'
+_FILE_HASH_END = len(_FILE_HEAD) + 64
 
 
 def _seal(block: Block) -> bytes:
-    """Set block_hash from the block's content; return the block file's bytes."""
+    """Set block_hash from the block's content; return the block file's bytes:
+    keys sort, so the file is the content with ``block_hash`` as its first key."""
     content = _block_content(block)
     block.block_hash = digest_hex(content)
-    return _block_file_bytes(block, content)
+    return _FILE_HEAD + block.block_hash.encode("ascii") + b'",' + content[1:]
+
+
+def _file_hash(raw: bytes) -> Optional[str]:
+    """The hash a block file's bytes carry: the hex of its leading
+    ``{"block_hash":"<hex>",`` when that is the SHA-256 of ``{`` and the rest
+    of the file, the content ``_seal`` hashed; else None."""
+    if raw[:len(_FILE_HEAD)] != _FILE_HEAD or raw[_FILE_HASH_END:_FILE_HASH_END + 2] != b'",':
+        return None
+    computed = digest_hex(b"{" + raw[_FILE_HASH_END + 2:])
+    return computed if computed.encode("ascii") == raw[len(_FILE_HEAD):_FILE_HASH_END] else None
 
 
 def _state_digest(state: Dict[str, Tuple[bytes, str]]) -> str:
@@ -434,8 +450,9 @@ class Ledger:
     # -- verification and replay --------------------------------------------
 
     def verify_chain(self) -> Optional[int]:
-        """Recompute every hash and linkage of the loaded chain from its files,
-        and re-execute every committed transaction.
+        """Check every block file's hash over its bytes, every linkage, height,
+        payload digest, transaction id and endorsement of the loaded chain's
+        files, and re-execute every committed transaction.
 
         Returns None when consistent, else the lowest of: the first bad height,
         the height at which opening found the chain damaged, and the first
@@ -453,12 +470,10 @@ class Ledger:
             if read is None or height == damaged:
                 return height
             raw, block = read
-            content = _block_content(block)
-            if _block_file_bytes(block, content) != raw or block.prev_hash != prev_hash:
+            hashed = _file_hash(raw)
+            if hashed is None or hashed != block.block_hash or block.prev_hash != prev_hash:
                 return height
             if (block.transactions if height == 0 else block.params is not None):
-                return height
-            if digest_hex(content) != block.block_hash:
                 return height
             for tx in block.transactions:
                 if tx.payload_digest != digest_hex(tx.payload):

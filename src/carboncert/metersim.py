@@ -108,16 +108,21 @@ class FleetConfig:
     producer_id: str = "plant-1"
 
     def __post_init__(self):
-        # a day is generated and delivered meter by meter (DayStream), keyed by meter
+        # a day is generated and delivered meter by meter (DayStream), keyed by
+        # meter, and each meter's phase records are published by one collector
         if len(set(self.meters)) < len(self.meters):
             raise ValueError(f"meters {list(self.meters)} name a meter twice")
+        routed = [m for meters in self.assignments.values() for m in meters]
+        if len(set(routed)) < len(routed):
+            twice = sorted({m for m in routed if routed.count(m) > 1}, key=repr)
+            raise ValueError(f"the assignments name meters {twice} more than once")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FleetConfig":
         """The fleet a run configuration describes; TypeError for a key that is
-        not a field, ValueError when its ``assignments`` name a meter outside
-        ``meters`` or route none of them, or when ``meters`` holds a meter that
-        is not an int in 1..8 (checked last) or holds one twice."""
+        not a field, ValueError when its ``assignments`` name a meter twice or
+        outside ``meters`` or route none of them, or when ``meters`` holds a
+        meter that is not an int in 1..8 (checked last) or holds one twice."""
         convert = {
             "meters": tuple,
             "assignments": lambda a: {k: tuple(v) for k, v in a.items()},

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 SECONDS_PER_DAY = 86400
@@ -43,12 +44,10 @@ def parse_ts(text: str) -> int:
     """Epoch of a ``YYYY-MM-DDTHH:MM:SSZ`` timestamp; no other spelling is accepted."""
     if not _TS_FIXED(text):
         raise ValueError(f"not a YYYY-MM-DDTHH:MM:SSZ timestamp: {text!r}")
-    # datetime() range-checks the fields: no second 60, hour 24 or 30 February
-    dt = datetime(
-        int(text[0:4]), int(text[5:7]), int(text[8:10]),
-        int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc,
-    )
-    return int(dt.timestamp())
+    hour, minute, second = int(text[11:13]), int(text[14:16]), int(text[17:19])
+    if hour > 23 or minute > 59 or second > 59:  # no hour 24 or second 60
+        raise ValueError(f"time out of range: {text!r}")
+    return _midnight(text[:10]) + 3600 * hour + 60 * minute + second
 
 
 def format_ts(epoch: int) -> str:
@@ -59,8 +58,14 @@ def parse_date(text: str) -> int:
     """Midnight epoch of a ``YYYY-MM-DD`` date; no other spelling is accepted."""
     if not _DATE_FIXED(text):
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
-    dt = datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]), tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return _midnight(text)
+
+
+@lru_cache(maxsize=256)
+def _midnight(date: str) -> int:
+    """Midnight epoch of a ``YYYY-MM-DD`` text of ASCII digits; datetime()
+    range-checks the fields: no month 13, 30 February or year 0."""
+    return int(datetime(int(date[0:4]), int(date[5:7]), int(date[8:10]), tzinfo=timezone.utc).timestamp())
 
 
 def compact_date(epoch: int) -> str:

@@ -1,8 +1,10 @@
 import json
+import random
+import shutil
 
 import pytest
 
-from carboncert import audit, pipeline
+from carboncert import audit, metersim, pipeline
 from carboncert.audit import (
     AuditReport,
     DayReplay,
@@ -13,7 +15,7 @@ from carboncert.audit import (
     replay_verify,
 )
 from carboncert.aggregator import AnomalyRules
-from carboncert.model import canonical_json, digest_hex
+from carboncert.model import EmissionConfig, Role, canonical_json, digest_hex
 
 RULES = AnomalyRules()
 
@@ -210,3 +212,77 @@ def test_failing_report_lists_mismatches(tmp_path, audited):
     assert lines[0] == f"AUDIT FAIL {config.date}"
     assert any(line.startswith("mismatch stage=aggregate") for line in lines)
     assert digest_hex(broken.batch_bytes[w]) in "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def flagged_day(tmp_path_factory):
+    """A day of meters 2 and 7 whose 100 W ramp limit flags 206 minutes."""
+    config = pipeline.RunConfig(
+        home=tmp_path_factory.mktemp("flagged-day"),
+        seed=3,
+        fleet=metersim.FleetConfig(meters=(2, 7), assignments={"A": (2,), "B": (7,)}),
+        rules=AnomalyRules(max_ramp_watts_per_minute=100.0),
+    )
+    result = pipeline.run_simulation(config)
+    assert result.flagged_minutes == 206
+    return config
+
+
+def _overwritten_quarantine_record(config, tmp_path, minute_index, **changes):
+    """A copy of the flagged day's chain on which a second producer's VALID
+    quarantine op replaced the record of ``minute_index`` with ``changes``."""
+    home = tmp_path / f"copy-{minute_index}"
+    shutil.copytree(config.chain_root, home / "chain")
+    ledger = pipeline.open_ledger(pipeline.RunConfig(home=home))
+    key = f"quarantine/{config.date}/{minute_index:04d}"
+    entry = {**json.loads(ledger.query_state(key)), **changes}
+    ledger.register_identity("plant-2", Role.PRODUCER)
+    op = canonical_json({"op": "quarantine", "date": config.date, "entries": [entry]})
+    assert ledger.get_transaction(ledger.submit_tx(op, "plant-2")).status == "VALID"
+    ledger.cut_all()
+    return ledger, key
+
+
+def test_quarantine_records_overwritten_by_another_producer_fail_the_audit(flagged_day, tmp_path):
+    # each such overwrite used to pass: the audit checked only which keys exist
+    config = flagged_day
+    replay = replay_day(config.collector_roots, config.date, config.rules, config.producer)
+    baseline = replay_verify(
+        config.collector_roots, pipeline.open_ledger(config), config.date, config.producer, config.rules, replay
+    )
+    assert baseline.passed and baseline.quarantine_summary["on_chain_entries"] == 206
+    minutes = sorted((audit._epoch(m) % 86400) // 60 for m in replay.flagged_minutes)
+    rng = random.Random(15)
+    detected = 0
+    for trial in range(20):
+        minute_index = rng.choice(minutes)
+        if trial % 2 == 0:
+            changes, part = {"codes": ["FAKE"]}, "codes"
+        else:
+            changes, part = {"aggregate": {"x": 1}}, "aggregate"
+        ledger, key = _overwritten_quarantine_record(config, tmp_path / str(trial), minute_index, **changes)
+        report = replay_verify(config.collector_roots, ledger, config.date, config.producer, config.rules, replay)
+        assert report.chain_ok
+        if not report.passed and [(m.stage, m.key) for m in report.mismatches] == [("quarantine", f"{key}:{part}")]:
+            detected += 1
+    assert detected == 20
+
+
+def test_the_credit_is_checked_at_the_given_factor(audited):
+    # the audit used to recompute co2_kg at the credit's own factor_used
+    config, ledger, replay = audited
+    if ledger.query_state(f"accrual/{config.producer}/{config.date}") is None:
+        op = canonical_json({"op": "accrue", "producer": config.producer, "date": config.date})
+        assert ledger.get_transaction(ledger.submit_tx(op, config.producer)).status == "VALID"
+        ledger.cut_all()
+    at_chain_factor = replay_verify(
+        config.collector_roots, ledger, config.date, config.producer, RULES, replay, EmissionConfig()
+    )
+    assert at_chain_factor.passed
+    other = replay_verify(
+        config.collector_roots, ledger, config.date, config.producer, RULES, replay,
+        EmissionConfig(factor_kg_per_kwh=0.5),
+    )
+    serial = other.credit_summary["serial"]
+    assert [m.key for m in other.mismatches] == [f"{serial}:co2_kg", f"{serial}:factor_used"]
+    assert other.mismatches[1].expected == "0.5" and other.mismatches[1].found == "0.4"

@@ -196,11 +196,14 @@ def test_fleet_assignments_that_route_no_meter_are_refused(tmp_path, capsys, raw
         ({"meters": [2.0, 7]}, "meter_id must be an integer: 2.0"),
         ({"meters": ["2", 7]}, "meter_id must be an integer: '2'"),
         ({"meters": [1, 1, 5]}, "meters [1, 1, 5] name a meter twice"),
+        ({"meters": [1, 2], "assignments": {"A": [1, 2], "B": [2]}}, "the assignments name meters [2] more than once"),
+        ({"assignments": {"A": [1, 3, 1], "B": [5]}}, "the assignments name meters [1] more than once"),
     ],
 )
 def test_fleet_meters_outside_1_to_8_or_repeated_are_refused(tmp_path, capsys, raw, why):
-    # a bad id used to fail only after the genesis block and identities were
-    # written, and a repeated meter ran, generating that meter twice
+    # a bad id, or a meter assigned to two collectors, used to fail only after
+    # the genesis block and identities were written, and a repeated meter ran,
+    # generating that meter twice
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(raw))
     rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))

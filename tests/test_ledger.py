@@ -224,6 +224,65 @@ def test_verify_chain_reports_a_rewritten_block_at_its_height(ledger, rewrite, h
     assert ledger.verify_chain() == height
 
 
+def _respelled_under_a_fresh_hash(raw: bytes, **changes) -> bytes:
+    """A block file in another JSON spelling (spaces after separators), with
+    ``changes`` made to its first transaction, under the hash of its new bytes."""
+    content = json.loads(raw)
+    del content["block_hash"]
+    content["transactions"][0].update(changes)
+    body = json.dumps(content, sort_keys=True).encode()
+    return b'{"block_hash":"' + digest_hex(body).encode() + b'",' + body[1:]
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_a_block_respelled_under_a_fresh_hash_passes_only_at_the_tip(tmp_path, height):
+    # verify_chain checks a file's bytes against the hash it carries, not that
+    # they are canonical: below the tip the next block's prev_hash pins the
+    # bytes, so the link breaks there, as for a canonical rewrite under a fresh
+    # hash; the tip's file is accepted, as a canonical rewrite of it is
+    root = tmp_path / "chain"
+    led = _committed(root)
+    path = root / "blocks" / f"{height}.json"
+    respelled = _respelled_under_a_fresh_hash(path.read_bytes())
+    assert b'"height": ' in respelled and respelled != path.read_bytes()
+    path.write_bytes(respelled)
+    assert led.verify_chain() == (None if height == led.height else height + 1)
+    assert Ledger(root, echo_chaincode).verify_chain() == (None if height == led.height else height + 1)
+
+
+def test_a_tip_respelled_with_a_changed_status_or_no_hash_is_found(tmp_path):
+    root = tmp_path / "chain"
+    _committed(root, version="v1")
+    path = root / "blocks" / "3.json"
+    original = path.read_bytes()
+    # a changed status disagrees with the block's journal, and with its re-execution
+    path.write_bytes(_respelled_under_a_fresh_hash(original, status="INVALID", reason="structure"))
+    assert Ledger(root, echo_chaincode, "v1").verify_chain() == 3
+    assert Ledger(root, echo_chaincode).verify_chain() == 3
+    # a block_hash that is no hex string is never the hash of the file
+    content = json.loads(original)
+    path.write_bytes(original.replace(f'"{content["block_hash"]}"'.encode(), b"null", 1))
+    assert Ledger(root, echo_chaincode).verify_chain() == 3
+
+
+def test_verify_chain_serializes_no_block(tmp_path, monkeypatch):
+    # the hash check reads each file's bytes; only the journal binding
+    # serializes a block, the genesis, once per Ledger
+    root = tmp_path / "chain"
+    _committed(root, version="v1")
+    serialized = []
+    block_content = ledger_mod._block_content
+    monkeypatch.setattr(
+        ledger_mod, "_block_content", lambda block: serialized.append(block.height) or block_content(block)
+    )
+    reopened = Ledger(root, echo_chaincode, "v1")
+    assert reopened.height == 3
+    assert reopened.verify_chain() is None and reopened.verify_chain() is None
+    assert serialized == [0]
+    assert Ledger(root, echo_chaincode).verify_chain() is None
+    assert serialized == [0]
+
+
 def test_persistence_round_trip(tmp_path):
     led = Ledger(tmp_path / "chain", echo_chaincode)
     led.register_identity("plant-1", Role.PRODUCER)

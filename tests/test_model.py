@@ -94,6 +94,36 @@ def test_timestamp_parsers_match_strptime(parse, text):
     assert _outcome(parse, text) == expected
 
 
+def _datetime_epoch(text):
+    """parse_ts as it was before it cached dates: one datetime() per call."""
+    if not _fixed_width(text, "dddd-dd-ddTdd:dd:ddZ"):
+        raise ValueError(text)
+    fields = (text[0:4], text[5:7], text[8:10], text[11:13], text[14:16], text[17:19])
+    return int(datetime(*map(int, fields), tzinfo=timezone.utc).timestamp())
+
+
+_DATES = ["2025-06-01", "2024-02-29", "2025-02-29", "2025-02-30", "0000-01-01", "0001-01-01",
+          "9999-12-31", "2025-13-01", "2025-00-10", _arabic_indic("2025-06-01")]
+
+
+@given(
+    texts=st.lists(
+        st.tuples(st.sampled_from(_DATES), st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)).map(
+            lambda t: "%sT%02d:%02d:%02dZ" % t
+        ),
+        max_size=30,
+    )
+)
+@example(texts=["2025-06-01T23:59:59Z", "2025-06-01T23:59:60Z", "2025-06-01T24:00:00Z", "2025-06-01T00:60:00Z"])
+@example(texts=["2025-02-30T00:00:00Z", "2025-02-30T00:00:00Z", "0000-01-01T00:00:00Z", "2025-02-28T12:00:00Z"])
+@example(texts=[_arabic_indic("2025-06-01T00:00:00Z"), "2025-06-01T00:00:00Z", "2025-06-01T00:00:0\u0660Z"])
+def test_parse_ts_agrees_with_the_datetime_reference_on_repeated_dates(texts):
+    # parse_ts takes a date's midnight from a cache; times on a date already
+    # parsed, valid or not, must still give the reference's epoch or ValueError
+    for text in texts:
+        assert _outcome(parse_ts, text) == _outcome(_datetime_epoch, text)
+
+
 @st.composite
 def date_texts(draw):
     """Date-like strings: YYYY-MM-DD, half of them with one field out of range,
