@@ -375,6 +375,12 @@ def compare_with_chain(replay: DayReplay, chain, producer: str, emission: Emissi
                             found=repr(found),
                         )
                     )
+            excluded, found_excluded = _canon(replay.flagged_minutes), _canon(credit["excluded_minutes"])
+            if found_excluded != excluded:
+                report.mismatches.append(
+                    Mismatch("credit", f"{serial}:excluded_minutes",
+                             _sha(excluded.encode()), _sha(found_excluded.encode()))
+                )
             report.credit_summary = {
                 "serial": serial,
                 "state": credit["state"],

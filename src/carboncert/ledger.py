@@ -2,27 +2,26 @@
 
 One ordering context serializes all submissions. Chaincode validation runs
 at submission time; invalid transactions are recorded with their reason
-rather than dropped, so the full history stays auditable.
+rather than dropped, so the full history stays auditable. Only the
+identities a ledger is opened with may submit.
 
-Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64)
-plus ``identities.json``, each written whole (temp file, fsync, rename).
-block_hash covers the entire block content except the block_hash field
-itself. A block file opens with ``{"block_hash":"<hex>",`` and the rest of
-its bytes, after ``{``, is the hashed content, so ``verify_chain`` checks a
-file's bytes against its hash without re-serializing the block: any byte
-change in a committed block file is detectable. Below the tip the next
-block's ``prev_hash`` pins those bytes; the tip's file could be rewritten in
-another JSON spelling under a freshly computed hash, which the byte check
-accepts as it accepts a canonical rewrite, and only the re-execution can
-then catch a changed status. A genesis block may carry ``params``: a text the
-ledger stores and hashes but does not read, the parameters of the chain's
-contract.
+Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64),
+each written whole (temp file, fsync, rename). block_hash covers the entire
+block content except the block_hash field itself. A block file opens with
+``{"block_hash":"<hex>",`` and the rest of its bytes, after ``{``, is the
+hashed content, so ``verify_chain`` checks a file's bytes against its hash without re-serializing the block, and that
+hash against the block loaded at open: any byte change in a committed block
+file is detectable. Below the tip the next block's ``prev_hash`` pins those
+bytes; a tip file rewritten under a freshly computed hash before the open
+loads as it is, and only the re-execution can then catch a changed status.
+A genesis block may carry ``params``: a text the ledger stores and hashes
+but does not read, the parameters of the chain's contract and its members.
 
-A ledger opened with a contract version also writes ``writes/<height>.json``
-beside each block it cuts: the block's write-set journal, holding each
-transaction's status, reason, touched keys and written values (a value whose
-bytes occur in the transaction's payload as an ``[offset, length]`` slice of
-it, any other in base64), bound to the block's hash, to the version and the
+Beside each block it cuts the ledger writes ``writes/<height>.json``: the
+block's write-set journal, holding each transaction's status, reason,
+touched keys and written values (a value whose bytes occur in the
+transaction's payload as an ``[offset, length]`` slice of it, any other in
+base64), bound to the block's hash, to the version and the
 genesis content, and to a SHA-256 of its own body. Opening applies a block's
 journal when it is whole, bound to this block, version and genesis, agrees
 with the block's records and holds only slices inside their payloads; it
@@ -41,7 +40,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .model import (
     ZERO_HASH_HEX,
@@ -59,10 +58,6 @@ GENESIS_EPOCH = parse_ts("2025-01-01T00:00:00Z")
 
 VALID = "VALID"
 INVALID = "INVALID"
-
-
-class DuplicateName(ValueError):
-    pass
 
 
 class UnknownIdentity(KeyError):
@@ -119,6 +114,12 @@ class StateView:
     def get(self, key: str) -> Optional[bytes]:
         entry = self._state.get(key)
         return entry[0] if entry else None
+
+
+def make_identity(name: str, role: Role) -> Identity:
+    """The identity ``name`` holds under ``role``, its key id derived from both."""
+    key_id = hashlib.sha256(f"cred:{name}:{role.value}".encode()).hexdigest()[:16]
+    return Identity(name=name, role=role, key_id=key_id)
 
 
 def _endorse(key_id: str, payload_digest: str) -> str:
@@ -283,19 +284,20 @@ class Ledger:
     """Single-organization channel emulation with file-backed persistence."""
 
     def __init__(
-        self, root, chaincode: Chaincode, version: Optional[str] = None, params: Optional[str] = None
+        self, root, chaincode: Chaincode, version: str, identities: Iterable[Identity],
+        params: Optional[str] = None,
     ):
-        """``version`` names the chaincode's logic; without one no write-set
-        journal is written or applied, and opening re-executes every block.
-        ``params`` is what a genesis written by this open records; a chain
-        that exists keeps its own."""
+        """``version`` names the chaincode's logic, to which write-set journals
+        are bound. ``identities`` are the chain's members, the only submitters
+        it accepts. ``params`` is what a genesis written by this open records;
+        a chain that exists keeps its own."""
         self.root = Path(root)
         self.chaincode = chaincode
         self.version = version
         self.blocks_dir = self.root / "blocks"
         self.writes_dir = self.root / "writes"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
-        self.identities: Dict[str, Identity] = {}
+        self.identities: Dict[str, Identity] = {i.name: i for i in identities}
         self._state: Dict[str, Tuple[bytes, str]] = {}
         self._history: Dict[str, List[str]] = {}
         self._tx_index: Dict[str, Transaction] = {}
@@ -308,15 +310,6 @@ class Ledger:
         self._load(params)
 
     # -- membership ---------------------------------------------------------
-
-    def register_identity(self, name: str, role: Role) -> Identity:
-        if name in self.identities:
-            raise DuplicateName(name)
-        key_id = hashlib.sha256(f"cred:{name}:{role.value}".encode()).hexdigest()[:16]
-        identity = Identity(name=name, role=role, key_id=key_id)
-        self.identities[name] = identity
-        self._save_identities()
-        return identity
 
     def get_identity(self, name: str) -> Identity:
         try:
@@ -384,8 +377,7 @@ class Ledger:
         )
         write_atomic(self._block_path(block.height), _seal(block))
         self._blocks.append(block)
-        if self.version is not None:
-            self._write_journal(block, [effect for _, effect in cut])
+        self._write_journal(block, [effect for _, effect in cut])
         return block
 
     def _write_journal(self, block: Block, effects: List[Effect]) -> None:
@@ -450,9 +442,10 @@ class Ledger:
     # -- verification and replay --------------------------------------------
 
     def verify_chain(self) -> Optional[int]:
-        """Check every block file's hash over its bytes, every linkage, height,
-        payload digest, transaction id and endorsement of the loaded chain's
-        files, and re-execute every committed transaction.
+        """Check every block file's hash over its bytes and against the block
+        this ledger holds at that height, every linkage, height, payload
+        digest, transaction id and endorsement of the loaded chain's files,
+        and re-execute every committed transaction.
 
         Returns None when consistent, else the lowest of: the first bad height,
         the height at which opening found the chain damaged, and the first
@@ -471,7 +464,9 @@ class Ledger:
                 return height
             raw, block = read
             hashed = _file_hash(raw)
-            if hashed is None or hashed != block.block_hash or block.prev_hash != prev_hash:
+            if hashed is None or hashed != block.block_hash or hashed != self._blocks[height].block_hash:
+                return height
+            if block.prev_hash != prev_hash:
                 return height
             if (block.transactions if height == 0 else block.params is not None):
                 return height
@@ -552,22 +547,7 @@ class Ledger:
         write_atomic(self._block_path(0), _seal(genesis))
         self._blocks.append(genesis)
 
-    def _save_identities(self):
-        payload = {
-            name: {"role": ident.role.value, "key_id": ident.key_id}
-            for name, ident in sorted(self.identities.items())
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        write_atomic(self.root / "identities.json", text.encode("utf-8"))
-
     def _load(self, params: Optional[str]):
-        reg = self.root / "identities.json"
-        if reg.exists():
-            raw = json.loads(reg.read_text(encoding="utf-8"))
-            for name, info in raw.items():
-                self.identities[name] = Identity(
-                    name=name, role=Role(info["role"]), key_id=info["key_id"]
-                )
         heights = _heights(self.blocks_dir)
         if not heights:
             self._write_genesis(params)
@@ -593,7 +573,7 @@ class Ledger:
         usable and every submitter is known, else re-execute it. Returns the
         first (height, why) that damages the chain, or None."""
         journal = None
-        if self.version is not None and block.transactions:
+        if block.transactions:
             path, payloads = self._journal_path(block.height), [tx.payload for tx in block.transactions]
             journal = _read_journal(path, block.block_hash, self._journal_binding, payloads)
         records = [(tx.tx_id, tx.status, tx.reason) for tx in block.transactions]

@@ -4,11 +4,12 @@ The data root (``CARBON_LEDGER_HOME`` or --home) is laid out as:
 
     collectors/<A|B>/<date>/SEM<k>.csv   collector output
     aggregator/anomalies-<date>.jsonl    quarantine sidecar
-    chain/                               ledger emulation (blocks, write-set journals, identities)
+    chain/                               ledger emulation (blocks, write-set journals)
     reports/                             audit reports
 
 The chain's genesis block records the contract's parameters, its emission
-configuration and anomaly rules: see ``open_ledger``.
+configuration and anomaly rules, and the members who may act on the chain,
+fixed when it is created: see ``open_ledger``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from . import collector as col_mod
 from . import metersim
 from .aggregator import AnomalyRules
 from .chaincode import CONTRACT_VERSION, CreditContract, day_on_chain
-from .ledger import Ledger, NoChain, read_genesis
-from .model import EmissionConfig, Role, parse_date, whole_number
+from .ledger import Ledger, NoChain, make_identity, read_genesis
+from .model import EmissionConfig, Identity, Role, parse_date, whole_number
 
 # the keys of a run configuration beside the fleet's (FleetConfig.from_dict)
 _RUN_KEYS = ("date", "seed", "certifier", "auditor", "faults", "rules", "emission")
@@ -53,6 +54,12 @@ class RunConfig:
     @property
     def producer(self) -> str:
         return self.fleet.producer_id
+
+    @property
+    def members(self) -> List[Identity]:
+        """The producer, certifier and auditor this config names."""
+        roles = ((self.producer, Role.PRODUCER), (self.certifier, Role.CERTIFIER), (self.auditor, Role.AUDITOR))
+        return [make_identity(name, role) for name, role in roles]
 
     @property
     def collectors_root(self) -> Path:
@@ -114,11 +121,12 @@ def load_run_config(
         raise ValueError(f"bad run configuration {path}: {exc}") from exc
 
 
-def chain_parameters(chain_root: Path) -> Optional[Tuple[EmissionConfig, AnomalyRules]]:
-    """The emission configuration and rules the genesis at ``chain_root`` records;
-    None when the genesis file is missing or unreadable, so the chain opens
-    damaged at height 0. Raises ``NoChain`` where there is no chain, and
-    ValueError for a genesis that records no parameters or unreadable ones."""
+def chain_parameters(chain_root: Path) -> Optional[Tuple[EmissionConfig, AnomalyRules, List[Identity]]]:
+    """The emission configuration, rules and members the genesis at
+    ``chain_root`` records; None when the genesis file is missing or
+    unreadable, so the chain opens damaged at height 0. Raises ``NoChain``
+    where there is no chain, and ValueError for a genesis that records no
+    parameters or no members, or unreadable ones."""
     genesis = read_genesis(chain_root)
     if genesis is None:
         return None
@@ -126,24 +134,30 @@ def chain_parameters(chain_root: Path) -> Optional[Tuple[EmissionConfig, Anomaly
         raise ValueError(f"chain {chain_root} predates recorded contract parameters: its genesis has none")
     try:
         raw = json.loads(genesis.params)
-        return EmissionConfig(**raw["emission"]), AnomalyRules.from_dict(raw["rules"])
+        members = [Identity(name, Role(m["role"]), m["key_id"]) for name, m in raw.get("identities", {}).items()]
+        params = EmissionConfig(**raw["emission"]), AnomalyRules.from_dict(raw["rules"]), members
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"chain {chain_root}: unreadable contract parameters in genesis: {exc}") from exc
+    if not members:
+        raise ValueError(f"chain {chain_root} predates recorded identities: its genesis has none")
+    return params
 
 
 def open_ledger(config: RunConfig) -> Ledger:
-    """The ledger at the config's chain root, with the contract its genesis
-    records; where there is no chain, one is created with the config's
-    emission and rules, in plain JSON so that reals keep every digit
-    (canonical JSON keeps three decimals)."""
+    """The ledger at the config's chain root, with the contract and members its
+    genesis records; where there is no chain, one is created with the config's
+    emission, rules and members (``{name: {"role", "key_id"}}``), in plain
+    JSON so that reals keep every digit (canonical JSON keeps three decimals)."""
     try:
         params = chain_parameters(config.chain_root)
     except NoChain:
         params = None
-    emission, rules = params or (config.emission, config.rules)
+    emission, rules, members = params or (config.emission, config.rules, config.members)
     contract = CreditContract(emission=emission, rules=rules)
-    text = json.dumps({"emission": asdict(config.emission), "rules": asdict(config.rules)}, sort_keys=True)
-    return Ledger(config.chain_root, contract, str(CONTRACT_VERSION), text)
+    record = {"emission": asdict(config.emission), "rules": asdict(config.rules)}
+    record["identities"] = {i.name: {"role": i.role.value, "key_id": i.key_id} for i in config.members}
+    text = json.dumps(record, sort_keys=True)
+    return Ledger(config.chain_root, contract, str(CONTRACT_VERSION), members, text)
 
 
 def check_agreement(config: RunConfig) -> None:
@@ -161,23 +175,16 @@ def check_agreement(config: RunConfig) -> None:
 
 
 def bootstrap_identities(ledger: Ledger, config: RunConfig) -> None:
-    """Register the config's producer, certifier and auditor where the chain
-    does not know them yet. A name the chain holds under another role raises
-    ValueError, before any name is registered."""
-    wanted = (
-        (config.producer, Role.PRODUCER),
-        (config.certifier, Role.CERTIFIER),
-        (config.auditor, Role.AUDITOR),
-    )
-    for name, role in wanted:
-        known = ledger.identities.get(name)
-        if known is not None and known.role != role:
-            raise ValueError(
-                f"identity {name} is registered as {known.role.value}; the run configuration makes it {role.value}"
-            )
-    for name, role in wanted:
-        if name not in ledger.identities:
-            ledger.register_identity(name, role)
+    """Refuse, with one line (ValueError), a config whose producer, certifier
+    or auditor is not a member of the chain under that role. Members are
+    fixed when the chain is created; nothing is written."""
+    for wanted in config.members:
+        known = ledger.identities.get(wanted.name)
+        if known is None:
+            raise ValueError(f"identity {wanted.name} is not a member of chain {config.chain_root}")
+        if known.role != wanted.role:
+            raise ValueError(f"identity {wanted.name} is registered as {known.role.value}; "
+                             f"the run configuration makes it {wanted.role.value}")
 
 
 @dataclass
@@ -205,9 +212,9 @@ def run_simulation(config: RunConfig) -> DayResult:
     by collector; each collector closes and publishes its CSVs, emptying its
     buffers, before the next one starts.
 
-    Refuses, before any CSV is published or identity registered, a date that
-    does not parse, a damaged chain, a config whose emission or rules differ
-    from the chain's and a date the chain already holds."""
+    Refuses, before any CSV is published, a date that does not parse, a
+    damaged chain, a config whose emission, rules or members differ from the
+    chain's and a date the chain already holds."""
     parse_date(config.date)
     ledger = open_ledger(config)
     ledger.check_appendable()

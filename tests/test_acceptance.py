@@ -14,8 +14,8 @@ import pytest
 import conftest
 from carboncert import audit, collector, metersim, pipeline
 from carboncert.aggregator import AnomalyRules
-from carboncert.chaincode import CreditContract, compute_co2, compute_energy
-from carboncert.ledger import Ledger
+from carboncert.chaincode import CONTRACT_VERSION, CreditContract, compute_co2, compute_energy
+from carboncert.ledger import Ledger, make_identity
 from carboncert.model import (
     WINDOWS_PER_DAY,
     EmissionConfig,
@@ -279,11 +279,11 @@ def _batch_dict(window, date="2025-06-01", producer="plant-1", voltage=230.0):
     }
 
 
+MEMBERS = (make_identity("plant-1", Role.PRODUCER), make_identity("certifier-1", Role.CERTIFIER))
+
+
 def _fresh_ledger(tmp_path, name="chain"):
-    ledger = Ledger(tmp_path / name, CreditContract())
-    ledger.register_identity("plant-1", Role.PRODUCER)
-    ledger.register_identity("certifier-1", Role.CERTIFIER)
-    return ledger
+    return Ledger(tmp_path / name, CreditContract(), str(CONTRACT_VERSION), MEMBERS)
 
 
 def _submit(ledger, op, who="plant-1"):
@@ -450,7 +450,7 @@ def test_criterion_8_replay_equivalence(tmp_path):
     rebuilt = ledger.rebuilt_state_digest()
     ok &= live == rebuilt
     # a cold reopen from disk reaches the same state
-    reopened = Ledger(ledger.root, CreditContract())
+    reopened = Ledger(ledger.root, CreditContract(), str(CONTRACT_VERSION), MEMBERS)
     ok &= reopened.state_digest() == live
     ok &= ledger.verify_chain() is None
     record(8, "replay equivalence", ok, f"{submitted} txs, rebuilt digest == live digest")

@@ -20,8 +20,8 @@ from carboncert.aggregator import (
     make_batches,
     submit,
 )
-from carboncert.chaincode import CreditContract
-from carboncert.ledger import Ledger
+from carboncert.chaincode import CONTRACT_VERSION, CreditContract
+from carboncert.ledger import Ledger, make_identity
 from carboncert.model import (
     METER_IDS,
     WINDOWS_PER_DAY,
@@ -160,9 +160,9 @@ def test_make_batches_empty():
 
 
 def _ledger(tmp_path):
-    ledger = Ledger(tmp_path / "chain", CreditContract())
-    producer = ledger.register_identity("plant-1", Role.PRODUCER)
-    return ledger, producer
+    producer = make_identity("plant-1", Role.PRODUCER)
+    members = [producer, make_identity("auditor-1", Role.AUDITOR)]
+    return Ledger(tmp_path / "chain", CreditContract(), str(CONTRACT_VERSION), members), producer
 
 
 def test_submit_round_trip(tmp_path):
@@ -176,7 +176,7 @@ def test_submit_round_trip(tmp_path):
 
 def test_submit_requires_producer_role(tmp_path):
     ledger, _ = _ledger(tmp_path)
-    auditor = ledger.register_identity("auditor-1", Role.AUDITOR)
+    auditor = ledger.get_identity("auditor-1")
     aggs = [aggregate_minute(_full_minute(DAY0))]
     batch = make_batches(aggs, "auditor-1")[0][0]
     with pytest.raises(Unauthorized):

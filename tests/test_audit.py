@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import shutil
@@ -15,6 +16,8 @@ from carboncert.audit import (
     replay_verify,
 )
 from carboncert.aggregator import AnomalyRules
+from carboncert.chaincode import CONTRACT_VERSION, CreditContract
+from carboncert.ledger import Ledger, make_identity
 from carboncert.model import EmissionConfig, Role, canonical_json, digest_hex
 
 RULES = AnomalyRules()
@@ -230,13 +233,15 @@ def flagged_day(tmp_path_factory):
 
 def _overwritten_quarantine_record(config, tmp_path, minute_index, **changes):
     """A copy of the flagged day's chain on which a second producer's VALID
-    quarantine op replaced the record of ``minute_index`` with ``changes``."""
-    home = tmp_path / f"copy-{minute_index}"
-    shutil.copytree(config.chain_root, home / "chain")
-    ledger = pipeline.open_ledger(pipeline.RunConfig(home=home))
+    quarantine op replaced the record of ``minute_index`` with ``changes``;
+    the copy is opened with ``plant-2`` beside the members its genesis records."""
+    chain = tmp_path / f"copy-{minute_index}" / "chain"
+    shutil.copytree(config.chain_root, chain)
+    emission, rules, members = pipeline.chain_parameters(chain)
+    contract = CreditContract(emission=emission, rules=rules)
+    ledger = Ledger(chain, contract, str(CONTRACT_VERSION), [*members, make_identity("plant-2", Role.PRODUCER)])
     key = f"quarantine/{config.date}/{minute_index:04d}"
     entry = {**json.loads(ledger.query_state(key)), **changes}
-    ledger.register_identity("plant-2", Role.PRODUCER)
     op = canonical_json({"op": "quarantine", "date": config.date, "entries": [entry]})
     assert ledger.get_transaction(ledger.submit_tx(op, "plant-2")).status == "VALID"
     ledger.cut_all()
@@ -266,6 +271,27 @@ def test_quarantine_records_overwritten_by_another_producer_fail_the_audit(flagg
         if not report.passed and [(m.stage, m.key) for m in report.mismatches] == [("quarantine", f"{key}:{part}")]:
             detected += 1
     assert detected == 20
+
+
+def test_excluded_minutes_are_checked_against_the_replayed_flagged_minutes(flagged_day, tmp_path):
+    # nothing compared the credit's excluded minutes with the replay
+    config = flagged_day
+    home = tmp_path / "copy"
+    shutil.copytree(config.chain_root, home / "chain")
+    ledger = pipeline.open_ledger(pipeline.RunConfig(home=home))
+    op = canonical_json({"op": "accrue", "producer": config.producer, "date": config.date})
+    assert ledger.get_transaction(ledger.submit_tx(op, config.producer)).status == "VALID"
+    ledger.cut_all()
+    replay = replay_day(config.collector_roots, config.date, config.rules, config.producer)
+    report = replay_verify(config.collector_roots, ledger, config.date, config.producer, config.rules, replay)
+    assert report.passed
+    serial = report.credit_summary["serial"]
+    # perturb the replay: one flagged minute fewer
+    broken = dataclasses.replace(replay, flagged_minutes=replay.flagged_minutes[1:])
+    report = replay_verify(config.collector_roots, ledger, config.date, config.producer, config.rules, broken)
+    assert not report.passed
+    assert [(m.stage, m.key) for m in report.mismatches] == [("credit", f"{serial}:excluded_minutes")]
+    assert report.mismatches[0].expected == digest_hex(audit._canon(broken.flagged_minutes).encode())
 
 
 def test_the_credit_is_checked_at_the_given_factor(audited):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from carboncert.chaincode import (
+    CONTRACT_VERSION,
     LEGAL_STEPS,
     CreditContract,
     FactorOutOfRange,
@@ -14,7 +15,7 @@ from carboncert.chaincode import (
     compute_energy,
     validate_batch,
 )
-from carboncert.ledger import Ledger
+from carboncert.ledger import Ledger, make_identity
 from carboncert.model import (
     WINDOWS_PER_DAY,
     EmissionConfig,
@@ -72,11 +73,12 @@ def test_compute_co2_reference_and_bounds():
 
 @pytest.fixture
 def env(tmp_path):
-    contract = CreditContract()
-    ledger = Ledger(tmp_path / "chain", contract)
-    producer = ledger.register_identity("plant-1", Role.PRODUCER)
-    certifier = ledger.register_identity("certifier-1", Role.CERTIFIER)
-    auditor = ledger.register_identity("auditor-1", Role.AUDITOR)
+    producer = make_identity("plant-1", Role.PRODUCER)
+    certifier = make_identity("certifier-1", Role.CERTIFIER)
+    auditor = make_identity("auditor-1", Role.AUDITOR)
+    others = [make_identity(name, Role.PRODUCER) for name in ("plant-2", "plant-10")]
+    members = [producer, certifier, auditor, *others]
+    ledger = Ledger(tmp_path / "chain", CreditContract(), str(CONTRACT_VERSION), members)
     return ledger, producer, certifier, auditor
 
 
@@ -295,7 +297,6 @@ def test_accrue_double_counting_prevented(env):
 
 def test_accrue_counts_only_its_own_producer_and_date(env):
     ledger, *_ = env
-    ledger.register_identity("plant-10", Role.PRODUCER)
     for w in range(WINDOWS_PER_DAY):
         other = _batch_dict(w, producer="plant-10", power=9000.0)
         assert _submit_batch(ledger, other, "plant-10").status == "VALID"
@@ -491,7 +492,6 @@ def _credit_op_cases():
 @pytest.mark.parametrize("op,state,who,members,reason,in_history", list(_credit_op_cases()))
 def test_credit_ops_reason_precedence(env, op, state, who, members, reason, in_history):
     ledger, *_ = env
-    ledger.register_identity("plant-2", Role.PRODUCER)
     _fill_day(ledger, windows=(0,))
     missing = {"op": "report_missing", "producer": "plant-1", "date": "2025-06-01"}
     assert _submit(ledger, {**missing, "windows": list(range(1, WINDOWS_PER_DAY))}, "plant-1").status == "VALID"

@@ -1,9 +1,15 @@
 import json
 import shutil
+from dataclasses import asdict
 
 import pytest
 
-from carboncert import cli
+from carboncert import cli, pipeline
+from carboncert import ledger as ledger_mod
+from carboncert.aggregator import AnomalyRules
+from carboncert.chaincode import CONTRACT_VERSION, CreditContract
+from carboncert.ledger import Ledger, make_identity
+from carboncert.model import EmissionConfig, Role
 
 
 @pytest.fixture(scope="module")
@@ -422,11 +428,10 @@ def test_commands_other_than_simulate_need_a_chain(tmp_path, capsys, argv):
 
 
 def test_genesis_without_contract_parameters_is_refused(tmp_path, capsys):
-    from carboncert.chaincode import CreditContract
-    from carboncert.ledger import Ledger
 
     home = tmp_path / "home"
-    Ledger(home / "chain", CreditContract())  # a genesis as written before it recorded parameters
+    # a genesis as written before it recorded parameters
+    Ledger(home / "chain", CreditContract(), str(CONTRACT_VERSION), [])
     before = _tree(home)
     for argv in (["ledger", "verify"], ["credits", "accrue", "--date", "2025-06-01", "--as", "plant-1"],
                  ["simulate", "--date", "2025-06-01"]):
@@ -465,4 +470,60 @@ def test_a_name_registered_under_another_role_is_refused(tmp_path, capsys):
     assert (rc, out) == (1, "")
     assert err == ("error [simulate]: identity auditor-1 is registered as AUDITOR; "
                    "the run configuration makes it CERTIFIER\n")
+    assert _tree(home) == before
+
+
+def test_a_planted_identities_file_admits_no_one(cli_home, tmp_path, capsys):
+    # a CERTIFIER line added to chain/identities.json used to let mallory
+    # verify and issue credits, and the chain still verified and audited clean
+    home = _copy_home(cli_home, tmp_path)
+    assert sorted(p.name for p in (home / "chain").iterdir()) == ["blocks", "writes"]
+    members = [*pipeline.RunConfig(home=home).members, make_identity("mallory", Role.CERTIFIER)]
+    (home / "chain" / "identities.json").write_text(
+        json.dumps({i.name: {"role": i.role.value, "key_id": i.key_id} for i in members})
+    )
+    for action in ("verify", "issue"):
+        rc, out, err = _run(capsys, "--home", str(home), "credits", action,
+                            "--serial", "CC-plant-1-20250601-1", "--as", "mallory")
+        assert (rc, out, err) == (1, "", "error: unknown identity 'mallory'\n")
+
+
+def test_a_genesis_resealed_with_another_member_breaks_the_chain(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    path = home / "chain" / "blocks" / "0.json"
+    genesis = ledger_mod.read_genesis(home / "chain")
+    params = json.loads(genesis.params)
+    params["identities"]["mallory"] = {"role": "CERTIFIER", "key_id": make_identity("mallory", Role.CERTIFIER).key_id}
+    genesis.params = json.dumps(params, sort_keys=True)
+    path.write_bytes(ledger_mod._seal(genesis))
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert (rc, out) == (1, "chain BROKEN at height 1\n")
+    rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
+    assert rc == 1 and out.splitlines()[0] == "AUDIT FAIL 2025-06-01"
+
+
+def test_genesis_without_identities_is_refused(tmp_path, capsys):
+    home = tmp_path / "home"
+    # a genesis as written before it recorded the chain's members
+    params = json.dumps({"emission": asdict(EmissionConfig()), "rules": asdict(AnomalyRules())}, sort_keys=True)
+    Ledger(home / "chain", CreditContract(), str(CONTRACT_VERSION), [], params)
+    before = _tree(home)
+    for argv in (["simulate", "--date", "2025-06-01"], ["credits", "accrue", "--date", "2025-06-01", "--as", "plant-1"],
+                 ["ledger", "verify"], ["audit", "--date", "2025-06-01"]):
+        rc, out, err = _run(capsys, "--home", str(home), *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"error [{argv[0]}]: chain {home / 'chain'} predates recorded identities: its genesis has none\n"
+    assert _tree(home) == before
+
+
+def test_a_config_naming_a_certifier_the_chain_lacks_is_refused(factor_home, tmp_path, capsys):
+    # members are fixed when the chain is created: simulate used to register
+    # whatever certifier a later config named
+    home = factor_home[0]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"meters": [2, 7], "emission": {"factor_kg_per_kwh": 0.5}, "certifier": "mallory"}))
+    before = _tree(home)
+    rc, out, err = _run(capsys, "--home", str(home), "simulate", "--config", str(cfg), "--date", "2025-06-02")
+    assert (rc, out) == (1, "")
+    assert err == f"error [simulate]: identity mallory is not a member of chain {home / 'chain'}\n"
     assert _tree(home) == before

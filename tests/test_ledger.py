@@ -12,9 +12,9 @@ from carboncert.ledger import (
     BLOCK_TX_LIMIT,
     ChainDamaged,
     ChainResult,
-    DuplicateName,
     Ledger,
     UnknownIdentity,
+    make_identity,
 )
 from carboncert import ledger as ledger_mod
 from carboncert.model import ZERO_HASH_HEX, Role, canonical_json, digest_hex
@@ -28,11 +28,17 @@ def echo_chaincode(op, submitter, state):
     return ChainResult(True, None, {key: json.dumps(op).encode()}, (key,))
 
 
+PLANT = make_identity("plant-1", Role.PRODUCER)
+CERTIFIER = make_identity("certifier-1", Role.CERTIFIER)
+
+
+def _open(root, chaincode=echo_chaincode, version="v1", members=(PLANT, CERTIFIER), **kw):
+    return Ledger(root, chaincode, version, members, **kw)
+
+
 @pytest.fixture
 def ledger(tmp_path):
-    led = Ledger(tmp_path / "chain", echo_chaincode)
-    led.register_identity("plant-1", Role.PRODUCER)
-    return led
+    return _open(tmp_path / "chain")
 
 
 def _payload(i, **extra):
@@ -49,11 +55,13 @@ def test_genesis_block(ledger):
     assert genesis.block_hash == "d1c444343cb1c490d231f45a65d90c8fb8ed89b747940e956eb497a60dfacb41"
 
 
-def test_register_identity_unique_names(ledger):
-    with pytest.raises(DuplicateName):
-        ledger.register_identity("plant-1", Role.PRODUCER)
+def test_get_identity_knows_only_the_members_given(ledger):
+    assert ledger.get_identity("plant-1") == PLANT
+    assert PLANT.key_id == digest_hex(b"cred:plant-1:PRODUCER")[:16]
     with pytest.raises(UnknownIdentity):
         ledger.get_identity("ghost")
+    # membership is the caller's to give: the ledger writes no file of it
+    assert [p.name for p in ledger.root.iterdir()] == ["blocks"]
 
 
 def test_submit_requires_known_identity(ledger):
@@ -184,7 +192,8 @@ def test_verify_chain_detects_semantic_tamper_after_rehash(ledger):
     ident = ledger.get_identity(tx.submitter)
     tx.endorsement = ledger_mod._endorse(ident.key_id, tx.payload_digest)
     path.write_bytes(ledger_mod._seal(block))
-    assert ledger.verify_chain() == 2  # linkage breaks at the next block
+    assert _open(ledger.root).verify_chain() == 2  # linkage breaks at the next block
+    assert ledger.verify_chain() == 1  # opened before it, the ledger loaded the block under another hash
 
 
 def _escape_first_zero(raw: bytes, block_hash: str) -> bytes:
@@ -237,62 +246,75 @@ def _respelled_under_a_fresh_hash(raw: bytes, **changes) -> bytes:
 @pytest.mark.parametrize("height", [1, 2, 3])
 def test_a_block_respelled_under_a_fresh_hash_passes_only_at_the_tip(tmp_path, height):
     # verify_chain checks a file's bytes against the hash it carries, not that
-    # they are canonical: below the tip the next block's prev_hash pins the
-    # bytes, so the link breaks there, as for a canonical rewrite under a fresh
-    # hash; the tip's file is accepted, as a canonical rewrite of it is
+    # they are canonical: on a ledger opened after the rewrite, below the tip
+    # the next block's prev_hash pins the bytes, so the link breaks there, as
+    # for a canonical rewrite under a fresh hash; the tip's file is accepted,
+    # as a canonical rewrite of it is. The ledger opened before it finds any
+    # such file at its own height: its hash is not the loaded block's.
     root = tmp_path / "chain"
     led = _committed(root)
     path = root / "blocks" / f"{height}.json"
     respelled = _respelled_under_a_fresh_hash(path.read_bytes())
     assert b'"height": ' in respelled and respelled != path.read_bytes()
     path.write_bytes(respelled)
-    assert led.verify_chain() == (None if height == led.height else height + 1)
-    assert Ledger(root, echo_chaincode).verify_chain() == (None if height == led.height else height + 1)
+    assert led.verify_chain() == height
+    assert _open(root).verify_chain() == (None if height == led.height else height + 1)
+
+
+def test_a_tip_rewritten_after_the_open_is_found(tmp_path):
+    # the tip's file, rewritten canonically under a fresh hash with a status
+    # flipped, used to pass on the ledger opened before: it re-executed the
+    # blocks it loaded and hash-checked the file only against itself
+    root = tmp_path / "chain"
+    led = _committed(root)
+    path = root / "blocks" / "3.json"
+    block = ledger_mod._read_block(path)[1]
+    block.transactions[0].status, block.transactions[0].reason = "INVALID", "structure"
+    path.write_bytes(ledger_mod._seal(block))
+    assert led.verify_chain() == 3
 
 
 def test_a_tip_respelled_with_a_changed_status_or_no_hash_is_found(tmp_path):
     root = tmp_path / "chain"
-    _committed(root, version="v1")
+    _committed(root)
     path = root / "blocks" / "3.json"
     original = path.read_bytes()
     # a changed status disagrees with the block's journal, and with its re-execution
     path.write_bytes(_respelled_under_a_fresh_hash(original, status="INVALID", reason="structure"))
-    assert Ledger(root, echo_chaincode, "v1").verify_chain() == 3
-    assert Ledger(root, echo_chaincode).verify_chain() == 3
+    assert _open(root).verify_chain() == 3
     # a block_hash that is no hex string is never the hash of the file
     content = json.loads(original)
     path.write_bytes(original.replace(f'"{content["block_hash"]}"'.encode(), b"null", 1))
-    assert Ledger(root, echo_chaincode).verify_chain() == 3
+    assert _open(root).verify_chain() == 3
 
 
 def test_verify_chain_serializes_no_block(tmp_path, monkeypatch):
     # the hash check reads each file's bytes; only the journal binding
     # serializes a block, the genesis, once per Ledger
     root = tmp_path / "chain"
-    _committed(root, version="v1")
+    _committed(root)
     serialized = []
     block_content = ledger_mod._block_content
     monkeypatch.setattr(
         ledger_mod, "_block_content", lambda block: serialized.append(block.height) or block_content(block)
     )
-    reopened = Ledger(root, echo_chaincode, "v1")
+    reopened = _open(root)
     assert reopened.height == 3
     assert reopened.verify_chain() is None and reopened.verify_chain() is None
     assert serialized == [0]
-    assert Ledger(root, echo_chaincode).verify_chain() is None
-    assert serialized == [0]
+    assert _open(root).verify_chain() is None
+    assert serialized == [0, 0]
 
 
 def test_persistence_round_trip(tmp_path):
-    led = Ledger(tmp_path / "chain", echo_chaincode)
-    led.register_identity("plant-1", Role.PRODUCER)
+    led = _open(tmp_path / "chain")
     for i in range(14):
         led.submit_tx(_payload(i), "plant-1")
     led.cut_all()
     digest_before = led.state_digest()
     tip = led.tip_hash
 
-    reopened = Ledger(tmp_path / "chain", echo_chaincode)
+    reopened = _open(tmp_path / "chain")
     assert reopened.height == led.height
     assert reopened.tip_hash == tip
     assert reopened.state_digest() == digest_before
@@ -311,7 +333,6 @@ def test_rebuild_state_matches_live_state(ledger):
 
 
 def test_endorsement_binds_submitter_key(ledger):
-    ledger.register_identity("certifier-1", Role.CERTIFIER)
     a = ledger.get_transaction(ledger.submit_tx(_payload(1), "plant-1"))
     b = ledger.get_transaction(ledger.submit_tx(_payload(1), "certifier-1"))
     assert a.payload_digest == b.payload_digest
@@ -321,10 +342,9 @@ def test_endorsement_binds_submitter_key(ledger):
 # -- damaged chains ------------------------------------------------------------
 
 
-def _committed(root, txs=30, version=None):
-    """A ledger with blocks 0..3 on disk (30 txs cut 12/12/6)."""
-    led = Ledger(root, echo_chaincode, version)
-    led.register_identity("plant-1", Role.PRODUCER)
+def _committed(root, txs=30):
+    """A ledger with blocks 0..3 and their journals on disk (30 txs cut 12/12/6)."""
+    led = _open(root)
     for i in range(txs):
         led.submit_tx(_payload(i), "plant-1")
     led.cut_all()
@@ -332,7 +352,7 @@ def _committed(root, txs=30, version=None):
 
 
 def _files(root):
-    return {p.name: p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+    return {p.relative_to(root): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize(
@@ -349,7 +369,7 @@ def test_damaged_block_file_opens_but_refuses_appends(tmp_path, height, damage):
         path.unlink()
     files = _files(root)
 
-    reopened = Ledger(root, echo_chaincode)  # opening never raises
+    reopened = _open(root)  # opening never raises
     assert reopened.height == height - 1  # only the readable prefix is loaded
     assert len(reopened.blocks()) == height
     assert reopened.verify_chain() == height
@@ -357,7 +377,7 @@ def test_damaged_block_file_opens_but_refuses_appends(tmp_path, height, damage):
         reopened.submit_tx(_payload(99), "plant-1")
     assert reopened.pending_count == 0 and reopened.cut_all() == []
     # a second open does not heal it, and nothing on disk was rewritten
-    assert Ledger(root, echo_chaincode).verify_chain() == height
+    assert _open(root).verify_chain() == height
     assert _files(root) == files
 
 
@@ -365,7 +385,7 @@ def test_stray_temp_file_neither_loads_nor_damages(tmp_path):
     root = tmp_path / "chain"
     led = _committed(root)
     (root / "blocks" / "5.json.tmp").write_bytes(b'{"height": 5')
-    reopened = Ledger(root, echo_chaincode)
+    reopened = _open(root)
     assert reopened.height == led.height == 3
     assert reopened.verify_chain() is None
     reopened.submit_tx(_payload(99), "plant-1")
@@ -377,7 +397,7 @@ def test_stray_height_like_file_neither_loads_nor_damages(tmp_path, name):
     root = tmp_path / "chain"
     led = _committed(root, txs=5)
     (root / "blocks" / name).write_bytes(b'{"height": 3')
-    reopened = Ledger(root, echo_chaincode)
+    reopened = _open(root)
     assert reopened.height == led.height == 1
     assert reopened.verify_chain() is None
     reopened.submit_tx(_payload(99), "plant-1")
@@ -387,15 +407,10 @@ def test_stray_height_like_file_neither_loads_nor_damages(tmp_path, name):
 def test_unknown_submitter_marks_damage(tmp_path):
     root = tmp_path / "chain"
     led = _committed(root)
-    led.register_identity("certifier-1", Role.CERTIFIER)
     led.submit_tx(_payload(99), "certifier-1")
     led.cut_all()
-    registry = root / "identities.json"
-    names = json.loads(registry.read_text())
-    del names["certifier-1"]
-    registry.write_text(json.dumps(names))
 
-    reopened = Ledger(root, echo_chaincode)
+    reopened = _open(root, members=(PLANT,))
     assert reopened.verify_chain() == 4
     with pytest.raises(ChainDamaged, match="height 4: unknown submitter 'certifier-1'"):
         reopened.submit_tx(_payload(100), "plant-1")
@@ -403,18 +418,19 @@ def test_unknown_submitter_marks_damage(tmp_path):
 
 def test_replayed_status_mismatch_marks_damage(tmp_path):
     # the chain was written by a chaincode that accepted value 20; one that
-    # rejects it cannot rebuild the recorded state, so the chain is damaged there.
-    # Under an unchanged version the open applies the journals instead, and
+    # rejects it cannot rebuild the recorded state, so the chain is damaged there:
+    # under another version the open re-executes and finds it; under an
+    # unchanged version the open applies the journals instead, and
     # verify_chain's re-execution finds it.
     def stricter(op, submitter, state):
         if op.get("value") == 20:
             return ChainResult(False, "ranges", {}, ())
         return echo_chaincode(op, submitter, state)
 
-    for version in (None, "v1"):
+    for version in ("v2", "v1"):
         root = tmp_path / f"chain-{version}"
-        _committed(root, version=version)
-        reopened = Ledger(root, stricter, version)
+        _committed(root)
+        reopened = _open(root, stricter, version)
         assert reopened.verify_chain() == 2  # tx 20 sits in the second block of 12
         with pytest.raises(ChainDamaged, match="height 2: .* replays INVALID \\(ranges\\), recorded VALID \\(None\\)"):
             reopened.submit_tx(_payload(99), "plant-1")
@@ -443,12 +459,12 @@ def _rewrite_journal(path, edit):
 
 def test_journaled_open_applies_writes_without_executing(tmp_path):
     root = tmp_path / "chain"
-    led = _committed(root, version="v1")
+    led = _committed(root)
     assert sorted(p.name for p in (root / "writes").iterdir()) == ["1.json", "2.json", "3.json"]
     files = _files(root)
 
     counting = Counting()
-    reopened = Ledger(root, counting, "v1")
+    reopened = _open(root, counting)
     assert counting.calls == 0
     assert reopened.state_digest() == led.state_digest()
     assert _histories(reopened) == _histories(led)
@@ -458,12 +474,12 @@ def test_journaled_open_applies_writes_without_executing(tmp_path):
     assert _files(root) == files  # opening and verifying write nothing
 
 
-@pytest.mark.parametrize("version", [None, "v2"])
+@pytest.mark.parametrize("version", ["v2"])
 def test_open_under_another_version_re_executes(tmp_path, version):
     root = tmp_path / "chain"
-    led = _committed(root, version="v1")
+    led = _committed(root)
     counting = Counting()
-    reopened = Ledger(root, counting, version)
+    reopened = _open(root, counting, version)
     assert counting.calls == 30
     assert reopened.state_digest() == led.state_digest()
     assert reopened.verify_chain() is None
@@ -471,14 +487,13 @@ def test_open_under_another_version_re_executes(tmp_path, version):
 
 def test_genesis_params_are_hashed_kept_and_bind_the_journals(tmp_path):
     root = tmp_path / "chain"
-    led = Ledger(root, echo_chaincode, "v1", params='{"factor": 0.4123456}')
-    led.register_identity("plant-1", Role.PRODUCER)
+    led = _open(root, params='{"factor": 0.4123456}')
     for i in range(5):
         led.submit_tx(_payload(i), "plant-1")
     led.cut_all()
     assert ledger_mod.read_genesis(root).params == '{"factor": 0.4123456}'
     counting = Counting()
-    reopened = Ledger(root, counting, "v1", params="ignored: the chain keeps its own")
+    reopened = _open(root, counting, params="ignored: the chain keeps its own")
     assert reopened.blocks()[0].params == '{"factor": 0.4123456}'
     assert counting.calls == 0 and reopened.verify_chain() is None
 
@@ -487,7 +502,7 @@ def test_genesis_params_are_hashed_kept_and_bind_the_journals(tmp_path):
     genesis = root / "blocks" / "0.json"
     genesis.write_bytes(genesis.read_bytes().replace(b"0.4123456", b"0.4123457"))
     counting = Counting()
-    reopened = Ledger(root, counting, "v1")
+    reopened = _open(root, counting)
     assert reopened.blocks()[0].params == '{"factor": 0.4123457}'
     assert counting.calls == 5
     assert reopened.verify_chain() == 0
@@ -500,7 +515,7 @@ def test_params_outside_genesis_break_the_chain(tmp_path):
     block = ledger_mod._read_block(path)[1]
     block.params = "{}"
     path.write_bytes(ledger_mod._seal(block))
-    assert Ledger(root, echo_chaincode).verify_chain() == 1
+    assert _open(root).verify_chain() == 1
 
 
 def test_read_genesis_without_a_chain_creates_nothing(tmp_path):
@@ -511,10 +526,10 @@ def test_read_genesis_without_a_chain_creates_nothing(tmp_path):
 
 def test_a_block_whose_recorded_status_was_flipped_is_damaged_at_open(tmp_path):
     root = tmp_path / "chain"
-    _committed(root, version="v1")
+    _committed(root)
     path = root / "blocks" / "2.json"
     path.write_bytes(path.read_bytes().replace(b'"status":"VALID"', b'"status":"INVALID"', 1))
-    reopened = Ledger(root, echo_chaincode, "v1")
+    reopened = _open(root)
     with pytest.raises(ChainDamaged, match="height 2: .* replays VALID \\(None\\), recorded INVALID \\(None\\)"):
         reopened.submit_tx(_payload(99), "plant-1")
     assert reopened.verify_chain() == 2
@@ -522,13 +537,13 @@ def test_a_block_whose_recorded_status_was_flipped_is_damaged_at_open(tmp_path):
 
 def test_a_journal_disagreeing_with_its_block_records_is_damage_at_open(tmp_path):
     root = tmp_path / "chain"
-    _committed(root, version="v1")
+    _committed(root)
 
     def flip(body):
         body["txs"][0]["status"], body["txs"][0]["reason"] = "INVALID", "structure"
 
     _rewrite_journal(root / "writes" / "2.json", flip)
-    reopened = Ledger(root, echo_chaincode, "v1")
+    reopened = _open(root)
     with pytest.raises(ChainDamaged, match="height 2: block records disagree with its write-set journal"):
         reopened.submit_tx(_payload(99), "plant-1")
     assert reopened.verify_chain() == 2
@@ -536,13 +551,13 @@ def test_a_journal_disagreeing_with_its_block_records_is_damage_at_open(tmp_path
 
 def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path):
     root = tmp_path / "chain"
-    _committed(root, version="v1")
+    _committed(root)
 
     def tamper(body):
         body["txs"][0]["writes"] = {"k0": base64.b64encode(b"tampered").decode()}
 
     _rewrite_journal(root / "writes" / "1.json", tamper)
-    reopened = Ledger(root, echo_chaincode, "v1")
+    reopened = _open(root)
     reopened.submit_tx(_payload(99), "plant-1")  # the open applied the journal unseen
     files = _files(root)
     assert reopened.verify_chain() == 1
@@ -571,14 +586,14 @@ def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path):
 )
 def test_a_journal_slice_outside_its_payload_re_executes_the_block(tmp_path, bad):
     root = tmp_path / "chain"
-    led = _committed(root, version="v1")
+    led = _committed(root)
 
     def tamper(body):
         body["txs"][0]["writes"]["k12"] = bad(*body["txs"][0]["writes"]["k12"])
 
     _rewrite_journal(root / "writes" / "2.json", tamper)
     counting = Counting()
-    reopened = Ledger(root, counting, "v1")
+    reopened = _open(root, counting)
     assert counting.calls == 12  # block 2 alone, like a torn journal
     assert reopened.state_digest() == reopened.rebuilt_state_digest() == led.state_digest()
     assert reopened.verify_chain() is None
@@ -586,7 +601,7 @@ def test_a_journal_slice_outside_its_payload_re_executes_the_block(tmp_path, bad
 
 def test_a_journal_slice_to_other_bytes_of_its_payload_is_found_by_verify_chain(tmp_path):
     root = tmp_path / "chain"
-    _committed(root, version="v1")
+    _committed(root)
 
     def tamper(body):
         offset, length = body["txs"][0]["writes"]["k12"]
@@ -594,7 +609,7 @@ def test_a_journal_slice_to_other_bytes_of_its_payload_is_found_by_verify_chain(
 
     _rewrite_journal(root / "writes" / "2.json", tamper)
     counting = Counting()
-    reopened = Ledger(root, counting, "v1")
+    reopened = _open(root, counting)
     assert counting.calls == 0  # the open applied the slice unseen
     assert reopened.verify_chain() == 2
     with pytest.raises(ChainDamaged, match="height 2: .* other writes than its journal"):
@@ -604,7 +619,7 @@ def test_a_journal_slice_to_other_bytes_of_its_payload_is_found_by_verify_chain(
 def test_an_all_base64_journal_opens_without_executing(tmp_path):
     # journals written before values became payload slices hold every value in base64
     root = tmp_path / "chain"
-    led = _committed(root, version="v1")
+    led = _committed(root)
     for block in led.blocks()[1:]:
 
         def to_base64(body):
@@ -617,7 +632,7 @@ def test_an_all_base64_journal_opens_without_executing(tmp_path):
 
         _rewrite_journal(root / "writes" / f"{block.height}.json", to_base64)
     counting = Counting()
-    reopened = Ledger(root, counting, "v1")
+    reopened = _open(root, counting)
     assert counting.calls == 0
     assert reopened.state_digest() == led.state_digest()
     assert _histories(reopened) == _histories(led)
@@ -642,17 +657,14 @@ def _parses(path):
 
 
 class LedgerMachine(RuleBasedStateMachine):
-    """Random submits, cuts, reopens and tip truncations on the echo chaincode;
-    with a VERSION also deletions, truncations and rewrites of journals."""
-
-    VERSION = None
+    """Random submits, cuts, reopens and tip truncations on the echo chaincode,
+    and deletions, truncations and rewrites of journals."""
 
     def __init__(self):
         super().__init__()
         self.tmp = Path(tempfile.mkdtemp())
         self.root = self.tmp / "chain"
-        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
-        self.led.register_identity("plant-1", Role.PRODUCER)
+        self.led = _open(self.root)
         self.damaged = None  # height of the truncated tip block or the rewritten journal
         self.files = None  # every file under the chain root when it was damaged
 
@@ -687,7 +699,7 @@ class LedgerMachine(RuleBasedStateMachine):
         live = None
         if self.led.pending_count == 0:
             live = (self.led.state_digest(), _histories(self.led))
-        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
+        self.led = _open(self.root)
         assert self.led.state_digest() == committed
         if live is not None:
             assert (self.led.state_digest(), _histories(self.led)) == live
@@ -707,7 +719,7 @@ class LedgerMachine(RuleBasedStateMachine):
         """The journal files not yet truncated."""
         return [p for p in sorted((self.root / "writes").glob("*.json"), key=lambda p: int(p.stem)) if _parses(p)]
 
-    @precondition(lambda self: self.damaged is None and self.VERSION is not None)
+    @precondition(lambda self: self.damaged is None)
     @rule(data=st.data(), delete=st.booleans())
     def drop_journal(self, data, delete):
         # a journal is a cache: without it the open re-executes that block
@@ -722,7 +734,7 @@ class LedgerMachine(RuleBasedStateMachine):
             path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
         self.reopen()
 
-    @precondition(lambda self: self.damaged is None and self.VERSION is not None)
+    @precondition(lambda self: self.damaged is None)
     @rule(data=st.data())
     def rewrite_journal(self, data):
         # a resealed journal with other writes is applied by the open, and only
@@ -738,7 +750,7 @@ class LedgerMachine(RuleBasedStateMachine):
         _rewrite_journal(path, tamper)
         self.damaged = int(path.stem)
         self.files = _files(self.root)
-        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
+        self.led = _open(self.root)
         assert self.led.verify_chain() == self.damaged
         with pytest.raises(ChainDamaged, match=f"height {self.damaged}: .* other writes than its journal"):
             self.led.submit_tx(_payload(0), "plant-1")
@@ -746,7 +758,7 @@ class LedgerMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.damaged is not None)
     @rule()
     def reopen_damaged(self):
-        self.led = Ledger(self.root, echo_chaincode, self.VERSION)
+        self.led = _open(self.root)
         assert self.led.verify_chain() == self.damaged
         with pytest.raises(ChainDamaged):
             self.led.submit_tx(_payload(0), "plant-1")
@@ -759,11 +771,5 @@ class LedgerMachine(RuleBasedStateMachine):
             assert self.led.state_digest() == self.led.rebuilt_state_digest()
 
 
-class JournaledLedgerMachine(LedgerMachine):
-    VERSION = "echo-1"
-
-
 LedgerMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
-JournaledLedgerMachine.TestCase.settings = LedgerMachine.TestCase.settings
 test_ledger_state_machine = LedgerMachine.TestCase
-test_journaled_ledger_state_machine = JournaledLedgerMachine.TestCase

@@ -211,7 +211,9 @@ def test_a_chain_reopens_with_exactly_the_parameters_it_was_created_with(tmp_pat
     pipeline.open_ledger(pipeline.RunConfig(home=home, emission=emission, rules=rules))
     reopened = pipeline.open_ledger(pipeline.RunConfig(home=home))  # no config given
     assert repr((reopened.chaincode.emission, reopened.chaincode.rules)) == repr((emission, rules))
-    assert repr(pipeline.chain_parameters(home / "chain")) == repr((emission, rules))
+    *params, members = pipeline.chain_parameters(home / "chain")
+    assert repr(tuple(params)) == repr((emission, rules))
+    assert set(members) == set(pipeline.RunConfig(home).members)
     assert reopened.verify_chain() is None
 
 
