@@ -657,8 +657,7 @@ def _parses(path):
 
 
 class LedgerMachine(RuleBasedStateMachine):
-    """Random submits, cuts, reopens and tip truncations on the echo chaincode,
-    and deletions, truncations and rewrites of journals."""
+    """Random submits, cuts, reopens and tip truncations on the echo chaincode."""
 
     def __init__(self):
         super().__init__()
@@ -715,6 +714,25 @@ class LedgerMachine(RuleBasedStateMachine):
         self.files = _files(self.root)
         self.reopen_damaged()
 
+    @precondition(lambda self: self.damaged is not None)
+    @rule()
+    def reopen_damaged(self):
+        self.led = _open(self.root)
+        assert self.led.verify_chain() == self.damaged
+        with pytest.raises(ChainDamaged):
+            self.led.submit_tx(_payload(0), "plant-1")
+        assert self.led.cut_all() == []
+        assert _files(self.root) == self.files
+
+    @invariant()
+    def live_state_is_replayable(self):
+        if self.damaged is None and self.led.pending_count == 0:
+            assert self.led.state_digest() == self.led.rebuilt_state_digest()
+
+
+class JournaledLedgerMachine(LedgerMachine):
+    """The same, with deletions, truncations and rewrites of journals."""
+
     def _journals(self):
         """The journal files not yet truncated."""
         return [p for p in sorted((self.root / "writes").glob("*.json"), key=lambda p: int(p.stem)) if _parses(p)]
@@ -755,21 +773,8 @@ class LedgerMachine(RuleBasedStateMachine):
         with pytest.raises(ChainDamaged, match=f"height {self.damaged}: .* other writes than its journal"):
             self.led.submit_tx(_payload(0), "plant-1")
 
-    @precondition(lambda self: self.damaged is not None)
-    @rule()
-    def reopen_damaged(self):
-        self.led = _open(self.root)
-        assert self.led.verify_chain() == self.damaged
-        with pytest.raises(ChainDamaged):
-            self.led.submit_tx(_payload(0), "plant-1")
-        assert self.led.cut_all() == []
-        assert _files(self.root) == self.files
-
-    @invariant()
-    def live_state_is_replayable(self):
-        if self.damaged is None and self.led.pending_count == 0:
-            assert self.led.state_digest() == self.led.rebuilt_state_digest()
-
 
 LedgerMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
+JournaledLedgerMachine.TestCase.settings = LedgerMachine.TestCase.settings
 test_ledger_state_machine = LedgerMachine.TestCase
+test_journaled_ledger_state_machine = JournaledLedgerMachine.TestCase
