@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .aggregator import AnomalyRules
+from .ledger import ChainDamaged
 from .model import EmissionConfig, write_atomic
 
 WINDOWS_PER_DAY = 288
@@ -424,13 +425,15 @@ def replay_verify(
 
     A precomputed replay may be passed when the CSV inputs are known
     unchanged (e.g. repeated chain checks over the same day). Missing or
-    unparseable CSVs give a failed report whose notice says why.
+    unparseable CSVs, and a chain value whose payload cannot be decoded,
+    give a failed report whose notice says why.
     """
     rules = rules or AnomalyRules()
     try:
         if replay is None:
             replay = replay_day(csv_roots, date, rules, producer)
-    except (MissingData, UnreadableCsv) as exc:
+        return compare_with_chain(replay, chain, producer, emission or EmissionConfig())
+    except (MissingData, UnreadableCsv, ChainDamaged) as exc:
         first_bad = chain.verify_chain()
         return AuditReport(
             date=date,
@@ -439,7 +442,6 @@ def replay_verify(
             replay_matches=False,
             notices=[f"{type(exc).__name__}: {exc}"],
         )
-    return compare_with_chain(replay, chain, producer, emission or EmissionConfig())
 
 
 # -- report emission ----------------------------------------------------------

@@ -9,11 +9,15 @@ Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64),
 each written whole (temp file, fsync, rename). block_hash covers the entire
 block content except the block_hash field itself. A block file opens with
 ``{"block_hash":"<hex>",`` and the rest of its bytes, after ``{``, is the
-hashed content, so ``verify_chain`` checks a file's bytes against its hash without re-serializing the block, and that
-hash against the block loaded at open: any byte change in a committed block
-file is detectable. Below the tip the next block's ``prev_hash`` pins those
-bytes; a tip file rewritten under a freshly computed hash before the open
-loads as it is, and only the re-execution can then catch a changed status.
+hashed content, so a file's bytes are checked against the hash they carry
+without re-serializing the block. The open checks every file so, and every
+block's ``prev_hash`` against the block below: any byte changed in a block
+file, or a block resealed below the tip, is damage at open. Only a run of
+blocks resealed up to the tip passes; a changed status is then found by the
+re-execution, and a payload that is not base64 when it is read. Payloads
+stay base64 text until first read, except the tip's and those of blocks the
+open re-executes. ``verify_chain`` checks that each file still hashes to the
+block loaded at open and checks the loaded blocks; it parses no file.
 A genesis block may carry ``params``: a text the ledger stores and hashes
 but does not read, the parameters of the chain's contract and its members.
 
@@ -24,15 +28,18 @@ transaction's payload as an ``[offset, length]`` slice of it, any other in
 base64), bound to the block's hash, to the version and the
 genesis content, and to a SHA-256 of its own body. Opening applies a block's
 journal when it is whole, bound to this block, version and genesis, agrees
-with the block's records and holds only slices inside their payloads; it
-re-executes every other block through the chaincode. ``verify_chain``
-re-executes every block and compares each result with what the open
-applied. A chain found damaged opens read-only.
+with the block's records and holds only slices inside their payloads (a
+payload's length is read off its base64 text); it re-executes every other
+block through the chaincode. A slice is cut from its payload when its value
+is first read. ``verify_chain`` re-executes every block and compares each
+result with what the open applied. A chain found damaged, at open or by a
+read, refuses appends.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import os
@@ -40,7 +47,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .model import (
     ZERO_HASH_HEX,
@@ -70,20 +77,62 @@ class NoChain(ValueError):
 
 class ChainDamaged(ValueError):
     """Append refused: a block file up to the highest on disk is missing or
-    unreadable, or a committed transaction does not replay as recorded or
-    as its write-set journal holds."""
+    unreadable, does not hash to the hash it carries or does not link to the
+    block below, a committed transaction does not replay as recorded or as
+    its write-set journal holds, or a committed payload is not base64. Also
+    raised by the read that finds such a payload."""
 
 
-@dataclass
 class Transaction:
-    sequence: int
-    tx_id: str
-    payload: bytes
-    payload_digest: str
-    submitter: str
-    endorsement: str
-    status: str
-    reason: Optional[str] = None
+    """One ordered transaction. ``payload`` is given as bytes, or as the
+    base64 text its block file holds: that text is decoded strictly, once,
+    when ``payload`` is first read, and a text that is not base64 raises
+    ValueError there."""
+
+    __slots__ = ("sequence", "tx_id", "_payload", "payload_digest", "submitter", "endorsement", "status", "reason")
+
+    def __init__(
+        self, sequence: int, tx_id: str, payload: Union[bytes, str], payload_digest: str,
+        submitter: str, endorsement: str, status: str, reason: Optional[str] = None,
+    ):
+        self.sequence = sequence
+        self.tx_id = tx_id
+        self._payload = payload
+        self.payload_digest = payload_digest
+        self.submitter = submitter
+        self.endorsement = endorsement
+        self.status = status
+        self.reason = reason
+
+    @property
+    def payload(self) -> bytes:
+        if isinstance(self._payload, str):
+            self._payload = _decode_payload(self._payload)
+        return self._payload
+
+    @payload.setter
+    def payload(self, value: bytes) -> None:
+        self._payload = value
+
+    @property
+    def payload_b64(self) -> str:
+        """The payload's base64 text, as its block file holds it."""
+        payload = self._payload
+        return payload if isinstance(payload, str) else base64.b64encode(payload).decode("ascii")
+
+    @property
+    def payload_size(self) -> int:
+        """``len(payload)``; a base64 text's length gives it without decoding,
+        exactly whenever the text decodes."""
+        payload = self._payload
+        return len(payload) // 4 * 3 - payload.count("=", -2) if isinstance(payload, str) else len(payload)
+
+
+def _decode_payload(text: str) -> bytes:
+    """Strict base64: only the alphabet, padding only at the end, a length that is a multiple of 4."""
+    if len(text) % 4:
+        raise ValueError("base64 text whose length is not a multiple of 4")
+    return base64.b64decode(text, validate=True)
 
 
 @dataclass
@@ -106,14 +155,16 @@ class ChainResult(NamedTuple):
 
 
 class StateView:
-    """Read-only world-state view handed to chaincode."""
+    """Read-only world-state view handed to chaincode; ``value`` turns a
+    stored value into its bytes."""
 
-    def __init__(self, state: Dict[str, Tuple[bytes, str]]):
+    def __init__(self, state: Dict[str, tuple], value: Callable[[object], bytes]):
         self._state = state
+        self._value = value
 
     def get(self, key: str) -> Optional[bytes]:
         entry = self._state.get(key)
-        return entry[0] if entry else None
+        return self._value(entry[0]) if entry else None
 
 
 def make_identity(name: str, role: Role) -> Identity:
@@ -134,7 +185,7 @@ def _tx_to_dict(tx: Transaction) -> dict:
     return {
         "sequence": tx.sequence,
         "tx_id": tx.tx_id,
-        "payload_b64": base64.b64encode(tx.payload).decode("ascii"),
+        "payload_b64": tx.payload_b64,
         "payload_digest": tx.payload_digest,
         "submitter": tx.submitter,
         "endorsement": tx.endorsement,
@@ -182,12 +233,6 @@ def _file_hash(raw: bytes) -> Optional[str]:
     return computed if computed.encode("ascii") == raw[len(_FILE_HEAD):_FILE_HASH_END] else None
 
 
-def _state_digest(state: Dict[str, Tuple[bytes, str]]) -> str:
-    return digest_hex(
-        canonical_json({k: base64.b64encode(v[0]).decode("ascii") for k, v in state.items()})
-    )
-
-
 Chaincode = Callable[[dict, Identity, StateView], ChainResult]
 Effect = Tuple[Dict[str, bytes], Tuple[str, ...]]  # a transaction's applied writes and touched keys
 
@@ -217,17 +262,24 @@ def _journal_value(value: bytes, payload: bytes):
     return [offset, len(value)]
 
 
-def _value_from_journal(entry, payload: bytes) -> bytes:
-    """The written value a journal entry holds; ValueError unless it is base64
-    or a slice of non-negative ints inside ``payload``."""
+def _value_from_journal(entry, height: int, index: int, tx: Transaction):
+    """The written value a journal entry holds: its bytes when it is base64,
+    and when it is a slice of non-negative ints inside the payload of ``tx``,
+    the block ``height``'s ``index``-th transaction, a slice value; else
+    ValueError. The payload is not decoded.
+
+    A slice value, ``(height, index, offset, length)``, stands for the bytes
+    ``payload[offset:offset + length]``, cut when the value is first read. It
+    is a tuple of ints so that the garbage collector stops tracking it: an
+    open keeps one per batch on the chain."""
     if isinstance(entry, str):
         return base64.b64decode(entry, validate=True)
     offset, length = entry
     if type(offset) is not int or type(length) is not int or offset < 0 or length < 0:
         raise ValueError("a journal slice needs two non-negative ints")
-    if offset + length > len(payload):
+    if offset + length > tx.payload_size:
         raise ValueError("a journal slice reaches past its payload")
-    return payload[offset:offset + length]
+    return (height, index, offset, length)
 
 
 def _journal_bytes(block: Block, version: str, effects: List[Effect]) -> bytes:
@@ -253,10 +305,10 @@ def _journal_file(body: bytes) -> bytes:
     return _JOURNAL_HEAD + body + b',"sha256":' + canonical_json(digest_hex(body)) + b"}"
 
 
-def _read_journal(path: Path, block_hash: str, version: str, payloads: List[bytes]):
-    """A journal's (tx_id, status, reason) records and effects, one per
-    transaction, with ``payloads`` the block's transaction payloads in order.
-    None when it is missing, torn, bound to another block, contract version or
+def _read_journal(path: Path, block: Block, version: str):
+    """The (tx_id, status, reason) records and effects, one per transaction,
+    of ``block``'s journal at ``path``; slices stay slice values. None
+    when it is missing, torn, bound to another block, contract version or
     genesis, or holds a slice outside its payload."""
     try:
         raw = path.read_bytes()
@@ -267,13 +319,13 @@ def _read_journal(path: Path, block_hash: str, version: str, payloads: List[byte
         return None
     try:
         content = json.loads(body.decode("utf-8"))
-        if content["block_hash"] != block_hash or content["version"] != version:
+        if content["block_hash"] != block.block_hash or content["version"] != version:
             return None
         txs = content["txs"]
         records = [(t["tx_id"], t["status"], t["reason"]) for t in txs]
         effects = [
-            ({k: _value_from_journal(v, payload) for k, v in t["writes"].items()}, tuple(t["touched"]))
-            for t, payload in zip(txs, payloads)
+            ({k: _value_from_journal(v, block.height, i, tx) for k, v in t["writes"].items()}, tuple(t["touched"]))
+            for i, (t, tx) in enumerate(zip(txs, block.transactions))
         ]
     except (ValueError, KeyError, TypeError, AttributeError):
         return None
@@ -298,7 +350,7 @@ class Ledger:
         self.writes_dir = self.root / "writes"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
         self.identities: Dict[str, Identity] = {i.name: i for i in identities}
-        self._state: Dict[str, Tuple[bytes, str]] = {}
+        self._state: Dict[str, tuple] = {}  # key -> (bytes or a journal's slice value, tx_id)
         self._history: Dict[str, List[str]] = {}
         self._tx_index: Dict[str, Transaction] = {}
         self._pending: List[Tuple[Transaction, Effect]] = []
@@ -320,10 +372,15 @@ class Ledger:
     # -- ordering -----------------------------------------------------------
 
     def check_appendable(self) -> None:
-        """Raise ChainDamaged if opening or ``verify_chain`` found the chain damaged; no file is read."""
+        """Raise ChainDamaged if opening, a read or ``verify_chain`` found the chain damaged; no file is read."""
         if self._damage is not None:
             height, why = self._damage
             raise ChainDamaged(f"chain damaged at height {height}: {why}; refusing to append")
+
+    def _mark(self, found: Optional[Tuple[int, str]]) -> None:
+        """Record damage ``found`` at (height, why) unless damage as low is known."""
+        if found is not None and (self._damage is None or found[0] < self._damage[0]):
+            self._damage = found
 
     def submit_tx(self, payload: bytes, submitter: str) -> str:
         self.check_appendable()
@@ -355,7 +412,7 @@ class Ledger:
                 raise ValueError("payload must be a JSON object")
         except (ValueError, UnicodeDecodeError):
             return ChainResult(False, "structure", {}, ())
-        result = self.chaincode(op, identity, StateView(state))
+        result = self.chaincode(op, identity, StateView(state, self._value))
         _apply(tx_id, _effect(result), state, history)
         return result
 
@@ -424,47 +481,72 @@ class Ledger:
 
     def query_state(self, key: str) -> Optional[bytes]:
         entry = self._state.get(key)
-        return entry[0] if entry else None
+        return self._value(entry[0]) if entry else None
 
     def state_view(self) -> StateView:
-        return StateView(self._state)
+        return StateView(self._state, self._value)
 
     def state_items(self, prefix: str = "") -> Dict[str, bytes]:
         keys = sorted(k for k in self._state if k.startswith(prefix))
-        return {k: self._state[k][0] for k in keys}
+        return {k: self._value(self._state[k][0]) for k in keys}
 
     def get_history(self, key: str) -> List[Transaction]:
         return [self._tx_index[t] for t in self._history.get(key, [])]
 
     def state_digest(self) -> str:
-        return _state_digest(self._state)
+        return self._state_digest(self._state)
+
+    def _state_digest(self, state) -> str:
+        values = {k: base64.b64encode(self._value(v)).decode("ascii") for k, (v, _) in state.items()}
+        return digest_hex(canonical_json(values))
+
+    def _value(self, value) -> bytes:
+        """A stored value's bytes: a slice value (see ``_value_from_journal``)
+        is cut from its payload, which is decoded on first read. ChainDamaged,
+        marked at the slice's height, when that payload is not base64: no read
+        returns other bytes."""
+        if type(value) is tuple:
+            height, index, offset, length = value
+            return self._payload(self._blocks[height].transactions[index], height)[offset:offset + length]
+        return value
+
+    def _payload(self, tx: Transaction, height: int) -> bytes:
+        """``tx.payload``, of the block at ``height``; ChainDamaged, marked at
+        that height, when it is not base64."""
+        try:
+            return tx.payload
+        except ValueError:
+            why = f"tx {tx.tx_id[:16]} holds a payload that is not base64"
+            self._mark((height, why))
+            raise ChainDamaged(f"chain damaged at height {height}: {why}") from None
 
     # -- verification and replay --------------------------------------------
 
     def verify_chain(self) -> Optional[int]:
-        """Check every block file's hash over its bytes and against the block
-        this ledger holds at that height, every linkage, height, payload
-        digest, transaction id and endorsement of the loaded chain's files,
-        and re-execute every committed transaction.
+        """Check that every block file's bytes still carry, and hash to, the
+        hash of the block this ledger loaded at that height; check every
+        linkage, payload digest, transaction id and endorsement of the loaded
+        blocks, and re-execute every committed transaction. No block file is
+        parsed: the loaded blocks are the files' content.
 
         Returns None when consistent, else the lowest of: the first bad height,
-        the height at which opening found the chain damaged, and the first
-        height whose re-execution disagrees with the block's records or with
-        the journal the open applied. The last also marks the chain damaged,
-        so appends are refused from then on.
+        the height at which opening or a read found the chain damaged, and the
+        first height whose re-execution disagrees with the block's records or
+        with the journal the open applied. The last also marks the chain
+        damaged, so appends are refused from then on.
         """
-        replayed = self._replay()[2]
-        if replayed is not None and (self._damage is None or replayed[0] < self._damage[0]):
-            self._damage = replayed
+        self._mark(self._replay()[2])
         damaged = self._damage[0] if self._damage else None
         prev_hash = ZERO_HASH_HEX
-        for height in range(self.height + 1):
-            read = _read_block(self._block_path(height))
-            if read is None or height == damaged:
+        for block in self._blocks:
+            height = block.height
+            if height == damaged:
                 return height
-            raw, block = read
-            hashed = _file_hash(raw)
-            if hashed is None or hashed != block.block_hash or hashed != self._blocks[height].block_hash:
+            try:
+                hashed = _file_hash(self._block_path(height).read_bytes())
+            except OSError:
+                return height
+            if hashed is None or hashed != block.block_hash:
                 return height
             if block.prev_hash != prev_hash:
                 return height
@@ -485,7 +567,7 @@ class Ledger:
 
     def rebuilt_state_digest(self) -> str:
         """Replay oracle: the state digest of re-executing the committed chain from genesis."""
-        return _state_digest(self._replay()[0])
+        return self._state_digest(self._replay()[0])
 
     def _replay(self):
         """Re-execute the loaded blocks into a fresh (state, history).
@@ -513,12 +595,17 @@ class Ledger:
             if identity is None:
                 damage = damage or f"unknown submitter {tx.submitter!r}"
                 continue
-            result = self._execute(tx.payload, tx.tx_id, identity, state, history)
+            try:
+                result = self._execute(self._payload(tx, block.height), tx.tx_id, identity, state, history)
+            except ChainDamaged:  # its payload, or one a value it read is cut from, is not base64: marked
+                continue
             if result.valid != (tx.status == VALID) or result.reason != tx.reason:
                 replayed = f"{_status(result)} ({result.reason})"
                 damage = damage or f"tx {tx.tx_id[:16]} replays {replayed}, recorded {tx.status} ({tx.reason})"
-            elif journaled is not None and _effect(result) != journaled[i]:
-                damage = damage or f"tx {tx.tx_id[:16]} replays other writes than its journal holds"
+            elif journaled is not None:
+                writes, touched = journaled[i]
+                if _effect(result) != ({k: self._value(v) for k, v in writes.items()}, touched):
+                    damage = damage or f"tx {tx.tx_id[:16]} replays other writes than its journal holds"
         return None if damage is None else (block.height, damage)
 
     # -- persistence --------------------------------------------------------
@@ -548,25 +635,39 @@ class Ledger:
         self._blocks.append(genesis)
 
     def _load(self, params: Optional[str]):
+        """Load every block file, checking its bytes against the hash they
+        carry and its ``prev_hash`` against the block below; apply each
+        block's journal or re-execute it. Payloads stay base64 text, except
+        the tip's and those of re-executed blocks, which are decoded now."""
         heights = _heights(self.blocks_dir)
         if not heights:
             self._write_genesis(params)
             return
-        damage = None
+        prev_hash = ZERO_HASH_HEX
         for height in range(max(heights) + 1):
             read = _read_block(self._block_path(height))
             if read is None:
                 # load the readable prefix only; nothing is appended past it
-                damage = damage or (height, "block file missing or unreadable")
+                self._mark((height, "block file missing or unreadable"))
                 break
-            _, block = read
+            raw, block = read
             self._blocks.append(block)
             for tx in block.transactions:
                 self._tx_index[tx.tx_id] = tx
                 self._next_sequence = max(self._next_sequence, tx.sequence + 1)
-            found = self._open_block(block)
-            damage = damage or found
-        self._damage = damage
+            found = None
+            hashed = _file_hash(raw)
+            if hashed is None or hashed != block.block_hash:
+                found = (height, "block file does not hash to the block_hash it carries")
+            elif block.prev_hash != prev_hash:
+                found = (height, f"prev_hash is not the hash of block {height - 1}")
+            self._mark(self._open_block(block) or found)  # a replay's finding says more
+            prev_hash = block.block_hash
+        if self._blocks:
+            tip = self._blocks[-1]
+            with contextlib.suppress(ChainDamaged):  # no block above pins the tip's bytes
+                for tx in tip.transactions:
+                    self._payload(tx, tip.height)
 
     def _open_block(self, block: Block):
         """Apply ``block`` to the open's state from its journal when the journal is
@@ -574,8 +675,7 @@ class Ledger:
         first (height, why) that damages the chain, or None."""
         journal = None
         if block.transactions:
-            path, payloads = self._journal_path(block.height), [tx.payload for tx in block.transactions]
-            journal = _read_journal(path, block.block_hash, self._journal_binding, payloads)
+            journal = _read_journal(self._journal_path(block.height), block, self._journal_binding)
         records = [(tx.tx_id, tx.status, tx.reason) for tx in block.transactions]
         agrees = journal is not None and journal[0] == records
         if agrees and all(tx.submitter in self.identities for tx in block.transactions):
@@ -625,11 +725,12 @@ def _read_block(path: Path) -> Optional[Tuple[bytes, Block]]:
 
 
 def _block_from_dict(content: dict) -> Block:
+    """The block a parsed block file holds; payloads stay base64 text."""
     txs = [
         Transaction(
             sequence=t["sequence"],
             tx_id=t["tx_id"],
-            payload=base64.b64decode(t["payload_b64"], validate=True),
+            payload=_base64_text(t["payload_b64"]),
             payload_digest=t["payload_digest"],
             submitter=t["submitter"],
             endorsement=t["endorsement"],
@@ -649,3 +750,9 @@ def _block_from_dict(content: dict) -> Block:
         block_hash=content["block_hash"],
         params=params,
     )
+
+
+def _base64_text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("a payload must be base64 text")
+    return value

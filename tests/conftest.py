@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
+from carboncert import ledger as ledger_mod
 from carboncert import pipeline
+from carboncert.model import canonical_json
 
 # pass/fail lines recorded by tests/test_acceptance.py, echoed after the run
 ACCEPTANCE_LINES = []
@@ -13,6 +17,31 @@ def sim_day(tmp_path_factory):
     config = pipeline.RunConfig(home=home, date="2025-06-01", seed=7)
     result = pipeline.run_simulation(config)
     return config, result
+
+
+def _reseal_up_to_the_tip(chain_root, height, edit):
+    """Apply ``edit`` to the parsed file of block ``height``; reseal it and
+    every block above it with their links mended, and their journals bound
+    to the new hashes, as someone who can write the chain's files could."""
+    blocks, writes = chain_root / "blocks", chain_root / "writes"
+    prev_hash = None
+    for h in range(height, max(int(p.stem) for p in blocks.glob("*.json")) + 1):
+        content = json.loads((blocks / f"{h}.json").read_bytes())
+        if prev_hash is None:
+            edit(content)
+        else:
+            content["prev_hash"] = prev_hash
+        block = ledger_mod._block_from_dict(content)
+        (blocks / f"{h}.json").write_bytes(ledger_mod._seal(block))
+        prev_hash = block.block_hash
+        journal = json.loads((writes / f"{h}.json").read_bytes())["body"]
+        journal["block_hash"] = prev_hash
+        (writes / f"{h}.json").write_bytes(ledger_mod._journal_file(canonical_json(journal)))
+
+
+@pytest.fixture
+def reseal_up_to_the_tip():
+    return _reseal_up_to_the_tip
 
 
 def pytest_terminal_summary(terminalreporter):

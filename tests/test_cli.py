@@ -496,10 +496,37 @@ def test_a_genesis_resealed_with_another_member_breaks_the_chain(cli_home, tmp_p
     params["identities"]["mallory"] = {"role": "CERTIFIER", "key_id": make_identity("mallory", Role.CERTIFIER).key_id}
     genesis.params = json.dumps(params, sort_keys=True)
     path.write_bytes(ledger_mod._seal(genesis))
+    # the open finds block 1's prev_hash dangling: mallory may not act
+    before = _tree(home)
+    rc, out, err = _run(capsys, "--home", str(home), "credits", "verify", "--serial", "CC-plant-1-20250601-1",
+                        "--as", "mallory")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error [credits]: chain damaged at height 1: ") and err.count("\n") == 1
+    assert _tree(home) == before
     rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
     assert (rc, out) == (1, "chain BROKEN at height 1\n")
     rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
     assert rc == 1 and out.splitlines()[0] == "AUDIT FAIL 2025-06-01"
+
+
+def test_audit_of_a_chain_resealed_with_a_payload_that_is_not_base64_writes_a_failed_report(
+    cli_home, tmp_path, capsys, reseal_up_to_the_tip
+):
+    # a run of blocks resealed up to the tip, journals included, opens clean;
+    # the batch the audit reads from block 1 cannot be decoded
+    home = _copy_home(cli_home, tmp_path)
+    def garble_first(content):
+        tx = content["transactions"][0]
+        tx["payload_b64"] = "!" + tx["payload_b64"][1:]
+
+    reseal_up_to_the_tip(home / "chain", 1, garble_first)
+    rc, out, err = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
+    assert rc == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["AUDIT FAIL 2025-06-01", "chain inconsistent at height 1"]
+    assert lines[2].startswith("ChainDamaged: chain damaged at height 1: tx ")
+    report = json.loads((home / "reports" / "audit-2025-06-01.json").read_text())
+    assert (report["result"], report["first_bad_height"]) == ("FAIL", 1)
 
 
 def test_genesis_without_identities_is_refused(tmp_path, capsys):

@@ -306,6 +306,46 @@ def test_verify_chain_serializes_no_block(tmp_path, monkeypatch):
     assert serialized == [0, 0]
 
 
+def test_an_open_decodes_the_tip_only_and_verify_chain_parses_no_block_file(tmp_path, monkeypatch):
+    # the open parses each block file once and decodes only the tip's
+    # payloads; verify_chain reads each file's bytes once more and parses none
+    root = tmp_path / "chain"
+    _committed(root)
+    calls = {"decoded": [], "parsed": [], "read": []}
+    decode, read_block, read_bytes = ledger_mod._decode_payload, ledger_mod._read_block, Path.read_bytes
+    monkeypatch.setattr(ledger_mod, "_decode_payload", lambda text: calls["decoded"].append(text) or decode(text))
+    monkeypatch.setattr(ledger_mod, "_read_block", lambda path: calls["parsed"].append(path.name) or read_block(path))
+    monkeypatch.setattr(
+        Path, "read_bytes", lambda self: calls["read"].append(self.relative_to(root).as_posix()) or read_bytes(self)
+    )
+    names = ["0.json", "1.json", "2.json", "3.json"]
+
+    reopened = _open(root)
+    tip = reopened.blocks()[-1]
+    assert calls["decoded"] == [tx.payload_b64 for tx in tip.transactions]
+    assert calls["parsed"] == names
+    assert [p for p in calls["read"] if p.startswith("blocks/")] == [f"blocks/{n}" for n in names]
+
+    monkeypatch.setattr(ledger_mod, "_block_from_dict", lambda content: pytest.fail("verify_chain parsed a block"))
+    for _ in range(2):
+        calls["read"].clear()
+        assert reopened.verify_chain() is None
+        assert calls["parsed"] == names
+        assert calls["read"] == [f"blocks/{n}" for n in names]
+    assert sorted(calls["decoded"]) == sorted(tx.payload_b64 for b in reopened.blocks() for tx in b.transactions)
+
+
+def test_a_payload_is_read_as_its_block_file_holds_it(tmp_path):
+    root = tmp_path / "chain"
+    led = _committed(root)
+    reopened = _open(root)
+    for before, after in zip(led.blocks(), reopened.blocks()):
+        for tx, loaded in zip(before.transactions, after.transactions):
+            assert loaded.payload_size == len(tx.payload)  # from the base64 text's length
+            assert loaded.payload == tx.payload and loaded.payload_b64 == tx.payload_b64
+    assert reopened.state_items() == led.state_items()
+
+
 def test_persistence_round_trip(tmp_path):
     led = _open(tmp_path / "chain")
     for i in range(14):
@@ -637,6 +677,92 @@ def test_an_all_base64_journal_opens_without_executing(tmp_path):
     assert reopened.state_digest() == led.state_digest()
     assert _histories(reopened) == _histories(led)
     assert reopened.verify_chain() is None
+
+
+@pytest.mark.parametrize("height", [1, 2])
+def test_a_payload_character_changed_below_the_tip_is_damage_at_open(tmp_path, height):
+    # the journal is bound to the hash the file carries, so it used to be
+    # applied and the chain opened clean and took appends
+    root = tmp_path / "chain"
+    _committed(root)
+    path = root / "blocks" / f"{height}.json"
+    raw = path.read_bytes()
+    text = json.loads(raw)["transactions"][0]["payload_b64"]
+    other = text[:4] + ("B" if text[4] == "A" else "A") + text[5:]
+    path.write_bytes(raw.replace(text.encode(), other.encode(), 1))
+    files = _files(root)
+    reopened = _open(root)
+    with pytest.raises(ChainDamaged, match=f"height {height}: block file does not hash to the block_hash it carries"):
+        reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.verify_chain() == height
+    assert _files(root) == files
+
+
+@pytest.mark.parametrize(
+    "garble",
+    [lambda t: "!" + t[1:], lambda t: "\u00e9" + t[1:], lambda t: t[:4] + "=" + t[5:]],
+    ids=["not-in-alphabet", "not-ascii", "padding-inside"],
+)
+def test_a_suffix_resealed_with_a_payload_that_is_not_base64_is_damage_when_read(
+    tmp_path, reseal_up_to_the_tip, garble
+):
+    # a run of blocks resealed up to the tip passes the open's hash and link
+    # checks; the payload is not decoded there, so reading a value cut from
+    # it, or verify_chain, finds it
+    root = tmp_path / "chain"
+    led = _committed(root)
+    def garble_first(content):
+        tx = content["transactions"][0]
+        tx["payload_b64"] = garble(tx["payload_b64"])
+
+    reseal_up_to_the_tip(root, 2, garble_first)
+    counting = Counting()
+    reopened = _open(root, counting)
+    assert counting.calls == 0  # every journal applied, nothing found
+    assert reopened.query_state("k0") == led.query_state("k0")  # block 1 is intact
+    with pytest.raises(ChainDamaged, match="^chain damaged at height 2: tx [0-9a-f]{16} holds a payload that is not base64$"):
+        reopened.query_state("k12")
+    with pytest.raises(ChainDamaged, match="height 2: .* not base64; refusing to append"):
+        reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.verify_chain() == 2
+    unread = _open(root)
+    assert unread.verify_chain() == 2
+    with pytest.raises(ChainDamaged, match="height 2"):
+        unread.state_items()
+
+
+def test_a_tip_resealed_with_a_payload_that_is_not_base64_is_damage_at_open(tmp_path, reseal_up_to_the_tip):
+    root = tmp_path / "chain"
+    _committed(root)
+
+    def garble_last(content):
+        tx = content["transactions"][5]
+        tx["payload_b64"] = "!" + tx["payload_b64"][1:]
+
+    reseal_up_to_the_tip(root, 3, garble_last)
+    counting = Counting()
+    files = _files(root)
+    reopened = _open(root, counting)
+    assert counting.calls == 0  # the journal's slice fits the garbled text's length: it is applied
+    with pytest.raises(ChainDamaged, match="height 3: tx [0-9a-f]{16} holds a payload that is not base64"):
+        reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.verify_chain() == 3
+    assert _files(root) == files
+
+
+def test_a_block_resealed_below_the_tip_is_damage_at_open_where_its_link_breaks(tmp_path):
+    root = tmp_path / "chain"
+    _committed(root)
+    path = root / "blocks" / "1.json"
+    block = ledger_mod._read_block(path)[1]
+    block.timestamp = "2025-01-01T00:02:00Z"
+    path.write_bytes(ledger_mod._seal(block))
+    files = _files(root)
+    reopened = _open(root)
+    with pytest.raises(ChainDamaged, match="height 2: prev_hash is not the hash of block 1; refusing to append"):
+        reopened.submit_tx(_payload(99), "plant-1")
+    assert reopened.verify_chain() == 2
+    assert _files(root) == files
 
 
 # -- state machine: live, rebuilt and reopened state agree ----------------------
