@@ -25,6 +25,7 @@ from .model import (
     Quality,
     Role,
     aggregate_to_dict,
+    batch_bytes,
     batch_id_for,
     batch_to_dict,
     canonical_json,
@@ -197,7 +198,7 @@ def submit(batch: Batch, producer: Identity, client) -> str:
     """Serialize canonically and submit as a ledger transaction; returns its tx id."""
     if producer.role != Role.PRODUCER:
         raise Unauthorized(f"role {producer.role.value} may not submit batches")
-    payload = canonical_json({"batch": batch_to_dict(batch), "op": "submit_batch"})
+    payload = b'{"batch":' + batch_bytes(batch_to_dict(batch)) + b',"op":"submit_batch"}'  # canonical_json's layout
     tx_id = client.submit_tx(payload, producer.name)
     tx = client.get_transaction(tx_id)
     if tx.status != "VALID":

@@ -8,6 +8,12 @@ Energy and carbon conversion:
 Credits advance PENDING -> VERIFIED -> ISSUED -> (SOLD | RETIRED); the two
 terminal states are mutually exclusive, and each (producer, date) accrues
 at most one credit, so no unit of energy can be counted twice.
+
+Every audit re-executes the whole chain, so a batch costs what its window
+costs: ``window_start`` and ``window_end`` are parsed once, each
+``minute_start`` must be one of the five spellings of the window's minutes,
+and the batch is written as ``model.batch_bytes`` renders it, the bytes
+``canonical_json`` gives.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from .model import (
     Identity,
     Quality,
     Role,
+    batch_bytes,
     batch_id_for,
-    canonical_json,
     compact_date,
     parse_date,
     parse_ts,
@@ -167,22 +173,29 @@ def _check_timestamps(batch, state: StateView) -> Optional[str]:
         return "timestamps"
     if batch["batch_id"] != batch_id_for(batch["producer_id"], start):
         return "timestamps"
-    prev = None
+    # a timestamp has one spelling, so a minute_start is matched as text: it
+    # must spell one of the window's minutes, later than the one before it
+    minutes = _window_minutes(batch["window_start"])
+    earliest = 0
     for agg in batch["aggregates"]:
-        minute = _ts_or_none(agg["minute_start"])
-        if minute is None or minute % 60 != 0:
+        minute = agg["minute_start"]
+        index = minutes.get(minute) if isinstance(minute, str) else None
+        if index is None or index < earliest:
             return "timestamps"
-        if not start <= minute < end:
-            return "timestamps"
-        if prev is not None and minute <= prev:
-            return "timestamps"
-        prev = minute
+        earliest = index + 1
     head_raw = state.get(f"head/{batch['producer_id']}")
     if head_raw is not None:
         head = json.loads(head_raw.decode())["window_end"]
         if start < parse_ts(head):
             return "timestamps"
     return None
+
+
+def _window_minutes(window_start: str) -> dict:
+    """The spellings of a window's five minutes, each to its index: the text
+    of its aligned ``window_start`` with the minute raised by 0 to 4."""
+    minute = int(window_start[14:16])
+    return {f"{window_start[:14]}{minute + k:02d}{window_start[16:]}": k for k in range(5)}
 
 
 def _check_ranges(batch, rules: AnomalyRules, emission: EmissionConfig) -> Optional[str]:
@@ -266,7 +279,7 @@ class CreditContract:
         key = f"batch/{batch['producer_id']}/{batch['batch_id']}"
         head_key = f"head/{batch['producer_id']}"
         writes = {
-            key: canonical_json(batch),
+            key: batch_bytes(batch),
             head_key: _store({"window_end": batch["window_end"]}),
         }
         return ChainResult(True, None, writes, (key, head_key))

@@ -56,6 +56,7 @@ from .model import (
     canonical_json,
     digest_hex,
     format_ts,
+    gc_paused,
     parse_ts,
     write_atomic,
 )
@@ -359,7 +360,8 @@ class Ledger:
         self._damage: Optional[Tuple[int, str]] = None  # (first bad height, why)
         self._journaled: Dict[int, List[Effect]] = {}  # height -> effects the open applied from its journal
         self._replayed = (-1, {}, {}, None)  # _replay's (height, state, history, damage) so far
-        self._load(params)
+        with gc_paused():  # a container per parsed value and transaction, none of them cyclic garbage
+            self._load(params)
 
     # -- membership ---------------------------------------------------------
 
@@ -742,6 +744,8 @@ def _block_from_dict(content: dict) -> Block:
     params = content.get("params")
     if params is not None and not isinstance(params, str):
         raise TypeError("a block's params must be a string")
+    if not isinstance(content["block_hash"], str) or not isinstance(content["prev_hash"], str):
+        raise TypeError("a block's block_hash and prev_hash must be strings")
     return Block(
         height=content["height"],
         timestamp=content["timestamp"],

@@ -31,10 +31,8 @@ collector to free, and nothing it would have freed is kept.
 
 from __future__ import annotations
 
-import gc
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -49,6 +47,7 @@ from .model import (
     TOTAL_PHASES,
     PhaseReading,
     finite_number,
+    gc_paused,
     parse_date,
     whole_number,
 )
@@ -150,18 +149,6 @@ class TransportMessage(NamedTuple):
 # ``_make`` are Python functions, called once per tuple.
 _new_reading = partial(tuple.__new__, PhaseReading)
 _new_message = partial(tuple.__new__, TransportMessage)
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector; leave it enabled or disabled as found."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class ReadingColumns(NamedTuple):
@@ -372,7 +359,7 @@ def generate_day_readings(fleet: FleetConfig, date: str) -> List[PhaseReading]:
     cols = generate_day_columns(fleet, date)
     out: List[PhaseReading] = []
     edges = [0, *(np.flatnonzero(np.diff(cols.meter_id)) + 1).tolist(), cols.ts.shape[0]]
-    with _collector_paused():
+    with gc_paused():
         for start, stop in zip(edges, edges[1:]):
             # A meter's three phases share its instants and frequency: one Python
             # object per instant, not per reading, keeps a day's tuples smaller.
@@ -481,7 +468,7 @@ class DayStream:
 
 def run_day(fleet: FleetConfig, date: str, faults: FaultConfig) -> List[TransportMessage]:
     """Deliver a day of telemetry through the at-least-once transport (see deliver)."""
-    with _collector_paused():
+    with gc_paused():
         readings = generate_day_readings(fleet, date)
         n = len(readings)
         keys = (np.fromiter(map(itemgetter(k), readings), np.int64, n) for k in range(3))

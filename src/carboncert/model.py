@@ -5,15 +5,22 @@ throughout the pipeline; the canonical wire form is ``YYYY-MM-DDTHH:MM:SSZ``.
 
 Content hashing uses SHA-256 (hashlib.sha256); digests are 32 raw bytes,
 rendered as 64 lowercase hex characters.
+
+``canonical_json`` serializes any value and is the reference. A batch, which
+the chain stores and re-executes by the thousand, has ``batch_bytes``: the
+same bytes from its fixed key layout, with no sorting and no type dispatch
+for an exact float, str, int or None.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -69,7 +76,14 @@ def _midnight(date: str) -> int:
 
 
 def compact_date(epoch: int) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y%m%d")
+    """``YYYYMMDD`` of the epoch's UTC date, as ``strftime`` spells it: a year
+    below 1000 has fewer than four digits."""
+    return _compact_day(epoch // SECONDS_PER_DAY)
+
+
+@lru_cache(maxsize=256)
+def _compact_day(day: int) -> str:
+    return datetime.fromtimestamp(day * SECONDS_PER_DAY, tz=timezone.utc).strftime("%Y%m%d")
 
 
 def window_index(minute_start: int) -> int:
@@ -217,6 +231,42 @@ def canonical_json(value) -> bytes:
     return _emit(value).encode("utf-8")
 
 
+def _leaf(value) -> str:
+    """``_emit(value)``, on a fast path for an exact float, str, int or None."""
+    kind = type(value)
+    if kind is float:
+        return format(value + 0.0, ".3f")
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    return _emit(value)
+
+
+def _aggregate_text(agg: dict) -> str:
+    flags = agg["flags"]
+    return (
+        f'{{"avg_frequency":{_leaf(agg["avg_frequency"])},"avg_voltage":{_leaf(agg["avg_voltage"])},'
+        f'"flags":{_emit(flags) if flags else "[]"},"minute_start":{_leaf(agg["minute_start"])},'
+        f'"phase_count":{_leaf(agg["phase_count"])},"quality":{_leaf(agg["quality"])},'
+        f'"total_power":{_leaf(agg["total_power"])}}}'
+    )
+
+
+def batch_bytes(batch: dict) -> bytes:
+    """``canonical_json(batch)`` for a batch dict laid out as ``batch_to_dict``
+    lays it out, with a list of aggregates and a list of flags in each: the
+    keys' sorted order is written out instead of sorted per dict."""
+    aggregates = ",".join([_aggregate_text(agg) for agg in batch["aggregates"]])
+    return (
+        f'{{"aggregates":[{aggregates}],"batch_id":{_leaf(batch["batch_id"])},'
+        f'"producer_id":{_leaf(batch["producer_id"])},"schema_version":{_leaf(batch["schema_version"])},'
+        f'"window_end":{_leaf(batch["window_end"])},"window_start":{_leaf(batch["window_start"])}}}'
+    ).encode("utf-8")
+
+
 def aggregate_to_dict(agg: PlantMinuteAggregate) -> dict:
     return {
         "minute_start": format_ts(agg.minute_start),
@@ -243,6 +293,19 @@ def batch_to_dict(batch: Batch) -> dict:
 
 def digest_hex(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector; leave it enabled or disabled as found.
+    For code that builds many container objects, none of them cyclic garbage."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_atomic(path, data: bytes) -> None:

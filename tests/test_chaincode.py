@@ -1,9 +1,13 @@
 import json
 import random
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from carboncert import chaincode, model
+from carboncert.aggregator import AnomalyRules
 from carboncert.chaincode import (
     CONTRACT_VERSION,
     LEGAL_STEPS,
@@ -15,15 +19,19 @@ from carboncert.chaincode import (
     compute_energy,
     validate_batch,
 )
-from carboncert.ledger import Ledger, make_identity
+from carboncert.ledger import Ledger, StateView, make_identity
 from carboncert.model import (
     WINDOWS_PER_DAY,
     EmissionConfig,
+    Identity,
+    Quality,
     Role,
+    batch_bytes,
     canonical_json,
     compact_date,
     format_ts,
     parse_date,
+    parse_ts,
 )
 
 DAY0 = parse_date("2025-06-01")
@@ -515,3 +523,175 @@ def test_credit_ops_reason_precedence(env, op, state, who, members, reason, in_h
     if op == "credit_verify":
         credit["certifier"] = who
     assert ledger.query_state(f"credit/{_SERIAL}") == json.dumps(credit, sort_keys=True).encode()
+
+
+# -- a batch's canonical bytes and timestamps, at one parse per window --------
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_NUMBERS = (
+    st.floats() | st.integers() | st.booleans() | st.sampled_from([-0.0, 1e17, -1e17, 0.0005, 0.0015, 2**64])
+)
+_AGGREGATES = st.fixed_dictionaries({
+    "minute_start": _JSON_LEAVES,
+    "total_power": _NUMBERS,
+    "avg_voltage": st.none() | _NUMBERS,
+    "avg_frequency": st.none() | _NUMBERS,
+    "phase_count": st.integers(0, 24) | st.booleans(),
+    "quality": st.sampled_from(["OK", "PARTIAL", "FLAGGED", Quality.OK, Quality.FLAGGED]),
+    "flags": st.lists(
+        st.recursive(
+            _JSON_LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+            max_leaves=6,
+        ),
+        max_size=3,
+    ),
+})
+_BATCHES = st.fixed_dictionaries({
+    "batch_id": st.text(),
+    "window_start": _JSON_LEAVES,
+    "window_end": _JSON_LEAVES,
+    "producer_id": st.text(),
+    "schema_version": st.integers() | st.booleans(),
+    "aggregates": st.lists(_AGGREGATES, max_size=5),
+})
+
+
+@given(batch=_BATCHES)
+@example(batch=_batch_dict(3, power=-0.0, voltage=None))
+@example(batch=_batch_dict(3, quality="FLAGGED", flags=["RAMP", ["n\u00e9sted", {"k": -0.0}]], power=1e17))
+@example(batch={**_batch_dict(0, producer="pl\u00e4nt-\u2603", n=0), "schema_version": True})
+def test_batch_bytes_are_the_canonical_json_of_a_structurally_valid_batch(batch):
+    submitter = Identity(batch["producer_id"], Role.PRODUCER, "k")
+    assert chaincode._check_structure(batch, submitter) is None
+    assert batch_bytes(batch) == canonical_json(batch)
+
+
+def _parsed(value):
+    try:
+        return parse_ts(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _reference_timestamps(batch, state):
+    """The timestamp check parsing every timestamp, the batch id's date by strftime."""
+    start, end = _parsed(batch["window_start"]), _parsed(batch["window_end"])
+    if start is None or end is None or start % 300 or end != start + 300:
+        return "timestamps"
+    day = datetime.fromtimestamp(start, tz=timezone.utc).strftime("%Y%m%d")
+    if batch["batch_id"] != f"{batch['producer_id']}-{day}-{start % 86400 // 300:03d}":
+        return "timestamps"
+    prev = None
+    for agg in batch["aggregates"]:
+        minute = _parsed(agg["minute_start"])
+        if minute is None or minute % 60 or not start <= minute < end or (prev is not None and minute <= prev):
+            return "timestamps"
+        prev = minute
+    head = state.get("head/plant-1")
+    if head is not None and start < parse_ts(json.loads(head)["window_end"]):
+        return "timestamps"
+    return None
+
+
+def _spelled(epoch):
+    """A timestamp's one spelling; its year has four digits, unlike format_ts's below year 1000."""
+    moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    return f"{moment.year:04d}-{moment:%m-%dT%H:%M:%S}Z"
+
+
+_NOT_TIMESTAMPS = st.sampled_from(["", "June first", "2025-02-30T00:00:00Z"]) | st.integers() | st.none() | st.lists(
+    st.integers(), max_size=1
+)
+
+
+@st.composite
+def _timestamped_batches(draw):
+    """A well-formed batch of plant-1 and the head it meets, with at most one
+    fault in its timestamps, batch id or head."""
+    fault = draw(st.sampled_from(
+        [None, "misaligned", "window_start", "window_end", "batch_id", "order", "outside", "minute", "head"]
+    ))
+    day0 = parse_date(draw(st.sampled_from(["2025-06-01", "0999-03-01", "2024-02-29", "2024-12-31", "1970-01-01"])))
+    start = day0 + 300 * draw(st.integers(0, WINDOWS_PER_DAY - 1))
+    if fault == "misaligned":
+        start += draw(st.sampled_from([1, 60, 240]))
+
+    def respelled(epoch):
+        text = _spelled(epoch)
+        return draw(st.sampled_from([
+            text[:17] + "30Z",  # seconds other than 00
+            _spelled(epoch - 86400)[:11] + "24" + text[13:],  # hour 24 of the day before
+            text.replace("0", "\u0660", 1),  # an Arabic-Indic zero
+        ]) | _NOT_TIMESTAMPS)
+
+    end = start + (draw(st.sampled_from([0, 240, 299, 360, 600])) if fault == "window_end" else 300)
+    window = start % 86400 // 300
+    day = datetime.fromtimestamp(start, tz=timezone.utc).strftime("%Y%m%d")
+    if fault == "batch_id":
+        day, window = draw(st.sampled_from([
+            (_spelled(start)[:10].replace("-", ""), window),  # four digits: not the id of a year below 1000
+            (day, window + 1),
+            (day.replace("1", "0"), window),
+        ]))
+    offsets = sorted(draw(st.sets(st.integers(0, 4))))
+    if fault == "order":  # repeated or decreasing minutes, mostly
+        offsets = draw(st.lists(st.integers(0, 4), min_size=2, max_size=5))
+    if fault == "outside":
+        offsets = sorted(draw(st.sets(st.integers(0, 4), max_size=4)) | {draw(st.sampled_from([-5, -1, 5, 6]))})
+    minutes = [_spelled(start + 60 * k) for k in offsets]
+    if fault == "minute" and minutes:
+        i = draw(st.integers(0, len(minutes) - 1))
+        minutes[i] = respelled(start + 60 * offsets[i])
+
+    batch = _batch_dict(0, n=len(minutes))
+    batch["batch_id"] = f"plant-1-{day}-{window:03d}"
+    batch["window_start"] = respelled(start) if fault == "window_start" else _spelled(start)
+    batch["window_end"] = respelled(end) if fault == "window_end" and draw(st.booleans()) else _spelled(end)
+    for agg, minute in zip(batch["aggregates"], minutes):
+        agg["minute_start"] = minute
+    head = draw(st.sampled_from([1, 300] if fault == "head" else [None, -300, 0]))
+    if head is not None:
+        head = json.dumps({"window_end": _spelled(start + head)}, sort_keys=True).encode()
+    return batch, head
+
+
+@given(case=_timestamped_batches())
+def test_validate_batch_agrees_with_parsing_every_timestamp(case):
+    batch, head = case
+    state = StateView({} if head is None else {"head/plant-1": (head, "tx")}, lambda value: value)
+    expected = _reference_timestamps(batch, state)
+    ok_and_reason = validate_batch(batch, make_identity("plant-1", Role.PRODUCER), state, AnomalyRules(), EmissionConfig())
+    assert ok_and_reason == (expected is None, expected)
+
+
+def test_a_batch_below_year_1000_takes_the_batch_id_strftime_spells(env):
+    # strftime does not pad the year: a batch id derived from the timestamp's
+    # text, 0999..., would refuse the batch
+    ledger, *_ = env
+    batch = _batch_dict(1, day=parse_date("0999-03-01"))
+    for agg, minute in zip(batch["aggregates"], range(5, 10)):
+        agg["minute_start"] = f"0999-03-01T00:{minute:02d}:00Z"
+    batch["window_start"], batch["window_end"] = "0999-03-01T00:05:00Z", "0999-03-01T00:10:00Z"
+    assert batch["batch_id"] == "plant-1-9990301-001"
+    assert _submit_batch(ledger, batch).status == "VALID"
+    batch["batch_id"] = "plant-1-09990301-002"
+    batch["window_start"], batch["window_end"] = "0999-03-01T00:10:00Z", "0999-03-01T00:15:00Z"
+    for agg, minute in zip(batch["aggregates"], range(10, 15)):
+        agg["minute_start"] = f"0999-03-01T00:{minute:02d}:00Z"
+    assert _submit_batch(ledger, batch).reason == "timestamps"
+
+
+def test_verify_chain_renders_flag_free_batches_without_canonical_json(env, monkeypatch):
+    # the re-execution writes each batch by its fixed layout and parses each
+    # window's timestamps once: no _emit, and at most three parse_ts per batch
+    ledger, *_ = env
+    _fill_day(ledger, windows=range(24))
+    ledger.cut_all()
+    reopened = Ledger(ledger.root, CreditContract(), str(CONTRACT_VERSION), ledger.identities.values())
+    emitted, parsed = [], []
+    emit, parse = model._emit, chaincode.parse_ts
+    monkeypatch.setattr(model, "_emit", lambda value: emitted.append(value) or emit(value))
+    monkeypatch.setattr(chaincode, "parse_ts", lambda text: parsed.append(text) or parse(text))
+    assert reopened.verify_chain() is None
+    assert emitted == []
+    assert 2 * 24 <= len(parsed) <= 3 * 24

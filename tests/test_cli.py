@@ -304,6 +304,19 @@ def test_torn_genesis_block_fails_without_traceback(cli_home, tmp_path, capsys):
     assert genesis.read_bytes() == (cli_home / "chain" / "blocks" / "0.json").read_bytes()[:20]
 
 
+@pytest.mark.parametrize("field", ["block_hash", "prev_hash"])
+def test_a_genesis_hash_that_is_not_text_fails_without_traceback(cli_home, tmp_path, capsys, field):
+    # inspect used to stop with a TypeError slicing a null block_hash
+    home = _copy_home(cli_home, tmp_path)
+    genesis = home / "chain" / "blocks" / "0.json"
+    raw = genesis.read_bytes()
+    genesis.write_bytes(raw.replace(f'"{json.loads(raw)[field]}"'.encode(), b"null", 1))
+    rc, out, err = _run(capsys, "--home", str(home), "ledger", "inspect")
+    assert (rc, out, err) == (0, "", "")  # no block below an unreadable genesis is loaded
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert (rc, out) == (1, "chain BROKEN at height 0\n")
+
+
 @pytest.mark.parametrize(
     "cell, text",
     [

@@ -1,4 +1,5 @@
 import base64
+import gc
 import json
 import shutil
 import tempfile
@@ -304,6 +305,50 @@ def test_verify_chain_serializes_no_block(tmp_path, monkeypatch):
     assert serialized == [0]
     assert _open(root).verify_chain() is None
     assert serialized == [0, 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+def test_an_open_runs_no_collection_and_leaves_the_collector_as_found(tmp_path, monkeypatch, enabled):
+    # an open builds many containers and no cyclic garbage: the collector pauses
+    root = tmp_path / "chain"
+    _committed(root)
+    loading, started = [], []
+    load = Ledger._load
+
+    def watched_load(self, params):
+        loading.append(True)
+        try:
+            load(self, params)
+        finally:
+            loading.clear()
+
+    def on_gc(phase, info):
+        if phase == "start" and loading:
+            started.append(info["generation"])
+
+    monkeypatch.setattr(Ledger, "_load", watched_load)
+    found, threshold = gc.isenabled(), gc.get_threshold()
+    gc.callbacks.append(on_gc)
+    try:
+        gc.enable() if enabled else gc.disable()
+        gc.set_threshold(1)  # were it running, any allocation in the open would start a collection
+        assert _open(root).height == 3
+        assert started == [] and gc.isenabled() is enabled
+
+        seen = []
+
+        def failing_hash(raw):
+            seen.append(gc.isenabled())
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(ledger_mod, "_file_hash", failing_hash)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            _open(root)
+        assert seen == [False] and gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.set_threshold(*threshold)
+        gc.enable() if found else gc.disable()
 
 
 def test_an_open_decodes_the_tip_only_and_verify_chain_parses_no_block_file(tmp_path, monkeypatch):
