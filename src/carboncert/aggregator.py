@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from . import collector as collector_mod
 from .model import (
@@ -18,6 +21,7 @@ from .model import (
     TOTAL_PHASES,
     WINDOW_SECONDS,
     WINDOWS_PER_DAY,
+    AnomalyRules,
     Batch,
     Identity,
     MinuteRecord,
@@ -29,7 +33,6 @@ from .model import (
     batch_id_for,
     batch_to_dict,
     canonical_json,
-    finite_number,
     format_ts,
     write_atomic,
 )
@@ -64,30 +67,6 @@ class Anomaly:
     detail: str
 
 
-@dataclass
-class AnomalyRules:
-    phase_power_range: Tuple[float, float] = (-200.0, 6000.0)
-    voltage_range: Tuple[float, float] = (207.0, 253.0)
-    frequency_range: Tuple[float, float] = (49.5, 50.5)
-    max_ramp_watts_per_minute: float = 60_000.0
-
-    def __post_init__(self):
-        for what, (lo, hi) in (
-            ("phase power range", self.phase_power_range),
-            ("voltage range", self.voltage_range),
-            ("frequency range", self.frequency_range),
-        ):
-            if finite_number(lo, what) >= finite_number(hi, what):
-                raise ValueError("range lower bound must be below upper bound")
-        if finite_number(self.max_ramp_watts_per_minute, "ramp limit") <= 0:
-            raise ValueError("ramp limit must be positive")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AnomalyRules":
-        """The rules a JSON object gives, ranges as lists; TypeError for an unknown key."""
-        return cls(**{key: tuple(value) if key.endswith("_range") else value for key, value in raw.items()})
-
-
 def mark_processed(files: Iterable[Path]) -> None:
     """Writes nothing. The chain and ``pipeline.DateCommitted`` are the record of
     which days are committed; this no-op remains only because the chain-30d
@@ -95,33 +74,110 @@ def mark_processed(files: Iterable[Path]) -> None:
     the benchmark drops that call and this function."""
 
 
-def aggregate_minute(records: Iterable[MinuteRecord]) -> PlantMinuteAggregate:
-    """Fuse up to 24 phase records sharing one minute into a plant aggregate."""
-    records = sorted(records, key=lambda r: (r.meter_id, r.phase))
-    minutes = {r.minute_start for r in records}
-    if len(minutes) != 1:
-        raise ValueError("records must share one minute_start")
-    seen = set()
-    for r in records:
-        key = (r.meter_id, r.phase)
-        if key in seen:
-            raise DuplicatePhase(f"duplicate phase record {key}")
-        seen.add(key)
-    present = [r for r in records if r.sample_count > 0]
-    n = len(present)
-    total = sum(r.avg_active_power for r in present)
-    avg_v = sum(r.avg_voltage for r in present) / n if n else None
-    avg_f = sum(r.avg_frequency for r in present) / n if n else None
-    quality = Quality.PARTIAL if 0 < n < TOTAL_PHASES else Quality.OK
-    return PlantMinuteAggregate(
-        minute_start=minutes.pop(),
-        total_power=total,
-        avg_voltage=avg_v,
-        avg_frequency=avg_f,
-        phase_count=n,
-        quality=quality,
-        flags=[],
-    )
+def fuse_day(
+    files: Iterable[collector_mod.DayColumns], rules: AnomalyRules
+) -> Tuple[List[PlantMinuteAggregate], List[dict]]:
+    """Fuse the rows of a date's CSV files, given in path order, into one plant
+    aggregate per minute, in minute order, and flag anomalies; also returns
+    the quarantine entry of each flagged minute.
+
+    A minute's power, voltage and frequency are added one value at a time in
+    (meter, phase) order, starting from 0.0, as ``sum`` adds floats before
+    Python 3.12: ``np.bincount`` adds a bin's weights in input order, where
+    a pairwise ``np.sum`` would round differently. The range, power-factor
+    and ramp rules run on arrays to find the minutes to look at;
+    ``detect_anomalies`` then decides each of them over its records in file
+    order, which gives its details and the entry's records that order.
+    Raises DuplicatePhase when two rows share a (minute, meter, phase)."""
+    cols = [list(chain.from_iterable(parts)) for parts in zip(*files)]
+    if not cols or not cols[0]:
+        return [], []
+    meter_id, phase, minute_start, power, voltage, _, power_factor, frequency, _, samples = cols
+    meters, phases = _ranks(meter_id), _ranks(phase)
+    minute = np.array(minute_start, dtype=np.int64)
+    order = np.lexsort((phases, meters, minute))
+    minute, meters, phases = minute[order], meters[order], phases[order]
+    first = np.ones(len(order), dtype=bool)  # the first row of each minute
+    np.not_equal(minute[1:], minute[:-1], out=first[1:])
+    repeated = ~first[1:] & (meters[1:] == meters[:-1]) & (phases[1:] == phases[:-1])
+    if repeated.any():
+        row = int(order[1 + int(np.argmax(repeated))])
+        raise DuplicatePhase(f"duplicate phase record {(meter_id[row], phase[row])}")
+    bins = np.cumsum(first) - 1
+    present = np.fromiter(map((0).__lt__, samples), bool, len(samples))[order]
+    at = bins[present]  # the minute of each row with samples
+    p, v, f, pf = (np.array(col, dtype=np.float64)[order][present] for col in (power, voltage, frequency, power_factor))
+    starts = np.flatnonzero(first)
+    n_minutes = len(starts)
+    # float64 even with no present row, where np.bincount gives int64
+    total, v_sum, f_sum = (np.bincount(at, weights=w, minlength=n_minutes).astype(np.float64) for w in (p, v, f))
+    count = np.bincount(at, minlength=n_minutes)
+
+    (p_lo, p_hi), (v_lo, v_hi), (f_lo, f_hi) = rules.phase_power_range, rules.voltage_range, rules.frequency_range
+    with np.errstate(invalid="ignore", divide="ignore"):  # nan and inf readings, empty minutes
+        out_of_bounds = (
+            ~((p_lo <= p) & (p <= p_hi)) | ~((v_lo <= v) & (v <= v_hi))
+            | ~((f_lo <= f) & (f <= f_hi)) | (np.abs(pf) > 1.0)
+        )
+        suspect = np.zeros(n_minutes, dtype=bool)
+        suspect[at[out_of_bounds]] = True
+        suspect[1:] |= np.abs(np.diff(total)) > rules.max_ramp_watts_per_minute
+        avg_v, avg_f = v_sum / count, f_sum / count
+
+    ends = np.append(starts[1:], len(order)).tolist()
+    aggregates: List[PlantMinuteAggregate] = []
+    entries: List[dict] = []
+    prev: Optional[PlantMinuteAggregate] = None
+    for start, end, minute_at, total_w, volts, hertz, n, look in zip(
+        starts.tolist(), ends, minute[starts].tolist(), total.tolist(),
+        avg_v.tolist(), avg_f.tolist(), count.tolist(), suspect.tolist(),
+    ):
+        agg = PlantMinuteAggregate(
+            minute_start=minute_at,
+            total_power=total_w,
+            avg_voltage=volts if n else None,
+            avg_frequency=hertz if n else None,
+            phase_count=n,
+            quality=Quality.PARTIAL if 0 < n < TOTAL_PHASES else Quality.OK,
+            flags=[],
+        )
+        if look:
+            records = [MinuteRecord._make([col[row] for col in cols]) for row in sorted(order[start:end].tolist())]
+            anomalies = detect_anomalies(agg, prev, records, rules)
+            if anomalies:
+                flag_aggregate(agg, anomalies)
+                entries.append(_quarantine_entry(agg, anomalies, records))
+        aggregates.append(agg)
+        prev = agg
+    return aggregates, entries
+
+
+def _ranks(values: List[int]) -> np.ndarray:
+    """Each value's rank among the distinct values: int64 keys that sort as
+    the values do, whatever their size."""
+    rank = {value: k for k, value in enumerate(sorted(set(values)))}
+    return np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+
+
+def _quarantine_entry(agg: PlantMinuteAggregate, anomalies: List[Anomaly], records: List[MinuteRecord]) -> dict:
+    return {
+        "minute_start": format_ts(agg.minute_start),
+        "aggregate": aggregate_to_dict(agg),
+        "codes": sorted({a.code for a in anomalies}),
+        "details": [f"{a.code}: {a.detail}" for a in anomalies],
+        "records": [
+            {
+                "meter_id": r.meter_id,
+                "phase": r.phase,
+                "avg_active_power": r.avg_active_power,
+                "avg_voltage": r.avg_voltage,
+                "avg_power_factor": r.avg_power_factor,
+                "avg_frequency": r.avg_frequency,
+                "sample_count": r.sample_count,
+            }
+            for r in records
+        ],
+    }
 
 
 def detect_anomalies(
@@ -228,7 +284,8 @@ def run_day_aggregation(
     path order: fuse, flag, quarantine, batch, submit. A batch the chain already
     holds raises ``Rejected`` with reason ``duplicate``."""
     notices: List[str] = []
-    per_minute: Dict[int, List[MinuteRecord]] = {}
+    stamps: Dict[str, int] = {}  # the day's files share their timestamp spellings
+    files = []
     for root in sorted(Path(r) for r in collector_roots):
         if not root.is_dir():
             notices.append(f"MissingCollector: {root}")
@@ -237,40 +294,8 @@ def run_day_aggregation(
             if not f.is_file():
                 notices.append(f"IoFailure: {f}")
                 continue
-            for rec in collector_mod.read_day_csv(f):
-                per_minute.setdefault(rec.minute_start, []).append(rec)
-
-    aggregates: List[PlantMinuteAggregate] = []
-    quarantine_entries = []
-    prev: Optional[PlantMinuteAggregate] = None
-    for minute in sorted(per_minute):
-        records = per_minute[minute]
-        agg = aggregate_minute(records)
-        anomalies = detect_anomalies(agg, prev, records, rules)
-        flag_aggregate(agg, anomalies)
-        if anomalies:
-            quarantine_entries.append(
-                {
-                    "minute_start": format_ts(minute),
-                    "aggregate": aggregate_to_dict(agg),
-                    "codes": sorted({a.code for a in anomalies}),
-                    "details": [f"{a.code}: {a.detail}" for a in anomalies],
-                    "records": [
-                        {
-                            "meter_id": r.meter_id,
-                            "phase": r.phase,
-                            "avg_active_power": r.avg_active_power,
-                            "avg_voltage": r.avg_voltage,
-                            "avg_power_factor": r.avg_power_factor,
-                            "avg_frequency": r.avg_frequency,
-                            "sample_count": r.sample_count,
-                        }
-                        for r in records
-                    ],
-                }
-            )
-        aggregates.append(agg)
-        prev = agg
+            files.append(collector_mod.read_day_columns(f, stamps))
+    aggregates, quarantine_entries = fuse_day(files, rules)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,13 +14,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .aggregator import AnomalyRules
+import numpy as np
+
 from .ledger import ChainDamaged
-from .model import EmissionConfig, write_atomic
+from .model import AnomalyRules, EmissionConfig, write_atomic
 
 WINDOWS_PER_DAY = 288
 TOTAL_PHASES = 24
@@ -137,7 +138,24 @@ class DayReplay:
     energy_kwh: float
 
 
-def _parse_csv(path: Path) -> List[dict]:
+class _Rows(NamedTuple):
+    """A collector CSV's rows as the columns the replay reads, in file order;
+    an empty reading is None. Current and apparent power are not read."""
+
+    minute: List[int]
+    meter_id: List[int]
+    phase: List[int]
+    power: List[Optional[float]]
+    voltage: List[Optional[float]]
+    pf: List[Optional[float]]
+    frequency: List[Optional[float]]
+    samples: List[int]
+
+
+def _parse_csv(path: Path, epochs: Dict[str, int]) -> _Rows:
+    """Parse one collector CSV column by column; ``epochs`` holds the epoch of
+    each timestamp text seen in the day's files. A file the parse refuses is
+    read again row by row, so that the error names its first bad line."""
     raw = path.read_bytes()
     try:
         lines = raw.decode("utf-8").splitlines()
@@ -145,33 +163,75 @@ def _parse_csv(path: Path) -> List[dict]:
         raise UnreadableCsv(path, raw.count(b"\n", 0, exc.start) + 1, exc) from exc
     if not lines or lines[0].split(",") != CSV_COLUMNS:
         raise UnreadableCsv(path, 1, "unexpected CSV header")
-    epoch = lru_cache(maxsize=None)(_epoch)  # a day's rows share 1,440 spellings
-    rows = []
+    width = len(CSV_COLUMNS)
+    if len(lines) == 1:
+        return _Rows([], [], [], [], [], [], [], [])
+    try:
+        if set(map(str.count, lines[1:], repeat(","))) != {width - 1}:
+            raise ValueError("a line of another width")
+        cells = ",".join(lines[1:]).split(",")
+        stamps = cells[0::width]
+        for text in set(stamps) - epochs.keys():
+            epochs[text] = _epoch(text)
+        rows = _Rows(
+            minute=[epochs[text] for text in stamps],
+            meter_id=_whole(cells[1::width]),
+            phase=_whole(cells[2::width]),
+            power=_reals(cells[3::width]),
+            voltage=_reals(cells[4::width]),
+            pf=_reals(cells[6::width]),
+            frequency=_reals(cells[7::width]),
+            samples=_whole(cells[9::width]),
+        )
+        for readings in (rows.power, rows.voltage, rows.pf, rows.frequency):
+            if None in readings and any(value is None and n > 0 for value, n in zip(readings, rows.samples)):
+                raise ValueError("a row with samples has an empty reading")
+        return rows
+    except ValueError:
+        _first_bad_row(path, lines)
+        raise
+
+
+def _whole(cells: List[str]) -> List[int]:
+    parsed = {c: int(c) for c in set(cells)}  # meter, phase and sample count: few distinct texts
+    return [parsed[c] for c in cells]
+
+
+def _reals(cells: List[str]) -> List[Optional[float]]:
+    if "" in cells:
+        return [float(c) if c else None for c in cells]
+    return list(map(float, cells))
+
+
+def _first_bad_row(path: Path, lines: List[str]) -> None:
+    """Raise UnreadableCsv for the first data line that does not parse."""
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         try:
             if len(cells) != len(CSV_COLUMNS):
                 raise ValueError(f"{len(cells)} cells, expected {len(CSV_COLUMNS)}")
-            row = {
-                "minute": epoch(cells[0]),
-                "meter_id": int(cells[1]),
-                "phase": int(cells[2]),
-                "power": float(cells[3]) if cells[3] else None,
-                "voltage": float(cells[4]) if cells[4] else None,
-                "pf": float(cells[6]) if cells[6] else None,
-                "frequency": float(cells[7]) if cells[7] else None,
-                "samples": int(cells[9]),
-            }
-            if row["samples"] > 0 and None in (row["power"], row["voltage"], row["pf"], row["frequency"]):
+            _epoch(cells[0]), int(cells[1]), int(cells[2])
+            readings = [float(cells[i]) if cells[i] else None for i in (3, 4, 6, 7)]
+            if int(cells[9]) > 0 and None in readings:
                 raise ValueError("a row with samples has an empty reading")
         except ValueError as exc:
             raise UnreadableCsv(path, number, exc) from exc
-        rows.append(row)
-    return rows
+
+
+_CODES = ("PF_BOUNDS", "RAMP", "RANGE_FREQUENCY", "RANGE_POWER", "RANGE_VOLTAGE")  # sorted
+
+
+def _sort_keys(values: List[int]) -> np.ndarray:
+    """int64 keys that order as the Python ints ``values`` do, of any size."""
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return np.array([rank[v] for v in values], dtype=np.int64)
 
 
 def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayReplay:
-    """Recompute aggregates, flags, batches, and energy from raw CSVs."""
+    """Recompute aggregates, flags, batches, and energy from raw CSVs.
+
+    Each minute adds its present rows in (meter, phase) order, one value at
+    a time from 0.0 (``np.bincount`` adds a bin's weights in input order)."""
     files = []
     for root in sorted(Path(r) for r in csv_roots):
         day_dir = root / date
@@ -180,10 +240,45 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
     if not files:
         raise MissingData(date)
 
-    per_minute: Dict[int, List[dict]] = {}
-    for f in files:
-        for row in _parse_csv(f):
-            per_minute.setdefault(row["minute"], []).append(row)
+    epochs: Dict[str, int] = {}
+    parsed = [_parse_csv(f, epochs) for f in files]
+    day = _Rows(*(list(chain.from_iterable(column)) for column in zip(*parsed)))
+    minute = np.array(day.minute, dtype=np.int64)
+    order = np.lexsort((_sort_keys(day.phase), _sort_keys(day.meter_id), minute))
+    minute = minute[order]
+    new_minute = np.ones(len(minute), dtype=bool)
+    new_minute[1:] = minute[1:] != minute[:-1]
+    minutes = minute[new_minute]
+    slot = np.cumsum(new_minute) - 1
+    present = np.array([s > 0 for s in day.samples], dtype=bool)[order]
+    slot = slot[present]
+
+    def column(values):
+        return np.array(values, dtype=np.float64)[order][present]
+
+    power, voltage, pf, frequency = column(day.power), column(day.voltage), column(day.pf), column(day.frequency)
+    m = len(minutes)
+    n = np.bincount(slot, minlength=m)
+    # float64 even with no present row, where np.bincount gives int64
+    total, v_sum, f_sum = (
+        np.bincount(slot, weights=w, minlength=m).astype(np.float64) for w in (power, voltage, frequency)
+    )
+
+    p_lo, p_hi = rules.phase_power_range
+    v_lo, v_hi = rules.voltage_range
+    f_lo, f_hi = rules.frequency_range
+    hits = np.zeros((m, len(_CODES)), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for code, bad in (
+            ("PF_BOUNDS", np.abs(pf) > 1.0),
+            ("RANGE_FREQUENCY", ~((f_lo <= frequency) & (frequency <= f_hi))),
+            ("RANGE_POWER", ~((p_lo <= power) & (power <= p_hi))),
+            ("RANGE_VOLTAGE", ~((v_lo <= voltage) & (voltage <= v_hi))),
+        ):
+            hits[slot[bad], _CODES.index(code)] = True
+        hits[1:, _CODES.index("RAMP")] = np.abs(total[1:] - total[:-1]) > rules.max_ramp_watts_per_minute
+        avg_v, avg_f = v_sum / n, f_sum / n
+    flagged_at = hits.any(axis=1)
 
     day0 = _epoch(f"{date}T00:00:00Z")
     compact = date.replace("-", "")
@@ -191,51 +286,28 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
     batch_bytes: Dict[int, bytes] = {}
     flagged: List[str] = []
     per_window: Dict[int, List[dict]] = {}
-    prev_total: Optional[float] = None
     energy = 0.0
 
-    for minute in sorted(per_minute):
-        rows = sorted(per_minute[minute], key=lambda r: (r["meter_id"], r["phase"]))
-        present = [r for r in rows if r["samples"] > 0]
-        n = len(present)
-        total = sum(r["power"] for r in present)
-        avg_v = sum(r["voltage"] for r in present) / n if n else None
-        avg_f = sum(r["frequency"] for r in present) / n if n else None
-
-        codes = set()
-        p_lo, p_hi = rules.phase_power_range
-        v_lo, v_hi = rules.voltage_range
-        f_lo, f_hi = rules.frequency_range
-        for r in present:
-            if not p_lo <= r["power"] <= p_hi:
-                codes.add("RANGE_POWER")
-            if not v_lo <= r["voltage"] <= v_hi:
-                codes.add("RANGE_VOLTAGE")
-            if not f_lo <= r["frequency"] <= f_hi:
-                codes.add("RANGE_FREQUENCY")
-            if abs(r["pf"]) > 1.0:
-                codes.add("PF_BOUNDS")
-        if prev_total is not None and abs(total - prev_total) > rules.max_ramp_watts_per_minute:
-            codes.add("RAMP")
-        prev_total = total
-
-        quality = "FLAGGED" if codes else ("PARTIAL" if 0 < n < TOTAL_PHASES else "OK")
+    for k, (epoch, total_w, count, volts, hertz, any_code) in enumerate(
+        zip(minutes.tolist(), total.tolist(), n.tolist(), avg_v.tolist(), avg_f.tolist(), flagged_at.tolist())
+    ):
+        codes = [code for code, hit in zip(_CODES, hits[k].tolist()) if hit] if any_code else []
         agg = {
-            "minute_start": _ts(minute),
-            "total_power": float(total),
-            "avg_voltage": None if avg_v is None else float(avg_v),
-            "avg_frequency": None if avg_f is None else float(avg_f),
-            "phase_count": n,
-            "quality": quality,
-            "flags": sorted(codes),
+            "minute_start": _ts(epoch),
+            "total_power": total_w,
+            "avg_voltage": volts if count else None,
+            "avg_frequency": hertz if count else None,
+            "phase_count": count,
+            "quality": "FLAGGED" if codes else ("PARTIAL" if 0 < count < TOTAL_PHASES else "OK"),
+            "flags": codes,
         }
         if codes:
-            flagged.append(_ts(minute))
+            flagged.append(agg["minute_start"])
         else:
             # energy uses the canonically rendered (3-decimal) power, matching
             # what the chaincode reads back from the stored batch
-            energy += float("%.3f" % total) * 1 / 60000.0
-        per_window.setdefault((minute % 86400) // 300, []).append(agg)
+            energy += float("%.3f" % total_w) * 1 / 60000.0
+        per_window.setdefault((epoch % 86400) // 300, []).append(agg)
 
     for w, aggs in sorted(per_window.items()):
         start = day0 + w * 300

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import audit as audit_mod
 from . import pipeline
-from .ledger import UnknownIdentity
+from .ledger import ChainDamaged, UnknownIdentity
 from .model import canonical_json, parse_date
 
 DEFAULT_HOME = "carbon-ledger-data"
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute all hashes and linkage; re-execute every transaction under the "
         "emission and rules the genesis block records",
     )
-    led_sub.add_parser("inspect", help="print block summaries")
+    led_sub.add_parser("inspect", help="print block summaries; fail on a chain the open finds damaged")
     p_hist = led_sub.add_parser("history", help="transaction history of a state key")
     p_hist.add_argument("key")
     return parser
@@ -169,6 +169,9 @@ def cmd_ledger(args) -> int:
                 f"block {block.height} txs={len(block.transactions)} "
                 f"hash={block.block_hash[:16]} prev={block.prev_hash[:16]}"
             )
+        if ledger.damage is not None:  # the blocks above it were not loaded
+            height, why = ledger.damage
+            raise ChainDamaged(f"chain damaged at height {height}: {why}")
         return 0
     history = ledger.get_history(args.key)
     if not history:

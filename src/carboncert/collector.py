@@ -11,15 +11,16 @@ one array kernel.
 CSV contract (bit-exact): one file per meter per day at
 ``<output_root>/<collector_id>/<YYYY-MM-DD>/SEM<meter_id>.csv``, header
 ``timestamp_utc,meter_id,phase,active_power_w,voltage_v,current_a,power_factor,frequency_hz,apparent_power_va,sample_count``,
-reals at 3 decimals, empty fields for absent averages, LF endings, UTF-8.
+reals at 3 decimals, empty fields for absent averages, LF endings, UTF-8,
+no quoting: a cell is the text between two commas, so a quoted cell such as
+``"4000.000"`` is refused with its file and line.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
@@ -47,6 +48,8 @@ DUPLICATE = "duplicate"
 REJECTED = "rejected"
 
 _ABSENT = (None,) * 6
+_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%s"  # a CSV row whose six averages are all present
+_MINUTE_PHASE = itemgetter(2, 1)  # a MinuteRecord's (minute_start, phase)
 
 
 class IoFailure(OSError):
@@ -178,26 +181,17 @@ class Collector:
         stamps = {m: format_ts(m) for m in {r.minute_start for recs in per_meter.values() for r in recs}}
         paths = []
         for meter_id, recs in per_meter.items():
-            recs.sort(key=lambda r: (r.minute_start, r.phase))
+            recs.sort(key=_MINUTE_PHASE)
             path = day_dir / f"SEM{meter_id}.csv"
             lines = [CSV_HEADER]
-            for r in recs:
-                lines.append(
-                    ",".join(
-                        (
-                            stamps[r.minute_start],
-                            str(r.meter_id),
-                            str(r.phase),
-                            _fmt(r.avg_active_power),
-                            _fmt(r.avg_voltage),
-                            _fmt(r.avg_current),
-                            _fmt(r.avg_power_factor),
-                            _fmt(r.avg_frequency),
-                            _fmt(r.avg_apparent_power),
-                            str(r.sample_count),
-                        )
-                    )
-                )
+            for meter, phase, minute, *avg, count in recs:
+                if None in avg:
+                    lines.append(",".join((stamps[minute], str(meter), str(phase), *map(_fmt, avg), str(count))))
+                else:  # +0.0 writes -0.0 as 0.000, as _fmt does
+                    p, v, i, pf, f, s = avg
+                    lines.append(_ROW % (
+                        stamps[minute], meter, phase, p + 0.0, v + 0.0, i + 0.0, pf + 0.0, f + 0.0, s + 0.0, count
+                    ))
             data = ("\n".join(lines) + "\n").encode("utf-8")
             try:
                 day_dir.mkdir(parents=True, exist_ok=True)
@@ -212,42 +206,100 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else format(value + 0.0, ".3f")
 
 
+class DayColumns(NamedTuple):
+    """A day file's rows as columns, in file order: one list per
+    ``MinuteRecord`` field, an empty cell as None."""
+
+    meter_id: List[int]
+    phase: List[int]
+    minute_start: List[int]
+    avg_active_power: List[Optional[float]]
+    avg_voltage: List[Optional[float]]
+    avg_current: List[Optional[float]]
+    avg_power_factor: List[Optional[float]]
+    avg_frequency: List[Optional[float]]
+    avg_apparent_power: List[Optional[float]]
+    sample_count: List[int]
+
+
+_WIDTH = len(DayColumns._fields)
+
+
 def read_day_csv(path) -> List[MinuteRecord]:
-    """Parse one per-meter day file back into minute records.
+    """Parse one per-meter day file back into minute records, as ``read_day_columns`` does."""
+    return list(map(MinuteRecord._make, zip(*read_day_columns(path, {}))))
+
+
+def read_day_columns(path, stamps: Dict[str, int]) -> DayColumns:
+    """Parse one per-meter day file into columns. ``stamps`` caches the epoch
+    of each timestamp text; a day's files share 1,440 spellings, so pass them
+    one dict.
 
     A row must have exactly the header's cells, and a row with samples a
     power, voltage, power factor and frequency; else ValueError names the
     file and line."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise IoFailure(path, exc) from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or ",".join(rows[0]) != CSV_HEADER:
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path} line {line}: {exc}") from exc
+    if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"bad CSV header in {path}")
-    minute_start = lru_cache(maxsize=None)(parse_ts)  # a day's rows share 1,440 spellings
-    width = len(rows[0])
-    records = []
-    for line, row in enumerate(rows[1:], start=2):
-        try:
-            if len(row) != width:
-                raise ValueError(f"{len(row)} cells, the header has {width}")
-            stamp, meter, phase, power, voltage, current, pf, frequency, apparent, count = row
-            samples = int(count)
-            if samples > 0 and "" in (power, voltage, pf, frequency):
+    body = lines[1:]
+    if not body:
+        return DayColumns(*([] for _ in range(_WIDTH)))
+    try:
+        if set(map(str.count, body, repeat(","))) != {_WIDTH - 1}:
+            raise ValueError("a row of another width")
+        cells = ",".join(body).split(",")  # row-major: row k is cells[k * _WIDTH:(k + 1) * _WIDTH]
+        stamp, meter, phase, power, voltage, current, pf, frequency, apparent, count = (
+            cells[i::_WIDTH] for i in range(_WIDTH)
+        )
+        for text in set(stamp).difference(stamps):
+            stamps[text] = parse_ts(text)
+        samples = _ints(count)
+        for column in (power, voltage, pf, frequency):
+            if "" in column and any(n > 0 for n, cell in zip(samples, column) if cell == ""):
                 raise ValueError("a row with samples has an empty reading")
-            records.append(
-                MinuteRecord(
-                    int(meter), int(phase), minute_start(stamp),
-                    _parse(power), _parse(voltage), _parse(current),
-                    _parse(pf), _parse(frequency), _parse(apparent), samples,
-                )
-            )
+        return DayColumns(
+            _ints(meter), _ints(phase), list(map(stamps.__getitem__, stamp)),
+            _floats(power), _floats(voltage), _floats(current),
+            _floats(pf), _floats(frequency), _floats(apparent), samples,
+        )
+    except ValueError:
+        _check_rows(path, lines)  # names the first line a row-at-a-time reading refuses
+        raise
+
+
+def _ints(cells) -> List[int]:
+    value = {text: int(text) for text in set(cells)}  # a column repeats a few texts
+    return list(map(value.__getitem__, cells))
+
+
+def _floats(cells) -> List[Optional[float]]:
+    if "" not in cells:
+        return list(map(float, cells))
+    return [None if cell == "" else float(cell) for cell in cells]
+
+
+def _check_rows(path: Path, lines: List[str]) -> None:
+    """Read the data lines one row at a time; ValueError names the first bad line."""
+    for line, text in enumerate(lines[1:], start=2):
+        row = text.split(",") if text else []  # a blank line has no cell
+        try:
+            if len(row) != _WIDTH:
+                raise ValueError(f"{len(row)} cells, the header has {_WIDTH}")
+            stamp, meter, phase, power, voltage, current, pf, frequency, apparent, count = row
+            if int(count) > 0 and "" in (power, voltage, pf, frequency):
+                raise ValueError("a row with samples has an empty reading")
+            int(meter), int(phase), parse_ts(stamp)
+            for cell in (power, voltage, current, pf, frequency, apparent):
+                if cell != "":
+                    float(cell)
         except ValueError as exc:
             raise ValueError(f"{path} line {line}: {exc}") from exc
-    return records
-
-
-def _parse(cell: str) -> Optional[float]:
-    return None if cell == "" else float(cell)

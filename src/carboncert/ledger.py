@@ -478,6 +478,12 @@ class Ledger:
     def blocks(self) -> List[Block]:
         return list(self._blocks)
 
+    @property
+    def damage(self) -> Optional[Tuple[int, str]]:
+        """(height, why) of the lowest damage that opening, a read or
+        ``verify_chain`` found, or None; no file is read."""
+        return self._damage
+
     def get_transaction(self, tx_id: str) -> Transaction:
         return self._tx_index[tx_id]
 

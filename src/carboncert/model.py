@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 SECONDS_PER_DAY = 86400
 WINDOW_SECONDS = 300
@@ -197,6 +197,33 @@ class EmissionConfig:
             raise ValueError(f"emission factor out of range: {self.factor_kg_per_kwh}")
         if self.plant_capacity_watts <= 0:
             raise ValueError("plant capacity must be positive")
+
+
+@dataclass
+class AnomalyRules:
+    """The anomaly rules' thresholds, which the aggregator applies, genesis
+    records, and the chaincode and the audit apply again."""
+
+    phase_power_range: Tuple[float, float] = (-200.0, 6000.0)
+    voltage_range: Tuple[float, float] = (207.0, 253.0)
+    frequency_range: Tuple[float, float] = (49.5, 50.5)
+    max_ramp_watts_per_minute: float = 60_000.0
+
+    def __post_init__(self):
+        for what, (lo, hi) in (
+            ("phase power range", self.phase_power_range),
+            ("voltage range", self.voltage_range),
+            ("frequency range", self.frequency_range),
+        ):
+            if finite_number(lo, what) >= finite_number(hi, what):
+                raise ValueError("range lower bound must be below upper bound")
+        if finite_number(self.max_ramp_watts_per_minute, "ramp limit") <= 0:
+            raise ValueError("ramp limit must be positive")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "AnomalyRules":
+        """The rules a JSON object gives, ranges as lists; TypeError for an unknown key."""
+        return cls(**{key: tuple(value) if key.endswith("_range") else value for key, value in raw.items()})
 
 
 _json_str = json.encoder.encode_basestring_ascii  # the bytes json.dumps gives a str

@@ -14,13 +14,14 @@ from carboncert.aggregator import (
     DuplicatePhase,
     Rejected,
     Unauthorized,
-    aggregate_minute,
     detect_anomalies,
     flag_aggregate,
+    fuse_day,
     make_batches,
     submit,
 )
 from carboncert.chaincode import CONTRACT_VERSION, CreditContract
+from carboncert.collector import DayColumns
 from carboncert.ledger import Ledger, make_identity
 from carboncert.model import (
     METER_IDS,
@@ -47,8 +48,18 @@ def _full_minute(minute=DAY0, power=4000.0, **kw):
     return [_rec(m, p, minute, power, **kw) for m in METER_IDS for p in (1, 2, 3)]
 
 
+def _fuse(records, rules=RULES):
+    """fuse_day over one file holding ``records``: (aggregates, quarantine entries)."""
+    return fuse_day([DayColumns(*map(list, zip(*records)))], rules)
+
+
+def _aggregate_minute(records):
+    (agg,), _ = _fuse(records)
+    return agg
+
+
 def test_aggregate_minute_full_grid():
-    agg = aggregate_minute(_full_minute(power=4000.0))
+    agg = _aggregate_minute(_full_minute(power=4000.0))
     assert agg.total_power == pytest.approx(24 * 4000.0)
     assert agg.avg_voltage == pytest.approx(230.0)
     assert agg.avg_frequency == pytest.approx(50.0)
@@ -59,7 +70,7 @@ def test_aggregate_minute_full_grid():
 def test_aggregate_minute_partial():
     records = _full_minute()
     records[5] = records[5]._replace(sample_count=0, avg_active_power=None, avg_voltage=None, avg_frequency=None)
-    agg = aggregate_minute(records)
+    agg = _aggregate_minute(records)
     assert agg.phase_count == 23
     assert agg.quality is Quality.PARTIAL
     assert agg.total_power == pytest.approx(23 * 4000.0)
@@ -71,32 +82,55 @@ def test_aggregate_minute_all_absent():
         for m in METER_IDS
         for p in (1, 2, 3)
     ]
-    agg = aggregate_minute(records)
+    agg = _aggregate_minute(records)
     assert agg.phase_count == 0 and agg.total_power == 0.0
     assert agg.avg_voltage is None and agg.avg_frequency is None
     assert agg.quality is Quality.OK
 
 
 def test_aggregate_minute_rejects_duplicate_phase():
-    with pytest.raises(DuplicatePhase):
-        aggregate_minute([_rec(1, 1), _rec(1, 1)])
+    with pytest.raises(DuplicatePhase, match=r"^duplicate phase record \(1, 2\)$"):
+        _aggregate_minute([_rec(1, 1), _rec(1, 2), _rec(2, 1), _rec(1, 2)])
+    # the same (meter, phase) in other minutes is no duplicate
+    assert len(_fuse([_rec(1, 1, DAY0), _rec(1, 1, DAY0 + 60)])[0]) == 2
 
 
-def test_aggregate_minute_rejects_mixed_minutes():
-    with pytest.raises(ValueError):
-        aggregate_minute([_rec(1, 1, DAY0), _rec(1, 2, DAY0 + 60)])
+def test_fuse_day_gives_each_minute_its_aggregate_in_minute_order():
+    records = _full_minute(DAY0 + 60, power=1000.0)[::-1] + _full_minute(DAY0, power=2000.0)
+    aggregates, entries = _fuse(records)
+    assert [(a.minute_start, a.total_power, a.phase_count) for a in aggregates] == [
+        (DAY0, 24 * 2000.0, 24), (DAY0 + 60, 24 * 1000.0, 24)
+    ]
+    assert entries == []
+    assert fuse_day([], RULES) == fuse_day([DayColumns(*[[]] * 10)], RULES) == ([], [])
+
+
+def test_fuse_day_quarantines_a_flagged_minute_with_its_records_in_file_order():
+    records = _full_minute(DAY0 + 60)[::-1]
+    records[3] = records[3]._replace(avg_active_power=7000.0, avg_voltage=190.0)
+    records[5] = records[5]._replace(avg_power_factor=-1.1)
+    aggregates, (entry,) = _fuse(_full_minute(DAY0, power=100.0) + records)
+    assert aggregates[1].quality is Quality.FLAGGED
+    assert aggregates[1].flags == entry["codes"] == [PF_BOUNDS, RAMP, RANGE_POWER, RANGE_VOLTAGE]
+    assert entry["details"] == [
+        "RANGE_POWER: meter 7 phase 3: 7000.000 W",
+        "RANGE_VOLTAGE: meter 7 phase 3: 190.000 V",
+        "PF_BOUNDS: meter 7 phase 1: pf -1.100",
+        "RAMP: total power jumped 96600.000 W in one minute",
+    ]
+    assert [(r["meter_id"], r["phase"]) for r in entry["records"]] == [(r.meter_id, r.phase) for r in records]
 
 
 def test_detect_anomalies_clean():
     records = _full_minute()
-    agg = aggregate_minute(records)
+    agg = _aggregate_minute(records)
     assert detect_anomalies(agg, None, records, RULES) == []
 
 
 def test_detect_power_range():
     records = _full_minute()
     records[0] = records[0]._replace(avg_active_power=7000.0)
-    agg = aggregate_minute(records)
+    agg = _aggregate_minute(records)
     codes = {a.code for a in detect_anomalies(agg, None, records, RULES)}
     assert codes == {RANGE_POWER}
 
@@ -104,15 +138,15 @@ def test_detect_power_range():
 def test_detect_voltage_and_pf():
     records = _full_minute()
     records[0] = records[0]._replace(avg_voltage=190.0, avg_power_factor=1.2)
-    agg = aggregate_minute(records)
+    agg = _aggregate_minute(records)
     codes = {a.code for a in detect_anomalies(agg, None, records, RULES)}
     assert codes == {RANGE_VOLTAGE, PF_BOUNDS}
 
 
 def test_detect_ramp_against_previous_minute():
-    prev = aggregate_minute(_full_minute(DAY0, power=100.0))
+    prev = _aggregate_minute(_full_minute(DAY0, power=100.0))
     records = _full_minute(DAY0 + 60, power=4000.0)
-    agg = aggregate_minute(records)
+    agg = _aggregate_minute(records)
     anomalies = detect_anomalies(agg, prev, records, RULES)
     assert {a.code for a in anomalies} == {RAMP}
     # no previous minute -> no ramp check
@@ -122,7 +156,7 @@ def test_detect_ramp_against_previous_minute():
 def test_flag_aggregate_sets_quality_and_sorted_codes():
     records = _full_minute()
     records[0] = records[0]._replace(avg_voltage=190.0, avg_active_power=9000.0)
-    agg = aggregate_minute(records)
+    agg = _aggregate_minute(records)
     flag_aggregate(agg, detect_anomalies(agg, None, records, RULES))
     assert agg.quality is Quality.FLAGGED
     assert agg.flags == sorted(agg.flags) == [RANGE_POWER, RANGE_VOLTAGE]
@@ -138,7 +172,7 @@ def test_rules_validation():
 
 
 def test_make_batches_groups_by_window():
-    aggs = [aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in range(10)]
+    aggs = [_aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in range(10)]
     batches, missing = make_batches(aggs, "plant-1")
     assert len(batches) == 2
     assert [b.batch_id for b in batches] == ["plant-1-20250601-000", "plant-1-20250601-001"]
@@ -148,7 +182,7 @@ def test_make_batches_groups_by_window():
 
 
 def test_make_batches_short_window():
-    aggs = [aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in (0, 2, 4)]
+    aggs = [_aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in (0, 2, 4)]
     batches, missing = make_batches(aggs, "plant-1")
     assert len(batches) == 1 and len(batches[0].aggregates) == 3
     assert 0 not in missing
@@ -167,7 +201,7 @@ def _ledger(tmp_path):
 
 def test_submit_round_trip(tmp_path):
     ledger, producer = _ledger(tmp_path)
-    aggs = [aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in range(5)]
+    aggs = [_aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in range(5)]
     batch = make_batches(aggs, "plant-1")[0][0]
     tx_id = submit(batch, producer, ledger)
     assert ledger.get_transaction(tx_id).status == "VALID"
@@ -177,7 +211,7 @@ def test_submit_round_trip(tmp_path):
 def test_submit_requires_producer_role(tmp_path):
     ledger, _ = _ledger(tmp_path)
     auditor = ledger.get_identity("auditor-1")
-    aggs = [aggregate_minute(_full_minute(DAY0))]
+    aggs = [_aggregate_minute(_full_minute(DAY0))]
     batch = make_batches(aggs, "auditor-1")[0][0]
     with pytest.raises(Unauthorized):
         submit(batch, auditor, ledger)
@@ -185,7 +219,7 @@ def test_submit_requires_producer_role(tmp_path):
 
 def test_submit_raises_rejected_with_reason(tmp_path):
     ledger, producer = _ledger(tmp_path)
-    aggs = [aggregate_minute(_full_minute(DAY0))]
+    aggs = [_aggregate_minute(_full_minute(DAY0))]
     batch = make_batches(aggs, "plant-1")[0][0]
     submit(batch, producer, ledger)
     with pytest.raises(Rejected) as exc:
@@ -202,7 +236,7 @@ def test_run_day_aggregation_reads_only_the_dates_csvs_in_path_order(tmp_path, m
     (colls / "A/2025-06-01/SEM9.csv").mkdir()  # not a file
     (colls / "A/2025-06-01/.processed").write_text("SEM1.csv\nSEM2.csv\n")  # an old marker is ignored
     read = []
-    monkeypatch.setattr(col_mod, "read_day_csv", lambda path: read.append(path) or [])
+    monkeypatch.setattr(col_mod, "read_day_columns", lambda path, stamps: read.append(path) or DayColumns(*[[]] * 10))
     summary = agg_mod.run_day_aggregation(
         "2025-06-01", [colls / "C", colls / "B", colls / "A"], RULES, producer, ledger, tmp_path / "out"
     )

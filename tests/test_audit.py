@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import json
 import random
 import shutil
@@ -29,6 +31,16 @@ def audited(sim_day):
     ledger = pipeline.open_ledger(config)
     replay = replay_day(config.collector_roots, config.date, RULES, config.producer)
     return config, ledger, replay
+
+
+def test_the_audit_imports_nothing_from_the_pipeline_it_checks():
+    tree = ast.parse(inspect.getsource(audit))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert imported == {
+        "__future__", "hashlib", "json", "re", "dataclasses", "datetime", "itertools",
+        "pathlib", "typing", "numpy", "ledger", "model",
+    }
 
 
 def test_independent_canonical_emitter_agrees_with_pipeline():

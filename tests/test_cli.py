@@ -293,6 +293,17 @@ def test_simulate_on_damaged_chain_refuses_before_any_work(cli_home, tmp_path, c
     assert {p: p.read_bytes() for p in home.rglob("*") if p.is_file()} == before
 
 
+def test_inspect_of_a_chain_torn_at_the_tip_lists_the_blocks_below_and_fails(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    blocks = home / "chain" / "blocks"
+    tip = max(int(p.stem) for p in blocks.glob("*.json"))
+    path = blocks / f"{tip}.json"
+    path.write_bytes(path.read_bytes()[:50])
+    rc, out, err = _run(capsys, "--home", str(home), "ledger", "inspect")
+    assert rc == 1 and [line.split()[1] for line in out.splitlines()] == [str(h) for h in range(tip)]
+    assert err == f"error [ledger]: chain damaged at height {tip}: block file missing or unreadable\n"
+
+
 def test_torn_genesis_block_fails_without_traceback(cli_home, tmp_path, capsys):
     home = _copy_home(cli_home, tmp_path)
     genesis = home / "chain" / "blocks" / "0.json"
@@ -312,7 +323,8 @@ def test_a_genesis_hash_that_is_not_text_fails_without_traceback(cli_home, tmp_p
     raw = genesis.read_bytes()
     genesis.write_bytes(raw.replace(f'"{json.loads(raw)[field]}"'.encode(), b"null", 1))
     rc, out, err = _run(capsys, "--home", str(home), "ledger", "inspect")
-    assert (rc, out, err) == (0, "", "")  # no block below an unreadable genesis is loaded
+    # no block below an unreadable genesis is loaded; the damage is reported, not an empty chain
+    assert (rc, out, err) == (1, "", "error [ledger]: chain damaged at height 0: block file missing or unreadable\n")
     rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
     assert (rc, out) == (1, "chain BROKEN at height 0\n")
 

@@ -18,7 +18,7 @@ from carboncert.collector import (
     read_day_csv,
 )
 from carboncert.metersim import ReadingColumns, TransportMessage
-from carboncert.model import MINUTES_PER_DAY, SECONDS_PER_DAY, PhaseReading, parse_date
+from carboncert.model import MINUTES_PER_DAY, SECONDS_PER_DAY, MinuteRecord, PhaseReading, parse_date
 
 DAY0 = parse_date("2025-06-01")
 ASSIGNED = {"A": frozenset({1, 2, 3, 4}), "B": frozenset({5, 6, 7, 8})}
@@ -127,6 +127,17 @@ def test_csv_round_trip_and_format(tmp_path):
     assert rec.avg_active_power == pytest.approx(1234.568)
 
 
+def test_write_spells_a_negative_zero_average_as_zero(tmp_path):
+    c = _collector(tmp_path)
+    full = MinuteRecord(1, 1, DAY0, *[-0.0] * 6, 3)
+    partial = MinuteRecord(1, 2, DAY0, -0.0, None, -0.0, None, None, -0.0, 3)
+    c.write_day_csv("2025-06-01", [full, partial])
+    assert (tmp_path / "A" / "2025-06-01" / "SEM1.csv").read_text().split("\n")[1:3] == [
+        "2025-06-01T00:00:00Z,1,1,0.000,0.000,0.000,0.000,0.000,0.000,3",
+        "2025-06-01T00:00:00Z,1,2,0.000,,0.000,,,0.000,3",
+    ]
+
+
 def test_csv_rewrite_is_byte_identical(tmp_path):
     c = _collector(tmp_path)
     for i in range(30):
@@ -189,6 +200,18 @@ def test_read_rejects_a_row_of_other_width_or_with_an_empty_reading(tmp_path, ed
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match=f"SEM1.csv line 5: .*{why}"):
         read_day_csv(path)
+
+
+def test_read_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path):
+    c = _collector(tmp_path)
+    c.write_day_csv("2025-06-01", c.close_day("2025-06-01"))
+    path = tmp_path / "A" / "2025-06-01" / "SEM1.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b",0", b",\xff", 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=f"^{path} line 3: 'utf-8' codec can't decode byte 0xff in position") as exc:
+        read_day_csv(path)
+    assert type(exc.value) is ValueError
 
 
 def test_read_rejects_bad_header(tmp_path):
