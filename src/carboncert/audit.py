@@ -48,10 +48,10 @@ class MissingData(RuntimeError):
 
 
 class UnreadableCsv(ValueError):
-    """A collector CSV that does not parse, named by file and line."""
+    """A collector CSV that cannot be read, named by file, or does not parse, named by file and line."""
 
-    def __init__(self, path: Path, line: int, cause):
-        super().__init__(f"{path} line {line}: {cause}")
+    def __init__(self, path: Path, line: Optional[int], cause):
+        super().__init__(f"{path}: {cause}" if line is None else f"{path} line {line}: {cause}")
 
 
 @dataclass
@@ -156,7 +156,10 @@ def _parse_csv(path: Path, epochs: Dict[str, int]) -> _Rows:
     """Parse one collector CSV column by column; ``epochs`` holds the epoch of
     each timestamp text seen in the day's files. A file the parse refuses is
     read again row by row, so that the error names its first bad line."""
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise UnreadableCsv(path, None, exc.strerror or exc) from exc
     try:
         lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -169,17 +169,16 @@ def cmd_ledger(args) -> int:
                 f"block {block.height} txs={len(block.transactions)} "
                 f"hash={block.block_hash[:16]} prev={block.prev_hash[:16]}"
             )
-        if ledger.damage is not None:  # the blocks above it were not loaded
-            height, why = ledger.damage
-            raise ChainDamaged(f"chain damaged at height {height}: {why}")
-        return 0
-    history = ledger.get_history(args.key)
-    if not history:
-        print(f"no transactions touched {args.key!r}")
-        return 0
-    for tx in history:
-        print(f"{tx.tx_id[:16]} seq={tx.sequence} by={tx.submitter} status={tx.status}"
-              + (f" reason={tx.reason}" if tx.reason else ""))
+    else:
+        history = ledger.get_history(args.key)
+        if not history:
+            print(f"no transactions touched {args.key!r}")
+        for tx in history:
+            print(f"{tx.tx_id[:16]} seq={tx.sequence} by={tx.submitter} status={tx.status}"
+                  + (f" reason={tx.reason}" if tx.reason else ""))
+    if ledger.damage is not None:  # the blocks above it were not loaded
+        height, why = ledger.damage
+        raise ChainDamaged(f"chain damaged at height {height}: {why}")
     return 0
 
 

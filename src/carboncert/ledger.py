@@ -159,13 +159,13 @@ class StateView:
     """Read-only world-state view handed to chaincode; ``value`` turns a
     stored value into its bytes."""
 
-    def __init__(self, state: Dict[str, tuple], value: Callable[[object], bytes]):
+    def __init__(self, state: Dict[str, object], value: Callable[[object], bytes]):
         self._state = state
         self._value = value
 
     def get(self, key: str) -> Optional[bytes]:
-        entry = self._state.get(key)
-        return self._value(entry[0]) if entry else None
+        value = self._state.get(key)
+        return None if value is None else self._value(value)
 
 
 def make_identity(name: str, role: Role) -> Identity:
@@ -244,14 +244,6 @@ _JOURNAL_TAIL = len(b',"sha256":"') + 64 + len(b'"}')
 def _effect(result: ChainResult) -> Effect:
     """What a result applies: its writes when valid, and the keys it touched."""
     return (result.writes if result.valid else {}), tuple(result.touched)
-
-
-def _apply(tx_id: str, effect: Effect, state, history) -> None:
-    writes, touched = effect
-    for key, value in writes.items():
-        state[key] = (value, tx_id)
-    for key in touched:
-        history.setdefault(key, []).append(tx_id)
 
 
 def _journal_value(value: bytes, payload: bytes):
@@ -351,15 +343,14 @@ class Ledger:
         self.writes_dir = self.root / "writes"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
         self.identities: Dict[str, Identity] = {i.name: i for i in identities}
-        self._state: Dict[str, tuple] = {}  # key -> (bytes or a journal's slice value, tx_id)
-        self._history: Dict[str, List[str]] = {}
+        self._state: Dict[str, object] = {}  # key -> bytes or a journal's slice value
         self._tx_index: Dict[str, Transaction] = {}
         self._pending: List[Tuple[Transaction, Effect]] = []
         self._blocks: List[Block] = []
+        self._effects: List[List[Effect]] = []  # per height: each transaction's effect as applied
         self._next_sequence = 0
         self._damage: Optional[Tuple[int, str]] = None  # (first bad height, why)
-        self._journaled: Dict[int, List[Effect]] = {}  # height -> effects the open applied from its journal
-        self._replayed = (-1, {}, {}, None)  # _replay's (height, state, history, damage) so far
+        self._replayed = (-1, {}, None)  # _replay's (height, state, damage) so far
         with gc_paused():  # a container per parsed value and transaction, none of them cyclic garbage
             self._load(params)
 
@@ -391,7 +382,7 @@ class Ledger:
         self._next_sequence += 1
         payload_digest = digest_hex(payload)
         tx_id = _tx_id(payload, submitter, sequence)
-        result = self._execute(payload, tx_id, identity, self._state, self._history)
+        result = self._execute(payload, identity, self._state)
         tx = Transaction(
             sequence=sequence,
             tx_id=tx_id,
@@ -406,8 +397,8 @@ class Ledger:
         self._pending.append((tx, _effect(result)))
         return tx_id
 
-    def _execute(self, payload: bytes, tx_id: str, identity: Identity, state, history) -> ChainResult:
-        """Run one transaction's chaincode on ``state``; apply its writes and history."""
+    def _execute(self, payload: bytes, identity: Identity, state) -> ChainResult:
+        """Run one transaction's chaincode on ``state``; apply its writes when valid."""
         try:
             op = json.loads(payload.decode("utf-8"))
             if not isinstance(op, dict):
@@ -415,18 +406,20 @@ class Ledger:
         except (ValueError, UnicodeDecodeError):
             return ChainResult(False, "structure", {}, ())
         result = self.chaincode(op, identity, StateView(state, self._value))
-        _apply(tx_id, _effect(result), state, history)
+        if result.valid:
+            state.update(result.writes)
         return result
 
     def cut_block(self) -> Optional[Block]:
         """Drain up to 12 pending transactions into a new block, then its journal.
 
         Raises ChainDamaged, writing nothing, once the chain is known damaged:
-        ``verify_chain`` can find damage after transactions were submitted."""
+        ``verify_chain`` can find damage after transactions were submitted.
+        The transactions stay pending until their block file is written."""
         if not self._pending:
             return None
         self.check_appendable()
-        cut, self._pending = self._pending[:BLOCK_TX_LIMIT], self._pending[BLOCK_TX_LIMIT:]
+        cut = self._pending[:BLOCK_TX_LIMIT]
         tip = self._blocks[-1]
         block = Block(
             height=tip.height + 1,
@@ -435,8 +428,10 @@ class Ledger:
             transactions=[tx for tx, _ in cut],
         )
         write_atomic(self._block_path(block.height), _seal(block))
+        del self._pending[:len(cut)]
         self._blocks.append(block)
-        self._write_journal(block, [effect for _, effect in cut])
+        self._effects.append([effect for _, effect in cut])
+        self._write_journal(block, self._effects[-1])
         return block
 
     def _write_journal(self, block: Block, effects: List[Effect]) -> None:
@@ -488,24 +483,26 @@ class Ledger:
         return self._tx_index[tx_id]
 
     def query_state(self, key: str) -> Optional[bytes]:
-        entry = self._state.get(key)
-        return self._value(entry[0]) if entry else None
+        return self.state_view().get(key)
 
     def state_view(self) -> StateView:
         return StateView(self._state, self._value)
 
     def state_items(self, prefix: str = "") -> Dict[str, bytes]:
         keys = sorted(k for k in self._state if k.startswith(prefix))
-        return {k: self._value(self._state[k][0]) for k in keys}
+        return {k: self._value(self._state[k]) for k in keys}
 
     def get_history(self, key: str) -> List[Transaction]:
-        return [self._tx_index[t] for t in self._history.get(key, [])]
+        """The transactions whose effect touched ``key``: the committed ones in
+        chain order, then the pending ones in submission order."""
+        committed = [pair for block, effects in zip(self._blocks, self._effects) for pair in zip(block.transactions, effects)]
+        return [tx for tx, (_, touched) in committed + self._pending for k in touched if k == key]
 
     def state_digest(self) -> str:
         return self._state_digest(self._state)
 
     def _state_digest(self, state) -> str:
-        values = {k: base64.b64encode(self._value(v)).decode("ascii") for k, (v, _) in state.items()}
+        values = {k: base64.b64encode(self._value(v)).decode("ascii") for k, v in state.items()}
         return digest_hex(canonical_json(values))
 
     def _value(self, value) -> bytes:
@@ -543,7 +540,7 @@ class Ledger:
         with the journal the open applied. The last also marks the chain
         damaged, so appends are refused from then on.
         """
-        self._mark(self._replay()[2])
+        self._mark(self._replay()[1])
         damaged = self._damage[0] if self._damage else None
         prev_hash = ZERO_HASH_HEX
         for block in self._blocks:
@@ -578,25 +575,26 @@ class Ledger:
         return self._state_digest(self._replay()[0])
 
     def _replay(self):
-        """Re-execute the loaded blocks into a fresh (state, history).
+        """Re-execute the loaded blocks into a fresh state.
 
         Also returns the first (height, why) at which a transaction cannot
         run or replays to another (status, reason) than the one recorded, or
-        to other writes than the open applied from the block's journal.
+        to another effect than the ledger applied (``_effects``).
         Blocks are re-executed once per Ledger; later calls run only blocks
         cut since.
         """
-        height, state, history, damage = self._replayed
+        height, state, damage = self._replayed
         for block in self._blocks[height + 1:]:
-            found = self._run_block(block, state, history, self._journaled.get(block.height))
+            found = self._run_block(block, state, self._effects[block.height])[1]
             damage = damage or found
-        self._replayed = (self.height, state, history, damage)
-        return state, history, damage
+        self._replayed = (self.height, state, damage)
+        return state, damage
 
-    def _run_block(self, block: Block, state, history, journaled: Optional[List[Effect]] = None):
-        """Execute ``block``'s transactions on ``state``: the first (height, why)
-        at which one cannot run, or replays to another (status, reason) than
-        recorded or to other effects than ``journaled``; else None."""
+    def _run_block(self, block: Block, state, applied: Optional[List[Effect]] = None):
+        """Execute ``block``'s transactions on ``state``: their effects (none for one that
+        cannot run), and the first (height, why) at which one cannot run, or replays to
+        another (status, reason) than recorded or another effect than ``applied``, or None."""
+        effects: List[Effect] = [({}, ())] * len(block.transactions)
         damage = None
         for i, tx in enumerate(block.transactions):
             identity = self.identities.get(tx.submitter)
@@ -604,17 +602,18 @@ class Ledger:
                 damage = damage or f"unknown submitter {tx.submitter!r}"
                 continue
             try:
-                result = self._execute(self._payload(tx, block.height), tx.tx_id, identity, state, history)
+                result = self._execute(self._payload(tx, block.height), identity, state)
             except ChainDamaged:  # its payload, or one a value it read is cut from, is not base64: marked
                 continue
+            effects[i] = _effect(result)
             if result.valid != (tx.status == VALID) or result.reason != tx.reason:
                 replayed = f"{_status(result)} ({result.reason})"
                 damage = damage or f"tx {tx.tx_id[:16]} replays {replayed}, recorded {tx.status} ({tx.reason})"
-            elif journaled is not None:
-                writes, touched = journaled[i]
-                if _effect(result) != ({k: self._value(v) for k, v in writes.items()}, touched):
+            elif applied is not None:
+                writes, touched = applied[i]
+                if effects[i] != ({k: self._value(v) for k, v in writes.items()}, touched):
                     damage = damage or f"tx {tx.tx_id[:16]} replays other writes than its journal holds"
-        return None if damage is None else (block.height, damage)
+        return effects, (None if damage is None else (block.height, damage))
 
     # -- persistence --------------------------------------------------------
 
@@ -641,6 +640,7 @@ class Ledger:
         )
         write_atomic(self._block_path(0), _seal(genesis))
         self._blocks.append(genesis)
+        self._effects.append([])
 
     def _load(self, params: Optional[str]):
         """Load every block file, checking its bytes against the hash they
@@ -679,22 +679,22 @@ class Ledger:
 
     def _open_block(self, block: Block):
         """Apply ``block`` to the open's state from its journal when the journal is
-        usable and every submitter is known, else re-execute it. Returns the
-        first (height, why) that damages the chain, or None."""
+        usable and every submitter is known, else re-execute it; record its effects.
+        Returns the first (height, why) that damages the chain, or None."""
         journal = None
         if block.transactions:
             journal = _read_journal(self._journal_path(block.height), block, self._journal_binding)
         records = [(tx.tx_id, tx.status, tx.reason) for tx in block.transactions]
         agrees = journal is not None and journal[0] == records
         if agrees and all(tx.submitter in self.identities for tx in block.transactions):
-            effects = journal[1]
-            for tx, effect in zip(block.transactions, effects):
-                _apply(tx.tx_id, effect, self._state, self._history)
-            self._journaled[block.height] = effects
-            return None
-        damage = self._run_block(block, self._state, self._history)
-        if damage is None and journal is not None and not agrees:
-            damage = (block.height, "block records disagree with its write-set journal")
+            effects, damage = journal[1], None
+            for writes, _ in effects:
+                self._state.update(writes)
+        else:
+            effects, damage = self._run_block(block, self._state)
+            if damage is None and journal is not None and not agrees:
+                damage = (block.height, "block records disagree with its write-set journal")
+        self._effects.append(effects)
         return damage
 
 

@@ -658,7 +658,7 @@ def _timestamped_batches(draw):
 @given(case=_timestamped_batches())
 def test_validate_batch_agrees_with_parsing_every_timestamp(case):
     batch, head = case
-    state = StateView({} if head is None else {"head/plant-1": (head, "tx")}, lambda value: value)
+    state = StateView({} if head is None else {"head/plant-1": head}, lambda value: value)
     expected = _reference_timestamps(batch, state)
     ok_and_reason = validate_batch(batch, make_identity("plant-1", Role.PRODUCER), state, AnomalyRules(), EmissionConfig())
     assert ok_and_reason == (expected is None, expected)

@@ -304,6 +304,27 @@ def test_inspect_of_a_chain_torn_at_the_tip_lists_the_blocks_below_and_fails(cli
     assert err == f"error [ledger]: chain damaged at height {tip}: block file missing or unreadable\n"
 
 
+def test_history_of_a_chain_torn_below_the_tip_lists_what_the_blocks_below_give_and_fails(
+    cli_home, tmp_path, capsys
+):
+    # history used to print only the loaded blocks' part, or "no transactions touched", and exit 0
+    home = _copy_home(cli_home, tmp_path)
+    blocks = home / "chain" / "blocks"
+    loaded = {
+        f"seq={tx['sequence']}" for h in range(1, 5) for tx in json.loads((blocks / f"{h}.json").read_bytes())["transactions"]
+    }
+    rc, intact, _ = _run(capsys, "--home", str(home), "ledger", "history", "head/plant-1")
+    assert rc == 0
+    (blocks / "5.json").write_bytes((blocks / "5.json").read_bytes()[:100])
+    damaged = "error [ledger]: chain damaged at height 5: block file missing or unreadable\n"
+    rc, out, err = _run(capsys, "--home", str(home), "ledger", "history", "head/plant-1")
+    below = [line for line in intact.splitlines() if line.split()[1] in loaded]
+    assert rc == 1 and out.splitlines() == below and err == damaged and below
+    key = "batch/plant-1/plant-1-20250601-287"  # in the day's last block
+    rc, out, err = _run(capsys, "--home", str(home), "ledger", "history", key)
+    assert rc == 1 and out == f"no transactions touched {key!r}\n" and err == damaged
+
+
 def test_torn_genesis_block_fails_without_traceback(cli_home, tmp_path, capsys):
     home = _copy_home(cli_home, tmp_path)
     genesis = home / "chain" / "blocks" / "0.json"
@@ -355,6 +376,20 @@ def test_audit_of_an_unparseable_csv_fails_with_a_report(cli_home, tmp_path, cap
     report = json.loads((home / "reports" / "audit-2025-06-01.json").read_text())
     assert report["result"] == "FAIL" and report["chain_ok"] is True
     assert report["notices"] == [line for line in out.splitlines() if line.startswith("UnreadableCsv")]
+
+
+def test_audit_of_an_unreadable_csv_fails_with_a_report(cli_home, tmp_path, capsys):
+    # a read error used to end the audit with "error [audit]" and no report; a
+    # file without read permission cannot be shown while the tests run as root
+    home = _copy_home(cli_home, tmp_path)
+    path = home / "collectors" / "A" / "2025-06-01" / "SEM9.csv"
+    path.mkdir()
+    rc, out, err = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
+    assert rc == 1 and err == ""
+    assert out.splitlines()[0] == "AUDIT FAIL 2025-06-01"
+    report = json.loads((home / "reports" / "audit-2025-06-01.json").read_text())
+    assert report["result"] == "FAIL" and report["chain_ok"] is True
+    assert report["notices"] == [f"UnreadableCsv: {path}: Is a directory"]
 
 
 def test_same_date_rerun_keeps_audit_passing(cli_home, tmp_path, capsys):

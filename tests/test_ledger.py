@@ -142,6 +142,29 @@ def test_history_tracks_touched_keys(ledger):
     assert [t.sequence for t in history] == [0, 1]
 
 
+def test_history_lists_committed_transactions_in_block_order_then_pending_across_a_reopen(tmp_path):
+    root = tmp_path / "chain"
+    led = _open(root)
+    first = led.submit_tx(_payload(0, value=1), "plant-1")
+    led.submit_tx(_payload(1), "plant-1")
+    led.cut_all()
+    led.submit_tx(_payload(1, value=2), "plant-1")
+    led.submit_tx(b'{"op": "bad"}', "plant-1")
+    second = led.submit_tx(_payload(0, value=2), "plant-1")
+    led.cut_all()
+    (root / "writes" / "1.json").unlink()  # the open re-executes block 1 and applies block 2's journal
+    pending = led.submit_tx(_payload(0, value=3), "plant-1")
+    assert [t.tx_id for t in led.get_history("k0")] == [first, second, pending]
+    counting = Counting()
+    reopened = _open(root, counting)
+    assert counting.calls == 2  # block 1's transactions
+    assert [t.tx_id for t in reopened.get_history("k0")] == [first, second]  # the pending one is dropped
+    assert _histories(reopened) == _histories(led)
+    again = reopened.submit_tx(_payload(0, value=4), "plant-1")
+    assert [t.tx_id for t in reopened.get_history("k0")] == [first, second, again]
+    assert reopened.verify_chain() is None
+
+
 def test_state_queries(ledger):
     for key in ("k2", "x1", "k10", "k0"):
         ledger.submit_tx(_payload(0, key=key), "plant-1")
@@ -634,6 +657,33 @@ def test_a_journal_disagreeing_with_its_block_records_is_damage_at_open(tmp_path
     assert reopened.verify_chain() == 2
 
 
+def test_a_failed_block_write_keeps_its_transactions_pending(tmp_path, monkeypatch):
+    # the cut used to drop its transactions before the write, keeping their writes in the state
+    root = tmp_path / "chain"
+    led = _open(root)
+    led.submit_tx(json.dumps({"key": "a", "value": 1}).encode(), "plant-1")
+    real, calls = ledger_mod.write_atomic, []
+
+    def fail_once(path, data):
+        calls.append(path)
+        if len(calls) == 1:
+            raise OSError("no space left on device")
+        real(path, data)
+
+    monkeypatch.setattr(ledger_mod, "write_atomic", fail_once)
+    with pytest.raises(OSError):
+        led.cut_all()
+    assert (led.height, led.pending_count) == (0, 1) and not (root / "blocks" / "1.json").exists()
+    led.submit_tx(json.dumps({"key": "b", "value": 2}).encode(), "plant-1")
+    [block] = led.cut_all()
+    assert [tx.status for tx in block.transactions] == ["VALID", "VALID"] and led.pending_count == 0
+    reopened = _open(root)
+    assert reopened.query_state("a") == led.query_state("a") == b'{"key": "a", "value": 1}'
+    digests = {led.state_digest(), led.rebuilt_state_digest(), reopened.state_digest(), reopened.rebuilt_state_digest()}
+    assert len(digests) == 1
+    assert led.verify_chain() is None and reopened.verify_chain() is None
+
+
 def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path):
     root = tmp_path / "chain"
     _committed(root)
@@ -816,7 +866,9 @@ KEYS = 4
 
 
 def _histories(led):
-    return {k: [t.tx_id for t in led.get_history(f"k{k}")] for k in range(KEYS)}
+    """Each key's history as tx ids, without the pending transactions."""
+    committed = {tx.tx_id for block in led.blocks() for tx in block.transactions}
+    return {k: [t.tx_id for t in led.get_history(f"k{k}") if t.tx_id in committed] for k in range(KEYS)}
 
 
 def _parses(path):
@@ -866,13 +918,12 @@ class LedgerMachine(RuleBasedStateMachine):
     def reopen(self):
         # pending transactions were never committed, so a reopen drops them
         committed = self.led.rebuilt_state_digest()
-        live = None
-        if self.led.pending_count == 0:
-            live = (self.led.state_digest(), _histories(self.led))
+        live = self.led.state_digest() if self.led.pending_count == 0 else None
+        histories = _histories(self.led)
         self.led = _open(self.root)
-        assert self.led.state_digest() == committed
+        assert self.led.state_digest() == committed and _histories(self.led) == histories
         if live is not None:
-            assert (self.led.state_digest(), _histories(self.led)) == live
+            assert self.led.state_digest() == live
         assert self.led.verify_chain() is None
 
     @precondition(lambda self: self.damaged is None)
