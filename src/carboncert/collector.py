@@ -56,6 +56,10 @@ class IoFailure(OSError):
     def __init__(self, path, cause):
         super().__init__(f"I/O failure at {path}: {cause}")
         self.path = Path(path)
+        self.cause = cause
+
+    def __reduce__(self):  # so that it crosses a process boundary
+        return type(self), (self.path, self.cause)
 
 
 @dataclass

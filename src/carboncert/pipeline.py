@@ -15,6 +15,7 @@ fixed when it is created: see ``open_ledger``.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -204,17 +205,44 @@ class DayResult:
     notices: List[str]  # aggregation notices: unreadable files, missing collectors
 
 
+def run_collector(
+    day: metersim.DayStream, config: col_mod.CollectorConfig, date: str
+) -> Tuple[int, int, int, List[Path]]:
+    """One collector's day: ingest its meters' telemetry from ``day`` one meter
+    at a time, close the day and publish its CSVs. Returns (accepted,
+    duplicates, CSV rows, CSV paths)."""
+    instance = col_mod.Collector(config)
+    accepted = duplicates = 0
+    for meter_id in day.fleet.meters:
+        if meter_id in config.assigned_meters:
+            readings, delivery = day.meter(meter_id)
+            counts = instance.ingest_columns(readings, delivery.index)
+            del readings, delivery  # one meter's arrays at a time
+            accepted += counts.accepted
+            duplicates += counts.duplicates
+    records = instance.close_day(date)  # empties the collector's buffers
+    return accepted, duplicates, len(records), instance.write_day_csv(date, records)
+
+
 def run_simulation(config: RunConfig) -> DayResult:
     """Drive all four pipeline stages for one simulated day.
 
-    The telemetry is generated, delivered and ingested one meter at a time
-    (``metersim.DayStream``, one fault stream for the whole day), collector
-    by collector; each collector closes and publishes its CSVs, emptying its
-    buffers, before the next one starts.
+    The telemetry is generated and delivered one meter at a time
+    (``metersim.DayStream``, one fault stream for the whole day). Each
+    collector's day (``run_collector``) runs in a forked worker process, as
+    many at once as this process may use CPUs; aggregation starts once every
+    collector has published its CSVs. A worker that dies raises
+    ``ChildProcessError`` naming the collectors whose day did not finish.
+    Call it from a process that runs no other thread: a fork copies no
+    thread, and a lock another thread held stays locked in the worker.
 
     Refuses, before any CSV is published, a date that does not parse, a
     damaged chain, a config whose emission, rules or members differ from the
     chain's and a date the chain already holds."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     parse_date(config.date)
     ledger = open_ledger(config)
     ledger.check_appendable()
@@ -225,27 +253,27 @@ def run_simulation(config: RunConfig) -> DayResult:
     producer = ledger.get_identity(config.producer)
 
     day = metersim.DayStream(config.fleet, config.date, config.faults)
+    assignments = sorted(config.fleet.assignments.items())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ProcessPoolExecutor(min(len(assignments), cpus) or 1, multiprocessing.get_context("fork")) as pool:
+        days = {
+            cid: pool.submit(
+                run_collector, day, col_mod.CollectorConfig(cid, frozenset(meters), config.collectors_root), config.date
+            )
+            for cid, meters in assignments
+        }
+    lost = [cid for cid, done in days.items() if isinstance(done.exception(), BrokenProcessPool)]
+    if lost:
+        raise ChildProcessError(
+            f"a collector worker process ended abruptly: the day of collector{'s' * (len(lost) > 1)} "
+            f"{', '.join(lost)} did not finish"
+        )
     accepted = duplicates = csv_rows = 0
     csv_paths: List[Path] = []
-    for cid, meters in sorted(config.fleet.assignments.items()):
-        instance = col_mod.Collector(
-            col_mod.CollectorConfig(
-                collector_id=cid,
-                assigned_meters=frozenset(meters),
-                output_root=config.collectors_root,
-            )
-        )
-        for meter_id in config.fleet.meters:
-            if meter_id in instance.config.assigned_meters:
-                readings, delivery = day.meter(meter_id)
-                counts = instance.ingest_columns(readings, delivery.index)
-                del readings, delivery  # one meter's arrays at a time
-                accepted += counts.accepted
-                duplicates += counts.duplicates
-        records = instance.close_day(config.date)  # empties the collector's buffers
-        csv_rows += len(records)
-        csv_paths.extend(instance.write_day_csv(config.date, records))
-        del instance, records  # before the next collector's meters
+    for done in days.values():
+        took, redelivered, rows, paths = done.result()  # a worker's exception is raised here
+        accepted, duplicates, csv_rows = accepted + took, duplicates + redelivered, csv_rows + rows
+        csv_paths.extend(paths)
 
     summary = agg_mod.run_day_aggregation(
         date=config.date,

@@ -1,14 +1,19 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from carboncert import cli, metersim, pipeline
 from carboncert.aggregator import AnomalyRules
-from carboncert.collector import Collector, CollectorConfig
+from carboncert.collector import Collector, CollectorConfig, IoFailure
 from carboncert.model import EmissionConfig, canonical_json
 
 FAULTS = dict(duplicate_probability=0.1, drop_then_retry_probability=0.05, reorder_jitter_max=30.0)
@@ -88,24 +93,41 @@ def test_streamed_day_keeps_the_whole_day_fault_stream(tmp_path, meters, assignm
         assert (root / path.relative_to(config.collectors_root)).read_bytes() == path.read_bytes()
 
 
-def test_a_day_is_held_one_meter_at_a_time(tmp_path):
-    # numpy reports its buffers to tracemalloc. Peak of this clean four-meter
-    # day on a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6): 110.1 MB when the
-    # whole fleet's day was generated and delivered at once, 53.9 MB one meter
-    # at a time. The bound sits between the two.
-    config = pipeline.RunConfig(home=tmp_path, seed=3, fleet=metersim.FleetConfig(meters=(1, 2, 5, 6)))
+def _traced_peak(run) -> int:
+    """Bytes tracemalloc saw allocated at most during ``run()``, beyond those held before."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        pipeline.run_simulation(config)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        run()
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_a_day_is_held_one_meter_at_a_time(tmp_path):
+    # numpy reports its buffers to tracemalloc. Peak of this clean four-meter
+    # day's collectors, run one after the other in one process, on a 2-vCPU
+    # Xeon (Python 3.11.7, numpy 2.4.6): 110.1 MB when the whole fleet's day
+    # was generated and delivered at once, 47-54 MB one meter at a time. The
+    # bound sits between the two.
+    config = pipeline.RunConfig(home=tmp_path, seed=3, fleet=metersim.FleetConfig(meters=(1, 2, 5, 6)))
+    day = metersim.DayStream(config.fleet, config.date, config.faults)
+
+    def collect():
+        for cid, meters in sorted(config.fleet.assignments.items()):
+            collector = CollectorConfig(cid, frozenset(meters), config.collectors_root)
+            pipeline.run_collector(day, collector, config.date)
+
+    peak = _traced_peak(collect)
     assert peak < 80 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # the collectors' arrays stay in their worker processes: 14.2 MB on the
+    # same host, against the 47 MB of one collector's day held here
+    peak = _traced_peak(lambda: pipeline.run_simulation(replace(config, home=tmp_path / "pooled")))
+    assert peak < 30 * 2**20, f"parent peak {peak / 2**20:.1f} MB"
 
 
 def test_faulted_day_accepts_each_reading_once(tmp_path):
@@ -144,6 +166,86 @@ def test_simulate_exits_one_on_a_row_with_samples_and_an_empty_reading(tmp_path,
     assert rc == 1
     assert captured.err == f"error [simulate]: {stray} line 2: a row with samples has an empty reading\n"
     assert not (tmp_path / "chain" / "blocks" / "1.json").exists()
+
+
+def test_an_io_failure_crosses_a_process_boundary(tmp_path):
+    path = tmp_path / "A" / "SEM1.csv"
+    failure = IoFailure(path, NotADirectoryError(20, "Not a directory", str(path.parent)))
+    copy = pickle.loads(pickle.dumps(failure))
+    assert type(copy) is IoFailure and str(copy) == str(failure) and copy.path == path
+
+
+def test_a_workers_io_failure_reaches_the_cli_as_in_one_process(tmp_path, capsys):
+    (tmp_path / "collectors").mkdir()
+    (tmp_path / "collectors" / "A").touch()  # not a directory
+    config = tmp_path / "run.json"
+    config.write_text('{"meters": [2, 7]}')
+    rc = cli.main(["--home", str(tmp_path), "simulate", "--config", str(config), "--date", "2025-06-01"])
+    day_dir = tmp_path / "collectors" / "A" / "2025-06-01"
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error [simulate]: I/O failure at {day_dir / 'SEM1.csv'}: [Errno 20] Not a directory: '{day_dir}'\n"
+    )
+    assert multiprocessing.active_children() == []
+
+
+_run_collector = pipeline.run_collector
+
+
+def _collector_b_dies(day, config, date):
+    if config.collector_id == "B":
+        os._exit(3)
+    return _run_collector(day, config, date)
+
+
+@pytest.mark.parametrize("cpus", ({0}, {0, 1}), ids=["one-worker", "two-workers"])
+def test_a_dead_worker_fails_the_day_before_anything_is_submitted(tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    config = tmp_path / "run.json"
+    config.write_text('{"meters": [2, 7]}')  # one meter per collector keeps the day short
+    argv = ["--home", str(tmp_path), "simulate", "--config", str(config), "--date", "2025-06-01"]
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "run_collector", _collector_b_dies)
+        rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert multiprocessing.active_children() == []
+    # with one worker A's day is done when B's worker dies; with two the pool
+    # ends A's worker too, and both days are named
+    lost = "collector B" if cpus == {0} else "(collector B|collectors A, B)"
+    assert re.fullmatch(
+        rf"error \[simulate\]: a collector worker process ended abruptly: the day of {lost} did not finish\n", err
+    ), err
+    assert sorted(p.name for p in (tmp_path / "chain" / "blocks").iterdir()) == ["0.json"]  # genesis only
+
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "34560 / 1440 / 288"
+    assert multiprocessing.active_children() == []
+
+
+def test_the_worker_count_changes_no_output(tmp_path, monkeypatch):
+    fleet = metersim.FleetConfig(meters=(1, 2, 3, 4), assignments={"A": (1, 3), "B": (2, 4)})
+    faults = metersim.FaultConfig(**FAULTS, rng_seed=4)
+    runs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        config = pipeline.RunConfig(home=tmp_path / str(len(cpus)), seed=4, fleet=fleet, faults=faults)
+        result = pipeline.run_simulation(config)
+        assert multiprocessing.active_children() == []
+        paths = [path.relative_to(config.home) for path in result.csv_paths]
+        csvs = [path.read_bytes() for path in result.csv_paths]
+        runs[len(cpus)] = replace(result, csv_paths=paths), csvs
+    assert runs[1] == runs[2]
+    assert [path.as_posix() for path in runs[1][0].csv_paths] == [
+        f"collectors/{cid}/2025-06-01/SEM{m}.csv" for cid, m in (("A", 1), ("A", 3), ("B", 2), ("B", 4))
+    ]
+
+
+def test_a_fleet_without_collectors_rejects_every_message(tmp_path):
+    fleet = metersim.FleetConfig(meters=(2,), assignments={})
+    result = pipeline.run_simulation(pipeline.RunConfig(home=tmp_path, fleet=fleet))
+    assert (result.csv_rows, result.csv_paths, result.accepted) == (0, [], 0)
+    assert result.rejected == result.messages > 0
 
 
 def test_open_ledger_applies_journals_only_under_the_same_contract_settings(tmp_path, monkeypatch):
