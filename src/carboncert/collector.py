@@ -6,7 +6,9 @@ redelivery: each (meter_id, phase, ts) key is accepted once and its
 redeliveries are classified as duplicates. Messages arrive one at a time
 (``ingest``) or as a delivery of columns (``ingest_columns``); both
 buffer the accepted samples, and ``close_day`` averages them per minute in
-one array kernel.
+one array kernel. A day's minute table has one form, ``DayColumns``:
+``close_day`` returns the collector's rows in file order, ``write_day_csv``
+writes them as given, and ``read_day_columns`` reads one file back.
 
 CSV contract (bit-exact): one file per meter per day at
 ``<output_root>/<collector_id>/<YYYY-MM-DD>/SEM<meter_id>.csv``, header
@@ -19,10 +21,9 @@ no quoting: a cell is the text between two commas, so a quoted cell such as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product, repeat
-from operator import itemgetter
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,9 +48,7 @@ ACCEPTED = "accepted"
 DUPLICATE = "duplicate"
 REJECTED = "rejected"
 
-_ABSENT = (None,) * 6
 _ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%s"  # a CSV row whose six averages are all present
-_MINUTE_PHASE = itemgetter(2, 1)  # a MinuteRecord's (minute_start, phase)
 
 
 class IoFailure(OSError):
@@ -73,6 +72,23 @@ class IngestCounts(NamedTuple):
     accepted: int
     duplicates: int
     rejected: int
+
+
+class DayColumns(NamedTuple):
+    """Minute rows as columns, one list per ``MinuteRecord`` field, an empty
+    cell as None: one file's rows in file order, or a collector's day across
+    its files in path order (meter, then minute, then phase)."""
+
+    meter_id: List[int]
+    phase: List[int]
+    minute_start: List[int]
+    avg_active_power: List[Optional[float]]
+    avg_voltage: List[Optional[float]]
+    avg_current: List[Optional[float]]
+    avg_power_factor: List[Optional[float]]
+    avg_frequency: List[Optional[float]]
+    avg_apparent_power: List[Optional[float]]
+    sample_count: List[int]
 
 
 def _pack(meter_id, phase, ts):
@@ -137,8 +153,10 @@ class Collector:
         del blocks
         return ReadingColumns(*(np.concatenate(parts.pop(0)) for _ in range(len(parts))))
 
-    def close_day(self, date: str) -> List[MinuteRecord]:
-        """Close every minute of the date for every assigned meter-phase.
+    def close_day(self, date: str) -> DayColumns:
+        """Close every minute of the date for every assigned meter-phase: the
+        collector's rows in file order (meter, then minute, then phase), an
+        absent average as None.
 
         A minute's means add its samples in ts order, whatever order they
         arrived in. Samples of other dates stay buffered.
@@ -157,73 +175,51 @@ class Collector:
             self._blocks.append(ReadingColumns(*(col[rows[~in_day]] for col in samples)))
             rows, ts = rows[in_day], ts[in_day]
         meters = sorted(self.config.assigned_meters)
-        cell = np.searchsorted(meters, samples.meter_id[rows]) * len(PHASES) + samples.phase[rows] - 1
-        bins = cell * MINUTES_PER_DAY + (ts - day0) // 60
-        size = len(meters) * len(PHASES) * MINUTES_PER_DAY
+        rank = np.searchsorted(meters, samples.meter_id[rows])
+        bins = (rank * MINUTES_PER_DAY + (ts - day0) // 60) * len(PHASES) + samples.phase[rows] - 1
+        size = len(meters) * MINUTES_PER_DAY * len(PHASES)
         counts = np.bincount(bins, minlength=size)
         # bincount adds each bin's weights in input order: (meter, phase, ts) order.
         sums = [np.bincount(bins, weights=col[rows], minlength=size) for col in samples[3:]]
-        with np.errstate(invalid="ignore"):  # empty minutes: nan, written as None below
-            means = zip(*(np.divide(s, counts).tolist() for s in sums))
-        return [
-            MinuteRecord(meter_id, phase, day0 + 60 * m, *avg, n)
-            if n
-            else MinuteRecord(meter_id, phase, day0 + 60 * m, *_ABSENT, 0)
-            for (meter_id, phase, m), n, avg in zip(
-                product(meters, PHASES, range(MINUTES_PER_DAY)), counts.tolist(), means
-            )
-        ]
+        with np.errstate(invalid="ignore"):  # empty minutes: nan, replaced by None
+            means = [np.where(counts > 0, np.divide(s, counts), None).tolist() for s in sums]
+        minutes = np.repeat(day0 + 60 * np.arange(MINUTES_PER_DAY), len(PHASES))
+        return DayColumns(
+            np.repeat(meters, MINUTES_PER_DAY * len(PHASES)).tolist(),
+            list(PHASES) * (len(meters) * MINUTES_PER_DAY),
+            np.tile(minutes, len(meters)).tolist(),
+            *means,
+            counts.tolist(),
+        )
 
-    def write_day_csv(self, date: str, records: Iterable[MinuteRecord]) -> List[Path]:
-        """One CSV per assigned meter; atomic publish; byte-stable on rewrite."""
-        per_meter: Dict[int, List[MinuteRecord]] = {m: [] for m in sorted(self.config.assigned_meters)}
-        for rec in records:
-            if rec.meter_id not in per_meter:
-                raise ValueError(f"record for unassigned meter {rec.meter_id}")
-            per_meter[rec.meter_id].append(rec)
+    def write_day_csv(self, date: str, day: DayColumns) -> List[Path]:
+        """One CSV per assigned meter, each holding that meter's rows of ``day``
+        in the order given; atomic publish; byte-stable on rewrite. ValueError,
+        before any file is written, for a row of a meter not assigned."""
+        lines: Dict[int, List[str]] = {m: [CSV_HEADER] for m in sorted(self.config.assigned_meters)}
+        stray = set(day.meter_id).difference(lines)
+        if stray:
+            raise ValueError(f"rows for unassigned meters {sorted(stray)}")
+        stamps = {m: format_ts(m) for m in set(day.minute_start)}
+        for meter, phase, minute, *avg, n in zip(*day):
+            if None in avg:  # +0.0 writes -0.0 as 0.000
+                cells = ["" if a is None else format(a + 0.0, ".3f") for a in avg]
+                row = ",".join((stamps[minute], str(meter), str(phase), *cells, str(n)))
+            else:
+                p, v, i, pf, f, s = avg
+                row = _ROW % (stamps[minute], meter, phase, p + 0.0, v + 0.0, i + 0.0, pf + 0.0, f + 0.0, s + 0.0, n)
+            lines[meter].append(row)
         day_dir = Path(self.config.output_root) / self.config.collector_id / date
-        stamps = {m: format_ts(m) for m in {r.minute_start for recs in per_meter.values() for r in recs}}
         paths = []
-        for meter_id, recs in per_meter.items():
-            recs.sort(key=_MINUTE_PHASE)
+        for meter_id, rows in lines.items():
             path = day_dir / f"SEM{meter_id}.csv"
-            lines = [CSV_HEADER]
-            for meter, phase, minute, *avg, count in recs:
-                if None in avg:
-                    lines.append(",".join((stamps[minute], str(meter), str(phase), *map(_fmt, avg), str(count))))
-                else:  # +0.0 writes -0.0 as 0.000, as _fmt does
-                    p, v, i, pf, f, s = avg
-                    lines.append(_ROW % (
-                        stamps[minute], meter, phase, p + 0.0, v + 0.0, i + 0.0, pf + 0.0, f + 0.0, s + 0.0, count
-                    ))
-            data = ("\n".join(lines) + "\n").encode("utf-8")
             try:
                 day_dir.mkdir(parents=True, exist_ok=True)
-                write_atomic(path, data)
+                write_atomic(path, ("\n".join(rows) + "\n").encode("utf-8"))
             except OSError as exc:
                 raise IoFailure(path, exc) from exc
             paths.append(path)
         return paths
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value + 0.0, ".3f")
-
-
-class DayColumns(NamedTuple):
-    """A day file's rows as columns, in file order: one list per
-    ``MinuteRecord`` field, an empty cell as None."""
-
-    meter_id: List[int]
-    phase: List[int]
-    minute_start: List[int]
-    avg_active_power: List[Optional[float]]
-    avg_voltage: List[Optional[float]]
-    avg_current: List[Optional[float]]
-    avg_power_factor: List[Optional[float]]
-    avg_frequency: List[Optional[float]]
-    avg_apparent_power: List[Optional[float]]
-    sample_count: List[int]
 
 
 _WIDTH = len(DayColumns._fields)

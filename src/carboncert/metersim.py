@@ -91,10 +91,13 @@ class FaultConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        p, q = self.duplicate_probability, self.drop_then_retry_probability
-        if not (0.0 <= p and 0.0 <= q and p + q <= 1.0 and 0.0 <= self.reorder_jitter_max):
+        p = finite_number(self.duplicate_probability, "duplicate probability")
+        q = finite_number(self.drop_then_retry_probability, "drop-then-retry probability")
+        jitter = finite_number(self.reorder_jitter_max, "reorder jitter")
+        if not (0.0 <= p and 0.0 <= q and p + q <= 1.0 and 0.0 <= jitter):
             raise ValueError("fault probabilities must be >= 0 with a sum <= 1, and the jitter >= 0")
-        whole_number(self.rng_seed, "fault rng_seed")
+        if whole_number(self.rng_seed, "fault rng_seed") < 0:
+            raise ValueError(f"fault rng_seed must be >= 0: {self.rng_seed}")
 
 
 @dataclass

@@ -220,8 +220,8 @@ def run_collector(
             del readings, delivery  # one meter's arrays at a time
             accepted += counts.accepted
             duplicates += counts.duplicates
-    records = instance.close_day(date)  # empties the collector's buffers
-    return accepted, duplicates, len(records), instance.write_day_csv(date, records)
+    day = instance.close_day(date)  # empties the collector's buffers
+    return accepted, duplicates, len(day.sample_count), instance.write_day_csv(date, day)
 
 
 def run_simulation(config: RunConfig) -> DayResult:

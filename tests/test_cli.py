@@ -228,11 +228,16 @@ def test_fleet_meters_outside_1_to_8_or_repeated_are_refused(tmp_path, capsys, r
         ('{"rules": {"phase_power_range": [-Infinity, 6000]}}', "phase power range must be a finite number: -inf"),
         ('{"emission": {"plant_capacity_watts": NaN}}', "plant capacity must be a finite number: nan"),
         ('{"emission": {"factor_kg_per_kwh": true}}', "emission factor must be a finite number: True"),
+        ('{"faults": {"rng_seed": -1}}', "fault rng_seed must be >= 0: -1"),
+        ('{"faults": {"duplicate_probability": true}}', "duplicate probability must be a finite number: True"),
+        ('{"faults": {"reorder_jitter_max": Infinity}}', "reorder jitter must be a finite number: inf"),
     ],
 )
 def test_rule_and_emission_bounds_must_be_finite_numbers(tmp_path, capsys, raw, why):
-    # each used to be accepted: a NaN ramp limit turned the RAMP rule off, and
-    # string bounds failed with a traceback after the CSVs were published
+    # each used to be accepted: a NaN ramp limit turned the RAMP rule off,
+    # string bounds failed with a traceback after the CSVs were published, a
+    # negative fault seed failed after the genesis block was written, and a
+    # boolean probability or an infinite jitter ran
     cfg = tmp_path / "run.json"
     cfg.write_text(raw)
     rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))

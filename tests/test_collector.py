@@ -1,4 +1,5 @@
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,13 @@ from carboncert.collector import (
     REJECTED,
     Collector,
     CollectorConfig,
+    DayColumns,
     IngestCounts,
     IoFailure,
     read_day_csv,
 )
 from carboncert.metersim import ReadingColumns, TransportMessage
-from carboncert.model import MINUTES_PER_DAY, SECONDS_PER_DAY, MinuteRecord, PhaseReading, parse_date
+from carboncert.model import MINUTES_PER_DAY, PHASES, SECONDS_PER_DAY, MinuteRecord, PhaseReading, format_ts, parse_date
 
 DAY0 = parse_date("2025-06-01")
 ASSIGNED = {"A": frozenset({1, 2, 3, 4}), "B": frozenset({5, 6, 7, 8})}
@@ -33,8 +35,18 @@ def _collector(tmp_path, cid="A"):
     return Collector(CollectorConfig(cid, ASSIGNED[cid], tmp_path))
 
 
-def _minute(records, meter=1, phase=1, minute_start=DAY0):
-    (rec,) = [r for r in records if (r.meter_id, r.phase, r.minute_start) == (meter, phase, minute_start)]
+def _records(day):
+    """``close_day``'s columns as minute records, in file order."""
+    return list(map(MinuteRecord._make, zip(*day)))
+
+
+def _day(records):
+    """Minute records, in the order given, as the columns ``write_day_csv`` takes."""
+    return DayColumns(*map(list, zip(*records))) if records else DayColumns(*[[]] * 10)
+
+
+def _minute(day, meter=1, phase=1, minute_start=DAY0):
+    (rec,) = [r for r in _records(day) if (r.meter_id, r.phase, r.minute_start) == (meter, phase, minute_start)]
     return rec
 
 
@@ -95,8 +107,12 @@ def test_close_minute_empty_yields_zero_count_nulls(tmp_path):
 def test_close_day_emits_full_grid(tmp_path):
     c = _collector(tmp_path)
     c.ingest(_msg(ts=DAY0 + 61, power=500.0))
-    records = c.close_day("2025-06-01")
+    records = _records(c.close_day("2025-06-01"))
     assert len(records) == 4 * 3 * MINUTES_PER_DAY
+    # file order: meter, then minute, then phase
+    assert [r[:3] for r in records] == [
+        (m, p, DAY0 + 60 * k) for m in (1, 2, 3, 4) for k in range(MINUTES_PER_DAY) for p in PHASES
+    ]
     nonempty = [r for r in records if r.sample_count]
     assert len(nonempty) == 1
     assert nonempty[0].minute_start == DAY0 + 60
@@ -131,7 +147,7 @@ def test_write_spells_a_negative_zero_average_as_zero(tmp_path):
     c = _collector(tmp_path)
     full = MinuteRecord(1, 1, DAY0, *[-0.0] * 6, 3)
     partial = MinuteRecord(1, 2, DAY0, -0.0, None, -0.0, None, None, -0.0, 3)
-    c.write_day_csv("2025-06-01", [full, partial])
+    c.write_day_csv("2025-06-01", _day([full, partial]))
     assert (tmp_path / "A" / "2025-06-01" / "SEM1.csv").read_text().split("\n")[1:3] == [
         "2025-06-01T00:00:00Z,1,1,0.000,0.000,0.000,0.000,0.000,0.000,3",
         "2025-06-01T00:00:00Z,1,2,0.000,,0.000,,,0.000,3",
@@ -153,9 +169,10 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
 
 def test_write_rejects_unassigned_record(tmp_path):
     c = _collector(tmp_path, "A")
-    bad = c.close_day("2025-06-01")[0]._replace(meter_id=7)
-    with pytest.raises(ValueError):
-        c.write_day_csv("2025-06-01", [bad])
+    good = _records(c.close_day("2025-06-01"))[0]
+    with pytest.raises(ValueError, match=r"unassigned meters \[7\]"):
+        c.write_day_csv("2025-06-01", _day([good, good._replace(meter_id=7)]))
+    assert not (tmp_path / "A").exists()  # refused before any file is written
 
 
 def test_write_surfaces_io_failure(tmp_path):
@@ -163,7 +180,7 @@ def test_write_surfaces_io_failure(tmp_path):
     target.write_text("not a directory")
     c = _collector(tmp_path, "A")
     with pytest.raises(IoFailure):
-        c.write_day_csv("2025-06-01", c.close_day("2025-06-01")[:3])
+        c.write_day_csv("2025-06-01", _day(_records(c.close_day("2025-06-01"))[:3]))
 
 
 def test_read_rejects_a_later_respelling_of_a_parsed_minute(tmp_path):
@@ -232,7 +249,7 @@ def test_close_day_keeps_other_dates_buffered(tmp_path):
     c.ingest(_msg(ts=DAY0 + 5, power=300.0))
     assert _minute(c.close_day("2025-06-01")).avg_active_power == 300.0
     assert _minute(c.close_day("2025-06-02"), minute_start=DAY0 + SECONDS_PER_DAY).avg_active_power == 700.0
-    assert sum(r.sample_count for r in c.close_day("2025-06-02")) == 0
+    assert sum(c.close_day("2025-06-02").sample_count) == 0
 
 
 def test_ingest_columns_counts_outcomes_like_ingest(tmp_path):
@@ -272,7 +289,7 @@ def test_close_day_is_independent_of_arrival_order(samples, data):
     expected = in_order.close_day("2025-06-01")
     assert shuffled.close_day("2025-06-01") == expected
     assert columnar.close_day("2025-06-01") == expected
-    for rec in (r for r in expected if r.minute_start < DAY0 + 180):
+    for rec in (r for r in _records(expected) if r.minute_start < DAY0 + 180):
         in_minute = sorted(
             (r.ts, r.active_power) for r in readings if r.phase == rec.phase and r.ts - r.ts % 60 == rec.minute_start
         )
@@ -281,3 +298,59 @@ def test_close_day_is_independent_of_arrival_order(samples, data):
             total += w
         assert rec.sample_count == len(in_minute)
         assert rec.avg_active_power == (total / len(in_minute) if in_minute else None)
+
+
+_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%s"
+
+
+def _fmt(value):
+    return "" if value is None else format(value + 0.0, ".3f")
+
+
+def _reference_files(records, assigned):
+    """Each assigned meter's file bytes, as the row writer wrote them before
+    close_day returned columns: records regrouped by meter, sorted by
+    (minute, phase) and formatted one row at a time."""
+    per_meter = {m: [] for m in sorted(assigned)}
+    for rec in records:
+        per_meter[rec.meter_id].append(rec)
+    files = {}
+    for meter_id, recs in per_meter.items():
+        recs.sort(key=itemgetter(2, 1))
+        lines = [CSV_HEADER]
+        for meter, phase, minute, *avg, count in recs:
+            if None in avg:
+                lines.append(",".join((format_ts(minute), str(meter), str(phase), *map(_fmt, avg), str(count))))
+            else:
+                p, v, i, pf, f, s = avg
+                lines.append(_ROW % (
+                    format_ts(minute), meter, phase, p + 0.0, v + 0.0, i + 0.0, pf + 0.0, f + 0.0, s + 0.0, count
+                ))
+        files[f"SEM{meter_id}.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
+    return files
+
+
+_average = st.one_of(
+    st.none(),
+    st.floats(),  # nan and +-inf among them
+    st.floats(-1e13, 1e13),
+    st.sampled_from([-0.0, 0.0, -0.0004, 0.0005, 1e12, -1e12, 999_999_999_999.9995, 1e12 + 0.125]),
+)
+_row = st.one_of(
+    st.just(((None,) * 6, 0)),  # an empty minute
+    st.tuples(st.tuples(*[_average] * 6), st.integers(0, 120)),  # full, partial, or values with zero samples
+)
+_key = st.tuples(st.integers(1, 4), st.integers(0, MINUTES_PER_DAY - 1), st.sampled_from(PHASES))  # meter, minute, phase
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.dictionaries(_key, _row, max_size=40))
+def test_writer_matches_the_reference_row_writer(tmp_path_factory, rows):
+    records = [
+        MinuteRecord(meter, phase, DAY0 + 60 * minute, *avg, count)
+        for (meter, minute, phase), (avg, count) in sorted(rows.items())  # file order
+    ]
+    root = tmp_path_factory.mktemp("writer")
+    c = _collector(root)
+    paths = c.write_day_csv("2025-06-01", _day(records))
+    assert {p.name: p.read_bytes() for p in paths} == _reference_files(records, ASSIGNED["A"])

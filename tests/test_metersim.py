@@ -333,6 +333,10 @@ def test_day_builds_leave_the_collector_as_found(enabled, monkeypatch):
         dict(reorder_jitter_max=-1.0),
         dict(drop_then_retry_probability=float("nan")),
         dict(rng_seed=1.5),
+        dict(rng_seed=-1),
+        dict(duplicate_probability=True),
+        dict(reorder_jitter_max=float("inf")),
+        dict(drop_then_retry_probability="0.1"),
     ],
 )
 def test_fault_config_rejects_impossible_values(bad):
