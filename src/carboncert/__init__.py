@@ -10,12 +10,10 @@ CSVs for third-party verification.
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    Batch,
     EmissionConfig,
     Identity,
     MinuteRecord,
     PhaseReading,
-    PlantMinuteAggregate,
     Quality,
     Role,
     window_index,

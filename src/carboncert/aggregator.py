@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -22,18 +23,15 @@ from .model import (
     WINDOW_SECONDS,
     WINDOWS_PER_DAY,
     AnomalyRules,
-    Batch,
     Identity,
     MinuteRecord,
-    PlantMinuteAggregate,
     Quality,
     Role,
-    aggregate_to_dict,
     batch_bytes,
     batch_id_for,
-    batch_to_dict,
     canonical_json,
     format_ts,
+    parse_date,
     write_atomic,
 )
 
@@ -42,6 +40,9 @@ RANGE_VOLTAGE = "RANGE_VOLTAGE"
 RANGE_FREQUENCY = "RANGE_FREQUENCY"
 RAMP = "RAMP"
 PF_BOUNDS = "PF_BOUNDS"
+
+
+_OK, _PARTIAL, _FLAGGED = Quality.OK.value, Quality.PARTIAL.value, Quality.FLAGGED.value
 
 
 class DuplicatePhase(ValueError):
@@ -74,12 +75,12 @@ def mark_processed(files: Iterable[Path]) -> None:
     the benchmark drops that call and this function."""
 
 
-def fuse_day(
-    files: Iterable[collector_mod.DayColumns], rules: AnomalyRules
-) -> Tuple[List[PlantMinuteAggregate], List[dict]]:
+def fuse_day(files: Iterable[collector_mod.DayColumns], rules: AnomalyRules) -> Tuple[List[dict], List[dict]]:
     """Fuse the rows of a date's CSV files, given in path order, into one plant
     aggregate per minute, in minute order, and flag anomalies; also returns
-    the quarantine entry of each flagged minute.
+    the quarantine entry of each flagged minute. An aggregate is the dict a
+    batch carries: ``minute_start`` as ``format_ts`` text, ``quality`` a
+    ``Quality`` value and ``flags`` a sorted list of anomaly codes.
 
     A minute's power, voltage and frequency are added one value at a time in
     (meter, phase) order, starting from 0.0, as ``sum`` adds floats before
@@ -125,22 +126,22 @@ def fuse_day(
         avg_v, avg_f = v_sum / count, f_sum / count
 
     ends = np.append(starts[1:], len(order)).tolist()
-    aggregates: List[PlantMinuteAggregate] = []
+    aggregates: List[dict] = []
     entries: List[dict] = []
-    prev: Optional[PlantMinuteAggregate] = None
+    prev: Optional[dict] = None
     for start, end, minute_at, total_w, volts, hertz, n, look in zip(
         starts.tolist(), ends, minute[starts].tolist(), total.tolist(),
         avg_v.tolist(), avg_f.tolist(), count.tolist(), suspect.tolist(),
     ):
-        agg = PlantMinuteAggregate(
-            minute_start=minute_at,
-            total_power=total_w,
-            avg_voltage=volts if n else None,
-            avg_frequency=hertz if n else None,
-            phase_count=n,
-            quality=Quality.PARTIAL if 0 < n < TOTAL_PHASES else Quality.OK,
-            flags=[],
-        )
+        agg = {
+            "minute_start": format_ts(minute_at),
+            "total_power": total_w,
+            "avg_voltage": volts if n else None,
+            "avg_frequency": hertz if n else None,
+            "phase_count": n,
+            "quality": _PARTIAL if 0 < n < TOTAL_PHASES else _OK,
+            "flags": [],
+        }
         if look:
             records = [MinuteRecord._make([col[row] for col in cols]) for row in sorted(order[start:end].tolist())]
             anomalies = detect_anomalies(agg, prev, records, rules)
@@ -159,10 +160,10 @@ def _ranks(values: List[int]) -> np.ndarray:
     return np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
 
 
-def _quarantine_entry(agg: PlantMinuteAggregate, anomalies: List[Anomaly], records: List[MinuteRecord]) -> dict:
+def _quarantine_entry(agg: dict, anomalies: List[Anomaly], records: List[MinuteRecord]) -> dict:
     return {
-        "minute_start": format_ts(agg.minute_start),
-        "aggregate": aggregate_to_dict(agg),
+        "minute_start": agg["minute_start"],
+        "aggregate": agg,
         "codes": sorted({a.code for a in anomalies}),
         "details": [f"{a.code}: {a.detail}" for a in anomalies],
         "records": [
@@ -181,10 +182,7 @@ def _quarantine_entry(agg: PlantMinuteAggregate, anomalies: List[Anomaly], recor
 
 
 def detect_anomalies(
-    agg: PlantMinuteAggregate,
-    prev_agg: Optional[PlantMinuteAggregate],
-    records: Iterable[MinuteRecord],
-    rules: AnomalyRules,
+    agg: dict, prev_agg: Optional[dict], records: Iterable[MinuteRecord], rules: AnomalyRules
 ) -> List[Anomaly]:
     """Rule evaluation over contributing per-phase records and minute totals."""
     anomalies: List[Anomaly] = []
@@ -204,61 +202,60 @@ def detect_anomalies(
         if abs(r.avg_power_factor) > 1.0:
             anomalies.append(Anomaly(PF_BOUNDS, f"{where}: pf {r.avg_power_factor:.3f}"))
     if prev_agg is not None:
-        ramp = abs(agg.total_power - prev_agg.total_power)
+        ramp = abs(agg["total_power"] - prev_agg["total_power"])
         if ramp > rules.max_ramp_watts_per_minute:
             anomalies.append(Anomaly(RAMP, f"total power jumped {ramp:.3f} W in one minute"))
     return anomalies
 
 
-def flag_aggregate(agg: PlantMinuteAggregate, anomalies: List[Anomaly]) -> None:
+def flag_aggregate(agg: dict, anomalies: List[Anomaly]) -> None:
     if not anomalies:
         return
-    agg.flags = sorted({a.code for a in anomalies})
-    agg.quality = Quality.FLAGGED
+    agg["flags"] = sorted({a.code for a in anomalies})
+    agg["quality"] = _FLAGGED
 
 
-def make_batches(
-    day_aggregates: Iterable[PlantMinuteAggregate],
-    producer_id: str,
-    schema_version: int = SCHEMA_VERSION,
-) -> Tuple[List[Batch], List[int]]:
-    """Group minute aggregates into five-minute batches; fully missing windows
-    are skipped and reported as indices."""
-    by_window: Dict[int, List[PlantMinuteAggregate]] = {}
-    for agg in day_aggregates:
-        w = (agg.minute_start % 86400) // WINDOW_SECONDS
-        by_window.setdefault(w, []).append(agg)
-    batches: List[Batch] = []
-    if not by_window:
+def make_batches(day_aggregates: Iterable[dict], producer_id: str) -> Tuple[List[dict], List[int]]:
+    """Group minute aggregates into five-minute batches, laid out as
+    ``batch_bytes`` renders them, with each batch's aggregates in minute
+    order; fully missing windows are skipped and reported as indices. A
+    minute's window is read off its fixed-width ``minute_start`` text, and
+    windows are placed on the date of the earliest minute."""
+    aggregates = sorted(day_aggregates, key=itemgetter("minute_start"))
+    if not aggregates:
         return [], list(range(WINDOWS_PER_DAY))
-    day0 = min(a.minute_start for aggs in by_window.values() for a in aggs)
-    day0 -= day0 % 86400
-    for w in sorted(by_window):
-        aggs = sorted(by_window[w], key=lambda a: a.minute_start)
+    by_window: Dict[str, List[dict]] = {}  # "HH:MM" of a window's first minute -> the window's aggregates
+    for agg in aggregates:
+        text = agg["minute_start"]  # YYYY-MM-DDTHH:MM:SSZ
+        by_window.setdefault(text[11:15] + ("0" if text[15] < "5" else "5"), []).append(agg)
+    windows = {(60 * int(hh_mm[:2]) + int(hh_mm[3:])) // 5: aggs for hh_mm, aggs in by_window.items()}
+    day0 = parse_date(aggregates[0]["minute_start"][:10])
+    batches: List[dict] = []
+    for w in sorted(windows):
         start = day0 + w * WINDOW_SECONDS
         batches.append(
-            Batch(
-                batch_id=batch_id_for(producer_id, start),
-                window_start=start,
-                window_end=start + WINDOW_SECONDS,
-                producer_id=producer_id,
-                schema_version=schema_version,
-                aggregates=aggs,
-            )
+            {
+                "batch_id": batch_id_for(producer_id, start),
+                "window_start": format_ts(start),
+                "window_end": format_ts(start + WINDOW_SECONDS),
+                "producer_id": producer_id,
+                "schema_version": SCHEMA_VERSION,
+                "aggregates": windows[w],
+            }
         )
-    missing = [w for w in range(WINDOWS_PER_DAY) if w not in by_window]
+    missing = [w for w in range(WINDOWS_PER_DAY) if w not in windows]
     return batches, missing
 
 
-def submit(batch: Batch, producer: Identity, client) -> str:
+def submit(batch: dict, producer: Identity, client) -> str:
     """Serialize canonically and submit as a ledger transaction; returns its tx id."""
     if producer.role != Role.PRODUCER:
         raise Unauthorized(f"role {producer.role.value} may not submit batches")
-    payload = b'{"batch":' + batch_bytes(batch_to_dict(batch)) + b',"op":"submit_batch"}'  # canonical_json's layout
+    payload = b'{"batch":' + batch_bytes(batch) + b',"op":"submit_batch"}'  # canonical_json's layout
     tx_id = client.submit_tx(payload, producer.name)
     tx = client.get_transaction(tx_id)
     if tx.status != "VALID":
-        raise Rejected(batch.batch_id, tx.reason or "rejected")
+        raise Rejected(batch["batch_id"], tx.reason or "rejected")
     return tx_id
 
 

@@ -1,7 +1,8 @@
 """Shared domain types: timestamps, canonical JSON serialization, hashing.
 
 Timestamps are carried as integer epoch seconds (UTC, second resolution)
-throughout the pipeline; the canonical wire form is ``YYYY-MM-DDTHH:MM:SSZ``.
+up to the records the chain stores, which hold the canonical wire form
+``YYYY-MM-DDTHH:MM:SSZ``.
 
 Content hashing uses SHA-256 (hashlib.sha256); digests are 32 raw bytes,
 rendered as 64 lowercase hex characters.
@@ -21,7 +22,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
@@ -135,31 +136,6 @@ class MinuteRecord(NamedTuple):
     avg_frequency: Optional[float]
     avg_apparent_power: Optional[float]
     sample_count: int
-
-
-@dataclass
-class PlantMinuteAggregate:
-    """Plant-wide minute fusion of up to 24 phase records."""
-
-    minute_start: int
-    total_power: float
-    avg_voltage: Optional[float]
-    avg_frequency: Optional[float]
-    phase_count: int
-    quality: Quality
-    flags: list = field(default_factory=list)  # anomaly code strings
-
-
-@dataclass
-class Batch:
-    """Five consecutive minute aggregates, canonically serialized for submission."""
-
-    batch_id: str
-    window_start: int
-    window_end: int
-    producer_id: str
-    schema_version: int
-    aggregates: list  # PlantMinuteAggregate, minute_start strictly increasing
 
 
 @dataclass(frozen=True)
@@ -283,39 +259,16 @@ def _aggregate_text(agg: dict) -> str:
 
 
 def batch_bytes(batch: dict) -> bytes:
-    """``canonical_json(batch)`` for a batch dict laid out as ``batch_to_dict``
-    lays it out, with a list of aggregates and a list of flags in each: the
-    keys' sorted order is written out instead of sorted per dict."""
+    """``canonical_json(batch)`` for a batch dict laid out as
+    ``aggregator.make_batches`` lays it out, with a list of aggregates and a
+    list of flags in each: the keys' sorted order is written out instead of
+    sorted per dict."""
     aggregates = ",".join([_aggregate_text(agg) for agg in batch["aggregates"]])
     return (
         f'{{"aggregates":[{aggregates}],"batch_id":{_leaf(batch["batch_id"])},'
         f'"producer_id":{_leaf(batch["producer_id"])},"schema_version":{_leaf(batch["schema_version"])},'
         f'"window_end":{_leaf(batch["window_end"])},"window_start":{_leaf(batch["window_start"])}}}'
     ).encode("utf-8")
-
-
-def aggregate_to_dict(agg: PlantMinuteAggregate) -> dict:
-    return {
-        "minute_start": format_ts(agg.minute_start),
-        "total_power": float(agg.total_power),
-        "avg_voltage": None if agg.avg_voltage is None else float(agg.avg_voltage),
-        "avg_frequency": None if agg.avg_frequency is None else float(agg.avg_frequency),
-        "phase_count": agg.phase_count,
-        "quality": agg.quality.value,
-        "flags": sorted(agg.flags),
-    }
-
-
-def batch_to_dict(batch: Batch) -> dict:
-    aggs = sorted(batch.aggregates, key=lambda a: a.minute_start)
-    return {
-        "batch_id": batch.batch_id,
-        "window_start": format_ts(batch.window_start),
-        "window_end": format_ts(batch.window_end),
-        "producer_id": batch.producer_id,
-        "schema_version": batch.schema_version,
-        "aggregates": [aggregate_to_dict(a) for a in aggs],
-    }
 
 
 def digest_hex(payload: bytes) -> str:

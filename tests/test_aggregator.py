@@ -1,6 +1,9 @@
 import json
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carboncert import aggregator as agg_mod
 from carboncert import collector as col_mod
@@ -25,12 +28,19 @@ from carboncert.collector import DayColumns
 from carboncert.ledger import Ledger, make_identity
 from carboncert.model import (
     METER_IDS,
+    MINUTES_PER_DAY,
+    PHASES,
+    SCHEMA_VERSION,
+    WINDOW_SECONDS,
     WINDOWS_PER_DAY,
     Identity,
     MinuteRecord,
     Quality,
     Role,
+    batch_id_for,
+    canonical_json,
     digest_hex,
+    format_ts,
     parse_date,
 )
 
@@ -60,20 +70,21 @@ def _aggregate_minute(records):
 
 def test_aggregate_minute_full_grid():
     agg = _aggregate_minute(_full_minute(power=4000.0))
-    assert agg.total_power == pytest.approx(24 * 4000.0)
-    assert agg.avg_voltage == pytest.approx(230.0)
-    assert agg.avg_frequency == pytest.approx(50.0)
-    assert agg.phase_count == 24
-    assert agg.quality is Quality.OK and agg.flags == []
+    assert agg["minute_start"] == "2025-06-01T00:00:00Z"
+    assert agg["total_power"] == pytest.approx(24 * 4000.0)
+    assert agg["avg_voltage"] == pytest.approx(230.0)
+    assert agg["avg_frequency"] == pytest.approx(50.0)
+    assert agg["phase_count"] == 24
+    assert agg["quality"] == Quality.OK.value and agg["flags"] == []
 
 
 def test_aggregate_minute_partial():
     records = _full_minute()
     records[5] = records[5]._replace(sample_count=0, avg_active_power=None, avg_voltage=None, avg_frequency=None)
     agg = _aggregate_minute(records)
-    assert agg.phase_count == 23
-    assert agg.quality is Quality.PARTIAL
-    assert agg.total_power == pytest.approx(23 * 4000.0)
+    assert agg["phase_count"] == 23
+    assert agg["quality"] == Quality.PARTIAL.value
+    assert agg["total_power"] == pytest.approx(23 * 4000.0)
 
 
 def test_aggregate_minute_all_absent():
@@ -83,9 +94,9 @@ def test_aggregate_minute_all_absent():
         for p in (1, 2, 3)
     ]
     agg = _aggregate_minute(records)
-    assert agg.phase_count == 0 and agg.total_power == 0.0
-    assert agg.avg_voltage is None and agg.avg_frequency is None
-    assert agg.quality is Quality.OK
+    assert agg["phase_count"] == 0 and agg["total_power"] == 0.0
+    assert agg["avg_voltage"] is None and agg["avg_frequency"] is None
+    assert agg["quality"] == Quality.OK.value
 
 
 def test_aggregate_minute_rejects_duplicate_phase():
@@ -98,8 +109,8 @@ def test_aggregate_minute_rejects_duplicate_phase():
 def test_fuse_day_gives_each_minute_its_aggregate_in_minute_order():
     records = _full_minute(DAY0 + 60, power=1000.0)[::-1] + _full_minute(DAY0, power=2000.0)
     aggregates, entries = _fuse(records)
-    assert [(a.minute_start, a.total_power, a.phase_count) for a in aggregates] == [
-        (DAY0, 24 * 2000.0, 24), (DAY0 + 60, 24 * 1000.0, 24)
+    assert [(a["minute_start"], a["total_power"], a["phase_count"]) for a in aggregates] == [
+        ("2025-06-01T00:00:00Z", 24 * 2000.0, 24), ("2025-06-01T00:01:00Z", 24 * 1000.0, 24)
     ]
     assert entries == []
     assert fuse_day([], RULES) == fuse_day([DayColumns(*[[]] * 10)], RULES) == ([], [])
@@ -110,8 +121,9 @@ def test_fuse_day_quarantines_a_flagged_minute_with_its_records_in_file_order():
     records[3] = records[3]._replace(avg_active_power=7000.0, avg_voltage=190.0)
     records[5] = records[5]._replace(avg_power_factor=-1.1)
     aggregates, (entry,) = _fuse(_full_minute(DAY0, power=100.0) + records)
-    assert aggregates[1].quality is Quality.FLAGGED
-    assert aggregates[1].flags == entry["codes"] == [PF_BOUNDS, RAMP, RANGE_POWER, RANGE_VOLTAGE]
+    assert aggregates[1]["quality"] == Quality.FLAGGED.value
+    assert aggregates[1]["flags"] == entry["codes"] == [PF_BOUNDS, RAMP, RANGE_POWER, RANGE_VOLTAGE]
+    assert entry["aggregate"] is aggregates[1]  # the minute's own dict, not a second conversion
     assert entry["details"] == [
         "RANGE_POWER: meter 7 phase 3: 7000.000 W",
         "RANGE_VOLTAGE: meter 7 phase 3: 190.000 V",
@@ -158,8 +170,8 @@ def test_flag_aggregate_sets_quality_and_sorted_codes():
     records[0] = records[0]._replace(avg_voltage=190.0, avg_active_power=9000.0)
     agg = _aggregate_minute(records)
     flag_aggregate(agg, detect_anomalies(agg, None, records, RULES))
-    assert agg.quality is Quality.FLAGGED
-    assert agg.flags == sorted(agg.flags) == [RANGE_POWER, RANGE_VOLTAGE]
+    assert agg["quality"] == Quality.FLAGGED.value
+    assert agg["flags"] == sorted(agg["flags"]) == [RANGE_POWER, RANGE_VOLTAGE]
 
 
 def test_rules_validation():
@@ -175,16 +187,17 @@ def test_make_batches_groups_by_window():
     aggs = [_aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in range(10)]
     batches, missing = make_batches(aggs, "plant-1")
     assert len(batches) == 2
-    assert [b.batch_id for b in batches] == ["plant-1-20250601-000", "plant-1-20250601-001"]
-    assert all(len(b.aggregates) == 5 for b in batches)
-    assert batches[0].window_start == DAY0 and batches[0].window_end == DAY0 + 300
+    assert [b["batch_id"] for b in batches] == ["plant-1-20250601-000", "plant-1-20250601-001"]
+    assert all(len(b["aggregates"]) == 5 for b in batches)
+    assert batches[0]["window_start"] == "2025-06-01T00:00:00Z" and batches[0]["window_end"] == "2025-06-01T00:05:00Z"
+    assert batches[0]["producer_id"] == "plant-1" and batches[0]["schema_version"] == SCHEMA_VERSION
     assert missing == list(range(2, WINDOWS_PER_DAY))
 
 
 def test_make_batches_short_window():
     aggs = [_aggregate_minute(_full_minute(DAY0 + 60 * m)) for m in (0, 2, 4)]
     batches, missing = make_batches(aggs, "plant-1")
-    assert len(batches) == 1 and len(batches[0].aggregates) == 3
+    assert len(batches) == 1 and len(batches[0]["aggregates"]) == 3
     assert 0 not in missing
 
 
@@ -336,3 +349,186 @@ def test_run_day_aggregation_refuses_a_row_with_samples_and_an_empty_reading(tmp
     with pytest.raises(ValueError, match="SEM1.csv line 2: a row with samples has an empty reading"):
         agg_mod.run_day_aggregation("2025-06-01", [day.parent], RULES, producer, ledger, tmp_path / "out")
     assert ledger.pending_count == 0
+
+
+# -- the dataclass path the aggregator had, kept as the reference -------------
+
+
+@dataclass
+class _Aggregate:
+    """The plant minute as a dataclass, before the aggregator built it as the batch's dict."""
+
+    minute_start: int
+    total_power: float
+    avg_voltage: Optional[float]
+    avg_frequency: Optional[float]
+    phase_count: int
+    quality: Quality
+    flags: list = field(default_factory=list)
+
+
+@dataclass
+class _Batch:
+    batch_id: str
+    window_start: int
+    window_end: int
+    producer_id: str
+    schema_version: int
+    aggregates: list  # _Aggregate
+
+
+def _aggregate_to_dict(agg):
+    return {
+        "minute_start": format_ts(agg.minute_start),
+        "total_power": float(agg.total_power),
+        "avg_voltage": None if agg.avg_voltage is None else float(agg.avg_voltage),
+        "avg_frequency": None if agg.avg_frequency is None else float(agg.avg_frequency),
+        "phase_count": agg.phase_count,
+        "quality": agg.quality.value,
+        "flags": sorted(agg.flags),
+    }
+
+
+def _batch_to_dict(batch):
+    aggs = sorted(batch.aggregates, key=lambda a: a.minute_start)
+    return {
+        "batch_id": batch.batch_id,
+        "window_start": format_ts(batch.window_start),
+        "window_end": format_ts(batch.window_end),
+        "producer_id": batch.producer_id,
+        "schema_version": batch.schema_version,
+        "aggregates": [_aggregate_to_dict(a) for a in aggs],
+    }
+
+
+def _make_batches(day_aggregates, producer_id, schema_version=1):
+    by_window = {}
+    for agg in day_aggregates:
+        w = (agg.minute_start % 86400) // WINDOW_SECONDS
+        by_window.setdefault(w, []).append(agg)
+    if not by_window:
+        return [], list(range(WINDOWS_PER_DAY))
+    day0 = min(a.minute_start for aggs in by_window.values() for a in aggs)
+    day0 -= day0 % 86400
+    batches = []
+    for w in sorted(by_window):
+        aggs = sorted(by_window[w], key=lambda a: a.minute_start)
+        start = day0 + w * WINDOW_SECONDS
+        batches.append(_Batch(batch_id_for(producer_id, start), start, start + WINDOW_SECONDS, producer_id, schema_version, aggs))
+    return batches, [w for w in range(WINDOWS_PER_DAY) if w not in by_window]
+
+
+def _reference_fuse(records, rules):
+    """One file's records fused minute by minute into ``_Aggregate``s, in minute
+    order: (aggregates, quarantine entries). A minute's sums run in (meter,
+    phase) order from 0.0; its rules run over its records in file order."""
+    per_minute = {}
+    for r in records:
+        per_minute.setdefault(r.minute_start, []).append(r)
+    aggregates, entries, prev = [], [], None
+    for minute in sorted(per_minute):
+        rows = per_minute[minute]
+        present = [r for r in sorted(rows, key=lambda r: (r.meter_id, r.phase)) if r.sample_count > 0]
+        n = len(present)
+        total = volts = hertz = 0.0
+        for r in present:
+            total, volts, hertz = total + r.avg_active_power, volts + r.avg_voltage, hertz + r.avg_frequency
+        agg = _Aggregate(
+            minute, total, volts / n if n else None, hertz / n if n else None, n,
+            Quality.PARTIAL if 0 < n < 24 else Quality.OK,
+        )
+        # the rules read only the total power of the minute and of the one before
+        anomalies = detect_anomalies(
+            {"total_power": total}, prev and {"total_power": prev.total_power}, rows, rules
+        )
+        if anomalies:
+            agg.flags, agg.quality = sorted({a.code for a in anomalies}), Quality.FLAGGED
+            entries.append({
+                "minute_start": format_ts(minute),
+                "aggregate": _aggregate_to_dict(agg),
+                "codes": sorted({a.code for a in anomalies}),
+                "details": [f"{a.code}: {a.detail}" for a in anomalies],
+                "records": [
+                    {
+                        "meter_id": r.meter_id,
+                        "phase": r.phase,
+                        "avg_active_power": r.avg_active_power,
+                        "avg_voltage": r.avg_voltage,
+                        "avg_power_factor": r.avg_power_factor,
+                        "avg_frequency": r.avg_frequency,
+                        "sample_count": r.sample_count,
+                    }
+                    for r in rows
+                ],
+            })
+        aggregates.append(agg)
+        prev = agg
+    return aggregates, entries
+
+
+class _Accepting:
+    """A ledger client that keeps each payload and marks every transaction VALID."""
+
+    class _Valid:
+        status, reason = "VALID", None
+
+    def __init__(self):
+        self.payloads = []
+
+    def submit_tx(self, payload, submitter):
+        self.payloads.append(payload)
+        return str(len(self.payloads))
+
+    def get_transaction(self, tx_id):
+        return self._Valid()
+
+
+_KEYS = [(m, p) for m in METER_IDS for p in PHASES]
+_EXTREME = st.sampled_from([-0.0, 0.0, 1e12, -1e12, 999_999_999_999.9995, 1e12 + 0.0005])
+
+
+@st.composite
+def _minute_records(draw):
+    """The records of a subset of a day's minutes, in shuffled order: some
+    without samples, some out of range, -0.0 and values near 1e12 among them."""
+    records = []
+    minutes = st.one_of(st.integers(0, MINUTES_PER_DAY - 1), st.integers(600, 614))  # or three windows
+    for minute in draw(st.lists(minutes, unique=True, max_size=24)):
+        keys = draw(st.one_of(st.just(_KEYS), st.lists(st.sampled_from(_KEYS), unique=True, min_size=1)))
+        gaps, wild = draw(st.sampled_from([0, 1, 4])), draw(st.booleans())  # gaps: records in 4 without samples
+        for meter, phase in keys:
+            if gaps and draw(st.integers(1, 4)) <= gaps:
+                records.append(MinuteRecord(meter, phase, DAY0 + 60 * minute, *[None] * 6, 0))
+                continue
+            extreme = wild and draw(st.integers(0, 3)) == 0  # any of its readings may be extreme or out of range
+            power, voltage, power_factor, frequency = (
+                draw(st.one_of(st.floats(lo - 1.0, hi + 1.0), _EXTREME) if extreme else st.floats(lo, hi))
+                for lo, hi in ((-200.0, 6000.0), (207.0, 253.0), (-1.0, 1.0), (49.5, 50.5))
+            )
+            records.append(
+                MinuteRecord(meter, phase, DAY0 + 60 * minute, power, voltage, -0.0, power_factor, frequency, 1e12, 40)
+            )
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_minute_records(), data=st.data())
+def test_dict_path_gives_the_dataclass_paths_payloads_entries_and_missing_windows(records, data):
+    rules = AnomalyRules()
+    producer = make_identity("plant-1", Role.PRODUCER)
+    aggregates, entries = _fuse(records, rules) if records else fuse_day([], rules)
+    expected_aggregates, expected_entries = _reference_fuse(records, rules)
+    assert json.dumps(entries, sort_keys=True) == json.dumps(expected_entries, sort_keys=True)  # the sidecar
+    assert canonical_json(entries) == canonical_json(expected_entries)  # the quarantine op
+
+    # make_batches takes the minutes in any order
+    order = data.draw(st.permutations(range(len(aggregates))))
+    batches, missing = make_batches([aggregates[k] for k in order], "plant-1")
+    expected_batches, expected_missing = _make_batches([expected_aggregates[k] for k in order], "plant-1")
+    assert missing == expected_missing
+    client = _Accepting()
+    for batch in batches:
+        submit(batch, producer, client)
+    assert client.payloads == [
+        canonical_json({"batch": _batch_to_dict(batch), "op": "submit_batch"}) for batch in expected_batches
+    ]

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from carboncert import audit, model
+from carboncert.aggregator import make_batches
 from carboncert.model import (
-    Batch,
     NonAligned,
-    PlantMinuteAggregate,
     Quality,
-    batch_to_dict,
     canonical_json,
     digest_hex,
     format_ts,
@@ -191,56 +189,54 @@ def test_window_index_partitions_day_into_288_classes_of_5():
 
 
 def _agg(minute, power=24000.0, voltage=230.0, freq=50.0, n=24, quality=Quality.OK, flags=()):
-    return PlantMinuteAggregate(
-        minute_start=minute,
-        total_power=power,
-        avg_voltage=voltage,
-        avg_frequency=freq,
-        phase_count=n,
-        quality=quality,
-        flags=list(flags),
-    )
+    return {
+        "minute_start": format_ts(minute),
+        "total_power": power,
+        "avg_voltage": voltage,
+        "avg_frequency": freq,
+        "phase_count": n,
+        "quality": quality.value,
+        "flags": list(flags),
+    }
 
 
 def _batch(minutes_powers, producer="plant-1"):
     start = min(m for m, _ in minutes_powers)
     start -= start % 300
-    return Batch(
-        batch_id=model.batch_id_for(producer, start),
-        window_start=start,
-        window_end=start + 300,
-        producer_id=producer,
-        schema_version=1,
-        aggregates=[_agg(m, p) for m, p in minutes_powers],
-    )
-
-
-def _canonical(batch):
-    return canonical_json(batch_to_dict(batch))
+    return {
+        "batch_id": model.batch_id_for(producer, start),
+        "window_start": format_ts(start),
+        "window_end": format_ts(start + 300),
+        "producer_id": producer,
+        "schema_version": 1,
+        "aggregates": [_agg(m, p) for m, p in minutes_powers],
+    }
 
 
 def test_canonical_serialize_deterministic():
     b = _batch([(parse_ts("2025-06-01T10:15:00Z") + 60 * i, 1000.0 * i) for i in range(5)])
-    assert _canonical(b) == _canonical(b)
+    assert canonical_json(b) == canonical_json(b)
 
 
 def test_canonical_serialize_sorts_aggregates():
-    minutes = [(parse_ts("2025-06-01T10:15:00Z") + 60 * i, 100.0) for i in range(3)]
-    b1 = _batch(minutes)
-    b2 = _batch(list(reversed(minutes)))
-    assert _canonical(b1) == _canonical(b2)
+    # make_batches puts a window's aggregates in minute order, whatever order they come in
+    minutes = [(parse_ts("2025-06-01T10:15:00Z") + 60 * i, 100.0 * i) for i in range(3)]
+    aggs = _batch(minutes)["aggregates"]
+    (b1,), _ = make_batches(aggs, "plant-1")
+    (b2,), _ = make_batches(aggs[::-1], "plant-1")
+    assert canonical_json(b1) == canonical_json(b2) == canonical_json(_batch(minutes))
 
 
 def test_canonical_serialize_three_decimal_reals():
     b = _batch([(parse_ts("2025-06-01T10:15:00Z"), 24000.0)])
-    assert b'"total_power":24000.000' in _canonical(b)
+    assert b'"total_power":24000.000' in canonical_json(b)
 
 
 def test_canonical_serialize_null_for_absent_averages():
     b = _batch([(parse_ts("2025-06-01T10:15:00Z"), 0.0)])
-    b.aggregates[0].avg_voltage = None
-    b.aggregates[0].phase_count = 0
-    assert b'"avg_voltage":null' in _canonical(b)
+    b["aggregates"][0]["avg_voltage"] = None
+    b["aggregates"][0]["phase_count"] = 0
+    assert b'"avg_voltage":null' in canonical_json(b)
 
 
 def test_canonical_serialize_injective_over_field_changes():
@@ -249,10 +245,10 @@ def test_canonical_serialize_injective_over_field_changes():
     for _ in range(200):
         b1 = _batch([(base_minute + 60 * i, rng.uniform(0, 90000)) for i in range(5)])
         b2 = _batch([(base_minute + 60 * i, rng.uniform(0, 90000)) for i in range(5)])
-        if _canonical(b1) == _canonical(b2):
+        if canonical_json(b1) == canonical_json(b2):
             # equal bytes must mean equal (3-decimal) content
-            assert [round(a.total_power, 3) for a in b1.aggregates] == [
-                round(a.total_power, 3) for a in b2.aggregates
+            assert [round(a["total_power"], 3) for a in b1["aggregates"]] == [
+                round(a["total_power"], 3) for a in b2["aggregates"]
             ]
 
 
