@@ -124,7 +124,9 @@ class FleetConfig:
         """The fleet a run configuration describes; TypeError for a key that is
         not a field, ValueError when its ``assignments`` name a meter twice or
         outside ``meters`` or route none of them, or when ``meters`` holds a
-        meter that is not an int in 1..8 (checked last) or holds one twice."""
+        meter that is not an int in 1..8 (checked last) or holds one twice.
+        Without ``assignments`` each default collector takes the fleet's meters
+        among its own, and one left with none is dropped."""
         convert = {
             "meters": tuple,
             "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
@@ -132,9 +134,12 @@ class FleetConfig:
             "accuracy_band": lambda b: finite_number(b, "accuracy band"),
         }
         fleet = cls(**{key: convert.get(key, lambda v: v)(value) for key, value in raw.items()})
+        if "assignments" not in raw:
+            narrowed = {cid: tuple(m for m in meters if m in fleet.meters) for cid, meters in fleet.assignments.items()}
+            fleet.assignments = {cid: meters for cid, meters in narrowed.items() if meters}
         assigned = {m for meters in fleet.assignments.values() for m in meters}
         outside = assigned - set(fleet.meters)
-        if "assignments" in raw and outside:
+        if outside:
             raise ValueError(f"assigned meters {sorted(outside, key=repr)} are not in the fleet's meters")
         if assigned.isdisjoint(fleet.meters):
             raise ValueError("the assignments route no meter of the fleet")

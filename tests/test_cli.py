@@ -193,6 +193,23 @@ def test_fleet_assignments_that_route_no_meter_are_refused(tmp_path, capsys, raw
     assert not (tmp_path / "home").exists()
 
 
+def test_a_config_without_assignments_publishes_only_its_meters(tmp_path, capsys):
+    # the default collectors used to publish a CSV of empty minutes for each
+    # meter outside the fleet: 8 files of 4,320 rows for meters 2 and 7
+    homes = []
+    for raw in ({"meters": [2, 7]}, {"meters": [2, 7], "assignments": {"A": [2], "B": [7]}}):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(raw))
+        home = tmp_path / f"home-{len(homes)}"
+        rc, out, err = _run(capsys, "--home", str(home), "simulate", "--config", str(cfg), "--seed", "3")
+        assert (rc, out.splitlines()[0], err) == (0, "8640 / 1440 / 288", "")
+        homes.append({p.relative_to(home).as_posix(): p.read_bytes() for p in sorted(home.rglob("*")) if p.is_file()})
+    assert homes[0] == homes[1]
+    assert [name for name in homes[0] if name.endswith(".csv")] == [
+        "collectors/A/2025-06-01/SEM2.csv", "collectors/B/2025-06-01/SEM7.csv"
+    ]
+
+
 @pytest.mark.parametrize(
     "raw, why",
     [

@@ -355,3 +355,9 @@ def test_fleet_config_from_dict():
     assert cfg.seed == 42
     assert cfg.profile.peak_plant_power == 50_000.0
     assert cfg.assignments == {"A": (1, 2), "B": (3, 4)}
+
+
+def test_fleet_config_from_dict_without_assignments_routes_only_the_fleets_meters():
+    assert FleetConfig.from_dict({"meters": [7, 2]}).assignments == {"A": (2,), "B": (7,)}
+    assert FleetConfig.from_dict({"meters": [5, 6]}).assignments == {"B": (5, 6)}
+    assert FleetConfig.from_dict({}).assignments == FleetConfig().assignments

@@ -184,7 +184,7 @@ def test_a_workers_io_failure_reaches_the_cli_as_in_one_process(tmp_path, capsys
     day_dir = tmp_path / "collectors" / "A" / "2025-06-01"
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error [simulate]: I/O failure at {day_dir / 'SEM1.csv'}: [Errno 20] Not a directory: '{day_dir}'\n"
+        f"error [simulate]: I/O failure at {day_dir / 'SEM2.csv'}: [Errno 20] Not a directory: '{day_dir}'\n"
     )
     assert multiprocessing.active_children() == []
 
@@ -219,7 +219,7 @@ def test_a_dead_worker_fails_the_day_before_anything_is_submitted(tmp_path, caps
     assert sorted(p.name for p in (tmp_path / "chain" / "blocks").iterdir()) == ["0.json"]  # genesis only
 
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "34560 / 1440 / 288"
+    assert capsys.readouterr().out.splitlines()[0] == "8640 / 1440 / 288"
     assert multiprocessing.active_children() == []
 
 
