@@ -384,10 +384,10 @@ def compare_with_chain(replay: DayReplay, chain, producer: str, emission: Emissi
     }
     chain_q = {
         int(k.rsplit("/", 1)[1]): json.loads(v.decode("utf-8"))
-        for k, v in chain.state_items(f"quarantine/{replay.date}/").items()
+        for k, v in chain.state_items(f"quarantine/{producer}/{replay.date}/").items()
     }
     for minute_index in sorted(expected_q.keys() | chain_q.keys()):
-        key = f"quarantine/{replay.date}/{minute_index:04d}"
+        key = f"quarantine/{producer}/{replay.date}/{minute_index:04d}"
         agg, record = expected_q.get(minute_index), chain_q.get(minute_index)
         if agg is None or record is None:
             report.mismatches.append(

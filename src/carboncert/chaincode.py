@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 from .aggregator import AnomalyRules
 from .ledger import ChainResult, StateView
 from .model import (
+    MINUTES_PER_DAY,
     SECONDS_PER_DAY,
     WINDOW_SECONDS,
     WINDOWS_PER_DAY,
@@ -41,7 +42,7 @@ from .model import (
 # Raise with every change to what a transaction validates or writes: write-set
 # journals written under one contract version are never applied under another.
 # The values it validates and computes with are the chain's: its genesis records them.
-CONTRACT_VERSION = 1
+CONTRACT_VERSION = 2
 
 LEGAL_STEPS = {
     "PENDING": ("VERIFIED",),
@@ -310,12 +311,13 @@ class CreditContract:
             return ChainResult(False, "unauthorized", {}, ())
         date = op.get("date")
         entries = op.get("entries")
-        if not isinstance(date, str) or not isinstance(entries, list):
+        if not isinstance(date, str) or not isinstance(entries, list) or not entries:
             return ChainResult(False, "structure", {}, ())
         try:
             day0 = parse_date(date)
         except ValueError:
             return ChainResult(False, "structure", {}, ())
+        prefix = f"quarantine/{submitter.name}/{date}/"
         writes = {}
         for entry in entries:
             minute = _ts_or_none(entry.get("minute_start")) if isinstance(entry, dict) else None
@@ -323,10 +325,12 @@ class CreditContract:
                 return ChainResult(False, "structure", {}, ())
             if minute % 60 != 0 or not day0 <= minute < day0 + SECONDS_PER_DAY:
                 return ChainResult(False, "timestamps", {}, ())
-            minute_index = (minute - day0) // 60
-            key = f"quarantine/{date}/{minute_index:04d}"
-            writes[key] = _store(entry)
-        return ChainResult(True, None, writes, tuple(sorted(writes)))
+            writes[f"{prefix}{(minute - day0) // 60:04d}"] = _store(entry)
+        touched = tuple(sorted(writes))
+        # a producer files a date's quarantine records once: none is ever replaced
+        if any(state.get(f"{prefix}{i:04d}") is not None for i in range(MINUTES_PER_DAY)):
+            return ChainResult(False, "already_reported", {}, touched)
+        return ChainResult(True, None, writes, touched)
 
     # -- credits ------------------------------------------------------------
 

@@ -329,8 +329,8 @@ def test_quarantine_entries_are_json_lines(tmp_path):
     entry = json.loads(lines[0])
     assert entry["codes"] == [RANGE_POWER]
     assert entry["aggregate"]["quality"] == "FLAGGED"
-    # quarantine landed on chain under the minute index key
-    assert ledger.query_state("quarantine/2025-06-01/0000") is not None
+    # quarantine landed on chain under the producer's minute index key
+    assert ledger.query_state("quarantine/plant-1/2025-06-01/0000") is not None
     # 287 windows were reported missing (only window 0 had data)
     missing = json.loads(ledger.query_state("missing/plant-1/2025-06-01").decode())
     assert missing["windows"] == list(range(1, WINDOWS_PER_DAY))

@@ -243,25 +243,25 @@ def flagged_day(tmp_path_factory):
     return config
 
 
-def _overwritten_quarantine_record(config, tmp_path, minute_index, **changes):
-    """A copy of the flagged day's chain on which a second producer's VALID
-    quarantine op replaced the record of ``minute_index`` with ``changes``;
-    the copy is opened with ``plant-2`` beside the members its genesis records."""
-    chain = tmp_path / f"copy-{minute_index}" / "chain"
-    shutil.copytree(config.chain_root, chain)
-    emission, rules, members = pipeline.chain_parameters(chain)
-    contract = CreditContract(emission=emission, rules=rules)
-    ledger = Ledger(chain, contract, str(CONTRACT_VERSION), [*members, make_identity("plant-2", Role.PRODUCER)])
-    key = f"quarantine/{config.date}/{minute_index:04d}"
-    entry = {**json.loads(ledger.query_state(key)), **changes}
-    op = canonical_json({"op": "quarantine", "date": config.date, "entries": [entry]})
-    assert ledger.get_transaction(ledger.submit_tx(op, "plant-2")).status == "VALID"
+def _chain_with_changed_quarantine_record(config, tmp_path, minute_index, **changes):
+    """The flagged day's transactions filed again on a new chain, the entry of
+    ``minute_index`` in the producer's quarantine op with ``changes``: the
+    op is the date's first, so the chain takes it."""
+    emission, rules, members = pipeline.chain_parameters(config.chain_root)
+    ledger = Ledger(tmp_path / "chain", CreditContract(emission=emission, rules=rules), str(CONTRACT_VERSION), members)
+    minute = f"{config.date}T{minute_index // 60:02d}:{minute_index % 60:02d}:00Z"
+    for block in pipeline.open_ledger(config).blocks():
+        for tx in block.transactions:
+            op = json.loads(tx.payload)
+            if op["op"] == "quarantine":
+                op["entries"] = [{**e, **changes} if e["minute_start"] == minute else e for e in op["entries"]]
+            assert ledger.get_transaction(ledger.submit_tx(canonical_json(op), tx.submitter)).status == "VALID"
     ledger.cut_all()
-    return ledger, key
+    return ledger, f"quarantine/{config.producer}/{config.date}/{minute_index:04d}"
 
 
-def test_quarantine_records_overwritten_by_another_producer_fail_the_audit(flagged_day, tmp_path):
-    # each such overwrite used to pass: the audit checked only which keys exist
+def test_quarantine_records_that_differ_from_the_replay_fail_the_audit(flagged_day, tmp_path):
+    # the audit once checked only which keys exist
     config = flagged_day
     replay = replay_day(config.collector_roots, config.date, config.rules, config.producer)
     baseline = replay_verify(
@@ -277,12 +277,34 @@ def test_quarantine_records_overwritten_by_another_producer_fail_the_audit(flagg
             changes, part = {"codes": ["FAKE"]}, "codes"
         else:
             changes, part = {"aggregate": {"x": 1}}, "aggregate"
-        ledger, key = _overwritten_quarantine_record(config, tmp_path / str(trial), minute_index, **changes)
+        ledger, key = _chain_with_changed_quarantine_record(config, tmp_path / str(trial), minute_index, **changes)
         report = replay_verify(config.collector_roots, ledger, config.date, config.producer, config.rules, replay)
         assert report.chain_ok
         if not report.passed and [(m.stage, m.key) for m in report.mismatches] == [("quarantine", f"{key}:{part}")]:
             detected += 1
     assert detected == 20
+
+
+def test_another_producers_quarantine_records_leave_the_audit_passing(flagged_day, tmp_path):
+    # a second producer's VALID quarantine op used to replace the audited
+    # producer's record of the same minute; it now files records of its own
+    config = flagged_day
+    chain = tmp_path / "chain"
+    shutil.copytree(config.chain_root, chain)
+    emission, rules, members = pipeline.chain_parameters(chain)
+    contract = CreditContract(emission=emission, rules=rules)
+    ledger = Ledger(chain, contract, str(CONTRACT_VERSION), [*members, make_identity("plant-2", Role.PRODUCER)])
+    records = ledger.state_items(f"quarantine/{config.producer}/")
+    key, record = next(iter(records.items()))
+    entry = {**json.loads(record), "codes": ["FAKE"]}
+    op = canonical_json({"op": "quarantine", "date": config.date, "entries": [entry]})
+    assert ledger.get_transaction(ledger.submit_tx(op, "plant-2")).status == "VALID"
+    ledger.cut_all()
+    assert ledger.state_items(f"quarantine/{config.producer}/") == records
+    assert list(ledger.state_items("quarantine/plant-2/")) == [key.replace(config.producer, "plant-2", 1)]
+    replay = replay_day(config.collector_roots, config.date, config.rules, config.producer)
+    report = replay_verify(config.collector_roots, ledger, config.date, config.producer, config.rules, replay)
+    assert report.passed and report.quarantine_summary["on_chain_entries"] == 206
 
 
 def test_excluded_minutes_are_checked_against_the_replayed_flagged_minutes(flagged_day, tmp_path):

@@ -449,7 +449,108 @@ def test_quarantine_refuses_entries_off_its_date_or_minute(env):
     last = {"minute_start": format_ts(DAY0 + 86400 - 60), "codes": ["RAMP"]}
     quarantine = {"op": "quarantine", "date": "2025-06-01", "entries": [last]}
     assert _submit(ledger, quarantine, "plant-1").status == "VALID"
-    assert list(ledger.state_items("quarantine/")) == ["quarantine/2025-06-01/1439"]
+    assert list(ledger.state_items("quarantine/")) == ["quarantine/plant-1/2025-06-01/1439"]
+
+
+def test_a_quarantine_record_is_never_replaced(env):
+    # two ops of plant-1 and one of plant-2 for 10:00 were all VALID, and only
+    # quarantine/2025-06-01/0600 was left, holding plant-2's codes
+    ledger, *_ = env
+
+    def quarantine(codes, minute="10:00", date="2025-06-01"):
+        return {"op": "quarantine", "date": date, "entries": [{"minute_start": f"{date}T{minute}:00Z", "codes": codes}]}
+
+    assert _submit(ledger, quarantine(["RAMP"]), "plant-1").status == "VALID"
+    for op in (quarantine(["RANGE_POWER"]), quarantine(["RANGE_POWER"], minute="10:01")):
+        tx = _submit(ledger, op, "plant-1")
+        assert (tx.status, tx.reason) == ("INVALID", "already_reported")
+    assert _submit(ledger, quarantine(["PF_BOUNDS"]), "plant-2").status == "VALID"
+    assert _submit(ledger, quarantine(["RAMP"], date="2025-06-02"), "plant-1").status == "VALID"
+    assert _submit(ledger, {**quarantine([], date="2025-06-03"), "entries": []}, "plant-1").reason == "structure"
+    assert {key: json.loads(value)["codes"] for key, value in ledger.state_items("quarantine/").items()} == {
+        "quarantine/plant-1/2025-06-01/0600": ["RAMP"],
+        "quarantine/plant-1/2025-06-02/0600": ["RAMP"],
+        "quarantine/plant-2/2025-06-01/0600": ["PF_BOUNDS"],
+    }
+
+
+def test_a_chain_holding_a_replacing_quarantine_op_opens_damaged_at_its_block(tmp_path):
+    # such a chain was written before a producer filed a date's records once
+    members = [make_identity("plant-1", Role.PRODUCER)]
+    forgetful = CreditContract()  # takes every quarantine op as the date's first
+    forgetful._handlers["quarantine"] = lambda op, who, state: forgetful._quarantine(op, who, StateView({}, bytes))
+    ledger = Ledger(tmp_path / "chain", forgetful, str(CONTRACT_VERSION - 1), members)
+    for codes in (["RAMP"], ["RANGE_POWER"]):
+        entry = {"minute_start": "2025-06-01T10:00:00Z", "codes": codes}
+        assert _submit(ledger, {"op": "quarantine", "date": "2025-06-01", "entries": [entry]}, "plant-1").status == "VALID"
+        ledger.cut_all()
+    reopened = Ledger(tmp_path / "chain", CreditContract(), str(CONTRACT_VERSION), members)
+    height, why = reopened.damage
+    assert height == 2 and why.endswith("replays INVALID (already_reported), recorded VALID (None)")
+    assert reopened.verify_chain() == 2
+
+
+_PRODUCERS = ("plant-1", "plant-2")
+_DAYS = ("2025-06-01", "2025-06-02")
+
+
+@st.composite
+def _producer_ops(draw):
+    """An op of either producer, or of the certifier, over two dates and a few
+    windows and minutes, naming either producer where an op names one."""
+    who = draw(st.sampled_from(_PRODUCERS))
+    named = draw(st.sampled_from([who, who, who, *_PRODUCERS]))
+    date = draw(st.sampled_from(_DAYS))
+    day0 = parse_date(date)
+    kind = draw(st.sampled_from(["submit_batch", "report_missing", "quarantine", "accrue", "credit", "certify"]))
+    serial = f"CC-{named}-{compact_date(day0)}-1"
+    if kind == "submit_batch":
+        op = {"op": kind, "batch": _batch_dict(draw(st.integers(0, 1)), producer=named, day=day0)}
+    elif kind == "report_missing":
+        kept = draw(st.sampled_from([{0}, {0, 1}]))
+        op = {"op": kind, "producer": named, "date": date, "windows": [w for w in range(WINDOWS_PER_DAY) if w not in kept]}
+    elif kind == "quarantine":
+        minutes = draw(st.lists(st.sampled_from([0, 600]), min_size=1, max_size=2))
+        codes = draw(st.sampled_from([["RAMP"], ["PF_BOUNDS"]]))
+        op = {"op": kind, "date": date, "entries": [{"minute_start": format_ts(day0 + 60 * m), "codes": codes} for m in minutes]}
+    elif kind == "accrue":
+        op = {"op": kind, "producer": named, "date": date}
+    elif kind == "credit":
+        op = {"op": "credit_transition", "serial": serial, "target": draw(st.sampled_from(["SOLD", "RETIRED"]))}
+    else:
+        who, op = "certifier-1", {"op": draw(st.sampled_from(["credit_verify", "credit_issue"])), "serial": serial}
+    return who, op
+
+
+def _one_credit(producer, date="2025-06-01"):
+    """The ops that take a producer's credit of ``date`` to RETIRED, a quarantine op at 10:00 among them."""
+    serial = f"CC-{producer}-{date.replace('-', '')}-1"
+    return [
+        (producer, {"op": "submit_batch", "batch": _batch_dict(0, producer=producer, day=parse_date(date))}),
+        (producer, {"op": "report_missing", "producer": producer, "date": date, "windows": list(range(1, WINDOWS_PER_DAY))}),
+        (producer, {"op": "quarantine", "date": date, "entries": [{"minute_start": f"{date}T10:00:00Z", "codes": []}]}),
+        (producer, {"op": "accrue", "producer": producer, "date": date}),
+        ("certifier-1", {"op": "credit_verify", "serial": serial}),
+        ("certifier-1", {"op": "credit_issue", "serial": serial}),
+        (producer, {"op": "credit_transition", "serial": serial, "target": "RETIRED"}),
+    ]
+
+
+@given(ops=st.lists(_producer_ops(), max_size=40))
+@example(ops=_one_credit("plant-1") + _one_credit("plant-2"))
+def test_no_valid_op_of_one_producer_changes_a_key_the_others_ops_wrote(ops):
+    contract = CreditContract()
+    identities = {name: Identity(name, Role.PRODUCER, "k") for name in _PRODUCERS}
+    identities["certifier-1"] = Identity("certifier-1", Role.CERTIFIER, "k")
+    state, writer = {}, {}  # key -> value; key -> the producer whose op wrote it first
+    for who, op in ops:
+        result = contract(json.loads(canonical_json(op)), identities[who], StateView(state, lambda value: value))
+        if not result.valid:
+            continue
+        if who in _PRODUCERS:
+            for key in result.writes:
+                assert writer.setdefault(key, who) == who, (key, op)
+        state.update(result.writes)
 
 
 _SERIAL = "CC-plant-1-20250601-1"
