@@ -414,7 +414,8 @@ def _make_batches(day_aggregates, producer_id, schema_version=1):
     for w in sorted(by_window):
         aggs = sorted(by_window[w], key=lambda a: a.minute_start)
         start = day0 + w * WINDOW_SECONDS
-        batches.append(_Batch(batch_id_for(producer_id, start), start, start + WINDOW_SECONDS, producer_id, schema_version, aggs))
+        end = start + WINDOW_SECONDS
+        batches.append(_Batch(batch_id_for(producer_id, start), start, end, producer_id, schema_version, aggs))
     return batches, [w for w in range(WINDOWS_PER_DAY) if w not in by_window]
 
 
@@ -492,10 +493,12 @@ def _minute_records(draw):
     """The records of a subset of a day's minutes, in shuffled order: some
     without samples, some out of range, -0.0 and values near 1e12 among them."""
     records = []
-    minutes = st.one_of(st.integers(0, MINUTES_PER_DAY - 1), st.integers(600, 614))  # or three windows
+    # minutes 600-614 fill windows 120-122, so that a window holds several minutes
+    minutes = st.one_of(st.integers(0, MINUTES_PER_DAY - 1), st.integers(600, 614))
     for minute in draw(st.lists(minutes, unique=True, max_size=24)):
         keys = draw(st.one_of(st.just(_KEYS), st.lists(st.sampled_from(_KEYS), unique=True, min_size=1)))
-        gaps, wild = draw(st.sampled_from([0, 1, 4])), draw(st.booleans())  # gaps: records in 4 without samples
+        gaps = draw(st.sampled_from([0, 1, 4]))  # of every 4 records, about this many have no samples
+        wild = draw(st.booleans())
         for meter, phase in keys:
             if gaps and draw(st.integers(1, 4)) <= gaps:
                 records.append(MinuteRecord(meter, phase, DAY0 + 60 * minute, *[None] * 6, 0))

@@ -482,7 +482,8 @@ def test_a_chain_holding_a_replacing_quarantine_op_opens_damaged_at_its_block(tm
     ledger = Ledger(tmp_path / "chain", forgetful, str(CONTRACT_VERSION - 1), members)
     for codes in (["RAMP"], ["RANGE_POWER"]):
         entry = {"minute_start": "2025-06-01T10:00:00Z", "codes": codes}
-        assert _submit(ledger, {"op": "quarantine", "date": "2025-06-01", "entries": [entry]}, "plant-1").status == "VALID"
+        op = {"op": "quarantine", "date": "2025-06-01", "entries": [entry]}
+        assert _submit(ledger, op, "plant-1").status == "VALID"
         ledger.cut_all()
     reopened = Ledger(tmp_path / "chain", CreditContract(), str(CONTRACT_VERSION), members)
     height, why = reopened.damage
@@ -508,11 +509,13 @@ def _producer_ops(draw):
         op = {"op": kind, "batch": _batch_dict(draw(st.integers(0, 1)), producer=named, day=day0)}
     elif kind == "report_missing":
         kept = draw(st.sampled_from([{0}, {0, 1}]))
-        op = {"op": kind, "producer": named, "date": date, "windows": [w for w in range(WINDOWS_PER_DAY) if w not in kept]}
+        windows = [w for w in range(WINDOWS_PER_DAY) if w not in kept]
+        op = {"op": kind, "producer": named, "date": date, "windows": windows}
     elif kind == "quarantine":
         minutes = draw(st.lists(st.sampled_from([0, 600]), min_size=1, max_size=2))
         codes = draw(st.sampled_from([["RAMP"], ["PF_BOUNDS"]]))
-        op = {"op": kind, "date": date, "entries": [{"minute_start": format_ts(day0 + 60 * m), "codes": codes} for m in minutes]}
+        entries = [{"minute_start": format_ts(day0 + 60 * m), "codes": codes} for m in minutes]
+        op = {"op": kind, "date": date, "entries": entries}
     elif kind == "accrue":
         op = {"op": kind, "producer": named, "date": date}
     elif kind == "credit":
@@ -527,7 +530,7 @@ def _one_credit(producer, date="2025-06-01"):
     serial = f"CC-{producer}-{date.replace('-', '')}-1"
     return [
         (producer, {"op": "submit_batch", "batch": _batch_dict(0, producer=producer, day=parse_date(date))}),
-        (producer, {"op": "report_missing", "producer": producer, "date": date, "windows": list(range(1, WINDOWS_PER_DAY))}),
+        (producer, {"op": "report_missing", "producer": producer, "date": date, "windows": list(range(1, 288))}),
         (producer, {"op": "quarantine", "date": date, "entries": [{"minute_start": f"{date}T10:00:00Z", "codes": []}]}),
         (producer, {"op": "accrue", "producer": producer, "date": date}),
         ("certifier-1", {"op": "credit_verify", "serial": serial}),
