@@ -42,7 +42,7 @@ from .model import (
 # Raise with every change to what a transaction validates or writes: write-set
 # journals written under one contract version are never applied under another.
 # The values it validates and computes with are the chain's: its genesis records them.
-CONTRACT_VERSION = 2
+CONTRACT_VERSION = 3
 
 LEGAL_STEPS = {
     "PENDING": ("VERIFIED",),
@@ -326,6 +326,8 @@ class CreditContract:
             if minute % 60 != 0 or not day0 <= minute < day0 + SECONDS_PER_DAY:
                 return ChainResult(False, "timestamps", {}, ())
             writes[f"{prefix}{(minute - day0) // 60:04d}"] = _store(entry)
+        if len(writes) < len(entries):  # a minute named twice: its later entry replaced the earlier
+            return ChainResult(False, "structure", {}, ())
         touched = tuple(sorted(writes))
         # a producer files a date's quarantine records once: none is ever replaced
         if any(state.get(f"{prefix}{i:04d}") is not None for i in range(MINUTES_PER_DAY)):

@@ -13,12 +13,16 @@ tuples. ``DayStream`` gives the same day one meter at a time, each meter's
 columns and delivery drawn from the one fault stream of the whole day, so
 that a pipeline holds one meter's arrays at once.
 
+``FleetConfig.__post_init__`` holds the whole fleet policy: a fleet that
+exists is valid, however it was built, so generation checks no meter id again.
+
 Each meter's sampling schedule is the step sequence that
 ``random.Random(s).choice((1, 2))`` draws, read in one numpy pass: the
 seeded Mersenne Twister state goes to ``np.random.MT19937``, whose raw 32-bit
 outputs are the same stream. ``choice`` of two takes ``getrandbits(2)``, the
 top two bits of one output, and redraws on 2 or 3; so each output whose top
-bits are 0 or 1 is a step of 1 or 2 seconds and the others are skipped.
+bits are 0 or 1 is a step of 1 or 2 seconds and the others are skipped. The
+schedule stays the int64 array that pass gives.
 
 The cyclic garbage collector is paused while a day's tuples are built.
 CPython stops tracking only exact tuples whose items cannot hold references
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -103,7 +107,7 @@ class FaultConfig:
 @dataclass
 class FleetConfig:
     meters: tuple = METER_IDS
-    assignments: dict = field(default_factory=lambda: {"A": (1, 2, 3, 4), "B": (5, 6, 7, 8)})
+    assignments: Optional[dict] = None  # collector id -> its meters; None: the defaults, narrowed
     profile: SolarProfile = field(default_factory=SolarProfile)
     seed: int = 0
     accuracy_band: float = 0.01  # fixed per-meter calibration offset, +-1%
@@ -114,38 +118,35 @@ class FleetConfig:
         # meter, and each meter's phase records are published by one collector
         if len(set(self.meters)) < len(self.meters):
             raise ValueError(f"meters {list(self.meters)} name a meter twice")
+        if self.assignments is None:  # the default collectors keep the fleet's meters, and one left empty goes
+            default = {"A": (1, 2, 3, 4), "B": (5, 6, 7, 8)}
+            narrowed = {cid: tuple(m for m in meters if m in self.meters) for cid, meters in default.items()}
+            self.assignments = {cid: meters for cid, meters in narrowed.items() if meters}
         routed = [m for meters in self.assignments.values() for m in meters]
         if len(set(routed)) < len(routed):
             twice = sorted({m for m in routed if routed.count(m) > 1}, key=repr)
             raise ValueError(f"the assignments name meters {twice} more than once")
+        outside = set(routed).difference(self.meters)
+        if outside:
+            raise ValueError(f"assigned meters {sorted(outside, key=repr)} are not in the fleet's meters")
+        if not routed:
+            raise ValueError("the assignments route no meter of the fleet")
+        for meter_id in self.meters:
+            _check_meter(whole_number(meter_id, "meter_id"))
+        finite_number(self.accuracy_band, "accuracy band")
+        if not isinstance(self.producer_id, str):
+            raise ValueError(f"producer_id must be a string: {self.producer_id!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FleetConfig":
-        """The fleet a run configuration describes; TypeError for a key that is
-        not a field, ValueError when its ``assignments`` name a meter twice or
-        outside ``meters`` or route none of them, or when ``meters`` holds a
-        meter that is not an int in 1..8 (checked last) or holds one twice.
-        Without ``assignments`` each default collector takes the fleet's meters
-        among its own, and one left with none is dropped."""
+        """The fleet a run configuration describes, its lists made tuples and
+        its profile a ``SolarProfile``; TypeError for a key that is not a field."""
         convert = {
             "meters": tuple,
             "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
             "profile": lambda p: SolarProfile(**p),
-            "accuracy_band": lambda b: finite_number(b, "accuracy band"),
         }
-        fleet = cls(**{key: convert.get(key, lambda v: v)(value) for key, value in raw.items()})
-        if "assignments" not in raw:
-            narrowed = {cid: tuple(m for m in meters if m in fleet.meters) for cid, meters in fleet.assignments.items()}
-            fleet.assignments = {cid: meters for cid, meters in narrowed.items() if meters}
-        assigned = {m for meters in fleet.assignments.values() for m in meters}
-        outside = assigned - set(fleet.meters)
-        if outside:
-            raise ValueError(f"assigned meters {sorted(outside, key=repr)} are not in the fleet's meters")
-        if assigned.isdisjoint(fleet.meters):
-            raise ValueError("the assignments route no meter of the fleet")
-        for meter_id in fleet.meters:
-            _check_meter(whole_number(meter_id, "meter_id"))
-        return fleet
+        return cls(**{key: convert.get(key, lambda v: v)(value) for key, value in raw.items()})
 
 
 class TransportMessage(NamedTuple):
@@ -297,9 +298,9 @@ def sample_meter(
     ]
 
 
-def meter_sample_times(fleet: FleetConfig, meter_id: int, date: str) -> List[int]:
-    """Sampling instants for one meter; period drawn per-message from {1 s, 2 s}
-    (the module docstring says how the draws are read)."""
+def meter_sample_times(fleet: FleetConfig, meter_id: int, date: str) -> "np.ndarray":
+    """Sampling instants for one meter as an int64 array; period drawn
+    per-message from {1 s, 2 s} (the module docstring says how the draws are read)."""
     day0 = parse_date(date)
     key = random.Random(fleet.seed * 2**48 + meter_id * 2**44 + 7_777_777).getstate()[1]
     mt = np.random.MT19937()
@@ -315,16 +316,12 @@ def meter_sample_times(fleet: FleetConfig, meter_id: int, date: str) -> List[int
         steps.append(top[top < 2] + 1)
         span += int(steps[-1].sum())
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(steps))))
-    return (day0 + offsets[offsets < SECONDS_PER_DAY]).tolist()
+    return day0 + offsets[offsets < SECONDS_PER_DAY]
 
 
 def _schedules(fleet: FleetConfig, date: str) -> List[tuple]:
     """(meter, sample instants as an int64 array) for each fleet meter, in fleet order."""
-    schedules = []
-    for meter_id in fleet.meters:
-        _check_meter(meter_id)
-        schedules.append((meter_id, np.array(meter_sample_times(fleet, meter_id, date), dtype=np.int64)))
-    return schedules
+    return [(meter_id, meter_sample_times(fleet, meter_id, date)) for meter_id in fleet.meters]
 
 
 def _readings(fleet: FleetConfig, schedules: List[tuple]) -> ReadingColumns:

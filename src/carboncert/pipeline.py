@@ -10,6 +10,10 @@ The data root (``CARBON_LEDGER_HOME`` or --home) is laid out as:
 The chain's genesis block records the contract's parameters, its emission
 configuration and anomaly rules, and the members who may act on the chain,
 fixed when it is created: see ``open_ledger``.
+
+A ``RunConfig`` that exists is valid: it and its ``metersim.FleetConfig``
+refuse a bad run when they are built, so a refused run writes nothing, and
+``load_run_config`` only reads a JSON file into them.
 """
 
 from __future__ import annotations
@@ -50,7 +54,12 @@ class RunConfig:
 
     def __post_init__(self):
         self.home = Path(self.home)
+        if not all(isinstance(name, str) for name in (self.date, self.certifier, self.auditor)):
+            raise ValueError("date, certifier and auditor must be strings")
+        whole_number(self.seed, "seed")
         self.fleet = replace(self.fleet, seed=self.seed)  # the caller's fleet keeps its own seed
+        if len({self.producer, self.certifier, self.auditor}) < 3:
+            raise ValueError("producer_id, certifier and auditor must be three different names")
 
     @property
     def producer(self) -> str:
@@ -98,26 +107,16 @@ def load_run_config(
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("not a JSON object")
-        kw = {key: raw[key] for key in ("date", "certifier", "auditor") if key in raw}
-        if not all(isinstance(name, str) for name in [*kw.values(), raw.get("producer_id", "")]):
-            raise ValueError("date, certifier, auditor and producer_id must be strings")
-        if "seed" in raw:
-            kw["seed"] = whole_number(raw["seed"], "seed")
-        if date is not None:
-            kw["date"] = date
-        if seed is not None:
-            kw["seed"] = seed
         config = RunConfig(
             home=home,
             fleet=metersim.FleetConfig.from_dict({k: v for k, v in raw.items() if k not in _RUN_KEYS}),
             faults=metersim.FaultConfig(**raw.get("faults", {})),
             rules=AnomalyRules.from_dict(raw.get("rules", {})),
             emission=EmissionConfig(**raw.get("emission", {})),
-            **kw,
+            **{key: raw[key] for key in ("date", "seed", "certifier", "auditor") if key in raw},
         )
-        if len({config.producer, config.certifier, config.auditor}) < 3:
-            raise ValueError("producer_id, certifier and auditor must be three different names")
-        return config
+        # the file is checked whole, then overridden
+        return replace(config, **{key: value for key, value in (("date", date), ("seed", seed)) if value is not None})
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"bad run configuration {path}: {exc}") from exc
 
@@ -255,7 +254,7 @@ def run_simulation(config: RunConfig) -> DayResult:
     day = metersim.DayStream(config.fleet, config.date, config.faults)
     assignments = sorted(config.fleet.assignments.items())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ProcessPoolExecutor(min(len(assignments), cpus) or 1, multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(min(len(assignments), cpus), multiprocessing.get_context("fork")) as pool:
         days = {
             cid: pool.submit(
                 run_collector, day, col_mod.CollectorConfig(cid, frozenset(meters), config.collectors_root), config.date

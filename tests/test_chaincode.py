@@ -474,6 +474,17 @@ def test_a_quarantine_record_is_never_replaced(env):
     }
 
 
+def test_a_quarantine_op_naming_a_minute_twice_is_invalid(env):
+    # it was VALID and kept one record, holding the last entry's codes
+    ledger, *_ = env
+    entries = [{"minute_start": "2025-06-01T10:00:00Z", "codes": codes} for codes in (["RAMP"], ["PF_BOUNDS"])]
+    tx = _submit(ledger, {"op": "quarantine", "date": "2025-06-01", "entries": entries}, "plant-1")
+    assert (tx.status, tx.reason) == ("INVALID", "structure")
+    assert list(ledger.state_items("quarantine/")) == []
+    tx = _submit(ledger, {"op": "quarantine", "date": "2025-06-01", "entries": entries[1:]}, "plant-1")
+    assert tx.status == "VALID"
+
+
 def test_a_chain_holding_a_replacing_quarantine_op_opens_damaged_at_its_block(tmp_path):
     # such a chain was written before a producer filed a date's records once
     members = [make_identity("plant-1", Role.PRODUCER)]

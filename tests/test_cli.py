@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from carboncert import cli, pipeline
+from carboncert import cli, metersim, pipeline
 from carboncert import ledger as ledger_mod
 from carboncert.aggregator import AnomalyRules
 from carboncert.chaincode import CONTRACT_VERSION, CreditContract
@@ -174,23 +174,88 @@ def test_malformed_config_fails_with_one_line(tmp_path, capsys, raw, command):
     assert not (tmp_path / "home").exists()
 
 
-@pytest.mark.parametrize(
-    "raw, why",
-    [
-        ({"assignments": {"A": [9]}}, "assigned meters [9] are not in the fleet's meters"),
-        ({"assignments": {"A": [1, 2], "B": [8, 9]}}, "assigned meters [9] are not in the fleet's meters"),
-        ({"assignments": {"A": ["1"]}}, "assigned meters ['1'] are not in the fleet's meters"),
-        ({"meters": [9]}, "the assignments route no meter of the fleet"),
-        ({"assignments": {}}, "the assignments route no meter of the fleet"),
-    ],
-)
-def test_fleet_assignments_that_route_no_meter_are_refused(tmp_path, capsys, raw, why):
-    # such a day used to commit 288 batches of empty minutes that no credit could accrue
+# Refused fleets and runs, each with the whole message: the CLI tests below
+# run every table through `simulate --config`, and
+# test_the_python_constructors_refuse_what_simulate_refuses through
+# FleetConfig and RunConfig themselves.
+ROUTE_NO_METER = [
+    ({"assignments": {"A": [9]}}, "assigned meters [9] are not in the fleet's meters"),
+    ({"assignments": {"A": [1, 2], "B": [8, 9]}}, "assigned meters [9] are not in the fleet's meters"),
+    ({"assignments": {"A": ["1"]}}, "assigned meters ['1'] are not in the fleet's meters"),
+    ({"meters": [9]}, "the assignments route no meter of the fleet"),
+    ({"assignments": {}}, "the assignments route no meter of the fleet"),
+]
+BAD_METERS = [
+    ({"meters": [1, 9]}, "meter_id must be in 1..8, got 9"),
+    ({"meters": [0, 2]}, "meter_id must be in 1..8, got 0"),
+    ({"meters": [True, 2]}, "meter_id must be an integer: True"),
+    ({"meters": [2.0, 7]}, "meter_id must be an integer: 2.0"),
+    ({"meters": ["2", 7]}, "meter_id must be an integer: '2'"),
+    ({"meters": [1, 1, 5]}, "meters [1, 1, 5] name a meter twice"),
+    ({"meters": [1, 2], "assignments": {"A": [1, 2], "B": [2]}}, "the assignments name meters [2] more than once"),
+    ({"assignments": {"A": [1, 3, 1], "B": [5]}}, "the assignments name meters [1] more than once"),
+]
+# each of these the Python constructors used to accept: the first two wrote a
+# genesis block and then failed, the first leaving a home no run could use
+CONSTRUCTOR_DEFECTS = [
+    ({"certifier": "plant-1"}, "producer_id, certifier and auditor must be three different names"),
+    ({"meters": [9], "assignments": {"A": [9]}}, "meter_id must be in 1..8, got 9"),
+    ({"meters": [2], "assignments": {"A": [3]}}, "assigned meters [3] are not in the fleet's meters"),
+    ({"accuracy_band": float("nan")}, "accuracy band must be a finite number: nan"),
+    ({"seed": 1.5}, "seed must be an integer: 1.5"),
+    ({"producer_id": 5}, "producer_id must be a string: 5"),
+    ({"auditor": None}, "date, certifier and auditor must be strings"),
+]
+
+
+def _construct(home, raw):
+    """The run ``raw`` describes, built by ``FleetConfig`` and ``RunConfig`` as
+    Python callers build one, without ``load_run_config``."""
+    run = {key: raw[key] for key in ("seed", "certifier", "auditor") if key in raw}
+    fleet = {key: value for key, value in raw.items() if key not in run}
+    if "meters" in fleet:
+        fleet["meters"] = tuple(fleet["meters"])
+    if "assignments" in fleet:
+        fleet["assignments"] = {cid: tuple(meters) for cid, meters in fleet["assignments"].items()}
+    return pipeline.RunConfig(home=home, fleet=metersim.FleetConfig(**fleet), **run)
+
+
+def _assert_simulate_refuses(tmp_path, capsys, raw, why):
+    """`simulate --config` of ``raw`` exits 1 with ``why`` and creates no home."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(raw))
     rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))
     assert (rc, out, err) == (1, "", f"error [simulate]: bad run configuration {cfg}: {why}\n")
     assert not (tmp_path / "home").exists()
+
+
+@pytest.mark.parametrize("raw, why", ROUTE_NO_METER + BAD_METERS + CONSTRUCTOR_DEFECTS)
+def test_the_python_constructors_refuse_what_simulate_refuses(tmp_path, raw, why):
+    with pytest.raises(ValueError) as exc:
+        pipeline.run_simulation(_construct(tmp_path / "home", raw))
+    assert str(exc.value) == why
+    assert not (tmp_path / "home").exists()
+
+
+@pytest.mark.parametrize("raw, why", CONSTRUCTOR_DEFECTS)
+def test_simulate_refuses_what_the_python_constructors_refuse(tmp_path, capsys, raw, why):
+    _assert_simulate_refuses(tmp_path, capsys, raw, why)
+
+
+@pytest.mark.parametrize("raw", [{"seed": "abc"}, {"date": 5}])
+def test_a_bad_file_value_is_refused_even_when_overridden(tmp_path, capsys, raw):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    argv = ["--home", str(tmp_path / "home"), "simulate", "--config", str(cfg), "--date", "2025-06-01", "--seed", "3"]
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (1, "") and err.startswith(f"error [simulate]: bad run configuration {cfg}: ")
+    assert not (tmp_path / "home").exists()
+
+
+@pytest.mark.parametrize("raw, why", ROUTE_NO_METER)
+def test_fleet_assignments_that_route_no_meter_are_refused(tmp_path, capsys, raw, why):
+    # such a day used to commit 288 batches of empty minutes that no credit could accrue
+    _assert_simulate_refuses(tmp_path, capsys, raw, why)
 
 
 def test_a_config_without_assignments_publishes_only_its_meters(tmp_path, capsys):
@@ -210,28 +275,12 @@ def test_a_config_without_assignments_publishes_only_its_meters(tmp_path, capsys
     ]
 
 
-@pytest.mark.parametrize(
-    "raw, why",
-    [
-        ({"meters": [1, 9]}, "meter_id must be in 1..8, got 9"),
-        ({"meters": [0, 2]}, "meter_id must be in 1..8, got 0"),
-        ({"meters": [True, 2]}, "meter_id must be an integer: True"),
-        ({"meters": [2.0, 7]}, "meter_id must be an integer: 2.0"),
-        ({"meters": ["2", 7]}, "meter_id must be an integer: '2'"),
-        ({"meters": [1, 1, 5]}, "meters [1, 1, 5] name a meter twice"),
-        ({"meters": [1, 2], "assignments": {"A": [1, 2], "B": [2]}}, "the assignments name meters [2] more than once"),
-        ({"assignments": {"A": [1, 3, 1], "B": [5]}}, "the assignments name meters [1] more than once"),
-    ],
-)
+@pytest.mark.parametrize("raw, why", BAD_METERS)
 def test_fleet_meters_outside_1_to_8_or_repeated_are_refused(tmp_path, capsys, raw, why):
     # a bad id, or a meter assigned to two collectors, used to fail only after
     # the genesis block and identities were written, and a repeated meter ran,
     # generating that meter twice
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(raw))
-    rc, out, err = _run(capsys, "--home", str(tmp_path / "home"), "simulate", "--config", str(cfg))
-    assert (rc, out, err) == (1, "", f"error [simulate]: bad run configuration {cfg}: {why}\n")
-    assert not (tmp_path / "home").exists()
+    _assert_simulate_refuses(tmp_path, capsys, raw, why)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from carboncert import aggregator as agg_mod
 from carboncert import audit
 from carboncert.aggregator import AnomalyRules, DuplicatePhase, fuse_day
 from carboncert.chaincode import CONTRACT_VERSION, CreditContract
-from carboncert.collector import CSV_HEADER, read_day_columns, read_day_csv
+from carboncert.collector import CSV_HEADER, read_day_columns
 from carboncert.ledger import Ledger, make_identity
 from carboncert.model import (
     TOTAL_PHASES,
@@ -142,7 +142,7 @@ def test_both_readers_refuse_a_quoted_cell_with_its_file_and_line(sim_day, tmp_p
     path.write_text("\n".join(lines))
     why = f"{path} line 701: could not convert string to float: '{cells[3]}'"
     with pytest.raises(ValueError) as exc:
-        read_day_csv(path)
+        read_day_columns(path, {})
     assert str(exc.value) == why
     with pytest.raises(ValueError) as exc:
         agg_mod.run_day_aggregation(DATE, roots, RULES, make_identity("plant-1", Role.PRODUCER), None, tmp_path / "out")
@@ -164,7 +164,7 @@ def test_both_readers_refuse_rows_of_other_widths_whose_cells_realign(sim_day, t
     path.write_text("\n".join(lines))
     why = f"{path} line 11: 11 cells, the header has 10"
     with pytest.raises(ValueError) as exc:
-        read_day_csv(path)
+        read_day_columns(path, {})
     assert str(exc.value) == why
     with pytest.raises(audit.UnreadableCsv) as exc:
         audit.replay_day(roots, DATE, RULES, "plant-1")
@@ -174,8 +174,13 @@ def test_both_readers_refuse_rows_of_other_widths_whose_cells_realign(sim_day, t
 # -- the row-at-a-time readers and fusion, kept as the reference -------------
 
 
+def _records(path):
+    """The rows ``collector.read_day_columns`` reads from ``path``, as minute records."""
+    return list(map(MinuteRecord._make, zip(*read_day_columns(path, {}))))
+
+
 def _reference_read_day_csv(path):
-    """``collector.read_day_csv`` as it read one row at a time, with csv.reader."""
+    """The collector's reader as it read one row at a time, with csv.reader."""
     text = path.read_text(encoding="utf-8")
     rows = list(csv.reader(text.splitlines()))
     if not rows or ",".join(rows[0]) != CSV_HEADER:
@@ -427,7 +432,7 @@ def test_both_readers_agree_with_their_row_at_a_time_reference(tmp_path_factory,
     rules = AnomalyRules(max_ramp_watts_per_minute=2000.0)
 
     for path in paths:
-        assert repr(_outcome(read_day_csv, path)) == repr(_outcome(_reference_read_day_csv, path))
+        assert repr(_outcome(_records, path)) == repr(_outcome(_reference_read_day_csv, path))
 
     def fuse(paths):
         stamps = {}

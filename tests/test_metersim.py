@@ -175,14 +175,14 @@ def test_sample_times_equal_the_choice_loop(seed, day):
     fleet = FleetConfig(seed=seed)
     for meter_id in METER_IDS:
         times = meter_sample_times(fleet, meter_id, day.isoformat())
-        assert times == _choice_loop_sample_times(fleet, meter_id, day.isoformat())
-        assert all(type(t) is int for t in times[:3])
+        assert times.dtype == np.int64
+        assert times.tolist() == _choice_loop_sample_times(fleet, meter_id, day.isoformat())
 
 
 def test_sample_times_deterministic_per_meter():
     fleet = FleetConfig(seed=7)
-    assert meter_sample_times(fleet, 2, "2025-06-01") == meter_sample_times(fleet, 2, "2025-06-01")
-    assert meter_sample_times(fleet, 2, "2025-06-01") != meter_sample_times(fleet, 3, "2025-06-01")
+    assert np.array_equal(meter_sample_times(fleet, 2, "2025-06-01"), meter_sample_times(fleet, 2, "2025-06-01"))
+    assert not np.array_equal(meter_sample_times(fleet, 2, "2025-06-01"), meter_sample_times(fleet, 3, "2025-06-01"))
 
 
 def test_generate_day_matches_scalar_sampler():
@@ -361,3 +361,12 @@ def test_fleet_config_from_dict_without_assignments_routes_only_the_fleets_meter
     assert FleetConfig.from_dict({"meters": [7, 2]}).assignments == {"A": (2,), "B": (7,)}
     assert FleetConfig.from_dict({"meters": [5, 6]}).assignments == {"B": (5, 6)}
     assert FleetConfig.from_dict({}).assignments == FleetConfig().assignments
+
+
+def test_a_fleet_built_in_python_without_assignments_routes_only_its_meters():
+    # only from_dict used to narrow the default collectors: FleetConfig(meters=(1, 8))
+    # kept A: 1-4, B: 5-8 and published six all-empty CSVs
+    assert FleetConfig(meters=(1, 8)).assignments == {"A": (1,), "B": (8,)}
+    assert FleetConfig(meters=(5, 6)).assignments == {"B": (5, 6)}
+    assert FleetConfig().assignments == {"A": (1, 2, 3, 4), "B": (5, 6, 7, 8)}
+    assert FleetConfig(meters=(2, 7)) == FleetConfig.from_dict({"meters": [2, 7]})

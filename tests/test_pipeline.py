@@ -48,7 +48,7 @@ def test_columnar_and_per_message_paths_write_identical_csvs(tmp_path, seed, fau
         for msg in messages:
             instance.ingest(msg)
         instance.write_day_csv(config.date, instance.close_day(config.date))
-    assert len(result.csv_paths) == 8
+    assert len(result.csv_paths) == 2
     for path in result.csv_paths:
         assert (root / path.relative_to(config.collectors_root)).read_bytes() == path.read_bytes()
 
@@ -138,6 +138,10 @@ def test_faulted_day_accepts_each_reading_once(tmp_path):
         faults=metersim.FaultConfig(**FAULTS, rng_seed=5),
     )
     result = pipeline.run_simulation(config)
+    # without assignments each default collector takes only its fleet meters
+    assert [path.relative_to(tmp_path).as_posix() for path in result.csv_paths] == [
+        "collectors/A/2025-06-01/SEM1.csv", "collectors/B/2025-06-01/SEM8.csv"
+    ]
     readings = 3 * sum(len(metersim.meter_sample_times(config.fleet, m, config.date)) for m in config.fleet.meters)
     assert result.accepted == readings
     assert result.duplicates == result.messages - readings > 0
@@ -241,11 +245,10 @@ def test_the_worker_count_changes_no_output(tmp_path, monkeypatch):
     ]
 
 
-def test_a_fleet_without_collectors_rejects_every_message(tmp_path):
-    fleet = metersim.FleetConfig(meters=(2,), assignments={})
-    result = pipeline.run_simulation(pipeline.RunConfig(home=tmp_path, fleet=fleet))
-    assert (result.csv_rows, result.csv_paths, result.accepted) == (0, [], 0)
-    assert result.rejected == result.messages > 0
+def test_a_fleet_without_collectors_is_refused(tmp_path):
+    # it used to run, rejecting every message, and commit a day of empty minutes
+    with pytest.raises(ValueError, match="^the assignments route no meter of the fleet$"):
+        metersim.FleetConfig(meters=(2,), assignments={})
 
 
 def test_open_ledger_applies_journals_only_under_the_same_contract_settings(tmp_path, monkeypatch):
