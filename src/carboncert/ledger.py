@@ -34,6 +34,22 @@ block through the chaincode. A slice is cut from its payload when its value
 is first read. ``verify_chain`` re-executes every block and compares each
 result with what the open applied. A chain found damaged, at open or by a
 read, refuses appends.
+
+A re-execution of ``_SPLIT_MIN_TXS`` transactions or more is split into one
+contiguous part per usable CPU, of about equal transaction counts. This
+process re-executes the first part; a forked process re-executes each later
+part from the replayed state with the effects the open applied for every
+block before the part, and exits 0 only when each block replays to its
+records and its applied effects and no damage is marked. A part is clean
+when it so replays. By induction, when every part before a part is clean its
+applied effects are the ones it replays to, so the state the part's process
+started from is the one a re-execution in order reaches: a clean part's
+applied effects are applied instead of re-executing it. From the first part
+that is not clean, or whose process did not exit 0, this process
+re-executes every block in order, as it does a re-execution that is not
+split. So the result, the damage found and the replayed state are those of a
+re-execution in order. ``verify_chain`` forks: call it from a process that
+runs no other thread.
 """
 
 from __future__ import annotations
@@ -44,6 +60,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,11 +75,19 @@ from .model import (
     format_ts,
     gc_paused,
     parse_ts,
+    usable_cpus,
     write_atomic,
 )
 
 BLOCK_TX_LIMIT = 12
 GENESIS_EPOCH = parse_ts("2025-01-01T00:00:00Z")
+
+# A re-execution of this many transactions or more is split over the usable
+# CPUs (``Ledger._part_checks``). On a 2-vCPU Xeon (Python 3.11.7), forking
+# and reaping one process took about 3 ms in a 55 MB process and 25 ms in a
+# 751 MB one, while a day's chain, about 290 transactions, re-executed in
+# about 17 ms and a 30-day chain, 8,760, in 0.7-0.9 s.
+_SPLIT_MIN_TXS = 1_000
 
 VALID = "VALID"
 INVALID = "INVALID"
@@ -539,6 +564,20 @@ class Ledger:
         first height whose re-execution disagrees with the block's records or
         with the journal the open applied. The last also marks the chain
         damaged, so appends are refused from then on.
+
+        A re-execution of ``_SPLIT_MIN_TXS`` transactions or more is split
+        into one contiguous part per usable CPU. Each part after the first
+        is re-executed in a forked process, from the effects the open applied
+        for the blocks before it. When every part before it is clean, those
+        effects are the ones the blocks replay to. So by induction a clean
+        part's process started from the true state, and its applied effects
+        are taken instead of re-executing it here. From the first part that
+        is not clean, every block is re-executed here, in order. The result,
+        the damage marked and the replayed state are those of a re-execution
+        in order, and so is an exception raised. Every forked process is
+        reaped before this returns or raises. Call it from a process that
+        runs no other thread: a fork copies no thread, and a lock another
+        thread held stays locked in the child.
         """
         self._mark(self._replay()[1])
         damaged = self._damage[0] if self._damage else None
@@ -582,13 +621,72 @@ class Ledger:
         to another effect than the ledger applied (``_effects``).
         Blocks are re-executed once per Ledger; later calls run only blocks
         cut since.
+
+        A part whose forked check (``_part_checks``) passed, after blocks that
+        all replayed clean, is not re-executed here: its applied effects are
+        applied instead. See the module docstring.
         """
         height, state, damage = self._replayed
-        for block in self._blocks[height + 1:]:
-            found = self._run_block(block, state, self._effects[block.height])[1]
-            damage = damage or found
+        blocks = self._blocks[height + 1:]
+        with self._part_checks(blocks, state) as checks:
+            marked, i = self._damage, 0
+            while i < len(blocks):
+                stop, check = checks.pop(i, (None, None))
+                if check is not None:
+                    check.join()
+                    if check.exitcode == 0:
+                        _apply(state, (effect for block in blocks[i:stop] for effect in self._effects[block.height]))
+                        i = stop
+                        continue
+                    _stop(checks)
+                found = self._run_block(blocks[i], state, self._effects[blocks[i].height])[1]
+                damage = damage or found
+                if found or self._damage != marked:  # later checks started from effects this block does not replay to
+                    _stop(checks)
+                i += 1
         self._replayed = (self.height, state, damage)
         return state, damage
+
+    @contextlib.contextmanager
+    def _part_checks(self, blocks: List[Block], state):
+        """Split ``blocks`` into one contiguous part per usable CPU, of about
+        equal transaction counts, and fork a process (``_check_part``) for each
+        part after the first; yield {index of a part's first block: (index past
+        its last block, its process)}. Nothing is forked, and {} yielded, when
+        the blocks hold fewer than ``_SPLIT_MIN_TXS`` transactions, one CPU is
+        usable or there is no fork; a failed fork leaves its part and the
+        later ones without a process. On exit each process is killed, if it
+        still runs, and reaped."""
+        cpus = usable_cpus()
+        split = cpus > 1 and sum(len(block.transactions) for block in blocks) >= _SPLIT_MIN_TXS
+        started: Dict[int, Tuple[int, object]] = {}
+        try:
+            for start, stop in _later_parts(blocks, cpus) if split else ():
+                try:
+                    part = (blocks[:start], blocks[start:stop], state)
+                    check = _fork_context().Process(target=self._check_part, args=part)
+                    check.start()
+                except (ValueError, OSError):  # no fork here, or no process to be had
+                    break
+                started[start] = (stop, check)
+            yield dict(started)
+        finally:
+            _stop(started)
+
+    def _check_part(self, before: List[Block], part: List[Block], state) -> None:
+        """In a forked process: exit 0 when every block of ``part``, re-executed
+        from ``state`` plus the effects the open applied for ``before``,
+        replays to its records and to the effects the open applied, and no
+        damage is marked; else exit 1. The process's copy of this ledger and of
+        ``state`` is changed freely."""
+        try:
+            _apply(state, (effect for block in before for effect in self._effects[block.height]))
+            marked = self._damage
+            clean = all(self._run_block(block, state, self._effects[block.height])[1] is None for block in part)
+            clean = clean and self._damage == marked
+        except Exception:  # this process re-executes the part and raises it
+            clean = False
+        sys.exit(0 if clean else 1)
 
     def _run_block(self, block: Block, state, applied: Optional[List[Effect]] = None):
         """Execute ``block``'s transactions on ``state``: their effects (none for one that
@@ -604,6 +702,7 @@ class Ledger:
             try:
                 result = self._execute(self._payload(tx, block.height), identity, state)
             except ChainDamaged:  # its payload, or one a value it read is cut from, is not base64: marked
+                damage = damage or f"tx {tx.tx_id[:16]} reads a payload that is not base64"
                 continue
             effects[i] = _effect(result)
             if result.valid != (tx.status == VALID) or result.reason != tx.reason:
@@ -688,14 +787,50 @@ class Ledger:
         agrees = journal is not None and journal[0] == records
         if agrees and all(tx.submitter in self.identities for tx in block.transactions):
             effects, damage = journal[1], None
-            for writes, _ in effects:
-                self._state.update(writes)
+            _apply(self._state, effects)
         else:
             effects, damage = self._run_block(block, self._state)
             if damage is None and journal is not None and not agrees:
                 damage = (block.height, "block records disagree with its write-set journal")
         self._effects.append(effects)
         return damage
+
+
+def _apply(state, effects: Iterable[Effect]) -> None:
+    """Apply the writes of ``effects`` to ``state``, in order."""
+    for writes, _ in effects:
+        state.update(writes)
+
+
+def _later_parts(blocks: List[Block], parts: int) -> List[Tuple[int, int]]:
+    """(index of its first block, index past its last) of each part but the
+    first, when ``blocks`` is split into at most ``parts`` contiguous parts of
+    about equal transaction counts."""
+    total, done, edges = sum(len(block.transactions) for block in blocks), 0, []
+    for i, block in enumerate(blocks[:-1]):
+        done += len(block.transactions)
+        if len(edges) < parts - 1 and done * parts >= total * (len(edges) + 1):
+            edges.append(i + 1)
+    return list(zip(edges, edges[1:] + [len(blocks)]))
+
+
+def _fork_context():
+    """multiprocessing's fork context; ValueError where there is no fork. Imported
+    here, so that a process that splits no re-execution does not import it."""
+    import multiprocessing
+
+    return multiprocessing.get_context("fork")
+
+
+def _stop(checks) -> None:
+    """Kill the processes of ``checks`` (see ``Ledger._part_checks``) that still
+    run, reap them all and empty ``checks``."""
+    processes = [process for _, process in checks.values()]
+    for process in processes:
+        process.kill()
+    for process in processes:
+        process.join()
+    checks.clear()
 
 
 def _status(result: ChainResult) -> str:

@@ -288,6 +288,11 @@ def gc_paused():
             gc.enable()
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def write_atomic(path, data: bytes) -> None:
     """Publish ``data`` at ``path`` whole or not at all: temp file, fsync, rename,
     then fsync the directory so the rename itself survives a power cut.

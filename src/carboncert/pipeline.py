@@ -19,7 +19,6 @@ refuse a bad run when they are built, so a refused run writes nothing, and
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -30,7 +29,7 @@ from . import metersim
 from .aggregator import AnomalyRules
 from .chaincode import CONTRACT_VERSION, CreditContract, day_on_chain
 from .ledger import Ledger, NoChain, make_identity, read_genesis
-from .model import EmissionConfig, Identity, Role, parse_date, whole_number
+from .model import EmissionConfig, Identity, Role, parse_date, usable_cpus, whole_number
 
 # the keys of a run configuration beside the fleet's (FleetConfig.from_dict)
 _RUN_KEYS = ("date", "seed", "certifier", "auditor", "faults", "rules", "emission")
@@ -253,8 +252,7 @@ def run_simulation(config: RunConfig) -> DayResult:
 
     day = metersim.DayStream(config.fleet, config.date, config.faults)
     assignments = sorted(config.fleet.assignments.items())
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ProcessPoolExecutor(min(len(assignments), cpus), multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(min(len(assignments), usable_cpus()), multiprocessing.get_context("fork")) as pool:
         days = {
             cid: pool.submit(
                 run_collector, day, col_mod.CollectorConfig(cid, frozenset(meters), config.collectors_root), config.date

@@ -44,6 +44,15 @@ def reseal_up_to_the_tip():
     return _reseal_up_to_the_tip
 
 
+@pytest.fixture(params=[False, True], ids=["in-order", "split"])
+def split(request, monkeypatch):
+    """``verify_chain`` re-executes in this process only, or always in two
+    parts, the second in a forked process, however few its transactions."""
+    monkeypatch.setattr(ledger_mod, "_SPLIT_MIN_TXS", 0)
+    monkeypatch.setattr(ledger_mod, "usable_cpus", lambda: 2 if request.param else 1)
+    return request.param
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LINES:
         return

@@ -1,4 +1,6 @@
+import base64
 import json
+import multiprocessing
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from carboncert import chaincode, model
+from carboncert import ledger as ledger_mod
 from carboncert.aggregator import AnomalyRules
 from carboncert.chaincode import (
     CONTRACT_VERSION,
@@ -500,6 +503,92 @@ def test_a_chain_holding_a_replacing_quarantine_op_opens_damaged_at_its_block(tm
     height, why = reopened.damage
     assert height == 2 and why.endswith("replays INVALID (already_reported), recorded VALID (None)")
     assert reopened.verify_chain() == 2
+
+
+# -- quarantine records changed on disk ---------------------------------------
+#
+# 40 dates' quarantine ops cut 12/12/12/4 into blocks 1-4; a split re-execution
+# (the ``split`` fixture) re-executes blocks 0-2 here and checks blocks 3-4 in
+# a forked process, so height 2 is changed in this process's part and height 3
+# in the other's.
+
+_QUARANTINE_DAYS = 40
+
+
+def _quarantine_chain(root):
+    members = [make_identity("plant-1", Role.PRODUCER)]
+    ledger = Ledger(root, CreditContract(), str(CONTRACT_VERSION), members)
+    for day in range(_QUARANTINE_DAYS):
+        date = format_ts(DAY0 + day * 86400)[:10]
+        entries = [{"minute_start": f"{date}T{hour}:00:00Z", "codes": ["RAMP"]} for hour in ("06", "10")]
+        assert _submit(ledger, {"op": "quarantine", "date": date, "entries": entries}, "plant-1").status == "VALID"
+    ledger.cut_all()
+    assert ledger.height == 4
+    return members
+
+
+def _first_quarantine_key(root, height):
+    """The key of the first record that block ``height``'s first op files."""
+    op = json.loads(ledger_mod._read_block(root / "blocks" / f"{height}.json")[1].transactions[0].payload)
+    return f"quarantine/plant-1/{op['date']}/0360"
+
+
+@pytest.mark.parametrize("height", [2, 3])
+def test_a_quarantine_record_resealed_in_its_journal_is_found_by_verify_chain(tmp_path, split, height):
+    root = tmp_path / "chain"
+    members = _quarantine_chain(root)
+    key = _first_quarantine_key(root, height)
+    path = root / "writes" / f"{height}.json"
+    content = json.loads(path.read_bytes())
+    forged = canonical_json({"minute_start": "2025-06-01T06:00:00Z", "codes": ["FAKE"]})
+    content["body"]["txs"][0]["writes"][key] = base64.b64encode(forged).decode()
+    path.write_bytes(ledger_mod._journal_file(canonical_json(content["body"])))
+    ledger = Ledger(root, CreditContract(), str(CONTRACT_VERSION), members)
+    assert ledger.damage is None and ledger.query_state(key) == forged  # the open applied it unseen
+    assert ledger.verify_chain() == height
+    assert ledger.damage[1].endswith("replays other writes than its journal holds")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("height", [2, 3])
+def test_a_quarantine_record_changed_in_its_block_payload_is_damage_at_open(tmp_path, split, height):
+    root = tmp_path / "chain"
+    members = _quarantine_chain(root)
+    path = root / "blocks" / f"{height}.json"
+    raw = path.read_bytes()
+    text = json.loads(raw)["transactions"][0]["payload_b64"]
+    payload = base64.b64decode(text).replace(b'"RAMP"', b'"FAKE"', 1)
+    path.write_bytes(raw.replace(text.encode(), base64.b64encode(payload), 1))
+    ledger = Ledger(root, CreditContract(), str(CONTRACT_VERSION), members)
+    assert ledger.damage == (height, "block file does not hash to the block_hash it carries")
+    assert ledger.verify_chain() == height
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("height", [2, 3])
+def test_a_quarantine_record_resealed_up_to_the_tip_is_found_by_the_re_execution(
+    tmp_path, reseal_up_to_the_tip, split, height
+):
+    # the record's minute moved to the next day, in the payload only: the
+    # journal's slices still fit it, so the open applies them, and the op
+    # replays INVALID where the block records it VALID
+    root = tmp_path / "chain"
+    members = _quarantine_chain(root)
+
+    def move_a_minute(content):
+        tx = content["transactions"][0]
+        op = json.loads(base64.b64decode(tx["payload_b64"]))
+        date = op["entries"][0]["minute_start"][:10]
+        next_day = format_ts(parse_date(date) + 86400)[:10]
+        payload = base64.b64decode(tx["payload_b64"]).replace(f"{date}T06".encode(), f"{next_day}T06".encode())
+        tx["payload_b64"] = base64.b64encode(payload).decode()
+
+    reseal_up_to_the_tip(root, height, move_a_minute)
+    ledger = Ledger(root, CreditContract(), str(CONTRACT_VERSION), members)
+    assert ledger.damage is None
+    assert ledger.verify_chain() == height
+    assert ledger.damage[1].endswith("replays INVALID (timestamps), recorded VALID (None)")
+    assert multiprocessing.active_children() == []
 
 
 _PRODUCERS = ("plant-1", "plant-2")

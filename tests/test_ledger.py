@@ -1,12 +1,15 @@
 import base64
+import contextlib
 import gc
 import json
+import multiprocessing
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from carboncert.ledger import (
@@ -19,6 +22,7 @@ from carboncert.ledger import (
 )
 from carboncert import ledger as ledger_mod
 from carboncert.model import ZERO_HASH_HEX, Role, canonical_json, digest_hex
+from conftest import _reseal_up_to_the_tip
 
 
 def echo_chaincode(op, submitter, state):
@@ -858,6 +862,190 @@ def test_a_block_resealed_below_the_tip_is_damage_at_open_where_its_link_breaks(
         reopened.submit_tx(_payload(99), "plant-1")
     assert reopened.verify_chain() == 2
     assert _files(root) == files
+
+
+# -- a re-execution split over processes ---------------------------------------
+
+
+@pytest.mark.parametrize("cpus, here", [(1, 30), (2, 24), (3, 12)])
+def test_a_split_re_execution_runs_only_its_first_part_here(tmp_path, monkeypatch, cpus, here):
+    # 30 transactions cut 12/12/6: two parts are blocks 0-2 and 3, three are 0-1, 2 and 3
+    root = tmp_path / "chain"
+    _committed(root)
+    monkeypatch.setattr(ledger_mod, "_SPLIT_MIN_TXS", 0)
+    monkeypatch.setattr(ledger_mod, "usable_cpus", lambda: cpus)
+    counting = Counting()
+    reopened = _open(root, counting)
+    assert reopened.verify_chain() is None
+    assert counting.calls == here
+    assert reopened.rebuilt_state_digest() == reopened.state_digest()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("no_fork", ["below-threshold", "fork-fails"])
+def test_a_re_execution_that_forks_nothing_runs_every_block_here(tmp_path, monkeypatch, no_fork):
+    root = tmp_path / "chain"
+    _committed(root)
+    monkeypatch.setattr(ledger_mod, "usable_cpus", lambda: 2)
+    if no_fork == "below-threshold":
+        monkeypatch.setattr(ledger_mod, "_SPLIT_MIN_TXS", 31)
+    else:
+        monkeypatch.setattr(ledger_mod, "_SPLIT_MIN_TXS", 0)
+
+        def fail(process):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fail)
+    counting = Counting()
+    assert _open(root, counting).verify_chain() is None
+    assert counting.calls == 30
+    assert multiprocessing.active_children() == []
+
+
+class Raising:
+    """echo_chaincode, raising on the op of one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, op, submitter, state):
+        if op.get("value") == self.value:
+            raise RuntimeError(f"chaincode failed on value {self.value}")
+        return echo_chaincode(op, submitter, state)
+
+
+@pytest.mark.parametrize("value", [5, 20, 27], ids=["first-part", "second-part", "third-part"])
+def test_a_chaincode_that_raises_raises_the_same_split_or_not_and_leaves_no_process(tmp_path, monkeypatch, value):
+    # the journals are applied at open, so only verify_chain runs the chaincode
+    root = tmp_path / "chain"
+    _committed(root)
+    monkeypatch.setattr(ledger_mod, "_SPLIT_MIN_TXS", 0)
+    raised = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(ledger_mod, "usable_cpus", lambda cpus=cpus: cpus)
+        with pytest.raises(RuntimeError) as error:
+            _open(root, Raising(value)).verify_chain()
+        raised[cpus] = (type(error.value), str(error.value))
+        assert multiprocessing.active_children() == []
+    assert raised[1] == raised[3] == (RuntimeError, f"chaincode failed on value {value}")
+
+
+@pytest.mark.parametrize("tamper", ["none", "journal"])
+def test_a_split_re_execution_leaves_no_process_on_a_clean_or_damaged_chain(tmp_path, split, tamper):
+    root = tmp_path / "chain"
+    _committed(root)
+    if tamper == "journal":
+        _rewrite_journal(root / "writes" / "3.json", lambda body: body["txs"][0].update(writes={}))
+    assert _open(root).verify_chain() == (None if tamper == "none" else 3)
+    assert multiprocessing.active_children() == []
+
+
+def tally_chaincode(op, submitter, state):
+    """echo_chaincode, except that an "add" op adds its value to its key's
+    total, read from ``state``: a re-execution started from another state
+    writes other totals."""
+    if op.get("op") != "add":
+        return echo_chaincode(op, submitter, state)
+    total = int(state.get(op["key"]) or b"0") + op["value"]
+    return ChainResult(True, None, {op["key"]: str(total).encode()}, (op["key"],))
+
+
+def _tally_op(i):
+    """The ``i``-th op: invalid, an "add", or an echo that writes a key of its
+    own or one that others overwrite."""
+    if i % 5 == 0:
+        return b'{"op": "bad"}'
+    if i % 2:
+        return json.dumps({"op": "add", "key": f"t{i % 3}", "value": i}).encode()
+    return _payload(i if i % 4 == 0 else 2, value=i)
+
+
+_TALLY_TXS = 72  # blocks 1-6 of 12 transactions
+
+
+@pytest.fixture(scope="module")
+def tally_chain(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tally") / "chain"
+    led = _open(root, tally_chaincode)
+    for i in range(_TALLY_TXS):
+        led.submit_tx(_tally_op(i), "plant-1")
+    led.cut_all()
+    return root
+
+
+def _garble_payload(index):
+    def garble(content):
+        tx = content["transactions"][index]
+        tx["payload_b64"] = "!" + tx["payload_b64"][1:]
+
+    return garble
+
+
+def _flip_status(index):
+    def flip(content):
+        tx = content["transactions"][index]
+        tx["status"], tx["reason"] = ("INVALID", "structure") if tx["status"] == "VALID" else ("VALID", None)
+
+    return flip
+
+
+def _tamper(root, case, height, index, reseal):
+    journal = root / "writes" / f"{height}.json"
+    if case == "journal value":
+        forged = {"k0": base64.b64encode(b"tampered").decode()}
+        _rewrite_journal(journal, lambda body: body["txs"][index].update(writes=forged))
+    elif case == "status":
+        reseal(root, height, _flip_status(index))
+    elif case == "payload":
+        reseal(root, height, _garble_payload(index))
+    elif case == "journal deleted":
+        journal.unlink()
+    elif case == "journal disagrees below a payload":
+        # damage the open finds at height 1 and the re-execution does not,
+        # under a payload no open decodes: the part that holds it is not clean
+        reseal(root, height, _garble_payload(index))
+        _rewrite_journal(root / "writes" / "1.json", lambda body: body["txs"][1].update(status="INVALID"))
+
+
+def _outcome(root, **patches):
+    """What verify_chain, the damage, the replayed state and an append say on a fresh open."""
+    with contextlib.ExitStack() as stack:
+        for name, value in patches.items():
+            stack.enter_context(mock.patch.object(ledger_mod, name, value))
+        led = _open(root, tally_chaincode)
+        out = [led.verify_chain(), led.damage]
+        for probe in (led.rebuilt_state_digest, led.check_appendable):
+            try:
+                out.append(probe())
+            except ChainDamaged as error:
+                out.append(str(error))
+        out += [led._replayed[0], led._replayed[2]]
+    assert multiprocessing.active_children() == []
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(
+        ["none", "journal value", "status", "payload", "journal deleted", "journal disagrees below a payload"]
+    ),
+    height=st.integers(2, _TALLY_TXS // BLOCK_TX_LIMIT),
+    index=st.integers(0, BLOCK_TX_LIMIT - 1),
+    parts=st.sampled_from([2, 3]),
+)
+# a payload no open decodes, of an op whose write nothing reads or replaces, in
+# the second of two parts, below damage found at open; and a payload the open
+# decodes, at the tip: damage at open at the height of that part's last block
+@example(case="journal disagrees below a payload", height=5, index=4, parts=2)
+@example(case="payload", height=_TALLY_TXS // BLOCK_TX_LIMIT, index=6, parts=2)
+def test_a_split_re_execution_says_what_one_in_order_says(tally_chain, case, height, index, parts):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "chain"
+        shutil.copytree(tally_chain, root)
+        _tamper(root, case, height, index, _reseal_up_to_the_tip)
+        in_order = _outcome(root, usable_cpus=lambda: 1)
+        split = _outcome(root, usable_cpus=lambda: parts, _SPLIT_MIN_TXS=0)
+    assert split == in_order
 
 
 # -- state machine: live, rebuilt and reopened state agree ----------------------
