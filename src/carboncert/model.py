@@ -293,6 +293,55 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+class Forked:
+    """``target(*args)`` run in a forked process, which sends back over a pipe
+    what it returned or raised. Raises ValueError where there is no fork and
+    OSError when no process is to be had. Fork from a process that runs no
+    other thread: a fork copies no thread, and a lock another thread held
+    stays locked in the child."""
+
+    def __init__(self, target, *args):
+        import multiprocessing  # here, so that a process that forks nothing does not import it
+
+        context = multiprocessing.get_context("fork")
+        self._outcome, sender = context.Pipe(duplex=False)
+        try:
+            self._process = context.Process(target=_send_outcome, args=(sender, target, args))
+            self._process.start()
+        except BaseException:
+            self._outcome.close()
+            raise
+        finally:
+            sender.close()
+
+    def join(self):
+        """Wait for the process and reap it. Returns (True, what ``target``
+        returned) or (False, what it raised); None when the process ended
+        without sending either, or with an exit code other than 0."""
+        try:
+            outcome = self._outcome.recv()
+        except EOFError:
+            outcome = None
+        finally:
+            self._outcome.close()
+            self._process.join()
+        return outcome if self._process.exitcode == 0 else None
+
+    def stop(self) -> None:
+        """Kill the process if it still runs, and reap it."""
+        self._process.kill()
+        self._process.join()
+        self._outcome.close()
+
+
+def _send_outcome(sender, target, args) -> None:
+    try:
+        outcome = True, target(*args)
+    except Exception as exc:  # the parent decides what it means
+        outcome = False, exc
+    sender.send(outcome)
+
+
 def write_atomic(path, data: bytes) -> None:
     """Publish ``data`` at ``path`` whole or not at all: temp file, fsync, rename,
     then fsync the directory so the rename itself survives a power cut.

@@ -4,7 +4,7 @@ The data root (``CARBON_LEDGER_HOME`` or --home) is laid out as:
 
     collectors/<A|B>/<date>/SEM<k>.csv   collector output
     aggregator/anomalies-<date>.jsonl    quarantine sidecar
-    chain/                               ledger emulation (blocks, write-set journals)
+    chain/                               ledger emulation (blocks, write-set journals, savepoint)
     reports/                             audit reports
 
 The chain's genesis block records the contract's parameters, its emission
@@ -29,7 +29,7 @@ from . import metersim
 from .aggregator import AnomalyRules
 from .chaincode import CONTRACT_VERSION, CreditContract, day_on_chain
 from .ledger import Ledger, NoChain, make_identity, read_genesis
-from .model import EmissionConfig, Identity, Role, parse_date, usable_cpus, whole_number
+from .model import EmissionConfig, Forked, Identity, Role, parse_date, usable_cpus, whole_number
 
 # the keys of a run configuration beside the fleet's (FleetConfig.from_dict)
 _RUN_KEYS = ("date", "seed", "certifier", "auditor", "faults", "rules", "emission")
@@ -227,20 +227,17 @@ def run_simulation(config: RunConfig) -> DayResult:
 
     The telemetry is generated and delivered one meter at a time
     (``metersim.DayStream``, one fault stream for the whole day). Each
-    collector's day (``run_collector``) runs in a forked worker process, as
-    many at once as this process may use CPUs; aggregation starts once every
-    collector has published its CSVs. A worker that dies raises
-    ``ChildProcessError`` naming the collectors whose day did not finish.
-    Call it from a process that runs no other thread: a fork copies no
-    thread, and a lock another thread held stays locked in the worker.
+    collector's day (``run_collector``) runs in a forked worker process
+    (``model.Forked``), as many at once as this process may use CPUs;
+    aggregation starts once every collector has published its CSVs. A worker
+    that dies raises ``ChildProcessError`` naming the collectors whose worker
+    died; an exception a worker raised is raised here. Call it from a process
+    that runs no other thread: a fork copies no thread, and a lock another
+    thread held stays locked in the worker.
 
     Refuses, before any CSV is published, a date that does not parse, a
     damaged chain, a config whose emission, rules or members differ from the
     chain's and a date the chain already holds."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     parse_date(config.date)
     ledger = open_ledger(config)
     ledger.check_appendable()
@@ -251,15 +248,24 @@ def run_simulation(config: RunConfig) -> DayResult:
     producer = ledger.get_identity(config.producer)
 
     day = metersim.DayStream(config.fleet, config.date, config.faults)
-    assignments = sorted(config.fleet.assignments.items())
-    with ProcessPoolExecutor(min(len(assignments), usable_cpus()), multiprocessing.get_context("fork")) as pool:
-        days = {
-            cid: pool.submit(
-                run_collector, day, col_mod.CollectorConfig(cid, frozenset(meters), config.collectors_root), config.date
-            )
-            for cid, meters in assignments
-        }
-    lost = [cid for cid, done in days.items() if isinstance(done.exception(), BrokenProcessPool)]
+    waiting = [
+        (cid, col_mod.CollectorConfig(cid, frozenset(meters), config.collectors_root))
+        for cid, meters in sorted(config.fleet.assignments.items())
+    ]
+    workers, running = usable_cpus(), []
+    days = {}  # collector id -> its worker's outcome (Forked.join)
+    try:
+        while waiting or running:
+            if waiting and len(running) < workers:
+                cid, collector = waiting.pop(0)
+                running.append((cid, Forked(run_collector, day, collector, config.date)))
+            else:
+                cid, worker = running.pop(0)
+                days[cid] = worker.join()
+    finally:
+        for _, worker in running:  # left running only by an exception here
+            worker.stop()
+    lost = [cid for cid, outcome in days.items() if outcome is None]
     if lost:
         raise ChildProcessError(
             f"a collector worker process ended abruptly: the day of collector{'s' * (len(lost) > 1)} "
@@ -267,8 +273,10 @@ def run_simulation(config: RunConfig) -> DayResult:
         )
     accepted = duplicates = csv_rows = 0
     csv_paths: List[Path] = []
-    for done in days.values():
-        took, redelivered, rows, paths = done.result()  # a worker's exception is raised here
+    for finished, outcome in days.values():
+        if not finished:
+            raise outcome  # the worker's exception
+        took, redelivered, rows, paths = outcome
         accepted, duplicates, csv_rows = accepted + took, duplicates + redelivered, csv_rows + rows
         csv_paths.extend(paths)
 

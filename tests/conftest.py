@@ -53,6 +53,23 @@ def split(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=["kept", "deleted"])
+def savepoint(request, monkeypatch):
+    """Every ``cut_all`` writes a savepoint at the tip. It is kept, for the
+    next open to use where it can, or deleted once written, so that every
+    open loads every block file."""
+    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 0)
+    if request.param == "deleted":
+        write = ledger_mod.Ledger._write_savepoint
+
+        def write_and_delete(self):
+            write(self)
+            self.savepoint_path.unlink()
+
+        monkeypatch.setattr(ledger_mod.Ledger, "_write_savepoint", write_and_delete)
+    return request.param
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LINES:
         return

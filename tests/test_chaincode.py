@@ -534,7 +534,7 @@ def _first_quarantine_key(root, height):
 
 
 @pytest.mark.parametrize("height", [2, 3])
-def test_a_quarantine_record_resealed_in_its_journal_is_found_by_verify_chain(tmp_path, split, height):
+def test_a_quarantine_record_resealed_in_its_journal_is_found_by_verify_chain(tmp_path, split, savepoint, height):
     root = tmp_path / "chain"
     members = _quarantine_chain(root)
     key = _first_quarantine_key(root, height)
@@ -551,7 +551,7 @@ def test_a_quarantine_record_resealed_in_its_journal_is_found_by_verify_chain(tm
 
 
 @pytest.mark.parametrize("height", [2, 3])
-def test_a_quarantine_record_changed_in_its_block_payload_is_damage_at_open(tmp_path, split, height):
+def test_a_quarantine_record_changed_in_its_block_payload_is_damage_at_open(tmp_path, split, savepoint, height):
     root = tmp_path / "chain"
     members = _quarantine_chain(root)
     path = root / "blocks" / f"{height}.json"
@@ -567,7 +567,7 @@ def test_a_quarantine_record_changed_in_its_block_payload_is_damage_at_open(tmp_
 
 @pytest.mark.parametrize("height", [2, 3])
 def test_a_quarantine_record_resealed_up_to_the_tip_is_found_by_the_re_execution(
-    tmp_path, reseal_up_to_the_tip, split, height
+    tmp_path, reseal_up_to_the_tip, split, savepoint, height
 ):
     # the record's minute moved to the next day, in the payload only: the
     # journal's slices still fit it, so the open applies them, and the op

@@ -3,13 +3,14 @@ import contextlib
 import gc
 import json
 import multiprocessing
+import os
 import shutil
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from carboncert.ledger import (
@@ -407,7 +408,7 @@ def test_an_open_decodes_the_tip_only_and_verify_chain_parses_no_block_file(tmp_
     assert sorted(calls["decoded"]) == sorted(tx.payload_b64 for b in reopened.blocks() for tx in b.transactions)
 
 
-def test_a_payload_is_read_as_its_block_file_holds_it(tmp_path):
+def test_a_payload_is_read_as_its_block_file_holds_it(tmp_path, savepoint):
     root = tmp_path / "chain"
     led = _committed(root)
     reopened = _open(root)
@@ -418,7 +419,7 @@ def test_a_payload_is_read_as_its_block_file_holds_it(tmp_path):
     assert reopened.state_items() == led.state_items()
 
 
-def test_persistence_round_trip(tmp_path):
+def test_persistence_round_trip(tmp_path, savepoint):
     led = _open(tmp_path / "chain")
     for i in range(14):
         led.submit_tx(_payload(i), "plant-1")
@@ -569,7 +570,7 @@ def _rewrite_journal(path, edit):
     path.write_bytes(ledger_mod._journal_file(canonical_json(content["body"])))
 
 
-def test_journaled_open_applies_writes_without_executing(tmp_path):
+def test_journaled_open_applies_writes_without_executing(tmp_path, savepoint):
     root = tmp_path / "chain"
     led = _committed(root)
     assert sorted(p.name for p in (root / "writes").iterdir()) == ["1.json", "2.json", "3.json"]
@@ -647,7 +648,7 @@ def test_a_block_whose_recorded_status_was_flipped_is_damaged_at_open(tmp_path):
     assert reopened.verify_chain() == 2
 
 
-def test_a_journal_disagreeing_with_its_block_records_is_damage_at_open(tmp_path):
+def test_a_journal_disagreeing_with_its_block_records_is_damage_at_open(tmp_path, savepoint):
     root = tmp_path / "chain"
     _committed(root)
 
@@ -688,7 +689,7 @@ def test_a_failed_block_write_keeps_its_transactions_pending(tmp_path, monkeypat
     assert led.verify_chain() is None and reopened.verify_chain() is None
 
 
-def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path):
+def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path, savepoint):
     root = tmp_path / "chain"
     _committed(root)
 
@@ -723,7 +724,7 @@ def test_damage_found_by_verify_chain_refuses_the_pending_block(tmp_path):
     ids=["long", "offset-past-end", "negative-offset", "negative-length", "bool-offset", "bool-length",
          "float", "one-int", "three-ints", "object", "null"],
 )
-def test_a_journal_slice_outside_its_payload_re_executes_the_block(tmp_path, bad):
+def test_a_journal_slice_outside_its_payload_re_executes_the_block(tmp_path, savepoint, bad):
     root = tmp_path / "chain"
     led = _committed(root)
 
@@ -738,7 +739,7 @@ def test_a_journal_slice_outside_its_payload_re_executes_the_block(tmp_path, bad
     assert reopened.verify_chain() is None
 
 
-def test_a_journal_slice_to_other_bytes_of_its_payload_is_found_by_verify_chain(tmp_path):
+def test_a_journal_slice_to_other_bytes_of_its_payload_is_found_by_verify_chain(tmp_path, savepoint):
     root = tmp_path / "chain"
     _committed(root)
 
@@ -755,7 +756,7 @@ def test_a_journal_slice_to_other_bytes_of_its_payload_is_found_by_verify_chain(
         reopened.submit_tx(_payload(99), "plant-1")
 
 
-def test_an_all_base64_journal_opens_without_executing(tmp_path):
+def test_an_all_base64_journal_opens_without_executing(tmp_path, savepoint):
     # journals written before values became payload slices hold every value in base64
     root = tmp_path / "chain"
     led = _committed(root)
@@ -961,15 +962,20 @@ def _tally_op(i):
 
 
 _TALLY_TXS = 72  # blocks 1-6 of 12 transactions
+_TALLY_SAVED = 3  # the height of the tally chain's savepoint
 
 
 @pytest.fixture(scope="module")
 def tally_chain(tmp_path_factory):
+    """The tally ops in blocks 1-6, with a savepoint at height 3."""
     root = tmp_path_factory.mktemp("tally") / "chain"
     led = _open(root, tally_chaincode)
-    for i in range(_TALLY_TXS):
-        led.submit_tx(_tally_op(i), "plant-1")
-    led.cut_all()
+    for cut in range(2):
+        for i in range(cut * _TALLY_TXS // 2, (cut + 1) * _TALLY_TXS // 2):
+            led.submit_tx(_tally_op(i), "plant-1")
+        with mock.patch.object(ledger_mod, "_SAVEPOINT_MIN_TXS", _TALLY_TXS if cut else 0):
+            led.cut_all()
+    assert json.loads(led.savepoint_path.read_bytes())["body"]["height"] == _TALLY_SAVED
     return root
 
 
@@ -1024,7 +1030,7 @@ def _outcome(root, **patches):
     return out
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     case=st.sampled_from(
         ["none", "journal value", "status", "payload", "journal deleted", "journal disagrees below a payload"]
@@ -1038,14 +1044,285 @@ def _outcome(root, **patches):
 # decodes, at the tip: damage at open at the height of that part's last block
 @example(case="journal disagrees below a payload", height=5, index=4, parts=2)
 @example(case="payload", height=_TALLY_TXS // BLOCK_TX_LIMIT, index=6, parts=2)
-def test_a_split_re_execution_says_what_one_in_order_says(tally_chain, case, height, index, parts):
+def test_a_split_re_execution_says_what_one_in_order_says(tally_chain, savepoint, case, height, index, parts):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "chain"
         shutil.copytree(tally_chain, root)
+        if savepoint == "deleted":
+            (root / "state" / "savepoint.json").unlink()
         _tamper(root, case, height, index, _reseal_up_to_the_tip)
         in_order = _outcome(root, usable_cpus=lambda: 1)
         split = _outcome(root, usable_cpus=lambda: parts, _SPLIT_MIN_TXS=0)
     assert split == in_order
+
+
+class FailingOnce:
+    """tally_chaincode, raising MemoryError the first time this process runs ``op``."""
+
+    def __init__(self, op):
+        self.op, self.raised = op, False
+
+    def __call__(self, op, submitter, state):
+        if op == self.op and not self.raised:
+            self.raised = True
+            raise MemoryError
+        return tally_chaincode(op, submitter, state)
+
+
+def test_verify_chain_after_an_exception_starts_from_a_consistent_state(tally_chain, tmp_path, split, savepoint):
+    # the replay used to keep the writes of the blocks it ran before the
+    # exception, under the height it started from: the next verify_chain
+    # re-executed them on that state and found false damage at height 1
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    if savepoint == "deleted":
+        (root / "state" / "savepoint.json").unlink()
+    led = _open(root, FailingOnce(json.loads(_tally_op(39))))  # the 40th call of a re-execution in order
+    with pytest.raises(MemoryError):
+        led.verify_chain()
+    assert led.verify_chain() is None and led.damage is None
+    assert led.rebuilt_state_digest() == led.state_digest()
+    assert multiprocessing.active_children() == []
+
+
+# -- savepoints ------------------------------------------------------------------
+
+
+def _savepoint_path(root):
+    return root / "state" / "savepoint.json"
+
+
+def _rewrite_savepoint(root, edit):
+    """Apply ``edit`` to the savepoint's parsed body and reseal it with the new body's digest."""
+    content = json.loads(_savepoint_path(root).read_bytes())
+    edit(content["body"])
+    _savepoint_path(root).write_bytes(ledger_mod._journal_file(canonical_json(content["body"])))
+
+
+def test_a_savepoint_is_written_only_past_the_threshold_and_with_nothing_pending(tmp_path, monkeypatch):
+    root = tmp_path / "chain"
+    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 20)
+    led = _committed(root, txs=12)
+    assert not _savepoint_path(root).exists()  # 12 transactions above none
+    for i in range(12, 24):
+        led.submit_tx(_payload(i), "plant-1")
+    led.cut_block()
+    led.submit_tx(_payload(99), "plant-1")
+    led.cut_block()
+    assert not _savepoint_path(root).exists()  # cut_block writes none
+    led.submit_tx(_payload(100), "plant-1")
+    led.cut_all()
+    saved = json.loads(_savepoint_path(root).read_bytes())["body"]
+    assert (saved["height"], saved["block_hash"], saved["next_sequence"]) == (led.height, led.tip_hash, 26)
+    assert len(saved["journals"]) == led.height + 1 and saved["journals"][0] is None
+    assert saved["members"] == [["certifier-1", "CERTIFIER", CERTIFIER.key_id], ["plant-1", "PRODUCER", PLANT.key_id]]
+    # a value found in its payload is a slice of it, as in the journal
+    journal = json.loads((root / "writes" / "1.json").read_bytes())["body"]
+    assert saved["state"]["k0"] == [1, 0, *journal["txs"][0]["writes"]["k0"]]
+    files = _files(root)
+    led.submit_tx(_payload(101), "plant-1")
+    led.cut_all()
+    assert _files(root)[Path("state/savepoint.json")] == files[Path("state/savepoint.json")]  # 1 transaction above
+
+
+def test_an_open_from_a_savepoint_parses_only_the_blocks_it_reads(tmp_path, monkeypatch):
+    root = tmp_path / "chain"
+    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 0)
+    led = _committed(root)  # a savepoint at the tip, 3
+    for i in range(30, 42):
+        led.submit_tx(_payload(i), "plant-1")
+    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 13)
+    led.cut_all()  # block 4, no savepoint
+    parsed = []
+    parse = ledger_mod._parse_block
+    monkeypatch.setattr(ledger_mod, "_parse_block", lambda raw, height: parsed.append(height) or parse(raw, height))
+    counting = Counting()
+    reopened = _open(root, counting)
+    assert parsed == [0, 4] and counting.calls == 0  # genesis, and the tip through _read_block
+    assert reopened.query_state("k12") == led.query_state("k12") and parsed == [0, 4, 2]
+    assert reopened.get_transaction(led.blocks()[4].transactions[0].tx_id).sequence == 30 and parsed == [0, 4, 2]
+    assert reopened.get_transaction(led.blocks()[1].transactions[0].tx_id).sequence == 0
+    assert parsed == [0, 4, 2, 1, 3]
+    assert reopened.state_digest() == led.state_digest() and reopened.verify_chain() is None
+
+
+def test_a_savepoint_that_cannot_be_written_leaves_the_older_one_in_use(tmp_path, monkeypatch):
+    # a crash between the last block and the savepoint costs only speed
+    root = tmp_path / "chain"
+    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 0)
+    led = _committed(root)  # a savepoint at the tip, 3
+    replace = os.replace
+
+    def no_savepoint(src, dst):
+        if Path(dst).name == "savepoint.json":
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    for i in range(30, 42):
+        led.submit_tx(_payload(i), "plant-1")
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", no_savepoint)
+        [block] = led.cut_all()
+    assert block.height == 4 and (root / "blocks" / "4.json").exists() and (root / "writes" / "4.json").exists()
+    assert json.loads(_savepoint_path(root).read_bytes())["body"]["height"] == 3
+    assert sorted(p.name for p in (root / "state").iterdir()) == ["savepoint.json"]  # no temp file left
+    read = []
+    read_block = ledger_mod._read_block
+    monkeypatch.setattr(ledger_mod, "_read_block", lambda path: read.append(path.name) or read_block(path))
+    counting = Counting()
+    reopened = _open(root, counting)
+    assert read == ["4.json"] and counting.calls == 0  # the savepoint at 3, then block 4's journal
+    assert reopened.state_digest() == led.state_digest() and reopened.verify_chain() is None
+    reopened.cut_all()  # the blocks above the one in use still call for a savepoint
+    assert json.loads(_savepoint_path(root).read_bytes())["body"]["height"] == 4
+
+
+def test_a_block_file_changed_after_an_open_from_a_savepoint_is_damage_when_read(tally_chain, tmp_path):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    led = _open(root, tally_chaincode)  # blocks 1 and 2 checked, not parsed
+    _flip_byte(root / "blocks" / "1.json", 200)
+    with pytest.raises(ChainDamaged, match="^chain damaged at height 1: block file changed since the open$"):
+        led.query_state("k4")  # a slice of block 1's payload
+    assert led.verify_chain() == 1
+    with pytest.raises(ChainDamaged, match="height 1: block file changed since the open; refusing to append"):
+        led.submit_tx(_payload(0), "plant-1")
+
+
+def test_a_forged_savepoint_with_a_valid_digest_is_served_until_verify_chain_finds_it(tally_chain, tmp_path):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    honest = _open(root, tally_chaincode).query_state("k4")  # written in block 1 only
+    _rewrite_savepoint(root, lambda body: body["state"].update(k4=base64.b64encode(b"forged").decode()))
+    led = _open(root, tally_chaincode)
+    assert led.damage is None and led.query_state("k4") == b"forged" != honest
+    assert led.verify_chain() == _TALLY_SAVED
+    assert led.damage == (_TALLY_SAVED, "savepoint holds other state than its blocks replay to")
+    with pytest.raises(ChainDamaged, match=f"height {_TALLY_SAVED}: savepoint holds other state"):
+        led.submit_tx(_payload(0), "plant-1")
+
+
+def test_a_forged_savepoint_slice_of_no_transaction_is_damage_when_read(tally_chain, tmp_path):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    _rewrite_savepoint(root, lambda body: body["state"].update(k4=[1, BLOCK_TX_LIMIT, 0, 1]))
+    led = _open(root, tally_chaincode)
+    with pytest.raises(ChainDamaged, match=f"^chain damaged at height {_TALLY_SAVED}: savepoint holds a slice"):
+        led.query_state("k4")
+    assert led.verify_chain() == _TALLY_SAVED
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda body: body.update(height="3"),
+        lambda body: body.update(journals=body["journals"][:-1]),
+        lambda body: body["state"].update(k4=[1, 0, 0]),
+        lambda body: body["state"].update(k4=[1, 0, -1, 1]),
+        lambda body: body["state"].update(k4=[1, 0, True, 1]),
+        lambda body: body["state"].update(k4=[_TALLY_SAVED + 1, 0, 0, 1]),
+        lambda body: body["state"].update(k4="not base64!"),
+        lambda body: body["state"].update(k4=None),
+    ],
+    ids=["height-text", "short-pins", "three-ints", "negative", "bool", "above-its-height", "not-base64", "null"],
+)
+def test_a_savepoint_that_is_not_one_is_not_used(tally_chain, tmp_path, edit):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    _rewrite_savepoint(root, edit)
+    assert ledger_mod._read_savepoint(_savepoint_path(root)) is None
+    counting = Counting()
+    assert _open(root, counting).damage is None and counting.calls == 0  # every journal applied
+
+
+def _tx_fields(tx):
+    return tx.sequence, tx.tx_id, tx.payload_b64, tx.payload_digest, tx.submitter, tx.endorsement, tx.status, tx.reason
+
+
+_TALLY_KEYS = sorted({"t0", "t1", "t2", "k2", "k99"} | {f"k{i}" for i in range(0, _TALLY_TXS, 4)})
+
+
+def _answers(root):
+    """What a fresh open of ``root`` answers, asked in one order: a
+    ChainDamaged or KeyError raised is an answer too."""
+    led = _open(root, tally_chaincode)
+
+    def ask(probe):
+        try:
+            return probe()
+        except (ChainDamaged, KeyError) as error:
+            return f"{type(error).__name__}: {error}"
+
+    tx_ids = [ledger_mod._tx_id(_tally_op(i), "plant-1", i) for i in range(_TALLY_TXS)] + ["0" * 64]
+    out = [led.height, led.tip_hash, led.damage, led._next_sequence, ask(led.state_digest)]
+    out += [ask(lambda key=key: led.query_state(key)) for key in _TALLY_KEYS]
+    out.append(ask(led.state_items))
+    out += [ask(lambda tx_id=tx_id: _tx_fields(led.get_transaction(tx_id))) for tx_id in tx_ids]
+    out += [ask(lambda key=key: [tx.tx_id for tx in led.get_history(key)]) for key in _TALLY_KEYS]
+    out.append(ask(lambda: [(b.height, b.block_hash, b.prev_hash, *map(_tx_fields, b.transactions)) for b in led.blocks()]))
+    out += [ask(led.verify_chain), ask(led.rebuilt_state_digest), led.damage, ask(led.check_appendable)]
+    assert multiprocessing.active_children() == []
+    return out
+
+
+def _flip_byte(path, at):
+    raw = bytearray(path.read_bytes())
+    raw[at % len(raw)] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _changed(root, case, height, at):
+    """Change the tally chain at ``root``: a block or journal at ``height``
+    (past the genesis, which holds no transaction, where one is changed), or
+    its savepoint."""
+    block, journal = root / "blocks" / f"{height}.json", root / "writes" / f"{height}.json"
+    saved = _savepoint_path(root)
+    if case == "block byte":
+        _flip_byte(block, at)
+    elif case == "status resealed":
+        _reseal_up_to_the_tip(root, max(height, 1), _flip_status(at % BLOCK_TX_LIMIT))
+    elif case == "payload resealed":
+        _reseal_up_to_the_tip(root, max(height, 1), _garble_payload(at % BLOCK_TX_LIMIT))
+    elif case == "journal value":
+        forged = {"k0": base64.b64encode(b"tampered").decode()}
+        journal = root / "writes" / f"{max(height, 1)}.json"
+        _rewrite_journal(journal, lambda body: body["txs"][at % BLOCK_TX_LIMIT].update(writes=forged))
+    elif case == "journal deleted":
+        journal.unlink(missing_ok=True)
+    elif case == "journal deleted before the savepoint":
+        # the savepoint, rewritten at the tip, pins the journal as missing
+        journal.unlink(missing_ok=True)
+        with mock.patch.object(ledger_mod, "_SAVEPOINT_MIN_TXS", 0):
+            _open(root, tally_chaincode).cut_all()
+    elif case == "savepoint byte":
+        _flip_byte(saved, at)
+    elif case == "savepoint truncated":
+        saved.write_bytes(saved.read_bytes()[:at % saved.stat().st_size])
+    elif case == "savepoint deleted":
+        saved.unlink()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([
+        "none", "block byte", "status resealed", "payload resealed", "journal value", "journal deleted",
+        "journal deleted before the savepoint", "savepoint byte", "savepoint truncated", "savepoint deleted",
+    ]),
+    height=st.integers(0, _TALLY_TXS // BLOCK_TX_LIMIT),
+    at=st.integers(0, 2**16),
+)
+# a garbled payload above the savepoint, of a value the open reads from below it
+@example(case="payload resealed", height=_TALLY_SAVED + 1, at=0)
+@example(case="journal deleted before the savepoint", height=2, at=0)
+def test_an_open_from_a_savepoint_answers_as_one_that_loads_every_block_file(tally_chain, case, height, at):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "chain"
+        shutil.copytree(tally_chain, root)
+        _changed(root, case, height, at)
+        without = Path(tmp) / "without"
+        shutil.copytree(root, without)
+        _savepoint_path(without).unlink(missing_ok=True)
+        assert _answers(root) == _answers(without)
 
 
 # -- state machine: live, rebuilt and reopened state agree ----------------------

@@ -4,7 +4,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -214,12 +213,8 @@ def test_a_dead_worker_fails_the_day_before_anything_is_submitted(tmp_path, caps
     err = capsys.readouterr().err
     assert rc == 1
     assert multiprocessing.active_children() == []
-    # with one worker A's day is done when B's worker dies; with two the pool
-    # ends A's worker too, and both days are named
-    lost = "collector B" if cpus == {0} else "(collector B|collectors A, B)"
-    assert re.fullmatch(
-        rf"error \[simulate\]: a collector worker process ended abruptly: the day of {lost} did not finish\n", err
-    ), err
+    # A's worker finishes its day whether it runs before B's or beside it
+    assert err == "error [simulate]: a collector worker process ended abruptly: the day of collector B did not finish\n"
     assert sorted(p.name for p in (tmp_path / "chain" / "blocks").iterdir()) == ["0.json"]  # genesis only
 
     assert cli.main(argv) == 0
