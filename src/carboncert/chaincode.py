@@ -10,10 +10,13 @@ terminal states are mutually exclusive, and each (producer, date) accrues
 at most one credit, so no unit of energy can be counted twice.
 
 Every audit re-executes the whole chain, so a batch costs what its window
-costs: ``window_start`` and ``window_end`` are parsed once, each
-``minute_start`` must be one of the five spellings of the window's minutes,
-and the batch is written as ``model.batch_bytes`` renders it, the bytes
-``canonical_json`` gives.
+costs: its aggregates are walked once, for their structure, their minutes
+and their ranges together (the reasons still come in the order
+``validate_batch`` names), ``window_start`` and ``window_end`` are parsed
+once, each ``minute_start`` must be one of the five spellings of the
+window's minutes, the batch is written as ``model.batch_bytes`` renders it,
+the bytes ``canonical_json`` gives, and the producer's ``head/`` value is
+spelled out as ``_store`` writes it, without ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -61,15 +64,15 @@ _CREDIT_OPS = {
     "credit_transition": (Role.PRODUCER, ("SOLD", "RETIRED")),
 }
 
-_BATCH_KEYS = {
+_BATCH_KEYS = frozenset({
     "batch_id",
     "window_start",
     "window_end",
     "producer_id",
     "schema_version",
     "aggregates",
-}
-_AGG_KEYS = {
+})
+_AGG_KEYS = frozenset({
     "minute_start",
     "total_power",
     "avg_voltage",
@@ -77,7 +80,7 @@ _AGG_KEYS = {
     "phase_count",
     "quality",
     "flags",
-}
+})
 _QUALITIES = frozenset(q.value for q in Quality)
 _FLAGGED = Quality.FLAGGED.value
 
@@ -137,35 +140,74 @@ def day_on_chain(state: StateView, producer: str, date: str) -> bool:
     return any(state.get(key) is not None for key in _day_batch_keys(producer, parse_date(date)))
 
 
-def _check_structure(batch, submitter: Identity) -> Optional[str]:
-    if not isinstance(batch, dict) or set(batch) != _BATCH_KEYS:
+def _check_structure(batch, submitter: Identity, limits: Optional[tuple] = None) -> Optional[str]:
+    """"structure" or "unauthorized" when ``batch`` fails that check. Else,
+    given ``limits`` (``_limits``), what its aggregates say: "timestamps" when
+    a ``minute_start`` does not spell one of the window's minutes later than
+    the one before it (a timestamp has one spelling, so it is matched as
+    text), else "ranges" when an aggregate that is not flagged is out of the
+    limits; else None. The aggregates are walked once: ``validate_batch``
+    reports these two after its duplicate check and ``_check_timestamps``."""
+    if not isinstance(batch, dict) or batch.keys() != _BATCH_KEYS:
         return "structure"
     if not isinstance(batch["batch_id"], str) or not isinstance(batch["producer_id"], str):
         return "structure"
     if not isinstance(batch["schema_version"], int):
         return "structure"
-    if not isinstance(batch["aggregates"], list) or len(batch["aggregates"]) > 5:
+    aggregates = batch["aggregates"]
+    if not isinstance(aggregates, list) or len(aggregates) > 5:
         return "structure"
-    for agg in batch["aggregates"]:
-        if not isinstance(agg, dict) or set(agg) != _AGG_KEYS:
+    in_order, in_range, earliest = True, True, 0  # without limits, every aggregate is both
+    minutes = _window_minutes(batch["window_start"]) if limits else {}
+    cap, v_lo, v_hi, f_lo, f_hi = limits or (None,) * 5
+    for agg in aggregates:
+        if not isinstance(agg, dict) or agg.keys() != _AGG_KEYS:
             return "structure"
-        if not isinstance(agg["total_power"], (int, float)):
+        power, voltage, frequency = agg["total_power"], agg["avg_voltage"], agg["avg_frequency"]
+        if not isinstance(power, (int, float)):
             return "structure"
-        for opt in ("avg_voltage", "avg_frequency"):
-            if agg[opt] is not None and not isinstance(agg[opt], (int, float)):
-                return "structure"
+        if voltage is not None and not isinstance(voltage, (int, float)):
+            return "structure"
+        if frequency is not None and not isinstance(frequency, (int, float)):
+            return "structure"
         if not isinstance(agg["phase_count"], int) or not 0 <= agg["phase_count"] <= 24:
             return "structure"
-        if agg["quality"] not in _QUALITIES:
+        quality = agg["quality"]
+        if not isinstance(quality, str) or quality not in _QUALITIES:
             return "structure"
         if not isinstance(agg["flags"], list):
             return "structure"
+        if not limits:
+            continue
+        minute = agg["minute_start"]
+        index = minutes.get(minute) if isinstance(minute, str) else None
+        if index is None or index < earliest:
+            in_order = False
+        else:
+            earliest = index + 1
+        if in_range and quality != _FLAGGED:  # flagged minutes are carried for audit, not range-enforced
+            in_range = (
+                0 <= power <= cap
+                and (voltage is None or v_lo <= voltage <= v_hi)
+                and (frequency is None or f_lo <= frequency <= f_hi)
+            )
     if batch["producer_id"] != submitter.name:
         return "unauthorized"
-    return None
+    if not in_order:
+        return "timestamps"
+    return None if in_range else "ranges"
+
+
+def _limits(rules: AnomalyRules, emission: EmissionConfig) -> tuple:
+    """The ranges an aggregate that is not flagged must keep: power up to 110%
+    of the plant's capacity, then voltage and frequency."""
+    return (emission.plant_capacity_watts * 1.1, *rules.voltage_range, *rules.frequency_range)
 
 
 def _check_timestamps(batch, state: StateView) -> Optional[str]:
+    """"timestamps" when the window's timestamps or batch id fail, or the
+    window starts before the producer's last one ended; ``_check_structure``
+    checks the aggregates' minutes."""
     start = _ts_or_none(batch["window_start"])
     end = _ts_or_none(batch["window_end"])
     if start is None or end is None:
@@ -174,16 +216,6 @@ def _check_timestamps(batch, state: StateView) -> Optional[str]:
         return "timestamps"
     if batch["batch_id"] != batch_id_for(batch["producer_id"], start):
         return "timestamps"
-    # a timestamp has one spelling, so a minute_start is matched as text: it
-    # must spell one of the window's minutes, later than the one before it
-    minutes = _window_minutes(batch["window_start"])
-    earliest = 0
-    for agg in batch["aggregates"]:
-        minute = agg["minute_start"]
-        index = minutes.get(minute) if isinstance(minute, str) else None
-        if index is None or index < earliest:
-            return "timestamps"
-        earliest = index + 1
     head_raw = state.get(f"head/{batch['producer_id']}")
     if head_raw is not None:
         head = json.loads(head_raw.decode())["window_end"]
@@ -192,27 +224,17 @@ def _check_timestamps(batch, state: StateView) -> Optional[str]:
     return None
 
 
-def _window_minutes(window_start: str) -> dict:
+def _window_minutes(window_start) -> dict:
     """The spellings of a window's five minutes, each to its index: the text
-    of its aligned ``window_start`` with the minute raised by 0 to 4."""
-    minute = int(window_start[14:16])
+    of its aligned ``window_start`` with the minute raised by 0 to 4; {} when
+    it is no text or that minute no number: such a window fails its own check."""
+    if not isinstance(window_start, str):
+        return {}
+    try:
+        minute = int(window_start[14:16])
+    except ValueError:
+        return {}
     return {f"{window_start[:14]}{minute + k:02d}{window_start[16:]}": k for k in range(5)}
-
-
-def _check_ranges(batch, rules: AnomalyRules, emission: EmissionConfig) -> Optional[str]:
-    cap = emission.plant_capacity_watts * 1.1
-    v_lo, v_hi = rules.voltage_range
-    f_lo, f_hi = rules.frequency_range
-    for agg in batch["aggregates"]:
-        if agg["quality"] == _FLAGGED:
-            continue  # flagged minutes are carried for audit, not range-enforced
-        if not 0 <= agg["total_power"] <= cap:
-            return "ranges"
-        if agg["avg_voltage"] is not None and not v_lo <= agg["avg_voltage"] <= v_hi:
-            return "ranges"
-        if agg["avg_frequency"] is not None and not f_lo <= agg["avg_frequency"] <= f_hi:
-            return "ranges"
-    return None
 
 
 def validate_batch(
@@ -223,18 +245,13 @@ def validate_batch(
     emission: EmissionConfig,
 ) -> Tuple[bool, Optional[str]]:
     """Checks: structure, duplicate batch_id, timestamps, ranges; first failure wins."""
-    reason = _check_structure(batch, submitter)
-    if reason:
+    reason = _check_structure(batch, submitter, _limits(rules, emission))
+    if reason in ("structure", "unauthorized"):
         return False, reason
     if state.get(f"batch/{batch['producer_id']}/{batch['batch_id']}") is not None:
         return False, "duplicate"
-    reason = _check_timestamps(batch, state)
-    if reason:
-        return False, reason
-    reason = _check_ranges(batch, rules, emission)
-    if reason:
-        return False, reason
-    return True, None
+    reason = _check_timestamps(batch, state) or reason  # "timestamps" comes before "ranges"
+    return reason is None, reason
 
 
 def _store(value: dict) -> bytes:
@@ -279,10 +296,8 @@ class CreditContract:
             return ChainResult(False, reason, {}, tuple(touched))
         key = f"batch/{batch['producer_id']}/{batch['batch_id']}"
         head_key = f"head/{batch['producer_id']}"
-        writes = {
-            key: batch_bytes(batch),
-            head_key: _store({"window_end": batch["window_end"]}),
-        }
+        # _store's bytes: a validated timestamp is ASCII that JSON does not escape
+        writes = {key: batch_bytes(batch), head_key: f'{{"window_end": "{batch["window_end"]}"}}'.encode("ascii")}
         return ChainResult(True, None, writes, (key, head_key))
 
     def _report_missing(self, op, submitter, state) -> ChainResult:

@@ -6,7 +6,9 @@ rather than dropped, so the full history stays auditable. Only the
 identities a ledger is opened with may submit.
 
 Persistence: ``blocks/<height>.json`` (canonical JSON, payloads base64),
-each written whole (temp file, fsync, rename). block_hash covers the entire
+each written whole and never over another file (``model.write_new``: a temp
+file of this writer's own, fsync, hard link): a cut at a height another
+writer took raises HeightTaken, writing nothing. block_hash covers the entire
 block content except the block_hash field itself. A block file opens with
 ``{"block_hash":"<hex>",`` and the rest of its bytes, after ``{``, is the
 hashed content, so a file's bytes are checked against the hash they carry
@@ -16,9 +18,10 @@ file, or a block resealed below the tip, is damage at open. Only a run of
 blocks resealed up to the tip passes; a changed status is then found by the
 re-execution, and a payload that is not base64 when it is read. Payloads
 stay base64 text until first read, except the tip's and those of blocks the
-open re-executes. ``verify_chain`` checks that each file still hashes to the
-block loaded at open and checks the loaded blocks; it parses only the files
-the open left unparsed (below).
+open re-executes. ``verify_chain`` reads each block file once per call: a
+file the open left unparsed (below) when it is parsed, from bytes that must
+still hash as at the open, and any other after the re-execution, whose bytes
+must still hash to the block loaded at open; it checks every link.
 A genesis block may carry ``params``: a text the ledger stores and hashes
 but does not read, the parameters of the chain's contract and its members.
 
@@ -61,14 +64,16 @@ contiguous part per usable CPU, of about equal transaction counts. This
 process re-executes the first part; a forked process re-executes each later
 part from the replayed state with the effects the open applied for every
 block before the part (``model.Forked``), and reports the part clean only
-when each block replays to its records and its applied effects and no damage
-is marked. By induction, when every part before a part is clean its
+when each block replays to its records and its applied effects, carries its
+own fields right (``params`` only on the genesis; each transaction's payload
+digest, id, member submitter and endorsement) and no damage is marked: a
+block's fields are checked where it is re-executed. By induction, when every part before a part is clean its
 applied effects are the ones it replays to, so the state the part's process
 started from is the one a re-execution in order reaches: a clean part's
 applied effects are applied instead of re-executing it. From the first part
 that is not reported clean (one whose process raised or died included), this
-process re-executes every block in order, as it does a re-execution that is
-not split. So the result, the damage found and the replayed state are those of a
+process re-executes every block in order and checks its fields, as it does
+in a re-execution that is not split. So the result, the damage found and the replayed state are those of a
 re-execution in order. ``verify_chain`` forks: call it from a process that
 runs no other thread.
 """
@@ -98,7 +103,7 @@ from .model import (
     gc_paused,
     parse_ts,
     usable_cpus,
-    write_atomic,
+    write_new,
 )
 
 BLOCK_TX_LIMIT = 12
@@ -134,6 +139,12 @@ class UnknownIdentity(KeyError):
 
 class NoChain(ValueError):
     """The data root holds no block file: there is no chain to open."""
+
+
+class HeightTaken(ValueError):
+    """A cut found a block file at the height it was to publish: another
+    writer appended to the chain since this ledger opened it. Nothing was
+    written, and the cut's transactions stay pending."""
 
 
 class ChainDamaged(ValueError):
@@ -509,7 +520,7 @@ class Ledger:
         self._pins: List[Optional[str]] = []  # per height: the SHA-256 of the journal file applied, or None
         self._next_sequence = 0
         self._damage: Optional[Tuple[int, str]] = None  # (first bad height, why)
-        self._replayed = (-1, {}, None)  # _replay's (height, state, damage) so far
+        self._replayed = (-1, {}, None, None)  # _replay's (height, state, damage, bad) so far
         self._savepoint: Optional[_Savepoint] = None  # the savepoint the open used
         self._savepoint_unread = False  # its pinned journals' effects are yet to be read
         self._unindexed = False  # the transactions of the blocks up to it are yet to be indexed
@@ -586,7 +597,10 @@ class Ledger:
 
         Raises ChainDamaged, writing nothing, once the chain is known damaged:
         ``verify_chain`` can find damage after transactions were submitted.
-        The transactions stay pending until their block file is written. A
+        Raises HeightTaken, writing nothing, when a block file is at the new
+        block's height: another writer appended since the open, and its block
+        is never replaced. The transactions stay pending until their block
+        file is written. A
         value the block writes whose bytes occur in its transaction's payload
         is held as a slice of it from then on, as the journal holds it."""
         if not self._pending:
@@ -600,7 +614,7 @@ class Ledger:
             prev_hash=tip.block_hash,
             transactions=[tx for tx, _ in cut],
         )
-        write_atomic(self._block_path(block.height), _seal(block))
+        self._publish_block(block)
         del self._pending[:len(cut)]
         effects = [effect for _, effect in cut]
         self._blocks.append(block)
@@ -736,7 +750,7 @@ class Ledger:
             return block
         raw = _file_bytes(str(self._block_path(height)))
         parsed = _parse_block(raw, height) if raw is not None and _file_hash(raw) == block.block_hash else None
-        if parsed is None:
+        if parsed is None or parsed.block_hash != block.block_hash:  # a second "block_hash" key parses last
             raise self._damaged(height, "block file changed since the open")
         self._blocks[height] = parsed
         return parsed
@@ -773,11 +787,15 @@ class Ledger:
     # -- verification and replay --------------------------------------------
 
     def verify_chain(self) -> Optional[int]:
-        """Check that every block file's bytes still carry, and hash to, the
-        hash of the block this ledger loaded at that height; check every
-        linkage, payload digest, transaction id and endorsement of the loaded
-        blocks, and re-execute every committed transaction. Only the block
-        files the open did not parse are parsed.
+        """Re-execute every committed transaction; check the fields of each
+        block where it is re-executed (``_well_formed``: ``params`` only on
+        the genesis, and each transaction's payload digest, id, member
+        submitter and endorsement), then every link; check that each block
+        file's bytes still carry, and hash to, the hash of the block this
+        ledger loaded at that height. Each block file is read once: the ones
+        the open did not parse are parsed during the re-execution, from bytes
+        checked as they are read (``_block``), and not read again; every
+        other is read after it.
 
         Returns None when consistent, else the lowest of: the first bad height,
         the height at which opening or a read found the chain damaged, the
@@ -793,46 +811,36 @@ class Ledger:
         for the blocks before it. When every part before it is clean, those
         effects are the ones the blocks replay to. So by induction a clean
         part's process started from the true state, and its applied effects
-        are taken instead of re-executing it here. From the first part that
-        is not clean, every block is re-executed here, in order. The result,
-        the damage marked and the replayed state are those of a re-execution
-        in order, and so is an exception raised. Every forked process is
+        are taken instead of re-executing or checking it here. From the
+        first part that is not clean, every block is re-executed and checked
+        here, in order. The result, the damage marked and the replayed state
+        are those of a re-execution in order, and so is an exception raised. Every forked process is
         reaped before this returns or raises. Call it from a process that
         runs no other thread: a fork copies no thread, and a lock another
         thread held stays locked in the child.
         """
+        read = {height for height, block in enumerate(self._blocks) if type(block) is _Head}
         try:
-            self._mark(self._replay()[1])
+            _, found, bad = self._replay()  # parses every block, each of ``read`` from a file checked as it is read
         except ChainDamaged:  # a block file changed since the open, or a savepoint slice of no transaction: marked
             return self._damage[0]
+        self._mark(found)
         damaged = self._damage[0] if self._damage else None
+        lowest = min((h for h in (damaged, bad) if h is not None), default=None)
         prev_hash = ZERO_HASH_HEX
         for block in self._blocks:
             height = block.height
-            if height == damaged:
+            if height == lowest or block.prev_hash != prev_hash:
                 return height
-            try:
-                hashed = _file_hash(self._block_path(height).read_bytes())
-            except OSError:
-                return height
-            if hashed is None or hashed != block.block_hash:
-                return height
-            if block.prev_hash != prev_hash:
-                return height
-            if (block.transactions if height == 0 else block.params is not None):
-                return height
-            for tx in block.transactions:
-                if tx.payload_digest != digest_hex(tx.payload):
+            if height not in read:
+                try:
+                    hashed = _file_hash(self._block_path(height).read_bytes())
+                except OSError:
                     return height
-                if tx.tx_id != _tx_id(tx.payload, tx.submitter, tx.sequence):
-                    return height
-                identity = self.identities.get(tx.submitter)
-                if identity is None:
-                    return height
-                if tx.endorsement != _endorse(identity.key_id, tx.payload_digest):
+                if hashed != block.block_hash:
                     return height
             prev_hash = block.block_hash
-        return damaged
+        return lowest
 
     def rebuilt_state_digest(self) -> str:
         """Replay oracle: the state digest of re-executing the committed chain from genesis."""
@@ -844,18 +852,20 @@ class Ledger:
         Also returns the first (height, why) at which a transaction cannot
         run or replays to another (status, reason) than the one recorded, or
         to another effect than the ledger applied (``_effects``), or at which
-        the replayed state is not the one the open's savepoint holds. A block
+        the replayed state is not the one the open's savepoint holds; and the
+        first height whose block ran clean but is not ``_well_formed``, or
+        None (blocks are checked until a run marks damage). A block
         whose applied effects are unknown takes the ones it replays to.
         Blocks are re-executed once per Ledger; later calls run only blocks
         cut since. The state replayed so far is kept, with its height, only
         when every block ran: an exception leaves it as it was.
 
         A part whose forked check (``_part_checks``) passed, after blocks that
-        all replayed clean, is not re-executed here: its applied effects are
-        applied instead. See the module docstring.
+        all replayed clean, is not re-executed or checked here: its applied
+        effects are applied instead. See the module docstring.
         """
         self._read_pinned()
-        height, state, damage = self._replayed
+        height, state, damage, bad = self._replayed
         state = dict(state)
         blocks = self._all_blocks()[height + 1:]
         with self._part_checks(blocks, state) as checks:
@@ -877,9 +887,11 @@ class Ledger:
                 damage = damage or found or self._check_savepoint(block.height, state)
                 if found or self._damage != marked:  # later checks started from effects this block does not replay to
                     _stop(checks)
+                elif bad is None and not self._well_formed(block):
+                    bad = block.height
                 i += 1
-        self._replayed = (self.height, state, damage)
-        return state, damage
+        self._replayed = (self.height, state, damage, bad)
+        return state, damage, bad
 
     def _check_savepoint(self, height: int, state) -> Optional[Tuple[int, str]]:
         """(height, why) when ``height`` is that of the savepoint the open used
@@ -924,12 +936,33 @@ class Ledger:
         """In a forked process: whether every block of ``part``, re-executed
         from ``state`` plus the effects the open applied for ``before``,
         replays to its records and to the effects the open applied, with no
-        damage marked. The process's copy of this ledger and of ``state`` is
-        changed freely."""
+        damage marked, and is well formed (``_well_formed``). The process's
+        copy of this ledger and of ``state`` is changed freely."""
         _apply(state, (effect for block in before for effect in self._effects[block.height]))
         marked = self._damage
-        clean = all(self._run_block(block, state, self._effects[block.height])[1] is None for block in part)
-        return clean and self._damage == marked
+        for block in part:
+            if self._run_block(block, state, self._effects[block.height])[1] is not None:
+                return False
+            if self._damage != marked or not self._well_formed(block):
+                return False
+        return True
+
+    def _well_formed(self, block: Block) -> bool:
+        """Whether ``block`` carries ``params`` only as the genesis, which holds
+        no transaction, and each of its transactions the digest of its payload,
+        its id and the endorsement of a member. Reads every payload: call it on
+        a block whose transactions all ran."""
+        if block.transactions if block.height == 0 else block.params is not None:
+            return False
+        for tx in block.transactions:
+            identity = self.identities.get(tx.submitter)
+            if identity is None or tx.payload_digest != digest_hex(tx.payload):
+                return False
+            if tx.tx_id != _tx_id(tx.payload, tx.submitter, tx.sequence):
+                return False
+            if tx.endorsement != _endorse(identity.key_id, tx.payload_digest):
+                return False
+        return True
 
     def _run_block(self, block: Block, state, applied: Optional[List[Effect]] = None):
         """Execute ``block``'s transactions on ``state``: their effects (none for one that
@@ -959,6 +992,18 @@ class Ledger:
 
     # -- persistence --------------------------------------------------------
 
+    def _publish_block(self, block: Block) -> None:
+        """Seal ``block`` and publish its file, never over a file at its height
+        (``write_new``): HeightTaken when one is there."""
+        path = self._block_path(block.height)
+        try:
+            write_new(path, _seal(block))
+        except FileExistsError:
+            raise HeightTaken(
+                f"block {block.height} already exists at {path}: another writer appended to the chain "
+                "since it was opened; nothing was written"
+            ) from None
+
     def _block_path(self, height: int) -> Path:
         return self.blocks_dir / f"{height}.json"
 
@@ -980,7 +1025,7 @@ class Ledger:
             transactions=[],
             params=params,
         )
-        write_atomic(self._block_path(0), _seal(genesis))
+        self._publish_block(genesis)
         self._blocks.append(genesis)
         self._effects.append([])
         self._pins.append(None)

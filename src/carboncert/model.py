@@ -21,7 +21,7 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -353,6 +353,31 @@ def write_atomic(path, data: bytes) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+    _fsync_dir(path)
+
+
+def write_new(path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` whole or not at all, and never over a file
+    there: a temp file under a name no other writer uses, fsync, a hard link
+    to ``path``, which raises FileExistsError when ``path`` exists, then the
+    temp file is unlinked and the directory fsynced.
+
+    The temp name ``<name>.<random hex>.tmp`` matches no reader's ``*.json``."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.link(tmp, path)
+    finally:
+        with suppress(OSError):
+            os.unlink(tmp)
+    _fsync_dir(path)
+
+
+def _fsync_dir(path) -> None:
+    """fsync the directory holding ``path``, so that a name just put there survives a power cut."""
     fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:
         os.fsync(fd)

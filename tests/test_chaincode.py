@@ -151,6 +151,10 @@ def test_structure_rejections(env):
     bad = _batch_dict(0)
     bad["aggregates"][0]["total_power"] = "lots"
     assert _submit_batch(ledger, bad).reason == "structure"
+    for unhashable in ([], {}):  # a quality that cannot be looked up used to raise TypeError out of submit_tx
+        bad = _batch_dict(0)
+        bad["aggregates"][0]["quality"] = unhashable
+        assert _submit_batch(ledger, bad).reason == "structure"
 
 
 def test_duplicate_rejection(env):

@@ -9,7 +9,7 @@ from carboncert import ledger as ledger_mod
 from carboncert.aggregator import AnomalyRules
 from carboncert.chaincode import CONTRACT_VERSION, CreditContract
 from carboncert.ledger import Ledger, make_identity
-from carboncert.model import EmissionConfig, Role
+from carboncert.model import EmissionConfig, Role, canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +349,31 @@ def test_torn_tip_block_fails_loudly(cli_home, tmp_path, capsys):
     assert not (blocks / f"{tip + 1}.json").exists()
     rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
     assert rc == 1 and out == f"chain BROKEN at height {tip}\n"
+
+
+def test_a_cut_at_a_height_another_writer_took_exits_one(cli_home, tmp_path, capsys, monkeypatch):
+    home = _copy_home(cli_home, tmp_path)
+    blocks = home / "chain" / "blocks"
+    taken = max(int(p.stem) for p in blocks.glob("*.json")) + 1
+    open_ledger = pipeline.open_ledger
+
+    def opened_before_another_writer_appends(config):
+        ledger = open_ledger(config)
+        other = open_ledger(config)
+        other.submit_tx(canonical_json({"date": "2025-06-09", "op": "accrue", "producer": "plant-1"}), "plant-1")
+        other.cut_all()
+        return ledger
+
+    monkeypatch.setattr(pipeline, "open_ledger", opened_before_another_writer_appends)
+    rc, out, err = _run(capsys, "--home", str(home), "credits", "accrue", "--date", "2025-06-01", "--as", "plant-1")
+    assert rc == 1 and out == ""
+    assert err == (
+        f"error [credits]: block {taken} already exists at {blocks / f'{taken}.json'}: "
+        "another writer appended to the chain since it was opened; nothing was written\n"
+    )
+    monkeypatch.undo()
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert rc == 0 and out.startswith(f"chain OK, height {taken},")
 
 
 def test_simulate_on_damaged_chain_refuses_before_any_work(cli_home, tmp_path, capsys):

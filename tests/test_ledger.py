@@ -667,7 +667,7 @@ def test_a_failed_block_write_keeps_its_transactions_pending(tmp_path, monkeypat
     root = tmp_path / "chain"
     led = _open(root)
     led.submit_tx(json.dumps({"key": "a", "value": 1}).encode(), "plant-1")
-    real, calls = ledger_mod.write_atomic, []
+    real, calls = ledger_mod.write_new, []
 
     def fail_once(path, data):
         calls.append(path)
@@ -675,7 +675,7 @@ def test_a_failed_block_write_keeps_its_transactions_pending(tmp_path, monkeypat
             raise OSError("no space left on device")
         real(path, data)
 
-    monkeypatch.setattr(ledger_mod, "write_atomic", fail_once)
+    monkeypatch.setattr(ledger_mod, "write_new", fail_once)
     with pytest.raises(OSError):
         led.cut_all()
     assert (led.height, led.pending_count) == (0, 1) and not (root / "blocks" / "1.json").exists()
@@ -995,9 +995,24 @@ def _flip_status(index):
     return flip
 
 
+# cases resealed up to the tip whose one change a check of the block's own
+# fields finds: the open applies the journal of each but "tx id" and "submitter"
+_RESEALED_FIELDS = {
+    "payload digest": ("payload_digest", "0" * 64),
+    "tx id": ("tx_id", "0" * 64),
+    "endorsement": ("endorsement", "0" * 32),
+    "submitter": ("submitter", "stranger"),
+}
+
+
 def _tamper(root, case, height, index, reseal):
     journal = root / "writes" / f"{height}.json"
-    if case == "journal value":
+    if case in _RESEALED_FIELDS:
+        field, value = _RESEALED_FIELDS[case]
+        reseal(root, height, lambda content: content["transactions"][index].update({field: value}))
+    elif case == "params":
+        reseal(root, height, lambda content: content.update(params="{}"))
+    elif case == "journal value":
         forged = {"k0": base64.b64encode(b"tampered").decode()}
         _rewrite_journal(journal, lambda body: body["txs"][index].update(writes=forged))
     elif case == "status":
@@ -1025,7 +1040,7 @@ def _outcome(root, **patches):
                 out.append(probe())
             except ChainDamaged as error:
                 out.append(str(error))
-        out += [led._replayed[0], led._replayed[2]]
+        out += [led._replayed[0], led._replayed[2], led._replayed[3]]
     assert multiprocessing.active_children() == []
     return out
 
@@ -1033,7 +1048,8 @@ def _outcome(root, **patches):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     case=st.sampled_from(
-        ["none", "journal value", "status", "payload", "journal deleted", "journal disagrees below a payload"]
+        ["none", "journal value", "status", "payload", "journal deleted", "journal disagrees below a payload",
+         *_RESEALED_FIELDS, "params"]
     ),
     height=st.integers(2, _TALLY_TXS // BLOCK_TX_LIMIT),
     index=st.integers(0, BLOCK_TX_LIMIT - 1),
@@ -1044,6 +1060,12 @@ def _outcome(root, **patches):
 # decodes, at the tip: damage at open at the height of that part's last block
 @example(case="journal disagrees below a payload", height=5, index=4, parts=2)
 @example(case="payload", height=_TALLY_TXS // BLOCK_TX_LIMIT, index=6, parts=2)
+# each check of a block's own fields, in a later part than the first
+@example(case="payload digest", height=5, index=3, parts=2)
+@example(case="tx id", height=4, index=0, parts=2)
+@example(case="endorsement", height=_TALLY_TXS // BLOCK_TX_LIMIT, index=11, parts=3)
+@example(case="submitter", height=5, index=7, parts=3)
+@example(case="params", height=4, index=0, parts=2)
 def test_a_split_re_execution_says_what_one_in_order_says(tally_chain, savepoint, case, height, index, parts):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "chain"
@@ -1054,6 +1076,8 @@ def test_a_split_re_execution_says_what_one_in_order_says(tally_chain, savepoint
         in_order = _outcome(root, usable_cpus=lambda: 1)
         split = _outcome(root, usable_cpus=lambda: parts, _SPLIT_MIN_TXS=0)
     assert split == in_order
+    if case in _RESEALED_FIELDS or case == "params":
+        assert in_order[0] == height
 
 
 class FailingOnce:
@@ -1187,6 +1211,54 @@ def test_a_block_file_changed_after_an_open_from_a_savepoint_is_damage_when_read
     assert led.verify_chain() == 1
     with pytest.raises(ChainDamaged, match="height 1: block file changed since the open; refusing to append"):
         led.submit_tx(_payload(0), "plant-1")
+
+
+@pytest.mark.parametrize("changed", [None, 0, 1, _TALLY_SAVED, _TALLY_SAVED + 2])
+def test_verify_chain_reads_each_block_file_once_and_finds_one_changed_after_the_open(tally_chain, tmp_path, changed):
+    # a block up to the savepoint that verify_chain parses, from a file
+    # checked as it is read, used to be read and hashed once more after it
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    led = _open(root, tally_chaincode)  # genesis and blocks above the savepoint parsed, the others checked
+    if changed is not None:
+        _flip_byte(root / "blocks" / f"{changed}.json", 100)
+    reads = []
+    file_bytes, read_bytes = ledger_mod._file_bytes, Path.read_bytes
+
+    def counted(path):
+        reads.append(Path(path).relative_to(root).as_posix())
+
+    with mock.patch.object(ledger_mod, "_file_bytes", lambda path: counted(path) or file_bytes(path)), \
+            mock.patch.object(Path, "read_bytes", lambda self: counted(self) or read_bytes(self)):
+        assert led.verify_chain() == changed
+    if changed is None:
+        heights = range(_TALLY_TXS // BLOCK_TX_LIMIT + 1)
+        assert sorted(p for p in reads if p.startswith("blocks/")) == sorted(f"blocks/{h}.json" for h in heights)
+        # a file read by an earlier call is read again
+        _flip_byte(root / "blocks" / "1.json", 100)
+        assert led.verify_chain() == 1
+
+
+def test_a_block_file_carrying_a_second_block_hash_is_damage_at_its_height(tally_chain, tmp_path):
+    # verify_chain does not hash again a file it parsed after checking it, so
+    # the parse must carry the hash the file's bytes hash to
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    path = root / "blocks" / "2.json"
+    content = b"{" + path.read_bytes()[ledger_mod._FILE_HASH_END + 2:-1] + b',"block_hash":"' + b"0" * 64 + b'"}'
+    resealed = digest_hex(content)
+    path.write_bytes(b'{"block_hash":"' + resealed.encode() + b'",' + content[1:])
+    _reseal_up_to_the_tip(root, _TALLY_SAVED, lambda block: block.update(prev_hash=resealed))
+    saved_hash = json.loads((root / "blocks" / f"{_TALLY_SAVED}.json").read_bytes())["block_hash"]
+
+    def rebind(body):  # as if the savepoint had been written over the resealed files
+        body["block_hash"] = saved_hash
+        body["journals"][_TALLY_SAVED] = digest_hex((root / "writes" / f"{_TALLY_SAVED}.json").read_bytes())
+
+    _rewrite_savepoint(root, rebind)
+    led = _open(root, tally_chaincode)
+    assert led.damage is None and type(led._blocks[2]) is ledger_mod._Head  # the open checked it, parsed nothing
+    assert led.verify_chain() == 2
 
 
 def test_a_forged_savepoint_with_a_valid_digest_is_served_until_verify_chain_finds_it(tally_chain, tmp_path):

@@ -20,6 +20,7 @@ from carboncert.model import (
     parse_ts,
     window_index,
     write_atomic,
+    write_new,
 )
 
 
@@ -375,3 +376,21 @@ def test_write_atomic_replaces_whole_file_and_leaves_no_temp(tmp_path, monkeypat
     assert path.read_bytes() == b"new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["3.json"]
     assert synced == [False, True]  # the file, then the directory holding the rename
+
+
+def test_write_new_publishes_whole_and_never_over_a_file(tmp_path, monkeypatch):
+    synced = []  # per fsync call: whether it synced a directory
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    path = tmp_path / "3.json"
+    write_new(path, b"first")
+    assert path.read_bytes() == b"first" and synced == [False, True]  # the file, then the directory
+    with pytest.raises(FileExistsError):
+        write_new(path, b"second")
+    assert path.read_bytes() == b"first"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["3.json"]  # no temp file left either way

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from carboncert import cli, metersim, pipeline
+from carboncert import ledger as ledger_mod
 from carboncert.aggregator import AnomalyRules
 from carboncert.collector import Collector, CollectorConfig, IoFailure
 from carboncert.model import EmissionConfig, canonical_json
@@ -314,6 +315,30 @@ def test_a_chain_reopens_with_exactly_the_parameters_it_was_created_with(tmp_pat
     *params, members = pipeline.chain_parameters(home / "chain")
     assert repr(tuple(params)) == repr((emission, rules))
     assert set(members) == set(pipeline.RunConfig(home).members)
+    assert reopened.verify_chain() is None
+
+
+def test_a_second_writer_never_replaces_a_committed_block(tmp_path):
+    # two ledgers opened at one tip: the second cut used to replace
+    # blocks/1.json, and the first's committed transaction was gone unseen
+    config = pipeline.RunConfig(home=tmp_path)
+    first, second = pipeline.open_ledger(config), pipeline.open_ledger(config)
+
+    def accrue(date):
+        return canonical_json({"date": date, "op": "accrue", "producer": config.producer})
+
+    committed = first.submit_tx(accrue("2025-06-01"), config.producer)
+    first.cut_all()
+    files = {p: p.read_bytes() for p in config.chain_root.rglob("*") if p.is_file()}
+    second.submit_tx(accrue("2025-06-02"), config.producer)
+    with pytest.raises(ledger_mod.HeightTaken) as error:
+        second.cut_all()
+    assert str(error.value).startswith("block 1 already exists at ") and "\n" not in str(error.value)
+    assert (second.height, second.pending_count) == (0, 1)
+    assert {p: p.read_bytes() for p in config.chain_root.rglob("*") if p.is_file()} == files  # no journal, no temp file
+    reopened = pipeline.open_ledger(config)
+    assert reopened.height == 1 and reopened.get_transaction(committed).sequence == 0
+    assert [tx.tx_id for tx in reopened.get_history(f"accrual/{config.producer}/2025-06-01")] == [committed]
     assert reopened.verify_chain() is None
 
 
