@@ -4,22 +4,34 @@ Each collector owns a disjoint meter subset (A: 1-4, B: 5-8 in the
 reference configuration). Ingestion is idempotent under at-least-once
 redelivery: each (meter_id, phase, ts) key is accepted once and its
 redeliveries are classified as duplicates. Messages arrive one at a time
-(``ingest``) or as a delivery of columns (``ingest_columns``); both
-buffer the accepted samples, and ``close_day`` averages them per minute in
-one array kernel. A day's minute table has one form, ``DayColumns``:
-``close_day`` returns the collector's rows in file order, ``write_day_csv``
-writes them as given, and ``read_day_columns`` reads one file back.
+(``ingest``, deduplicated against a set of keys as they come) or as a
+delivery of columns (``ingest_columns``). A collector holds what it
+accepts until the day closes: the readings of each message, and of each
+delivery its readings and the rows it took, uncopied. A delivery whose
+rows' keys strictly increase and belong to one assigned meter, as a
+``metersim.DayStream`` meter's do, is deduplicated by row; any other by key.
+
+``close_day`` closes the day one meter at a time. A meter whose samples of
+the date one such delivery holds alone is summed per minute from it as it
+is; the samples of every other meter are joined and sorted by key, each
+key's first arrival kept, before they are summed. It returns ``DayArrays``
+in file order: float64 averages, and a mask of the cells written empty,
+which are a minute's six averages when it has no sample. ``write_day_csv``
+writes such rows as given, each meter's file by one format over its rows;
+``read_day_columns`` reads one file back as ``DayColumns``, lists with None
+for an empty cell.
 
 CSV contract (bit-exact): one file per meter per day at
 ``<output_root>/<collector_id>/<YYYY-MM-DD>/SEM<meter_id>.csv``, header
 ``timestamp_utc,meter_id,phase,active_power_w,voltage_v,current_a,power_factor,frequency_hz,apparent_power_va,sample_count``,
-reals at 3 decimals, empty fields for absent averages, LF endings, UTF-8,
-no quoting: a cell is the text between two commas, so a quoted cell such as
-``"4000.000"`` is refused with its file and line.
+reals at 3 decimals (-0.0 as 0.000), empty fields for absent averages, LF
+endings, UTF-8, no quoting: a cell is the text between two commas, so a
+quoted cell such as ``"4000.000"`` is refused with its file and line.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -48,9 +60,6 @@ ACCEPTED = "accepted"
 DUPLICATE = "duplicate"
 REJECTED = "rejected"
 
-_ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%s"  # a CSV row whose six averages are all present
-
-
 class IoFailure(OSError):
     def __init__(self, path, cause):
         super().__init__(f"I/O failure at {path}: {cause}")
@@ -75,9 +84,8 @@ class IngestCounts(NamedTuple):
 
 
 class DayColumns(NamedTuple):
-    """Minute rows as columns, one list per ``MinuteRecord`` field, an empty
-    cell as None: one file's rows in file order, or a collector's day across
-    its files in path order (meter, then minute, then phase)."""
+    """One file's minute rows read back, in file order: one list per
+    ``MinuteRecord`` field, an empty cell as None."""
 
     meter_id: List[int]
     phase: List[int]
@@ -89,6 +97,32 @@ class DayColumns(NamedTuple):
     avg_frequency: List[Optional[float]]
     avg_apparent_power: List[Optional[float]]
     sample_count: List[int]
+
+
+class DayArrays(NamedTuple):
+    """Minute rows as arrays, one row per (meter, minute, phase): what
+    ``close_day`` returns and ``write_day_csv`` writes. ``averages`` holds the
+    six averages of ``MinuteRecord`` as float64 rows (shape 6 x rows);
+    ``empty`` (bool, the same shape) marks each cell written empty, whatever
+    ``averages`` holds there, since nan is an average like any other. The
+    keys and counts are int64."""
+
+    meter_id: np.ndarray
+    phase: np.ndarray
+    minute_start: np.ndarray
+    averages: np.ndarray
+    empty: np.ndarray
+    sample_count: np.ndarray
+
+
+class _Held(NamedTuple):
+    """Accepted samples waiting for their day to close: ``rows`` of
+    ``readings``, each key once. ``meter`` is the one meter of a delivery
+    whose rows' keys strictly increase, None for any other."""
+
+    readings: ReadingColumns
+    rows: np.ndarray
+    meter: Optional[int]
 
 
 def _pack(meter_id, phase, ts):
@@ -104,14 +138,38 @@ def _columns(readings: List) -> ReadingColumns:
     return ReadingColumns(*(col.astype(np.int64) for col in flat[:3]), *flat[3:])
 
 
+def _samples(held: _Held) -> ReadingColumns:
+    """The held rows as columns: the delivery's own where a checked one holds every row."""
+    if held.meter is not None and held.rows.shape[0] == held.readings.ts.shape[0]:
+        return held.readings
+    return ReadingColumns(*(col[held.rows] for col in held.readings))
+
+
+def _meters(held: _Held) -> List[int]:
+    """The meters whose samples ``held`` holds."""
+    if held.meter is not None:
+        return [held.meter]
+    return np.unique(held.readings.meter_id[held.rows]).tolist()
+
+
+_AVERAGES = 6  # a minute row's averages, power to apparent power
+
+# A row's format by which of its averages' cells are empty (bit k: average k):
+# a present average at 3 decimals, an empty cell takes its value and writes nothing.
+_ROW_FORMATS = [
+    "%s,%d,%d," + ",".join("%.0s" if code >> k & 1 else "%.3f" for k in range(_AVERAGES)) + ",%d\n"
+    for code in range(1 << _AVERAGES)
+]
+
+
 class Collector:
-    """One ingestion context; buffers each accepted sample until its day closes."""
+    """One ingestion context; holds each accepted sample until its day closes."""
 
     def __init__(self, config: CollectorConfig):
         self.config = config
         self._seen = set()  # packed keys accepted by ingest
         self._readings: List = []  # PhaseReadings accepted by ingest, in arrival order
-        self._blocks: List[ReadingColumns] = []  # samples accepted by ingest_columns or not yet closed
+        self._held: List[_Held] = []  # samples accepted by ingest_columns or not yet closed
 
     def ingest(self, msg: TransportMessage) -> str:
         r = msg.reading
@@ -130,39 +188,89 @@ class Collector:
         readings (a row appears once per delivery of it, as in metersim.Delivery).
 
         The outcomes are those of calling ingest once per message; duplicates
-        are counted within this delivery.
+        are counted within this delivery. Nothing is copied: the collector
+        holds ``readings`` and the rows it took until their day closes.
+        Where the delivered rows' keys strictly increase and belong to one
+        assigned meter, as a ``DayStream`` meter's do, each row is a key and
+        a redelivery repeats its row: the rows are deduplicated as they are.
+        Any other delivery is deduplicated by key, first arrival first.
         """
+        taken = np.zeros(readings.ts.shape[0], dtype=bool)
+        taken[index] = True
+        rows = np.flatnonzero(taken)
+        if rows.shape[0]:
+            meter_id, phase, ts = (col[rows] for col in readings[:3])
+            meter = int(meter_id[0])
+            if (
+                meter == meter_id[-1]
+                and meter in self.config.assigned_meters
+                and (np.diff(_pack(meter_id, phase, ts)) > 0).all()
+            ):
+                self._held.append(_Held(readings, rows, meter))
+                return IngestCounts(rows.shape[0], index.shape[0] - rows.shape[0], 0)
         assigned = np.array(sorted(self.config.assigned_meters), dtype=np.int64)
         mine = index[np.isin(readings.meter_id[index], assigned)]
         _, first = np.unique(
             _pack(readings.meter_id[mine], readings.phase[mine], readings.ts[mine]), return_index=True
         )
-        rows = mine[first]
-        self._blocks.append(ReadingColumns(*(col[rows] for col in readings)))
-        return IngestCounts(rows.shape[0], mine.shape[0] - rows.shape[0], index.shape[0] - mine.shape[0])
+        self._held.append(_Held(readings, mine[first], None))
+        return IngestCounts(first.shape[0], mine.shape[0] - first.shape[0], index.shape[0] - mine.shape[0])
 
-    def _take_samples(self) -> ReadingColumns:
-        """Every buffered sample, in no particular order; the buffers are emptied."""
-        if self._readings:
-            self._blocks.append(_columns(self._readings))
-            self._readings = []
-        blocks, self._blocks = self._blocks or [_columns([])], []
-        if len(blocks) == 1:
-            return blocks[0]
-        parts = list(zip(*blocks))  # joined column by column, each column's blocks freed as it is
-        del blocks
-        return ReadingColumns(*(np.concatenate(parts.pop(0)) for _ in range(len(parts))))
-
-    def close_day(self, date: str) -> DayColumns:
+    def close_day(self, date: str) -> DayArrays:
         """Close every minute of the date for every assigned meter-phase: the
-        collector's rows in file order (meter, then minute, then phase), an
-        absent average as None.
+        collector's rows in file order (meter, then minute, then phase),
+        averages as float64 and the cells of a row without samples empty.
 
-        A minute's means add its samples in ts order, whatever order they
-        arrived in. Samples of other dates stay buffered.
+        A minute's means add its samples in (meter, phase, ts) order, whatever
+        order they arrived in. A meter whose samples of the date are all held
+        by one checked delivery (``ingest_columns``) is summed from it as it
+        is. The other held samples are sorted by key, each key's first
+        arrival kept, and summed together. Samples of other dates stay held.
         """
         day0 = parse_date(date)
-        samples = self._take_samples()
+        meters = sorted(self.config.assigned_meters)
+        held, self._held = self._held, []
+        if self._readings:
+            held.append(_Held(_columns(self._readings), np.arange(len(self._readings)), None))
+            self._readings = []
+        size = MINUTES_PER_DAY * len(PHASES)  # one meter's rows
+        counts = np.zeros(len(meters) * size, dtype=np.int64)
+        sums = np.zeros((_AVERAGES, len(meters) * size))
+        holders = Counter(chain.from_iterable(map(_meters, held)))
+        rest = []
+        for piece in held:
+            if piece.meter is not None and holders[piece.meter] == 1:
+                samples = _samples(piece)
+                minute = (samples.ts - day0) // 60
+                if minute.min() >= 0 and minute.max() < MINUTES_PER_DAY:
+                    bins = minute * len(PHASES) + samples.phase - 1
+                    rank = meters.index(piece.meter)
+                    at = slice(rank * size, (rank + 1) * size)
+                    counts[at] = np.bincount(bins, minlength=size)
+                    # bincount adds each bin's weights in input order: (phase, ts) order.
+                    for total, col in zip(sums, samples[3:]):
+                        total[at] = np.bincount(bins, weights=col, minlength=size)
+                    continue
+            rest.append(piece)
+        if rest:
+            self._close_sorted(rest, day0, meters, counts, sums)
+        with np.errstate(invalid="ignore"):  # empty minutes: nan, marked empty
+            averages = sums / counts
+        minutes = np.repeat(day0 + 60 * np.arange(MINUTES_PER_DAY), len(PHASES))
+        return DayArrays(
+            np.repeat(np.array(meters, dtype=np.int64), size),
+            np.tile(np.array(PHASES, dtype=np.int64), len(meters) * MINUTES_PER_DAY),
+            np.tile(minutes, len(meters)),
+            averages,
+            np.broadcast_to(counts == 0, averages.shape),
+            counts,
+        )
+
+    def _close_sorted(self, held: List[_Held], day0: int, meters: List[int], counts, sums) -> None:
+        """Add the date's samples of ``held`` to ``counts`` and ``sums``, each
+        key once (its first arrival, in the order held), and hold the samples
+        of other dates again."""
+        samples = ReadingColumns(*map(np.concatenate, zip(*map(_samples, held))))
         key = _pack(samples.meter_id, samples.phase, samples.ts)
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -172,50 +280,44 @@ class Collector:
         ts = samples.ts[rows]
         in_day = (ts >= day0) & (ts < day0 + SECONDS_PER_DAY)
         if not in_day.all():
-            self._blocks.append(ReadingColumns(*(col[rows[~in_day]] for col in samples)))
+            later = rows[~in_day]
+            self._held.append(_Held(ReadingColumns(*(col[later] for col in samples)), np.arange(later.shape[0]), None))
             rows, ts = rows[in_day], ts[in_day]
-        meters = sorted(self.config.assigned_meters)
         rank = np.searchsorted(meters, samples.meter_id[rows])
         bins = (rank * MINUTES_PER_DAY + (ts - day0) // 60) * len(PHASES) + samples.phase[rows] - 1
-        size = len(meters) * MINUTES_PER_DAY * len(PHASES)
-        counts = np.bincount(bins, minlength=size)
+        counts += np.bincount(bins, minlength=counts.shape[0])
         # bincount adds each bin's weights in input order: (meter, phase, ts) order.
-        sums = [np.bincount(bins, weights=col[rows], minlength=size) for col in samples[3:]]
-        with np.errstate(invalid="ignore"):  # empty minutes: nan, replaced by None
-            means = [np.where(counts > 0, np.divide(s, counts), None).tolist() for s in sums]
-        minutes = np.repeat(day0 + 60 * np.arange(MINUTES_PER_DAY), len(PHASES))
-        return DayColumns(
-            np.repeat(meters, MINUTES_PER_DAY * len(PHASES)).tolist(),
-            list(PHASES) * (len(meters) * MINUTES_PER_DAY),
-            np.tile(minutes, len(meters)).tolist(),
-            *means,
-            counts.tolist(),
-        )
+        for total, col in zip(sums, samples[3:]):
+            total += np.bincount(bins, weights=col[rows], minlength=counts.shape[0])
 
-    def write_day_csv(self, date: str, day: DayColumns) -> List[Path]:
+    def write_day_csv(self, date: str, day: DayArrays) -> List[Path]:
         """One CSV per assigned meter, each holding that meter's rows of ``day``
-        in the order given; atomic publish; byte-stable on rewrite. ValueError,
-        before any file is written, for a row of a meter not assigned."""
-        lines: Dict[int, List[str]] = {m: [CSV_HEADER] for m in sorted(self.config.assigned_meters)}
-        stray = set(day.meter_id).difference(lines)
+        in the order given, rendered by one format over the file; atomic
+        publish; byte-stable on rewrite. ValueError, before any file is
+        written, for a row of a meter not assigned."""
+        meters = sorted(self.config.assigned_meters)
+        stray = set(np.unique(day.meter_id).tolist()).difference(meters)
         if stray:
             raise ValueError(f"rows for unassigned meters {sorted(stray)}")
-        stamps = {m: format_ts(m) for m in set(day.minute_start)}
-        for meter, phase, minute, *avg, n in zip(*day):
-            if None in avg:  # +0.0 writes -0.0 as 0.000
-                cells = ["" if a is None else format(a + 0.0, ".3f") for a in avg]
-                row = ",".join((stamps[minute], str(meter), str(phase), *cells, str(n)))
-            else:
-                p, v, i, pf, f, s = avg
-                row = _ROW % (stamps[minute], meter, phase, p + 0.0, v + 0.0, i + 0.0, pf + 0.0, f + 0.0, s + 0.0, n)
-            lines[meter].append(row)
+        minutes = np.unique(day.minute_start).tolist()
+        stamps = dict(zip(minutes, map(format_ts, minutes)))
+        codes = (1 << np.arange(_AVERAGES)) @ day.empty
         day_dir = Path(self.config.output_root) / self.config.collector_id / date
         paths = []
-        for meter_id, rows in lines.items():
+        for meter_id in meters:
+            at = np.flatnonzero(day.meter_id == meter_id)
+            cells = zip(
+                map(stamps.__getitem__, day.minute_start[at].tolist()),
+                day.meter_id[at].tolist(),
+                day.phase[at].tolist(),
+                *(day.averages[:, at] + 0.0).tolist(),  # +0.0 writes -0.0 as 0.000
+                day.sample_count[at].tolist(),
+            )
+            text = "".join(map(_ROW_FORMATS.__getitem__, codes[at].tolist())) % tuple(chain.from_iterable(cells))
             path = day_dir / f"SEM{meter_id}.csv"
             try:
                 day_dir.mkdir(parents=True, exist_ok=True)
-                write_atomic(path, ("\n".join(rows) + "\n").encode("utf-8"))
+                write_atomic(path, (CSV_HEADER + "\n" + text).encode("utf-8"))
             except OSError as exc:
                 raise IoFailure(path, exc) from exc
             paths.append(path)

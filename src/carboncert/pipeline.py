@@ -207,18 +207,19 @@ def run_collector(
     day: metersim.DayStream, config: col_mod.CollectorConfig, date: str
 ) -> Tuple[int, int, int, List[Path]]:
     """One collector's day: ingest its meters' telemetry from ``day`` one meter
-    at a time, close the day and publish its CSVs. Returns (accepted,
-    duplicates, CSV rows, CSV paths)."""
+    at a time, the collector holding each meter's readings until the close,
+    then close the day one meter at a time and publish its CSVs. Returns
+    (accepted, duplicates, CSV rows, CSV paths)."""
     instance = col_mod.Collector(config)
     accepted = duplicates = 0
     for meter_id in day.fleet.meters:
         if meter_id in config.assigned_meters:
             readings, delivery = day.meter(meter_id)
             counts = instance.ingest_columns(readings, delivery.index)
-            del readings, delivery  # one meter's arrays at a time
+            del readings, delivery  # the messages go; the collector keeps the readings it took
             accepted += counts.accepted
             duplicates += counts.duplicates
-    day = instance.close_day(date)  # empties the collector's buffers
+    day = instance.close_day(date)  # lets go of the readings it held
     return accepted, duplicates, len(day.sample_count), instance.write_day_csv(date, day)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carboncert.collector import (
@@ -14,7 +14,7 @@ from carboncert.collector import (
     REJECTED,
     Collector,
     CollectorConfig,
-    DayColumns,
+    DayArrays,
     IngestCounts,
     IoFailure,
     read_day_csv,
@@ -36,13 +36,24 @@ def _collector(tmp_path, cid="A"):
 
 
 def _records(day):
-    """``close_day``'s columns as minute records, in file order."""
-    return list(map(MinuteRecord._make, zip(*day)))
+    """``close_day``'s arrays as minute records, in file order, an empty cell as None."""
+    averages = [
+        [None if empty else value for value, empty in zip(values, cells)]
+        for values, cells in zip(day.averages.tolist(), day.empty.tolist())
+    ]
+    columns = (day.meter_id.tolist(), day.phase.tolist(), day.minute_start.tolist(), *averages, day.sample_count.tolist())
+    return list(map(MinuteRecord._make, zip(*columns)))
 
 
 def _day(records):
-    """Minute records, in the order given, as the columns ``write_day_csv`` takes."""
-    return DayColumns(*map(list, zip(*records))) if records else DayColumns(*[[]] * 10)
+    """Minute records, in the order given, as the arrays ``write_day_csv`` takes."""
+    averages = [[rec[k] for rec in records] for k in range(3, 9)]
+    return DayArrays(
+        *(np.array([rec[k] for rec in records], dtype=np.int64) for k in range(3)),
+        np.array([[0.0 if value is None else value for value in column] for column in averages]),
+        np.array([[value is None for value in column] for column in averages], dtype=bool),
+        np.array([rec.sample_count for rec in records], dtype=np.int64),
+    )
 
 
 def _minute(day, meter=1, phase=1, minute_start=DAY0):
@@ -51,7 +62,8 @@ def _minute(day, meter=1, phase=1, minute_start=DAY0):
 
 
 def _columns(readings):
-    return ReadingColumns(*map(np.array, zip(*readings)))
+    fields = list(zip(*readings)) or [()] * 9
+    return ReadingColumns(*(np.array(col, dtype=np.int64 if k < 3 else np.float64) for k, col in enumerate(fields)))
 
 
 def test_ingest_accepts_assigned_meters(tmp_path):
@@ -262,7 +274,7 @@ def test_ingest_columns_counts_outcomes_like_ingest(tmp_path):
     outcomes = Counter(one_by_one.ingest(TransportMessage(readings[i], 1)) for i in index.tolist())
     assert outcomes == {ACCEPTED: 3, DUPLICATE: 2, REJECTED: 2}
     c.ingest_columns(_columns(readings), index[:2])  # a redelivered batch adds no sample
-    assert c.close_day("2025-06-01") == one_by_one.close_day("2025-06-01")
+    assert _records(c.close_day("2025-06-01")) == _records(one_by_one.close_day("2025-06-01"))
 
 
 _sample = st.tuples(
@@ -286,10 +298,10 @@ def test_close_day_is_independent_of_arrival_order(samples, data):
     for msg in arrived:
         shuffled.ingest(msg)
     columnar.ingest_columns(_columns(readings), np.array([readings.index(m.reading) for m in arrived]))
-    expected = in_order.close_day("2025-06-01")
-    assert shuffled.close_day("2025-06-01") == expected
-    assert columnar.close_day("2025-06-01") == expected
-    for rec in (r for r in _records(expected) if r.minute_start < DAY0 + 180):
+    expected = _records(in_order.close_day("2025-06-01"))
+    assert _records(shuffled.close_day("2025-06-01")) == expected
+    assert _records(columnar.close_day("2025-06-01")) == expected
+    for rec in (r for r in expected if r.minute_start < DAY0 + 180):
         in_minute = sorted(
             (r.ts, r.active_power) for r in readings if r.phase == rec.phase and r.ts - r.ts % 60 == rec.minute_start
         )
@@ -298,6 +310,127 @@ def test_close_day_is_independent_of_arrival_order(samples, data):
             total += w
         assert rec.sample_count == len(in_minute)
         assert rec.avg_active_power == (total / len(in_minute) if in_minute else None)
+
+
+class _GlobalSortCollector:
+    """The close as it was before it went one meter at a time: ingest_columns
+    copies each delivery's rows, deduplicated by key, and close_day joins
+    every buffered sample, sorts them all by key and keeps each key's first
+    arrival (deliveries in the order given, then the messages ingested one
+    by one). It returns the minute counts and means in file order, a mean
+    without samples as nan."""
+
+    def __init__(self, assigned):
+        self.assigned = frozenset(assigned)
+        self.seen, self.readings, self.blocks = set(), [], []
+
+    def ingest(self, msg):
+        r = msg.reading
+        if r.meter_id not in self.assigned:
+            return REJECTED
+        if (r.meter_id, r.phase, r.ts) in self.seen:
+            return DUPLICATE
+        self.seen.add((r.meter_id, r.phase, r.ts))
+        self.readings.append(r)
+        return ACCEPTED
+
+    def ingest_columns(self, readings, index):
+        mine = index[np.isin(readings.meter_id[index], sorted(self.assigned))]
+        _, first = np.unique(_packed(*(col[mine] for col in readings[:3])), return_index=True)
+        rows = mine[first]
+        self.blocks.append(ReadingColumns(*(col[rows] for col in readings)))
+        return IngestCounts(rows.shape[0], mine.shape[0] - rows.shape[0], index.shape[0] - mine.shape[0])
+
+    def close_day(self, date):
+        day0 = parse_date(date)
+        samples = ReadingColumns(*map(np.concatenate, zip(*self.blocks, _columns(self.readings))))
+        self.readings, self.blocks = [], []
+        key = _packed(*samples[:3])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        rows = order[np.concatenate(([True], key[1:] != key[:-1]))[: key.shape[0]]]
+        ts = samples.ts[rows]
+        in_day = (ts >= day0) & (ts < day0 + SECONDS_PER_DAY)
+        self.blocks.append(ReadingColumns(*(col[rows[~in_day]] for col in samples)))
+        rows, ts = rows[in_day], ts[in_day]
+        meters = sorted(self.assigned)
+        bins = (np.searchsorted(meters, samples.meter_id[rows]) * MINUTES_PER_DAY + (ts - day0) // 60) * 3
+        bins += samples.phase[rows] - 1
+        size = len(meters) * MINUTES_PER_DAY * 3
+        counts = np.bincount(bins, minlength=size)
+        with np.errstate(invalid="ignore"):
+            return counts, np.array([np.bincount(bins, weights=col[rows], minlength=size) / counts for col in samples[3:]])
+
+
+def _packed(meter_id, phase, ts):
+    return ((meter_id * 4 + phase) << 40) + ts
+
+
+def _reading(meter, phase, second, power):
+    return PhaseReading(meter, phase, DAY0 + second, power, 230.0, 1.0, 0.97, 50.0, -power)
+
+
+# seconds from the day's midnight: the date's first minutes and last, the next
+# date's first (held for a later close) and the previous date's last
+_second = st.sampled_from([0, 1, 59, 60, 61, 179, SECONDS_PER_DAY - 1, SECONDS_PER_DAY, SECONDS_PER_DAY + 61, -1])
+_power = st.floats(-1e9, 1e9)
+_meter = st.sampled_from([1, 2, 4, 5])  # meter 5 is not collector A's
+
+
+@st.composite
+def _delivery(draw):
+    """One delivery: its readings and the row of each message. Drawn plain,
+    the rows are one meter's in (phase, ts) order, each key once, as a
+    DayStream meter's are. A draw may also repeat a key on a row of its own,
+    add rows of a second meter or shuffle the rows."""
+    meter = draw(_meter)
+    keys = sorted(draw(st.sets(st.tuples(st.sampled_from(PHASES), _second), max_size=6)))
+    rows = [(meter, phase, second) for phase, second in keys]
+    if rows and draw(st.integers(0, 3)) == 0:  # one key on two rows
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    if draw(st.integers(0, 3)) == 0:
+        rows += draw(st.lists(st.tuples(_meter, st.sampled_from(PHASES), _second), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        rows = draw(st.permutations(rows))
+    readings = [_reading(*row, draw(_power)) for row in rows]
+    index = draw(st.lists(st.integers(0, len(rows) - 1), max_size=2 * len(rows))) if rows else []
+    return readings, index
+
+
+_op = st.one_of(
+    st.tuples(st.just("columns"), _delivery()),
+    st.tuples(st.just("message"), st.builds(_reading, _meter, st.sampled_from(PHASES), _second, _power)),
+    st.tuples(st.just("close"), st.sampled_from(["2025-06-01", "2025-06-02"])),
+)
+
+_TWO_DELIVERIES_OF_ONE_METER = [  # keys in order, the second delivery's overlapping the first's
+    ("columns", ([_reading(2, 1, 0, 10.0), _reading(2, 1, 1, 20.0)], [1, 0, 1])),
+    ("columns", ([_reading(2, 1, 1, 40.0), _reading(2, 2, 0, 50.0)], [0, 1])),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_op, max_size=8))
+@example(ops=[])  # a collector with no samples
+@example(ops=_TWO_DELIVERIES_OF_ONE_METER)
+def test_close_day_matches_the_global_sort_kernel(ops):
+    config = CollectorConfig("A", ASSIGNED["A"], Path("unused"))
+    collector, reference = Collector(config), _GlobalSortCollector(ASSIGNED["A"])
+    for op, arg in ops + [("close", "2025-06-01"), ("close", "2025-06-02"), ("close", "2025-06-01")]:
+        if op == "columns":
+            readings, index = arg[0], np.array(arg[1], dtype=np.int64)
+            counts = collector.ingest_columns(_columns(readings), index)
+            assert counts == reference.ingest_columns(_columns(readings), index)
+            one_by_one = Collector(config)  # duplicates are counted within one delivery
+            outcomes = Counter(one_by_one.ingest(TransportMessage(readings[i], 1)) for i in index.tolist())
+            assert counts == (outcomes[ACCEPTED], outcomes[DUPLICATE], outcomes[REJECTED])
+        elif op == "message":
+            assert collector.ingest(TransportMessage(arg, 1)) == reference.ingest(TransportMessage(arg, 1))
+        else:
+            day, (counts, means) = collector.close_day(arg), reference.close_day(arg)
+            assert np.array_equal(day.sample_count, counts)
+            assert np.array_equal(day.empty, np.broadcast_to(counts == 0, means.shape))
+            assert np.array_equal(np.where(day.empty, np.nan, day.averages), means, equal_nan=True)  # finite means
 
 
 _ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%s"

@@ -21,15 +21,33 @@ FAULTS = dict(duplicate_probability=0.1, drop_then_retry_probability=0.05, reord
 # sha256 over (path relative to the home, NUL, bytes) of every CSV of a clean
 # RunConfig(seed=7) day, as published before minute means moved to arrays.
 SEED_7_CSV_SHA256 = "bd8f41133d976a567e0a0ba388f772834a22a3f6dc44b2b91db9a598cff6e9ca"
+# The same digest of that eight-meter day under FAULTS (rng_seed=7), as
+# published while the collector still sorted its whole day by key. It is the
+# clean day's: every reading still arrives, and a minute adds its samples in
+# ts order whatever order they arrive in.
+SEED_7_FAULTED_CSV_SHA256 = "bd8f41133d976a567e0a0ba388f772834a22a3f6dc44b2b91db9a598cff6e9ca"
+
+
+def _csv_digest(config, result):
+    h = hashlib.sha256()
+    for path in sorted(result.csv_paths):
+        h.update(path.relative_to(config.home).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def test_clean_day_csvs_match_golden_digest(sim_day):
     config, result = sim_day
-    h = hashlib.sha256()
-    for path in sorted(result.csv_paths):
-        h.update(path.relative_to(config.home).as_posix().encode() + b"\0" + path.read_bytes())
-    assert h.hexdigest() == SEED_7_CSV_SHA256
+    assert _csv_digest(config, result) == SEED_7_CSV_SHA256
     assert (result.messages, result.accepted, result.duplicates, result.rejected) == (1383252, 1383252, 0, 0)
+    assert result.notices == []
+
+
+def test_faulted_day_csvs_match_golden_digest(tmp_path):
+    faults = metersim.FaultConfig(**FAULTS, rng_seed=7)
+    config = pipeline.RunConfig(home=tmp_path, seed=7, faults=faults)
+    result = pipeline.run_simulation(config)
+    assert _csv_digest(config, result) == SEED_7_FAULTED_CSV_SHA256
+    assert (result.messages, result.accepted, result.duplicates, result.rejected) == (1521966, 1383252, 138714, 0)
     assert result.notices == []
 
 
