@@ -61,6 +61,9 @@ class Rejected(ValueError):
         self.batch_id = batch_id
         self.reason = reason
 
+    def __reduce__(self):  # so that it crosses a process boundary
+        return type(self), (self.batch_id, self.reason)
+
 
 @dataclass
 class Anomaly:

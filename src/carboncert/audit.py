@@ -3,8 +3,13 @@
 This module deliberately re-implements CSV parsing, minute fusion, anomaly
 rules, canonical serialization, and the energy arithmetic instead of calling
 the pipeline modules: an audit must not assume the system under audit is
-honest. Only the shared type definitions and the atomic file publish are
-reused.
+honest. Only the shared type definitions, the atomic file publish and the
+forked worker (``model.Forked``) are reused.
+
+The audit's two halves are independent: when more than one CPU is usable
+and the chain is long, ``replay_verify`` replays the CSVs in a forked
+process while this one checks the chain (``verify_chain``), so it must be
+called from a process that runs no other thread.
 """
 
 from __future__ import annotations
@@ -21,11 +26,17 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .ledger import ChainDamaged
-from .model import AnomalyRules, EmissionConfig, write_atomic
+from .model import AnomalyRules, EmissionConfig, Forked, usable_cpus, write_atomic
 
 WINDOWS_PER_DAY = 288
 TOTAL_PHASES = 24
 REL_TOL = 1e-9
+# The CSVs are replayed in a forked process only for a chain of this many
+# transactions or more. On a 2-vCPU Xeon (Python 3.11.7) a day's replay took
+# about 0.08 s, 0.09-0.1 s in a forked process with its fork and join, while
+# a day's chain, about 290 transactions, was checked in 0.016 s: forked, the
+# audit took 0.12 s against 0.095 s in one process.
+_FORK_MIN_TXS = 1_000
 
 CSV_COLUMNS = [
     "timestamp_utc",
@@ -46,12 +57,21 @@ class MissingData(RuntimeError):
         super().__init__(f"no collector CSV data for {date}")
         self.date = date
 
+    def __reduce__(self):  # so that it crosses a process boundary
+        return type(self), (self.date,)
+
 
 class UnreadableCsv(ValueError):
     """A collector CSV that cannot be read, named by file, or does not parse, named by file and line."""
 
     def __init__(self, path: Path, line: Optional[int], cause):
         super().__init__(f"{path}: {cause}" if line is None else f"{path} line {line}: {cause}")
+        self.path = path
+        self.line = line
+        self.cause = cause
+
+    def __reduce__(self):  # so that it crosses a process boundary
+        return type(self), (self.path, self.line, self.cause)
 
 
 @dataclass
@@ -339,10 +359,12 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
 # -- comparison against the chain --------------------------------------------
 
 
-def compare_with_chain(replay: DayReplay, chain, producer: str, emission: EmissionConfig) -> AuditReport:
-    """Compare an independent replay against chain contents for one day; the
-    credit's carbon is recomputed at ``emission``'s factor, not its own."""
-    first_bad = chain.verify_chain()
+def compare_with_chain(
+    replay: DayReplay, chain, producer: str, emission: EmissionConfig, first_bad: Optional[int]
+) -> AuditReport:
+    """Compare an independent replay against chain contents for one day, whose
+    ``verify_chain()`` gave ``first_bad``; the credit's carbon is recomputed
+    at ``emission``'s factor, not its own."""
     report = AuditReport(
         date=replay.date,
         chain_ok=first_bad is None,
@@ -502,14 +524,33 @@ def replay_verify(
     unchanged (e.g. repeated chain checks over the same day). Missing or
     unparseable CSVs, and a chain value whose payload cannot be decoded,
     give a failed report whose notice says why.
+
+    Without a replay given, with more than one CPU usable and a chain of
+    ``_FORK_MIN_TXS`` transactions or more, the CSVs are replayed in a
+    forked process (``model.Forked``) while this one runs ``verify_chain``;
+    the chain is checked once either way. Where there is no fork, or the
+    replay's process dies, the CSVs are replayed here. The replay's process
+    is reaped before this returns or raises. Call it from a process that
+    runs no other thread, as ``verify_chain``: a fork copies no thread, and
+    a lock another thread held stays locked in the child.
     """
     rules = rules or AnomalyRules()
+    replaying = None
+    if replay is None and usable_cpus() > 1 and chain.transaction_count >= _FORK_MIN_TXS:
+        try:
+            replaying = Forked(replay_day, csv_roots, date, rules, producer)
+        except (ValueError, OSError):  # no fork here, or no process to be had: replay here
+            pass
     try:
+        first_bad = chain.verify_chain()
+        if replaying is not None:
+            replay = _joined(replaying)
         if replay is None:
             replay = replay_day(csv_roots, date, rules, producer)
-        return compare_with_chain(replay, chain, producer, emission or EmissionConfig())
+        return compare_with_chain(replay, chain, producer, emission or EmissionConfig(), first_bad)
     except (MissingData, UnreadableCsv, ChainDamaged) as exc:
-        first_bad = chain.verify_chain()
+        if isinstance(exc, ChainDamaged):  # a read that found it marked damage, maybe lower
+            first_bad = chain.verify_chain()
         return AuditReport(
             date=date,
             chain_ok=first_bad is None,
@@ -517,6 +558,21 @@ def replay_verify(
             replay_matches=False,
             notices=[f"{type(exc).__name__}: {exc}"],
         )
+    finally:
+        if replaying is not None:
+            replaying.stop()  # killed if it still runs, after an exception; reaped
+
+
+def _joined(replaying: Forked) -> Optional[DayReplay]:
+    """The replay the forked ``replay_day`` returned; what it raised is raised
+    here. None when its process died first."""
+    outcome = replaying.join()
+    if outcome is None:
+        return None
+    finished, value = outcome
+    if not finished:
+        raise value
+    return value
 
 
 # -- report emission ----------------------------------------------------------

@@ -2,24 +2,26 @@
 
 Each collector owns a disjoint meter subset (A: 1-4, B: 5-8 in the
 reference configuration). Ingestion is idempotent under at-least-once
-redelivery: each (meter_id, phase, ts) key is accepted once and its
-redeliveries are classified as duplicates. Messages arrive one at a time
-(``ingest``, deduplicated against a set of keys as they come) or as a
-delivery of columns (``ingest_columns``). A collector holds what it
-accepts until the day closes: the readings of each message, and of each
-delivery its readings and the rows it took, uncopied. A delivery whose
-rows' keys strictly increase and belong to one assigned meter, as a
-``metersim.DayStream`` meter's do, is deduplicated by row; any other by key.
+redelivery: each (meter_id, phase, ts) key is accepted once in a
+collector's life and its redeliveries, by either path, are classified as
+duplicates. Messages arrive one at a time (``ingest``, deduplicated
+against a set of keys as they come) or as a delivery of columns
+(``ingest_columns``, deduplicated against the sorted keys each earlier
+delivery accepted and that set). A collector holds what it accepts until
+the day closes: the readings of each message, and of each delivery its
+readings and the rows it took, uncopied. A delivery whose rows' keys
+strictly increase and belong to one assigned meter, as a
+``metersim.DayStream`` meter's do, and that holds no key accepted before,
+is deduplicated by row; any other by key.
 
 ``close_day`` closes the day one meter at a time. A meter whose samples of
 the date one such delivery holds alone is summed per minute from it as it
-is; the samples of every other meter are joined and sorted by key, each
-key's first arrival kept, before they are summed. It returns ``DayArrays``
-in file order: float64 averages, and a mask of the cells written empty,
-which are a minute's six averages when it has no sample. ``write_day_csv``
-writes such rows as given, each meter's file by one format over its rows;
-``read_day_columns`` reads one file back as ``DayColumns``, lists with None
-for an empty cell.
+is; the samples of every other meter are joined and sorted by key before
+they are summed. It returns ``DayArrays`` in file order: float64 averages,
+and a mask of the cells written empty, which are a minute's six averages
+when it has no sample. ``write_day_csv`` writes such rows as given, each
+meter's file by one format over its rows; ``read_day_columns`` reads one
+file back as ``DayColumns``, lists with None for an empty cell.
 
 CSV contract (bit-exact): one file per meter per day at
 ``<output_root>/<collector_id>/<YYYY-MM-DD>/SEM<meter_id>.csv``, header
@@ -167,7 +169,8 @@ class Collector:
 
     def __init__(self, config: CollectorConfig):
         self.config = config
-        self._seen = set()  # packed keys accepted by ingest
+        self._seen = set()  # packed keys accepted by ingest, and by the deliveries before its last call
+        self._delivered: List[np.ndarray] = []  # packed keys each delivery since then accepted, sorted
         self._readings: List = []  # PhaseReadings accepted by ingest, in arrival order
         self._held: List[_Held] = []  # samples accepted by ingest_columns or not yet closed
 
@@ -175,6 +178,9 @@ class Collector:
         r = msg.reading
         if r.meter_id not in self.config.assigned_meters:
             return REJECTED
+        if self._delivered:
+            self._seen.update(np.concatenate(self._delivered).tolist())
+            self._delivered = []
         key = ((r.meter_id * 4 + r.phase) << 40) + r.ts  # _pack, inlined on the per-message path
         seen = self._seen
         if key in seen:
@@ -187,34 +193,49 @@ class Collector:
         """Ingest one delivery of messages, given as row indices into a day's
         readings (a row appears once per delivery of it, as in metersim.Delivery).
 
-        The outcomes are those of calling ingest once per message; duplicates
-        are counted within this delivery. Nothing is copied: the collector
-        holds ``readings`` and the rows it took until their day closes.
-        Where the delivered rows' keys strictly increase and belong to one
-        assigned meter, as a ``DayStream`` meter's do, each row is a key and
-        a redelivery repeats its row: the rows are deduplicated as they are.
-        Any other delivery is deduplicated by key, first arrival first.
+        The outcomes are those of calling ingest once per message: a key
+        this collector accepted before, by either path and in a day since
+        closed too, is a duplicate. Nothing is copied: the collector holds
+        ``readings`` and the rows it took until their day closes. Where the
+        delivered rows' keys strictly increase, belong to one assigned meter,
+        as a ``DayStream`` meter's do, and hold no key accepted before,
+        each row is a key and a redelivery repeats its row: the rows are
+        deduplicated as they are. Any other delivery is deduplicated by key,
+        first arrival first.
         """
         taken = np.zeros(readings.ts.shape[0], dtype=bool)
         taken[index] = True
         rows = np.flatnonzero(taken)
         if rows.shape[0]:
             meter_id, phase, ts = (col[rows] for col in readings[:3])
+            key = _pack(meter_id, phase, ts)
             meter = int(meter_id[0])
             if (
                 meter == meter_id[-1]
                 and meter in self.config.assigned_meters
-                and (np.diff(_pack(meter_id, phase, ts)) > 0).all()
+                and (np.diff(key) > 0).all()
+                and not self._accepted_within(int(key[0]), int(key[-1])).shape[0]
             ):
                 self._held.append(_Held(readings, rows, meter))
+                self._delivered.append(key)
                 return IngestCounts(rows.shape[0], index.shape[0] - rows.shape[0], 0)
         assigned = np.array(sorted(self.config.assigned_meters), dtype=np.int64)
         mine = index[np.isin(readings.meter_id[index], assigned)]
-        _, first = np.unique(
+        key, first = np.unique(
             _pack(readings.meter_id[mine], readings.phase[mine], readings.ts[mine]), return_index=True
         )
+        if key.shape[0]:
+            new = ~np.isin(key, self._accepted_within(int(key[0]), int(key[-1])))
+            key, first = key[new], first[new]
         self._held.append(_Held(readings, mine[first], None))
+        self._delivered.append(key)
         return IngestCounts(first.shape[0], mine.shape[0] - first.shape[0], index.shape[0] - mine.shape[0])
+
+    def _accepted_within(self, low: int, high: int) -> np.ndarray:
+        """The packed keys from ``low`` to ``high`` that this collector accepted before."""
+        found = [keys[np.searchsorted(keys, low):np.searchsorted(keys, high, "right")] for keys in self._delivered]
+        found.append(np.array([key for key in self._seen if low <= key <= high], dtype=np.int64))
+        return np.concatenate(found)
 
     def close_day(self, date: str) -> DayArrays:
         """Close every minute of the date for every assigned meter-phase: the
@@ -224,8 +245,8 @@ class Collector:
         A minute's means add its samples in (meter, phase, ts) order, whatever
         order they arrived in. A meter whose samples of the date are all held
         by one checked delivery (``ingest_columns``) is summed from it as it
-        is. The other held samples are sorted by key, each key's first
-        arrival kept, and summed together. Samples of other dates stay held.
+        is. The other held samples are sorted by key and summed together.
+        Samples of other dates stay held.
         """
         day0 = parse_date(date)
         meters = sorted(self.config.assigned_meters)
@@ -267,16 +288,10 @@ class Collector:
         )
 
     def _close_sorted(self, held: List[_Held], day0: int, meters: List[int], counts, sums) -> None:
-        """Add the date's samples of ``held`` to ``counts`` and ``sums``, each
-        key once (its first arrival, in the order held), and hold the samples
-        of other dates again."""
+        """Add the date's samples of ``held``, each key once across them all,
+        to ``counts`` and ``sums``, and hold the samples of other dates again."""
         samples = ReadingColumns(*map(np.concatenate, zip(*map(_samples, held))))
-        key = _pack(samples.meter_id, samples.phase, samples.ts)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(key.shape[0], dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        rows = order[first]  # each key once, in (meter, phase, ts) order
+        rows = np.argsort(_pack(samples.meter_id, samples.phase, samples.ts))  # (meter, phase, ts) order
         ts = samples.ts[rows]
         in_day = (ts >= day0) & (ts < day0 + SECONDS_PER_DAY)
         if not in_day.all():

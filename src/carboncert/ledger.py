@@ -678,6 +678,12 @@ class Ledger:
     def pending_count(self) -> int:
         return len(self._pending)
 
+    @property
+    def transaction_count(self) -> int:
+        """How many transactions this chain has taken, committed or pending:
+        the sequence number the next one gets."""
+        return self._next_sequence
+
     def blocks(self) -> List[Block]:
         return list(self._all_blocks())
 
@@ -1205,9 +1211,14 @@ def _status(result: ChainResult) -> str:
 
 def _heights(blocks_dir: Path) -> List[int]:
     """The heights of the block files in ``blocks_dir``; only names ``_block_path``
-    writes count: "007.json" or a non-ASCII digit is a stray file."""
-    names = (p.stem for p in blocks_dir.glob("*.json"))
-    return [int(name) for name in names if re.fullmatch(r"0|[1-9][0-9]*", name)]
+    writes count: "007.json" or a non-ASCII digit is a stray file. A missing
+    or unreadable directory holds none."""
+    try:
+        names = os.listdir(blocks_dir)
+    except OSError:
+        return []
+    stems = (name[:-5] for name in names if name.endswith(".json"))
+    return [int(stem) for stem in stems if stem.isascii() and stem.isdigit() and (stem == "0" or stem[0] != "0")]
 
 
 def read_genesis(root) -> Optional[Block]:

@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import inspect
 import json
+import multiprocessing
+import os
 import random
 import shutil
 
@@ -346,3 +348,133 @@ def test_the_credit_is_checked_at_the_given_factor(audited):
     serial = other.credit_summary["serial"]
     assert [m.key for m in other.mismatches] == [f"{serial}:co2_kg", f"{serial}:factor_used"]
     assert other.mismatches[1].expected == "0.5" and other.mismatches[1].found == "0.4"
+
+
+# -- the replay forked beside the chain check ---------------------------------
+
+
+def _forks(monkeypatch, cpus):
+    """Patch the audit to see ``cpus`` usable CPUs; return the list of the
+    replay processes it starts (``model.Forked``), appended as they start."""
+    started = []
+
+    class Counted(audit.Forked):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(audit, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(audit, "Forked", Counted)
+    monkeypatch.setattr(audit, "_FORK_MIN_TXS", 0)  # the day's chain is shorter
+    return started
+
+
+def _changed(path, change):
+    """Rewrite ``path`` by ``change`` of its bytes; return the bytes to restore."""
+    original = path.read_bytes()
+    path.write_bytes(change(original))
+    return original
+
+
+def _extra_cells(raw):
+    lines = raw.decode().splitlines()
+    lines[3] += ",junk,more"
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _flipped(raw):
+    mutated = bytearray(raw)
+    mutated[len(mutated) // 2] ^= 0x01
+    return bytes(mutated)
+
+
+@pytest.mark.parametrize("case", ["clean", "missing-data", "extra-cells", "tampered-block"])
+def test_a_forked_replay_gives_the_report_an_in_process_one_gives(audited, tmp_path, monkeypatch, case):
+    config, ledger, _ = audited
+    roots = [tmp_path / "nothing"] if case == "missing-data" else config.collector_roots
+    target, change = {
+        "extra-cells": (config.collector_roots[0] / config.date / "SEM1.csv", _extra_cells),
+        "tampered-block": (ledger.blocks_dir / "3.json", _flipped),
+    }.get(case, (None, None))
+    original = target and _changed(target, change)
+    try:
+        emitted = []
+        for cpus in (1, 2):
+            started = _forks(monkeypatch, cpus)
+            report = replay_verify(roots, ledger, config.date, config.producer, RULES)
+            assert len(started) == cpus - 1
+            paths = emit_report(report, tmp_path / f"cpus-{cpus}")
+            emitted.append([p.read_bytes() for p in paths])
+    finally:
+        if target:
+            target.write_bytes(original)
+    assert emitted[0] == emitted[1]
+    headline = emitted[0][1].decode().splitlines()[0]
+    assert headline == f"AUDIT {'PASS' if case == 'clean' else 'FAIL'} {config.date}"
+    notices = json.loads(emitted[0][0])["notices"]
+    assert [n.split(":")[0] for n in notices] == {"missing-data": ["MissingData"], "extra-cells": ["UnreadableCsv"]}.get(case, [])
+    assert json.loads(emitted[0][0])["first_bad_height"] == (3 if case == "tampered-block" else None)
+
+
+def test_nothing_is_forked_on_one_cpu_with_a_replay_given_or_for_a_short_chain(audited, monkeypatch):
+    config, ledger, replay = audited
+    started = _forks(monkeypatch, 1)
+    assert replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES).passed
+    started += _forks(monkeypatch, 2)
+    assert replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES, replay=replay).passed
+    monkeypatch.setattr(audit, "_FORK_MIN_TXS", ledger.transaction_count + 1)
+    assert replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES).passed
+    assert started == []
+    monkeypatch.setattr(audit, "_FORK_MIN_TXS", ledger.transaction_count)
+    assert replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES).passed
+    assert len(started) == 1
+
+
+def test_an_audit_checks_the_chain_once(audited, monkeypatch):
+    config, ledger, _ = audited
+    calls = []
+    verify = ledger.verify_chain
+    monkeypatch.setattr(ledger, "verify_chain", lambda: calls.append(1) or verify())
+    for cpus in (1, 2):
+        _forks(monkeypatch, cpus)
+        assert replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES).passed
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_a_failing_chain_check_leaves_no_replay_process(audited, monkeypatch):
+    config, ledger, _ = audited
+    started = _forks(monkeypatch, 2)
+
+    def broken():
+        raise RuntimeError("verify_chain failed")
+
+    monkeypatch.setattr(ledger, "verify_chain", broken)
+    with pytest.raises(RuntimeError, match="verify_chain failed"):
+        replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_replay_whose_process_dies_or_cannot_start_runs_here(audited, tmp_path, monkeypatch):
+    config, ledger, _ = audited
+    expected = replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES)
+    parent, replay_here = os.getpid(), audit.replay_day
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return replay_here(*args)
+
+    started = _forks(monkeypatch, 2)
+    monkeypatch.setattr(audit, "replay_day", dies_in_a_child)
+    died = replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES)
+    assert [p._process.exitcode for p in started] == [3]
+
+    def no_fork(*args):
+        raise ValueError("cannot find context for 'fork'")
+
+    monkeypatch.setattr(audit, "Forked", no_fork)
+    unforked = replay_verify(config.collector_roots, ledger, config.date, config.producer, RULES)
+    assert expected.passed and died == expected and unforked == expected
+    assert multiprocessing.active_children() == []

@@ -314,11 +314,11 @@ def test_close_day_is_independent_of_arrival_order(samples, data):
 
 class _GlobalSortCollector:
     """The close as it was before it went one meter at a time: ingest_columns
-    copies each delivery's rows, deduplicated by key, and close_day joins
-    every buffered sample, sorts them all by key and keeps each key's first
-    arrival (deliveries in the order given, then the messages ingested one
-    by one). It returns the minute counts and means in file order, a mean
-    without samples as nan."""
+    copies each delivery's rows, deduplicated by key against every key
+    accepted before, and close_day joins every buffered sample, sorts them
+    all by key and keeps each key's first arrival (deliveries in the order
+    given, then the messages ingested one by one). It returns the minute
+    counts and means in file order, a mean without samples as nan."""
 
     def __init__(self, assigned):
         self.assigned = frozenset(assigned)
@@ -328,16 +328,17 @@ class _GlobalSortCollector:
         r = msg.reading
         if r.meter_id not in self.assigned:
             return REJECTED
-        if (r.meter_id, r.phase, r.ts) in self.seen:
+        if _packed(r.meter_id, r.phase, r.ts) in self.seen:
             return DUPLICATE
-        self.seen.add((r.meter_id, r.phase, r.ts))
+        self.seen.add(_packed(r.meter_id, r.phase, r.ts))
         self.readings.append(r)
         return ACCEPTED
 
     def ingest_columns(self, readings, index):
         mine = index[np.isin(readings.meter_id[index], sorted(self.assigned))]
-        _, first = np.unique(_packed(*(col[mine] for col in readings[:3])), return_index=True)
-        rows = mine[first]
+        keys, first = np.unique(_packed(*(col[mine] for col in readings[:3])), return_index=True)
+        rows = mine[first[~np.isin(keys, list(self.seen))]]
+        self.seen.update(_packed(*(col[rows] for col in readings[:3])).tolist())
         self.blocks.append(ReadingColumns(*(col[rows] for col in readings)))
         return IngestCounts(rows.shape[0], mine.shape[0] - rows.shape[0], index.shape[0] - mine.shape[0])
 
@@ -421,9 +422,6 @@ def test_close_day_matches_the_global_sort_kernel(ops):
             readings, index = arg[0], np.array(arg[1], dtype=np.int64)
             counts = collector.ingest_columns(_columns(readings), index)
             assert counts == reference.ingest_columns(_columns(readings), index)
-            one_by_one = Collector(config)  # duplicates are counted within one delivery
-            outcomes = Counter(one_by_one.ingest(TransportMessage(readings[i], 1)) for i in index.tolist())
-            assert counts == (outcomes[ACCEPTED], outcomes[DUPLICATE], outcomes[REJECTED])
         elif op == "message":
             assert collector.ingest(TransportMessage(arg, 1)) == reference.ingest(TransportMessage(arg, 1))
         else:
@@ -431,6 +429,56 @@ def test_close_day_matches_the_global_sort_kernel(ops):
             assert np.array_equal(day.sample_count, counts)
             assert np.array_equal(day.empty, np.broadcast_to(counts == 0, means.shape))
             assert np.array_equal(np.where(day.empty, np.nan, day.averages), means, equal_nan=True)  # finite means
+
+
+_life_op = st.one_of(
+    _op,
+    st.tuples(st.just("again"), st.integers(0, 7)),  # an earlier delivery, delivered once more
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_life_op, max_size=10))
+@example(ops=[  # one reading delivered twice as columns, then as a message
+    ("columns", ([_reading(1, 1, 0, 10.0)], [0])),
+    ("again", 0),
+    ("message", _reading(1, 1, 0, 10.0)),
+])
+@example(ops=[  # a message first, then a DayStream-like delivery that holds its key
+    ("message", _reading(2, 2, 1, 10.0)),
+    ("columns", ([_reading(2, 1, 0, 20.0), _reading(2, 2, 1, 30.0)], [0, 1])),
+])
+@example(ops=[  # a key closed with its day is still a duplicate after the close
+    ("columns", ([_reading(4, 3, 61, 10.0)], [0, 0])),
+    ("close", "2025-06-01"),
+    ("again", 0),
+    ("message", _reading(4, 3, 61, 20.0)),
+])
+def test_ingest_counts_are_those_of_per_message_ingest_over_a_collectors_life(ops):
+    config = CollectorConfig("A", ASSIGNED["A"], Path("unused"))
+    collector, reference = Collector(config), Collector(config)  # the reference takes one message at a time
+    delivered = []
+    for op, arg in ops + [("close", "2025-06-01"), ("close", "2025-06-02")]:
+        if op == "again":
+            if not delivered:
+                continue
+            op, arg = "columns", delivered[arg % len(delivered)]
+        if op == "columns":
+            delivered.append(arg)
+            readings, index = arg[0], np.array(arg[1], dtype=np.int64)
+            counts = collector.ingest_columns(_columns(readings), index)
+            outcomes = Counter(reference.ingest(TransportMessage(readings[i], 1)) for i in index.tolist())
+            assert counts == (outcomes[ACCEPTED], outcomes[DUPLICATE], outcomes[REJECTED])
+        elif op == "message":
+            assert collector.ingest(TransportMessage(arg, 1)) == reference.ingest(TransportMessage(arg, 1))
+        else:
+            day, expected = collector.close_day(arg), reference.close_day(arg)
+            for field in ("meter_id", "phase", "minute_start", "sample_count", "empty"):
+                assert np.array_equal(getattr(day, field), getattr(expected, field))
+            assert np.array_equal(  # finite means
+                np.where(day.empty, np.nan, day.averages), np.where(expected.empty, np.nan, expected.averages),
+                equal_nan=True,
+            )
 
 
 _ROW = "%s,%s,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%s"
