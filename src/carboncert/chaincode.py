@@ -22,6 +22,7 @@ spelled out as ``_store`` writes it, without ``json.dumps``.
 from __future__ import annotations
 
 import json
+import math
 from typing import List, Optional, Tuple
 
 from .aggregator import AnomalyRules
@@ -45,7 +46,7 @@ from .model import (
 # Raise with every change to what a transaction validates or writes: write-set
 # journals written under one contract version are never applied under another.
 # The values it validates and computes with are the chain's: its genesis records them.
-CONTRACT_VERSION = 3
+CONTRACT_VERSION = 4
 
 LEGAL_STEPS = {
     "PENDING": ("VERIFIED",),
@@ -141,7 +142,9 @@ def day_on_chain(state: StateView, producer: str, date: str) -> bool:
 
 
 def _check_structure(batch, submitter: Identity, limits: Optional[tuple] = None) -> Optional[str]:
-    """"structure" or "unauthorized" when ``batch`` fails that check. Else,
+    """"structure" or "unauthorized" when ``batch`` fails that check: a flag
+    that is not text is "structure", and so is a nan or infinite number of a
+    flagged aggregate (one that is not flagged is out of range). Else,
     given ``limits`` (``_limits``), what its aggregates say: "timestamps" when
     a ``minute_start`` does not spell one of the window's minutes later than
     the one before it (a timestamp has one spelling, so it is matched as
@@ -175,7 +178,10 @@ def _check_structure(batch, submitter: Identity, limits: Optional[tuple] = None)
         quality = agg["quality"]
         if not isinstance(quality, str) or quality not in _QUALITIES:
             return "structure"
-        if not isinstance(agg["flags"], list):
+        flags = agg["flags"]
+        if not isinstance(flags, list) or (flags and not all(isinstance(flag, str) for flag in flags)):
+            return "structure"
+        if quality == _FLAGGED and not _finite(power, voltage, frequency):  # the others must be in range
             return "structure"
         if not limits:
             continue
@@ -196,6 +202,12 @@ def _check_structure(batch, submitter: Identity, limits: Optional[tuple] = None)
     if not in_order:
         return "timestamps"
     return None if in_range else "ranges"
+
+
+def _finite(*numbers) -> bool:
+    """Whether no float of ``numbers`` is nan or infinite: JSON has no such
+    number, so a batch that holds one cannot be stored as JSON."""
+    return all(not isinstance(number, float) or math.isfinite(number) for number in numbers)
 
 
 def _limits(rules: AnomalyRules, emission: EmissionConfig) -> tuple:

@@ -7,7 +7,8 @@ collector's life and its redeliveries, by either path, are classified as
 duplicates. Messages arrive one at a time (``ingest``, deduplicated
 against a set of keys as they come) or as a delivery of columns
 (``ingest_columns``, deduplicated against the sorted keys each earlier
-delivery accepted and that set). A collector holds what it accepts until
+delivery accepted and those ``ingest`` accepted, merged into one sorted
+array at the next delivery). A collector holds what it accepts until
 the day closes: the readings of each message, and of each delivery its
 readings and the rows it took, uncopied. A delivery whose rows' keys
 strictly increase and belong to one assigned meter, as a
@@ -170,7 +171,12 @@ class Collector:
     def __init__(self, config: CollectorConfig):
         self.config = config
         self._seen = set()  # packed keys accepted by ingest, and by the deliveries before its last call
-        self._delivered: List[np.ndarray] = []  # packed keys each delivery since then accepted, sorted
+        self._delivered: List[np.ndarray] = []  # packed keys each delivery accepted, sorted
+        self._unseen = 0  # how many of the last deliveries' keys are not yet in the set
+        # packed keys ingest accepted since the last delivery, and those it accepted before, sorted; None
+        # before the first delivery, so that a collector fed only by ingest keeps no second copy of its keys
+        self._ingested: Optional[List[int]] = None
+        self._ingested_before = np.empty(0, dtype=np.int64)
         self._readings: List = []  # PhaseReadings accepted by ingest, in arrival order
         self._held: List[_Held] = []  # samples accepted by ingest_columns or not yet closed
 
@@ -178,14 +184,16 @@ class Collector:
         r = msg.reading
         if r.meter_id not in self.config.assigned_meters:
             return REJECTED
-        if self._delivered:
-            self._seen.update(np.concatenate(self._delivered).tolist())
-            self._delivered = []
+        if self._unseen:
+            self._seen.update(np.concatenate(self._delivered[-self._unseen:]).tolist())
+            self._unseen = 0
         key = ((r.meter_id * 4 + r.phase) << 40) + r.ts  # _pack, inlined on the per-message path
         seen = self._seen
         if key in seen:
             return DUPLICATE
         seen.add(key)
+        if self._ingested is not None:
+            self._ingested.append(key)
         self._readings.append(r)
         return ACCEPTED
 
@@ -218,6 +226,7 @@ class Collector:
             ):
                 self._held.append(_Held(readings, rows, meter))
                 self._delivered.append(key)
+                self._unseen += 1
                 return IngestCounts(rows.shape[0], index.shape[0] - rows.shape[0], 0)
         assigned = np.array(sorted(self.config.assigned_meters), dtype=np.int64)
         mine = index[np.isin(readings.meter_id[index], assigned)]
@@ -229,13 +238,23 @@ class Collector:
             key, first = key[new], first[new]
         self._held.append(_Held(readings, mine[first], None))
         self._delivered.append(key)
+        self._unseen += 1
         return IngestCounts(first.shape[0], mine.shape[0] - first.shape[0], index.shape[0] - mine.shape[0])
 
     def _accepted_within(self, low: int, high: int) -> np.ndarray:
-        """The packed keys from ``low`` to ``high`` that this collector accepted before."""
-        found = [keys[np.searchsorted(keys, low):np.searchsorted(keys, high, "right")] for keys in self._delivered]
-        found.append(np.array([key for key in self._seen if low <= key <= high], dtype=np.int64))
-        return np.concatenate(found)
+        """The packed keys from ``low`` to ``high`` that this collector accepted
+        before; the keys ``ingest`` accepted since the last call (at the
+        first, all in its set) are first merged into the sorted ones it
+        accepted before."""
+        new = self._seen if self._ingested is None else self._ingested
+        if new:  # a stable sort merges the sorted run in one pass
+            new = np.fromiter(new, np.int64, len(new))
+            self._ingested_before = np.sort(np.concatenate((self._ingested_before, new)), kind="stable")
+        self._ingested = []
+        return np.concatenate([
+            keys[np.searchsorted(keys, low):np.searchsorted(keys, high, "right")]
+            for keys in (*self._delivered, self._ingested_before)
+        ])
 
     def close_day(self, date: str) -> DayArrays:
         """Close every minute of the date for every assigned meter-phase: the

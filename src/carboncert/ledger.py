@@ -39,25 +39,36 @@ is first read. ``verify_chain`` re-executes every block and compares each
 result with what the open applied. A chain found damaged, at open or by a
 read, refuses appends.
 
-Savepoint: once the blocks above the last savepoint hold ``_SAVEPOINT_MIN_TXS``
-transactions, ``cut_all`` ends, when nothing is pending and no damage is known,
-by publishing ``state/savepoint.json`` as journals are published. It holds the
-committed world state at the tip, height S: each value as a slice of its
-payload, ``[height, index, offset, length]``, or in base64. It is bound to the
-block hash at S, the journal binding, the members (name, role, key id), the
-SHA-256 of every journal file up to S (or that there was none) and a SHA-256
-of its own body, and holds the next transaction sequence. These fix every
-input of an open that loads every block file, so when they all match, the
-savepoint's state is the state that open builds, and the open uses it: it
-still reads and hashes every block file and checks every link (linear in the
-chain by design, 22 ms at 30 days on a 2-vCPU Xeon), but parses
-only the genesis, the tip and the blocks above S, which it loads as above. A
-block up to S is parsed when first read, from a file that must still hash as
-it did at the open; its journal's effects are read when ``get_history`` or
-``verify_chain`` needs them. Any other savepoint, or a block file up to S that
-fails its check, makes the open load every file: deleting the savepoint costs
-only speed. ``verify_chain`` also compares the state it replays to at S with
-the savepoint's, so a forged savepoint is damage at S.
+Savepoints: once the blocks above the last savepoint hold ``_DELTA_MIN_TXS``
+transactions, as a day's commit does and a credit step does not, ``cut_all``
+ends, when nothing is pending and no damage is known, by publishing one as
+journals are published. A full savepoint, ``state/savepoint.json``, is written
+when the ledger used or wrote none, or the blocks above the last full one hold
+``_SAVEPOINT_MIN_TXS`` transactions. It holds the committed world state at the
+tip, height S: each value as a slice of its payload, ``[height, index, offset,
+length]``, or in base64. It is bound to the block hash at S, the journal
+binding, the members (name, role, key id), the SHA-256 of every journal file up
+to S (or that there was none) and a SHA-256 of its own body, and holds the next
+transaction sequence. These fix every input of an open that loads every block
+file, so when they all match, the savepoint's state is the state that open
+builds. Any other time ``state/delta.json`` is written, a delta at the tip,
+height D, on the last full savepoint: the values of the keys written since S
+(slices of blocks above S), bound to the block hash at D, the SHA-256 of every
+journal file above S up to D and the SHA-256 of the full savepoint's body, with
+the next sequence. So its write is bounded by the keys written since S, not by
+the chain; a full savepoint removes the delta on the one before. The open
+uses the full savepoint when it all matches, and the delta on it too when that
+all matches, else the full savepoint alone, to D = S: it still reads and
+hashes every block file and checks every link (linear in the chain by design,
+22 ms at 30 days on a 2-vCPU Xeon), but parses only the genesis, the tip and
+the blocks above D, which it loads as above. A block up to D is parsed when
+first read, from a file that must still hash as it did at the open; its
+journal's effects are read when ``get_history`` or ``verify_chain`` needs
+them. Any other full savepoint, or a block file up to D that fails its check,
+makes the open load every file: deleting the savepoints costs only speed.
+``verify_chain`` also compares the state it replays to at S with the full
+savepoint's, and at D the keys the blocks above S write with the delta's, so a
+forged savepoint is damage at its height.
 
 A re-execution of ``_SPLIT_MIN_TXS`` transactions or more is split into one
 contiguous part per usable CPU, of about equal transaction counts. This
@@ -116,15 +127,23 @@ GENESIS_EPOCH = parse_ts("2025-01-01T00:00:00Z")
 # about 17 ms and a 30-day chain, 8,760, in 0.7-0.9 s.
 _SPLIT_MIN_TXS = 1_000
 
-# ``Ledger.cut_all`` writes a savepoint once the blocks above the last one hold
-# this many transactions. On a 2-vCPU Xeon (Python 3.11.7), on a 30-day chain
-# (840 blocks, 8,702 state keys), writing one took 10 ms (513 KB); an open from
-# one at the tip took 50 ms, and 57 ms from one 588 transactions below it,
-# against 162 ms loading every block file. So an open pays at most about 12 ms
-# for the blocks above the savepoint, and a day's commit at most one write. A
-# day's chain, about 290 transactions, and the golden-manifest home, about 590,
-# write none; a 30-day chain of certified days, 8,760, writes seven.
+# ``Ledger.cut_all`` writes a full savepoint, one holding the whole state, when
+# it writes one and the blocks above the last full one hold this many
+# transactions. On a 2-vCPU Xeon (Python 3.11.7), on a 30-day chain (840
+# blocks, 8,702 state keys), writing one took 10 ms (513 KB) against 162 ms for
+# an open that loads every block file. Its write grows with the chain, so it is
+# rare: a 30-day chain of certified days, 8,760 transactions, writes eight.
 _SAVEPOINT_MIN_TXS = 1_000
+
+# ``Ledger.cut_all`` writes a savepoint once the blocks above the last one, full
+# or delta, hold this many transactions: a delta unless a full one is due. A
+# day's commit, 288 batches and a few reports, writes one, so the credit steps
+# that follow open from a savepoint at or just below the tip; a credit step, one
+# transaction, and a day's four do not. On a 2-vCPU Xeon (Python 3.11.7) an
+# open paid about 0.01 ms per transaction above its savepoint (a day's chain
+# opened in 1.5 ms from one at the tip, 4.2 ms from none), so at most about
+# 1 ms here; a delta holding three days' keys (900, 31 KB) took 1.7 ms to write.
+_DELTA_MIN_TXS = 100
 
 # the head of a block file in ``_seal``'s layout, past the genesis, which alone may carry params
 _HEAD = re.compile(rb'\{"block_hash":"[0-9a-f]{64}","height":(0|[1-9][0-9]*),"prev_hash":"([0-9a-f]{64})",')
@@ -410,61 +429,85 @@ def _read_journal(raw: bytes, block: Block, version: str):
 
 
 class _Savepoint(NamedTuple):
-    """A savepoint file's content: see the module docstring."""
+    """A savepoint file's content, full or delta: see the module docstring."""
 
     height: int
     block_hash: str
-    binding: str
-    members: list
     next_sequence: int
-    journals: list  # per height up to ``height``: its journal file's SHA-256, or None
+    journals: list  # per height above the full savepoint's (a full one: from 0) up to ``height``: a SHA-256 or None
     state: Dict[str, object]  # key -> bytes or a slice value
+    bound: dict  # a full one's "binding" and "members"; a delta's "base", the SHA-256 of its full one's body
+    digest: str  # the SHA-256 of its body
 
 
-def _read_savepoint(path: Path) -> Optional[_Savepoint]:
-    """The savepoint at ``path``; None when it is missing, torn or not one."""
+def _read_savepoint(path: Path, base: int = -1) -> Optional[_Savepoint]:
+    """The savepoint at ``path``: a full one when ``base`` is -1, else a delta
+    on the full one at height ``base``. None when it is missing, torn or not
+    one."""
+    raw = _file_bytes(str(path))
     try:
-        body = _journal_body(path.read_bytes())
+        body = None if raw is None else _journal_body(raw)
         if body is None:
             return None
         content = json.loads(body.decode("utf-8"))
-        height, journals, next_sequence = content["height"], content["journals"], content["next_sequence"]
+        height, journals, next_sequence = content.pop("height"), content.pop("journals"), content.pop("next_sequence")
         if type(height) is not int or type(next_sequence) is not int or type(journals) is not list:
             return None
-        if height < 0 or len(journals) != height + 1:
+        if height <= base or len(journals) != height - base:
             return None
-        state = _saved_state(content["state"], height)
-        return _Savepoint(
-            height, content["block_hash"], content["binding"], content["members"], next_sequence, journals, state
-        )
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        state = _saved_state(content.pop("state"), base + 1, height)
+        block_hash = content.pop("block_hash")
+        return _Savepoint(height, block_hash, next_sequence, journals, state, content, raw[-66:-2].decode("ascii"))
+    except (ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
-def _saved_state(values: dict, height: int) -> Dict[str, object]:
+def _saved_state(values: dict, low: int, high: int) -> Dict[str, object]:
     """The state a savepoint's values hold: bytes from base64 and slice
     values; ValueError unless each slice is four non-negative ints, of a
-    block at ``height`` or below. Checked in bulk: this is most of a
+    block from ``low`` to ``high``. Checked in bulk: this is most of a
     savepoint's load."""
     slices = {key: value for key, value in values.items() if type(value) is list}
     ints = list(itertools.chain.from_iterable(slices.values()))
     if set(map(len, slices.values())) - {4} or set(map(type, ints)) - {int}:
         raise ValueError("a savepoint slice needs four ints")
-    if min(ints, default=0) < 0 or max(ints[::4], default=0) > height:
-        raise ValueError("a savepoint slice needs non-negative ints, of a block at or below its height")
+    if min(ints, default=0) < 0 or min(ints[::4], default=low) < low or max(ints[::4], default=high) > high:
+        raise ValueError("a savepoint slice needs non-negative ints, of a block of its range")
     state = {key: base64.b64decode(value, validate=True) for key, value in values.items() if key not in slices}
     state.update(zip(slices, map(tuple, slices.values())))
     return state
 
 
+def _saved_values(items: Iterable[Tuple[str, object]]) -> Dict[str, object]:
+    """State (key, value) pairs as a savepoint holds them: a slice value as a
+    list, bytes in base64."""
+    return {
+        key: list(value) if type(value) is tuple else base64.b64encode(value).decode("ascii") for key, value in items
+    }
+
+
 def _file_bytes(path: str) -> Optional[bytes]:
-    """The bytes of the file at ``path``, None when it cannot be read; a
-    text path, as the open reads every block and journal file through it."""
+    """The bytes of the file at ``path``, None when it cannot be read (a
+    directory cannot); a text path, as the open reads every block and journal
+    file through it. One ``os.read`` of the size ``os.fstat`` gives, and one
+    more byte: a file that grew since is read to its end."""
     try:
-        with open(path, "rb") as f:
-            return f.read()
+        fd = os.open(path, os.O_RDONLY)
     except OSError:
         return None
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) <= size:
+            return data
+        chunks = [data]
+        while chunks[-1]:
+            chunks.append(os.read(fd, 1 << 16))
+        return b"".join(chunks)
+    except OSError:
+        return None
+    finally:
+        os.close(fd)
 
 
 def _publish(path: Path, data: bytes) -> bool:
@@ -509,6 +552,7 @@ class Ledger:
         self.blocks_dir = self.root / "blocks"
         self.writes_dir = self.root / "writes"
         self.savepoint_path = self.root / "state" / "savepoint.json"
+        self.delta_path = self.root / "state" / "delta.json"
         self.blocks_dir.mkdir(parents=True, exist_ok=True)
         self.identities: Dict[str, Identity] = {i.name: i for i in identities}
         self._state: Dict[str, object] = {}  # key -> bytes or a journal's slice value
@@ -521,10 +565,15 @@ class Ledger:
         self._next_sequence = 0
         self._damage: Optional[Tuple[int, str]] = None  # (first bad height, why)
         self._replayed = (-1, {}, None, None)  # _replay's (height, state, damage, bad) so far
-        self._savepoint: Optional[_Savepoint] = None  # the savepoint the open used
-        self._savepoint_unread = False  # its pinned journals' effects are yet to be read
-        self._unindexed = False  # the transactions of the blocks up to it are yet to be indexed
-        self._saved_height = -1  # the height of the last savepoint this ledger used or wrote
+        self._savepoint: Optional[_Savepoint] = None  # the full savepoint the open used
+        self._delta: Optional[_Savepoint] = None  # the delta on it the open used
+        self._savepoint_unread = False  # their pinned journals' effects are yet to be read
+        self._unindexed = False  # the transactions of the blocks up to them are yet to be indexed
+        # the last savepoint this ledger used or wrote: its height and next sequence; and of the
+        # last full one, its height, next sequence and body's SHA-256, and the keys written since
+        self._saved_height, self._saved_sequence = -1, 0
+        self._full: Optional[Tuple[int, int, str]] = None
+        self._written_since_full: set = set()
         with gc_paused():  # a container per parsed value and transaction, none of them cyclic garbage
             self._load(params)
 
@@ -629,40 +678,57 @@ class Ledger:
         return block
 
     def cut_all(self) -> List[Block]:
-        """Cut every pending transaction; then write a savepoint at the tip
-        when nothing is pending, no damage is known, and the blocks above the
-        last savepoint hold ``_SAVEPOINT_MIN_TXS`` transactions or more."""
+        """Cut every pending transaction; then, when nothing is pending, no
+        damage is known and the blocks above the last savepoint hold
+        ``_DELTA_MIN_TXS`` transactions or more, write a savepoint at the tip:
+        a full one when this ledger used or wrote none, or the blocks above the
+        last full one hold ``_SAVEPOINT_MIN_TXS`` or more; else a delta on it,
+        whose write is bounded by the keys written since the full one."""
         out = []
         while True:
             block = self.cut_block()
             if block is None:
                 break
             out.append(block)
-        above = self._blocks[self._saved_height + 1:]
-        if above and not self._pending and self._damage is None:
-            if sum(len(block.transactions) for block in above) >= _SAVEPOINT_MIN_TXS:
-                self._write_savepoint()
+        if self.height > self._saved_height and not self._pending and self._damage is None:
+            if self._next_sequence - self._saved_sequence >= _DELTA_MIN_TXS:
+                full = self._full is None or self._next_sequence - self._full[1] >= _SAVEPOINT_MIN_TXS
+                self._write_savepoint(full)
         return out
 
-    def _write_savepoint(self) -> None:
-        """Publish the committed state as a savepoint at the tip (see the
-        module docstring); a savepoint that could not be written is left to
-        a later cut."""
-        state = {
-            key: list(value) if type(value) is tuple else base64.b64encode(value).decode("ascii")
-            for key, value in self._state.items()
-        }
-        body = json.dumps({  # canonical_json's bytes for text, ints, None and lists; a third of its time
-            "height": self.height,
-            "block_hash": self.tip_hash,
-            "binding": self._journal_binding,
-            "members": self._members(),
-            "next_sequence": self._next_sequence,
-            "journals": self._pins,
-            "state": state,
-        }, sort_keys=True, separators=(",", ":")).encode("ascii")
-        if _publish(self.savepoint_path, _journal_file(body)):
-            self._saved_height = self.height
+    def _write_savepoint(self, full: bool) -> None:
+        """Publish the committed state as a full savepoint at the tip, or the
+        keys written since the last full one as a delta on it (see the module
+        docstring); a savepoint that could not be written is left to a later
+        cut. A full one removes the delta on the one before."""
+        if full:
+            written: set = set()
+            content = {
+                "binding": self._journal_binding,
+                "members": self._members(),
+                "journals": self._pins,
+                "state": _saved_values(self._state.items()),
+            }
+        else:
+            written = self._written_since_full.union(*(
+                writes for effects in self._effects[self._saved_height + 1:] for writes, _ in effects
+            ))
+            content = {
+                "base": self._full[2],
+                "journals": self._pins[self._full[0] + 1:],
+                "state": _saved_values((key, self._state[key]) for key in written),
+            }
+        content.update(height=self.height, block_hash=self.tip_hash, next_sequence=self._next_sequence)
+        # canonical_json's bytes for text, ints, None and lists; a third of its time
+        body = json.dumps(content, sort_keys=True, separators=(",", ":")).encode("ascii")
+        data = _journal_file(body)
+        if not _publish(self.savepoint_path if full else self.delta_path, data):
+            return
+        if full:
+            self._full = (self.height, self._next_sequence, data[-66:-2].decode("ascii"))
+            with contextlib.suppress(OSError):
+                self.delta_path.unlink()
+        self._saved_height, self._saved_sequence, self._written_since_full = self.height, self._next_sequence, written
 
     # -- queries ------------------------------------------------------------
 
@@ -735,7 +801,8 @@ class Ledger:
             height, index, offset, length = value
             txs = self._block(height).transactions
             if index >= len(txs):  # only a savepoint's slices are not checked against their blocks at open
-                raise self._damaged(self._savepoint.height, "savepoint holds a slice of no transaction")
+                saved = self._savepoint if height <= self._savepoint.height else self._delta or self._savepoint
+                raise self._damaged(saved.height, "savepoint holds a slice of no transaction")
             return self._payload(txs[index], height)[offset:offset + length]
         return value
 
@@ -782,7 +849,7 @@ class Ledger:
         re-execution to fill. Once per Ledger."""
         if not self._savepoint_unread:
             return
-        blocks = self._all_blocks()[:self._savepoint.height + 1]
+        blocks = self._all_blocks()[:(self._delta or self._savepoint).height + 1]
         with gc_paused():  # as in the open
             for block in blocks:
                 if self._effects[block.height] is None:
@@ -806,9 +873,9 @@ class Ledger:
         Returns None when consistent, else the lowest of: the first bad height,
         the height at which opening or a read found the chain damaged, the
         first height whose re-execution disagrees with the block's records or
-        with the journal the open applied, and the height of the savepoint the
-        open used when every block replays clean and the state replayed to it
-        is not the state it holds. The last two also mark the chain damaged,
+        with the journal the open applied, and the height of a savepoint the
+        open used, full or delta, when every block replays clean and the state
+        replayed to it is not the state it holds (``_check_savepoint``). The last two also mark the chain damaged,
         so appends are refused from then on.
 
         A re-execution of ``_SPLIT_MIN_TXS`` transactions or more is split
@@ -839,11 +906,8 @@ class Ledger:
             if height == lowest or block.prev_hash != prev_hash:
                 return height
             if height not in read:
-                try:
-                    hashed = _file_hash(self._block_path(height).read_bytes())
-                except OSError:
-                    return height
-                if hashed != block.block_hash:
+                raw = _file_bytes(str(self._block_path(height)))
+                if raw is None or _file_hash(raw) != block.block_hash:
                     return height
             prev_hash = block.block_hash
         return lowest
@@ -858,7 +922,7 @@ class Ledger:
         Also returns the first (height, why) at which a transaction cannot
         run or replays to another (status, reason) than the one recorded, or
         to another effect than the ledger applied (``_effects``), or at which
-        the replayed state is not the one the open's savepoint holds; and the
+        the replayed state is not the one a savepoint the open used holds; and the
         first height whose block ran clean but is not ``_well_formed``, or
         None (blocks are checked until a run marks damage). A block
         whose applied effects are unknown takes the ones it replays to.
@@ -900,13 +964,21 @@ class Ledger:
         return state, damage, bad
 
     def _check_savepoint(self, height: int, state) -> Optional[Tuple[int, str]]:
-        """(height, why) when ``height`` is that of the savepoint the open used
-        and ``state``, replayed up to it, holds other values; else None."""
-        saved = self._savepoint
-        if saved is None or height != saved.height:
+        """(height, why) when ``height`` is that of a savepoint the open used
+        and ``state``, replayed up to it, holds other values; else None. At
+        the full savepoint every key is compared. At the delta only the keys
+        that the blocks between the two write are: the delta must hold each
+        of them, and no other key."""
+        full, delta = self._savepoint, self._delta
+        if full is not None and height == full.height:
+            saved, keys = full.state, state.keys()
+        elif delta is not None and height == delta.height:
+            saved = delta.state
+            keys = set().union(*(writes for h in range(full.height + 1, height + 1) for writes, _ in self._effects[h]))
+        else:
             return None
-        same = saved.state.keys() == state.keys() and all(
-            value == state[k] or self._value(value) == self._value(state[k]) for k, value in saved.state.items()
+        same = saved.keys() == keys and all(
+            value == state[k] or self._value(value) == self._value(state[k]) for k, value in saved.items()
         )
         return None if same else (height, "savepoint holds other state than its blocks replay to")
 
@@ -1082,38 +1154,61 @@ class Ledger:
             self._next_sequence = max(self._next_sequence, tx.sequence + 1)
 
     def _load_savepoint(self, top: int) -> bool:
-        """Load the chain from the savepoint at height S when its body
+        """Load the chain from the full savepoint at height S when its body
         digest, the hash of the block at S, the journal binding, the members
         and the SHA-256 of every journal file up to S are as it holds: the
-        state it holds is then the one loading every block file gives. Every
-        block file up to S is still read, checked against the hash it carries
-        and linked to the block below; only the genesis and the tip are parsed
-        there. The blocks above S are loaded as ``_load_blocks`` loads them.
-        False, having loaded nothing, when the savepoint is missing or cannot
-        be used, or a block file up to S fails its check."""
+        state it holds is then the one loading every block file gives. With
+        it, the delta on it at height D when that delta is bound to this full
+        savepoint's body and the hash of the block at D and the SHA-256 of
+        every journal file above S up to D are as it holds; else the full
+        savepoint alone, to D = S. Every block file up to D is still read,
+        checked against the hash it carries and linked to the block below;
+        only the genesis and the tip are parsed there. The blocks above D are
+        loaded as ``_load_blocks`` loads them. False, having loaded nothing,
+        when the full savepoint is missing or cannot be used, or a block file
+        up to D fails its check."""
         saved = _read_savepoint(self.savepoint_path)
         if saved is None or saved.height > top:
             return False
-        blocks = self._checked_heads(saved.height, top)
-        if blocks is None or blocks[-1].block_hash != saved.block_hash:
+        delta = _read_savepoint(self.delta_path, saved.height)
+        if delta is not None and (delta.height > top or delta.bound != {"base": saved.digest}):
+            delta = None
+        blocks = self._checked_heads((delta or saved).height, top)
+        if blocks is None or blocks[saved.height].block_hash != saved.block_hash:
             return False
-        if saved.binding != _binding(self.version, blocks[0]) or saved.members != self._members():
+        if saved.bound != {"binding": _binding(self.version, blocks[0]), "members": self._members()}:
             return False
-        writes = f"{self.writes_dir}{os.sep}"
-        for height, pin in enumerate(saved.journals):
-            raw = _file_bytes(f"{writes}{height}.json")
-            if (raw if raw is None else digest_hex(raw)) != pin:
-                return False
-        self._blocks, self._pins = blocks, list(saved.journals)
+        if not self._pins_hold(saved.journals, 0):
+            return False
+        if delta is not None and (
+            blocks[-1].block_hash != delta.block_hash or not self._pins_hold(delta.journals, saved.height + 1)
+        ):
+            delta, blocks = None, blocks[:saved.height + 1]
+        last = delta or saved
+        self._blocks, self._pins = blocks, saved.journals + (delta.journals if delta else [])
         self._effects = [[] if type(block) is Block and not block.transactions else None for block in blocks]
         for block in blocks:
             if type(block) is Block:
                 self._index(block)
-        self._next_sequence = max(self._next_sequence, saved.next_sequence)
+        self._next_sequence = max(self._next_sequence, last.next_sequence)
         self._state = dict(saved.state)
-        self._savepoint, self._saved_height = saved, saved.height
+        self._state.update(delta.state if delta else ())
+        self._savepoint, self._delta = saved, delta
+        self._full = (saved.height, saved.next_sequence, saved.digest)
+        self._saved_height, self._saved_sequence = last.height, last.next_sequence
+        self._written_since_full = set(delta.state if delta else ())
         self._savepoint_unread = self._unindexed = True
-        self._load_blocks(range(saved.height + 1, top + 1), saved.block_hash)
+        self._load_blocks(range(last.height + 1, top + 1), last.block_hash)
+        return True
+
+    def _pins_hold(self, pins: list, first: int) -> bool:
+        """Whether each journal file from height ``first`` up has the SHA-256
+        ``pins`` holds for it, or is missing where it holds None."""
+        writes = f"{self.writes_dir}{os.sep}"
+        for height, pin in enumerate(pins, first):
+            raw = _file_bytes(f"{writes}{height}.json")
+            if (raw if raw is None else digest_hex(raw)) != pin:
+                return False
         return True
 
     def _checked_heads(self, last: int, top: int) -> Optional[List[Union[Block, _Head]]]:
@@ -1167,9 +1262,8 @@ class Ledger:
         without transactions, else None)."""
         if not block.transactions:
             return None, False, []
-        try:
-            raw = self._journal_path(block.height).read_bytes()
-        except OSError:
+        raw = _file_bytes(str(self._journal_path(block.height)))
+        if raw is None:
             return None, False, None
         journal = _read_journal(raw, block, self._journal_binding)
         records = [(tx.tx_id, tx.status, tx.reason) for tx in block.transactions]
@@ -1234,9 +1328,8 @@ def read_genesis(root) -> Optional[Block]:
 
 def _read_block(path: Path) -> Optional[Tuple[bytes, Block]]:
     """A block file's bytes and parsed block; None when missing or unreadable."""
-    try:
-        raw = path.read_bytes()
-    except OSError:
+    raw = _file_bytes(str(path))
+    if raw is None:
         return None
     block = _parse_block(raw, int(path.stem))
     return None if block is None else (raw, block)

@@ -4,7 +4,7 @@ The data root (``CARBON_LEDGER_HOME`` or --home) is laid out as:
 
     collectors/<A|B>/<date>/SEM<k>.csv   collector output
     aggregator/anomalies-<date>.jsonl    quarantine sidecar
-    chain/                               ledger emulation (blocks, write-set journals, savepoint)
+    chain/                               ledger emulation (blocks, write-set journals, savepoints)
     reports/                             audit reports
 
 The chain's genesis block records the contract's parameters, its emission

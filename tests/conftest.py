@@ -53,20 +53,31 @@ def split(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=["kept", "deleted"])
+@pytest.fixture(params=["kept", "deleted", "delta"])
 def savepoint(request, monkeypatch):
-    """Every ``cut_all`` writes a savepoint at the tip. It is kept, for the
-    next open to use where it can, or deleted once written, so that every
-    open loads every block file."""
-    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 0)
+    """Every ``cut_all`` writes a savepoint at the tip. "kept": a full one,
+    for the next open to use where it can; "deleted": a full one, deleted
+    once written, so that every open loads every block file; "delta": a full
+    one at the genesis, written as the chain is created, and from then on a
+    delta on it, so that an open uses both."""
+    monkeypatch.setattr(ledger_mod, "_DELTA_MIN_TXS", 0)
+    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 10**9 if request.param == "delta" else 0)
     if request.param == "deleted":
         write = ledger_mod.Ledger._write_savepoint
 
-        def write_and_delete(self):
-            write(self)
+        def write_and_delete(self, full):
+            write(self, full)
             self.savepoint_path.unlink()
 
         monkeypatch.setattr(ledger_mod.Ledger, "_write_savepoint", write_and_delete)
+    elif request.param == "delta":
+        write_genesis = ledger_mod.Ledger._write_genesis
+
+        def write_genesis_and_savepoint(self, params):
+            write_genesis(self, params)
+            self._write_savepoint(full=True)
+
+        monkeypatch.setattr(ledger_mod.Ledger, "_write_genesis", write_genesis_and_savepoint)
     return request.param
 
 

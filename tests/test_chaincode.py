@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import multiprocessing
 import random
 from datetime import datetime, timezone
@@ -155,6 +156,33 @@ def test_structure_rejections(env):
         bad = _batch_dict(0)
         bad["aggregates"][0]["quality"] = unhashable
         assert _submit_batch(ledger, bad).reason == "structure"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda agg: agg.update(quality="FLAGGED", flags=["RAMP"], total_power=math.nan),
+        lambda agg: agg.update(flags=[math.inf]),
+    ],
+    ids=["flagged-nan-power", "ok-infinite-flag"],
+)
+def test_a_batch_holding_a_number_json_cannot_store_is_structure_and_its_date_accrues(env, edit):
+    # Python's json reads NaN and Infinity: both batches were VALID and stored
+    # nan or inf, which is not JSON, and every accrue of the date then raised
+    ledger, *_ = env
+    bad = _batch_dict(0)
+    edit(bad["aggregates"][2])
+    payload = json.dumps({"op": "submit_batch", "batch": bad}).encode()
+    assert b"NaN" in payload or b"Infinity" in payload
+    tx = ledger.get_transaction(ledger.submit_tx(payload, "plant-1"))
+    assert (tx.status, tx.reason) == ("INVALID", "structure")
+    assert ledger.state_items("batch/") == {} and ledger.query_state("head/plant-1") is None
+    missing = {"op": "report_missing", "producer": "plant-1", "date": "2025-06-01",
+               "windows": list(range(1, WINDOWS_PER_DAY))}
+    assert _submit(ledger, missing, "plant-1").status == "VALID"
+    assert _accrue(ledger).reason == "unresolved_windows"
+    assert _submit_batch(ledger, _batch_dict(0)).status == "VALID"
+    assert _accrue(ledger).status == "VALID"
 
 
 def test_duplicate_rejection(env):
@@ -766,12 +794,25 @@ _BATCHES = st.fixed_dictionaries({
 
 @given(batch=_BATCHES)
 @example(batch=_batch_dict(3, power=-0.0, voltage=None))
+@example(batch=_batch_dict(3, quality="FLAGGED", flags=["RAMP", "n\u00e9sted"], power=1e17))
 @example(batch=_batch_dict(3, quality="FLAGGED", flags=["RAMP", ["n\u00e9sted", {"k": -0.0}]], power=1e17))
+@example(batch=_batch_dict(3, quality="FLAGGED", power=-math.inf))
 @example(batch={**_batch_dict(0, producer="pl\u00e4nt-\u2603", n=0), "schema_version": True})
 def test_batch_bytes_are_the_canonical_json_of_a_structurally_valid_batch(batch):
+    # a flag that is not text, and a nan or infinite number of a flagged
+    # minute, are refused: JSON holds neither, so such a batch cannot be stored
     submitter = Identity(batch["producer_id"], Role.PRODUCER, "k")
-    assert chaincode._check_structure(batch, submitter) is None
-    assert batch_bytes(batch) == canonical_json(batch)
+    refused = any(
+        not all(isinstance(flag, str) for flag in agg["flags"])
+        or agg["quality"] == "FLAGGED" and not all(
+            math.isfinite(n) for n in (agg["total_power"], agg["avg_voltage"], agg["avg_frequency"])
+            if isinstance(n, float)
+        )
+        for agg in batch["aggregates"]
+    )
+    assert chaincode._check_structure(batch, submitter) == ("structure" if refused else None)
+    if not refused:
+        assert batch_bytes(batch) == canonical_json(batch)
 
 
 def _parsed(value):

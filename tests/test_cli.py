@@ -633,7 +633,7 @@ def test_a_planted_identities_file_admits_no_one(cli_home, tmp_path, capsys):
     # a CERTIFIER line added to chain/identities.json used to let mallory
     # verify and issue credits, and the chain still verified and audited clean
     home = _copy_home(cli_home, tmp_path)
-    assert sorted(p.name for p in (home / "chain").iterdir()) == ["blocks", "writes"]
+    assert sorted(p.name for p in (home / "chain").iterdir()) == ["blocks", "state", "writes"]
     members = [*pipeline.RunConfig(home=home).members, make_identity("mallory", Role.CERTIFIER)]
     (home / "chain" / "identities.json").write_text(
         json.dumps({i.name: {"role": i.role.value, "key_id": i.key_id} for i in members})

@@ -448,6 +448,11 @@ _life_op = st.one_of(
     ("message", _reading(2, 2, 1, 10.0)),
     ("columns", ([_reading(2, 1, 0, 20.0), _reading(2, 2, 1, 30.0)], [0, 1])),
 ])
+@example(ops=[  # a message after a delivery, then a delivery that holds its key
+    ("columns", ([_reading(1, 1, 0, 10.0)], [0])),
+    ("message", _reading(2, 2, 1, 10.0)),
+    ("columns", ([_reading(2, 1, 0, 20.0), _reading(2, 2, 1, 30.0)], [0, 1])),
+])
 @example(ops=[  # a key closed with its day is still a duplicate after the close
     ("columns", ([_reading(4, 3, 61, 10.0)], [0, 0])),
     ("close", "2025-06-01"),

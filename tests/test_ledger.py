@@ -379,17 +379,38 @@ def test_an_open_runs_no_collection_and_leaves_the_collector_as_found(tmp_path, 
         gc.enable() if found else gc.disable()
 
 
+def test_file_bytes_reads_a_file_whole_and_nothing_else(tmp_path, monkeypatch):
+    path = tmp_path / "1.json"
+    assert ledger_mod._file_bytes(str(path)) is None  # missing
+    assert ledger_mod._file_bytes(str(tmp_path)) is None  # a directory
+    path.write_bytes(b"")
+    assert ledger_mod._file_bytes(str(path)) == b""
+    head, tail = b"x" * 100, b"y" * 200_000
+    path.write_bytes(head)
+    fstat = os.fstat
+
+    def grow_after(fd):  # the file grows between the fstat and the read
+        stat = fstat(fd)
+        with open(path, "ab") as f:
+            f.write(tail)
+        return stat
+
+    monkeypatch.setattr(os, "fstat", grow_after)
+    assert ledger_mod._file_bytes(str(path)) == head + tail
+
+
 def test_an_open_decodes_the_tip_only_and_verify_chain_parses_no_block_file(tmp_path, monkeypatch):
     # the open parses each block file once and decodes only the tip's
     # payloads; verify_chain reads each file's bytes once more and parses none
     root = tmp_path / "chain"
     _committed(root)
     calls = {"decoded": [], "parsed": [], "read": []}
-    decode, read_block, read_bytes = ledger_mod._decode_payload, ledger_mod._read_block, Path.read_bytes
+    decode, read_block, file_bytes = ledger_mod._decode_payload, ledger_mod._read_block, ledger_mod._file_bytes
     monkeypatch.setattr(ledger_mod, "_decode_payload", lambda text: calls["decoded"].append(text) or decode(text))
     monkeypatch.setattr(ledger_mod, "_read_block", lambda path: calls["parsed"].append(path.name) or read_block(path))
     monkeypatch.setattr(
-        Path, "read_bytes", lambda self: calls["read"].append(self.relative_to(root).as_posix()) or read_bytes(self)
+        ledger_mod, "_file_bytes",
+        lambda path: calls["read"].append(Path(path).relative_to(root).as_posix()) or file_bytes(path),
     )
     names = ["0.json", "1.json", "2.json", "3.json"]
 
@@ -962,20 +983,36 @@ def _tally_op(i):
 
 
 _TALLY_TXS = 72  # blocks 1-6 of 12 transactions
-_TALLY_SAVED = 3  # the height of the tally chain's savepoint
+_TALLY_SAVED = 3  # the height of the tally chain's full savepoint
+_TALLY_DELTA = 5  # the height of the delta on it
 
 
 @pytest.fixture(scope="module")
 def tally_chain(tmp_path_factory):
-    """The tally ops in blocks 1-6, with a savepoint at height 3."""
+    """The tally ops in blocks 1-6, with a full savepoint at height 3 and a
+    delta on it at height 5."""
     root = tmp_path_factory.mktemp("tally") / "chain"
     led = _open(root, tally_chaincode)
-    for cut in range(2):
-        for i in range(cut * _TALLY_TXS // 2, (cut + 1) * _TALLY_TXS // 2):
+    # (ops, _SAVEPOINT_MIN_TXS, _DELTA_MIN_TXS): a full savepoint, a delta, none
+    for ops, full, delta in ((range(36), 0, 0), (range(36, 60), _TALLY_TXS, 0), (range(60, 72), 0, _TALLY_TXS)):
+        for i in ops:
             led.submit_tx(_tally_op(i), "plant-1")
-        with mock.patch.object(ledger_mod, "_SAVEPOINT_MIN_TXS", _TALLY_TXS if cut else 0):
+        with mock.patch.object(ledger_mod, "_SAVEPOINT_MIN_TXS", full), \
+                mock.patch.object(ledger_mod, "_DELTA_MIN_TXS", delta):
             led.cut_all()
     assert json.loads(led.savepoint_path.read_bytes())["body"]["height"] == _TALLY_SAVED
+    assert json.loads(led.delta_path.read_bytes())["body"]["height"] == _TALLY_DELTA
+    return root
+
+
+def _tally_copy(tally_chain, root, savepoint):
+    """A copy of the tally chain at ``root`` with its full savepoint alone
+    ("kept"), with no savepoint ("deleted") or with both ("delta")."""
+    shutil.copytree(tally_chain, root)
+    if savepoint != "delta":
+        (root / "state" / "delta.json").unlink()
+    if savepoint == "deleted":
+        (root / "state" / "savepoint.json").unlink()
     return root
 
 
@@ -1068,10 +1105,7 @@ def _outcome(root, **patches):
 @example(case="params", height=4, index=0, parts=2)
 def test_a_split_re_execution_says_what_one_in_order_says(tally_chain, savepoint, case, height, index, parts):
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp) / "chain"
-        shutil.copytree(tally_chain, root)
-        if savepoint == "deleted":
-            (root / "state" / "savepoint.json").unlink()
+        root = _tally_copy(tally_chain, Path(tmp) / "chain", savepoint)
         _tamper(root, case, height, index, _reseal_up_to_the_tip)
         in_order = _outcome(root, usable_cpus=lambda: 1)
         split = _outcome(root, usable_cpus=lambda: parts, _SPLIT_MIN_TXS=0)
@@ -1097,10 +1131,7 @@ def test_verify_chain_after_an_exception_starts_from_a_consistent_state(tally_ch
     # the replay used to keep the writes of the blocks it ran before the
     # exception, under the height it started from: the next verify_chain
     # re-executed them on that state and found false damage at height 1
-    root = tmp_path / "chain"
-    shutil.copytree(tally_chain, root)
-    if savepoint == "deleted":
-        (root / "state" / "savepoint.json").unlink()
+    root = _tally_copy(tally_chain, tmp_path / "chain", savepoint)
     led = _open(root, FailingOnce(json.loads(_tally_op(39))))  # the 40th call of a re-execution in order
     with pytest.raises(MemoryError):
         led.verify_chain()
@@ -1116,16 +1147,19 @@ def _savepoint_path(root):
     return root / "state" / "savepoint.json"
 
 
-def _rewrite_savepoint(root, edit):
-    """Apply ``edit`` to the savepoint's parsed body and reseal it with the new body's digest."""
-    content = json.loads(_savepoint_path(root).read_bytes())
+def _rewrite_savepoint(root, edit, name="savepoint"):
+    """Apply ``edit`` to the parsed body of the full savepoint, or of the
+    delta for ``name`` "delta", and reseal it with the new body's digest."""
+    path = root / "state" / f"{name}.json"
+    content = json.loads(path.read_bytes())
     edit(content["body"])
-    _savepoint_path(root).write_bytes(ledger_mod._journal_file(canonical_json(content["body"])))
+    path.write_bytes(ledger_mod._journal_file(canonical_json(content["body"])))
 
 
 def test_a_savepoint_is_written_only_past_the_threshold_and_with_nothing_pending(tmp_path, monkeypatch):
     root = tmp_path / "chain"
     monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 20)
+    monkeypatch.setattr(ledger_mod, "_DELTA_MIN_TXS", 20)
     led = _committed(root, txs=12)
     assert not _savepoint_path(root).exists()  # 12 transactions above none
     for i in range(12, 24):
@@ -1152,10 +1186,11 @@ def test_a_savepoint_is_written_only_past_the_threshold_and_with_nothing_pending
 def test_an_open_from_a_savepoint_parses_only_the_blocks_it_reads(tmp_path, monkeypatch):
     root = tmp_path / "chain"
     monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 0)
+    monkeypatch.setattr(ledger_mod, "_DELTA_MIN_TXS", 0)
     led = _committed(root)  # a savepoint at the tip, 3
     for i in range(30, 42):
         led.submit_tx(_payload(i), "plant-1")
-    monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 13)
+    monkeypatch.setattr(ledger_mod, "_DELTA_MIN_TXS", 13)
     led.cut_all()  # block 4, no savepoint
     parsed = []
     parse = ledger_mod._parse_block
@@ -1174,6 +1209,7 @@ def test_a_savepoint_that_cannot_be_written_leaves_the_older_one_in_use(tmp_path
     # a crash between the last block and the savepoint costs only speed
     root = tmp_path / "chain"
     monkeypatch.setattr(ledger_mod, "_SAVEPOINT_MIN_TXS", 0)
+    monkeypatch.setattr(ledger_mod, "_DELTA_MIN_TXS", 0)
     led = _committed(root)  # a savepoint at the tip, 3
     replace = os.replace
 
@@ -1307,6 +1343,177 @@ def test_a_savepoint_that_is_not_one_is_not_used(tally_chain, tmp_path, edit):
     assert _open(root, counting).damage is None and counting.calls == 0  # every journal applied
 
 
+def test_an_open_uses_the_full_savepoint_and_the_delta_on_it(tally_chain, tmp_path):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    without = tmp_path / "without"
+    shutil.copytree(root, without)
+    shutil.rmtree(without / "state")
+    full = json.loads(_savepoint_path(root).read_bytes())["body"]
+    delta = json.loads((root / "state" / "delta.json").read_bytes())["body"]
+    assert (delta["height"], len(delta["journals"])) == (_TALLY_DELTA, _TALLY_DELTA - _TALLY_SAVED)
+    assert delta["base"] == digest_hex(canonical_json(full))
+    loaded = _open(without, tally_chaincode)
+    above = range(_TALLY_SAVED + 1, _TALLY_DELTA + 1)
+    assert set(delta["state"]) == {key for height in above for writes, _ in loaded._effects[height] for key in writes}
+    counting = Counting()
+    led = _open(root, counting)
+    assert (led._savepoint.height, led._delta.height, counting.calls) == (_TALLY_SAVED, _TALLY_DELTA, 0)
+    assert [type(block).__name__ for block in led._blocks] == ["Block", *["_Head"] * _TALLY_DELTA, "Block"]
+    led = _open(root, tally_chaincode)
+    assert led.state_digest() == loaded.state_digest() and led.verify_chain() is None
+
+
+@pytest.mark.parametrize("forgery", ["value", "key dropped", "key added"])
+def test_a_forged_delta_with_a_valid_digest_is_damage_at_its_height(tally_chain, tmp_path, forgery):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    honest = _open(root, tally_chaincode)
+    assert honest._delta is not None and honest.verify_chain() is None
+    forged = base64.b64encode(b"forged").decode()
+    # k44 is written in block 4 only
+    edit = {
+        "value": lambda body: body["state"].update(k44=forged),
+        "key dropped": lambda body: body["state"].pop("k44"),
+        # k4 is written in block 1 only: the delta holds it at its value, but no block above the full one writes it
+        "key added": lambda body: body["state"].update(k4=base64.b64encode(honest.query_state("k4")).decode()),
+    }[forgery]
+    _rewrite_savepoint(root, edit, "delta")
+    led = _open(root, tally_chaincode)
+    assert led.damage is None and led._delta is not None
+    if forgery == "value":
+        assert led.query_state("k44") == b"forged" != honest.query_state("k44")
+    assert led.verify_chain() == _TALLY_DELTA
+    assert led.damage == (_TALLY_DELTA, "savepoint holds other state than its blocks replay to")
+    with pytest.raises(ChainDamaged, match=f"height {_TALLY_DELTA}: savepoint holds other state"):
+        led.submit_tx(_payload(0), "plant-1")
+
+
+def test_a_forged_delta_slice_of_no_transaction_is_damage_at_its_height(tally_chain, tmp_path):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    _rewrite_savepoint(root, lambda body: body["state"].update(k44=[_TALLY_DELTA, BLOCK_TX_LIMIT, 0, 1]), "delta")
+    led = _open(root, tally_chaincode)
+    with pytest.raises(ChainDamaged, match=f"^chain damaged at height {_TALLY_DELTA}: savepoint holds a slice"):
+        led.query_state("k44")
+    assert led.verify_chain() == _TALLY_DELTA
+
+
+def _rebound(root):
+    # the full savepoint, rewritten with one slice value in base64: the same
+    # state under another body digest, so the delta is bound to an older one
+    led = _open(root, tally_chaincode)
+    value = base64.b64encode(led.query_state("k4")).decode()
+    _rewrite_savepoint(root, lambda body: body["state"].update(k4=value))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _rebound,
+        lambda root: (root / "state" / "delta.json").write_bytes((root / "state" / "delta.json").read_bytes()[:-9]),
+        lambda root: (root / "writes" / f"{_TALLY_DELTA}.json").unlink(),
+        lambda root: _flip_byte(root / "writes" / f"{_TALLY_SAVED + 1}.json", 40),
+        lambda root: _rewrite_savepoint(root, lambda body: body.update(height=_TALLY_DELTA + 2), "delta"),
+        lambda root: _rewrite_savepoint(root, lambda body: body.update(height=_TALLY_SAVED), "delta"),
+        lambda root: _rewrite_savepoint(root, lambda body: body["state"].update(t0=[_TALLY_SAVED, 0, 0, 1]), "delta"),
+        lambda root: _rewrite_savepoint(root, lambda body: body.update(block_hash="0" * 64), "delta"),
+        lambda root: _rewrite_savepoint(root, lambda body: body.update(members=[]), "delta"),
+    ],
+    ids=[
+        "bound-to-an-older-full-one", "torn", "journal-deleted", "journal-changed", "above-the-tip",
+        "at-the-full-height", "slice-below-the-full-one", "other-block-hash", "unknown-field",
+    ],
+)
+def test_a_delta_the_open_cannot_use_is_ignored(tally_chain, tmp_path, change):
+    root = tmp_path / "chain"
+    shutil.copytree(tally_chain, root)
+    change(root)
+    without = tmp_path / "without"
+    shutil.copytree(root, without)
+    (without / "state" / "delta.json").unlink()
+    led = _open(root, tally_chaincode)
+    assert led._delta is None and led._savepoint.height == _TALLY_SAVED
+    assert type(led._blocks[_TALLY_SAVED + 1]) is ledger_mod.Block  # loaded above the full savepoint
+    assert _answers(root) == _answers(without)
+
+
+_OPS = st.one_of(
+    st.builds(lambda key, value: {"op": "set", "key": f"k{key}", "value": value}, st.integers(0, 5), st.integers()),
+    st.builds(lambda key, value: {"op": "add", "key": f"t{key}", "value": value}, st.integers(0, 2), st.integers(0, 9)),
+    st.just({"op": "bad"}),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    commits=st.lists(st.lists(_OPS, min_size=1, max_size=30), min_size=2, max_size=8),
+    full_every=st.integers(1, 120),
+    above=st.lists(_OPS, max_size=30),
+)
+def test_an_open_from_a_full_savepoint_and_a_delta_equals_one_that_loads_every_block_file(commits, full_every, above):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "chain"
+        led = _open(root, tally_chaincode)
+        tx_ids = []
+        # a savepoint at every commit: a full one every ``full_every`` transactions, else a delta;
+        # the last commit writes a delta, and the transactions ``above`` are cut above it without one
+        for i, ops in enumerate([*commits, above]):
+            for op in ops:
+                tx_ids.append(led.submit_tx(json.dumps(op).encode(), "plant-1"))
+            full = 10**9 if i >= len(commits) - 1 else full_every
+            with mock.patch.object(ledger_mod, "_SAVEPOINT_MIN_TXS", full), \
+                    mock.patch.object(ledger_mod, "_DELTA_MIN_TXS", 10**9 if i == len(commits) else 0):
+                led.cut_all()
+        without = Path(tmp) / "without"
+        shutil.copytree(root, without)
+        shutil.rmtree(without / "state")
+        opened, loaded = _open(root, tally_chaincode), _open(without, tally_chaincode)
+        assert opened._delta is not None and loaded._savepoint is None
+        for probe in (
+            lambda led: (led.height, led.tip_hash, led._next_sequence, led.state_digest(), led.state_items()),
+            lambda led: [_tx_fields(led.get_transaction(tx_id)) for tx_id in tx_ids],
+            lambda led: [[tx.tx_id for tx in led.get_history(key)] for key in [*(f"k{i}" for i in range(6)), "t0"]],
+            lambda led: (led.verify_chain(), led.rebuilt_state_digest(), led.damage),
+        ):
+            assert probe(opened) == probe(loaded)
+        assert opened.verify_chain() is None
+
+
+def test_a_days_commit_writes_a_savepoint_bounded_by_the_keys_written_since_the_full_one(tmp_path, monkeypatch):
+    # 30 days of 288 batches, each its own key, and four credit steps of one
+    # transaction, at the thresholds the ledger ships with
+    written = []
+    publish = ledger_mod._publish
+    monkeypatch.setattr(
+        ledger_mod, "_publish",
+        lambda path, data: (path.parent.name == "state" and written.append((path.name, len(data)))) or publish(path, data),
+    )
+    led = _open(tmp_path / "chain")
+    commits, steps = {}, {}
+    for day in range(1, 31):
+        for window in range(288):
+            op = {"op": "set", "key": f"batch/{day:02d}/{window:03d}", "value": window}
+            led.submit_tx(json.dumps(op).encode(), "plant-1")
+        written.clear()
+        led.cut_all()
+        commits[day] = list(written)
+        written.clear()
+        for step in range(4):
+            led.submit_tx(json.dumps({"op": "set", "key": f"credit/{day:02d}", "value": step}).encode(), "plant-1")
+            led.cut_all()
+        steps[day] = list(written)
+    assert all(len(commits[day]) == 1 for day in commits) and not any(steps.values())
+    assert commits[1][0][0] == "savepoint.json" and commits[2][0][0] == "delta.json"
+    assert commits[30][0][0] == "delta.json" and commits[30][0][1] <= 2 * commits[2][0][1]
+    deltas = {day: size for day, [(name, size)] in commits.items() if name == "delta.json"}
+    # the deltas written after the first full rewrites are no larger than those before them
+    assert max(deltas[day] for day in deltas if day > 5) <= 1.1 * max(deltas[day] for day in deltas if day <= 5)
+    fulls = [size for [(name, size)] in commits.values() if name == "savepoint.json"]
+    assert len(fulls) == 8 and fulls == sorted(fulls)  # the full rewrite still grows with the chain
+    assert _open(tmp_path / "chain")._delta.height == led.height - 4
+
+
 def _tx_fields(tx):
     return tx.sequence, tx.tx_id, tx.payload_b64, tx.payload_digest, tx.submitter, tx.endorsement, tx.status, tx.reason
 
@@ -1346,9 +1553,9 @@ def _flip_byte(path, at):
 def _changed(root, case, height, at):
     """Change the tally chain at ``root``: a block or journal at ``height``
     (past the genesis, which holds no transaction, where one is changed), or
-    its savepoint."""
+    its full savepoint or delta."""
     block, journal = root / "blocks" / f"{height}.json", root / "writes" / f"{height}.json"
-    saved = _savepoint_path(root)
+    saved = root / "state" / f"{case.split()[0]}.json"
     if case == "block byte":
         _flip_byte(block, at)
     elif case == "status resealed":
@@ -1364,13 +1571,13 @@ def _changed(root, case, height, at):
     elif case == "journal deleted before the savepoint":
         # the savepoint, rewritten at the tip, pins the journal as missing
         journal.unlink(missing_ok=True)
-        with mock.patch.object(ledger_mod, "_SAVEPOINT_MIN_TXS", 0):
+        with mock.patch.object(ledger_mod, "_SAVEPOINT_MIN_TXS", 0), mock.patch.object(ledger_mod, "_DELTA_MIN_TXS", 0):
             _open(root, tally_chaincode).cut_all()
-    elif case == "savepoint byte":
+    elif case.endswith(" byte"):
         _flip_byte(saved, at)
-    elif case == "savepoint truncated":
+    elif case.endswith(" truncated"):
         saved.write_bytes(saved.read_bytes()[:at % saved.stat().st_size])
-    elif case == "savepoint deleted":
+    elif case.endswith(" deleted"):
         saved.unlink()
 
 
@@ -1379,6 +1586,7 @@ def _changed(root, case, height, at):
     case=st.sampled_from([
         "none", "block byte", "status resealed", "payload resealed", "journal value", "journal deleted",
         "journal deleted before the savepoint", "savepoint byte", "savepoint truncated", "savepoint deleted",
+        "delta byte", "delta truncated", "delta deleted",
     ]),
     height=st.integers(0, _TALLY_TXS // BLOCK_TX_LIMIT),
     at=st.integers(0, 2**16),
@@ -1386,6 +1594,10 @@ def _changed(root, case, height, at):
 # a garbled payload above the savepoint, of a value the open reads from below it
 @example(case="payload resealed", height=_TALLY_SAVED + 1, at=0)
 @example(case="journal deleted before the savepoint", height=2, at=0)
+@example(case="journal deleted before the savepoint", height=_TALLY_DELTA, at=0)
+# a value of the delta, and a pin of it
+@example(case="delta byte", height=0, at=200)
+@example(case="journal value", height=_TALLY_DELTA, at=0)
 def test_an_open_from_a_savepoint_answers_as_one_that_loads_every_block_file(tally_chain, case, height, at):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "chain"
@@ -1393,7 +1605,7 @@ def test_an_open_from_a_savepoint_answers_as_one_that_loads_every_block_file(tal
         _changed(root, case, height, at)
         without = Path(tmp) / "without"
         shutil.copytree(root, without)
-        _savepoint_path(without).unlink(missing_ok=True)
+        shutil.rmtree(without / "state")
         assert _answers(root) == _answers(without)
 
 

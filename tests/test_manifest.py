@@ -9,6 +9,9 @@ home, the tip hash and the state digest. A change that alters output bytes
 regenerates it and says why:
 
     PYTHONPATH=src python tests/test_manifest.py
+
+which prints each path it adds, drops or changes against the manifest it
+replaces, and whether the tip hash and state digest changed.
 """
 
 import hashlib
@@ -82,10 +85,35 @@ def test_every_output_matches_the_golden_manifest(tmp_path, capsys, monkeypatch)
     assert got == want
 
 
+def test_differences_name_each_path_added_dropped_or_changed():
+    old = {"files": {"a": "1", "b": "2", "c": "3"}, "tip_hash": "t", "state_digest": "s"}
+    new = {"files": {"a": "1", "c": "4", "d": "5"}, "tip_hash": "t", "state_digest": "z"}
+    assert differences(old, new) == ["dropped b", "changed c", "added   d", "changed state_digest"]
+    assert differences(old, old) == []
+
+
+def differences(old: dict, new: dict) -> list:
+    """One line per path ``new`` adds, drops or changes against ``old``, then
+    one for the tip hash and the state digest if either changed."""
+    lines = []
+    for name in sorted(old["files"].keys() | new["files"].keys()):
+        if name not in old["files"]:
+            lines.append(f"added   {name}")
+        elif name not in new["files"]:
+            lines.append(f"dropped {name}")
+        elif old["files"][name] != new["files"][name]:
+            lines.append(f"changed {name}")
+    lines += [f"changed {key}" for key in ("tip_hash", "state_digest") if old[key] != new[key]]
+    return lines
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         result = manifest(build_home(Path(tmp)))
+    if MANIFEST.exists():
+        for line in differences(json.loads(MANIFEST.read_text()), result):
+            print(line)
     MANIFEST.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}: {len(result['files'])} files, tip {result['tip_hash']}", file=sys.stderr)
