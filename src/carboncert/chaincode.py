@@ -25,13 +25,13 @@ import json
 import math
 from typing import List, Optional, Tuple
 
-from .aggregator import AnomalyRules
 from .ledger import ChainResult, StateView
 from .model import (
     MINUTES_PER_DAY,
     SECONDS_PER_DAY,
     WINDOW_SECONDS,
     WINDOWS_PER_DAY,
+    AnomalyRules,
     EmissionConfig,
     Identity,
     Quality,

@@ -1,6 +1,11 @@
 """Command-line surface: simulate, credits, audit, ledger inspection.
 
 Exit codes: 0 success, 1 domain failure, 2 usage error.
+
+Each command loads the layers it runs. ``credits`` and ``ledger`` load
+``model``, ``ledger``, ``chaincode`` and ``pipeline`` alone; ``simulate``
+loads the telemetry layers and numpy when ``pipeline.run_simulation`` runs,
+and ``audit`` loads ``audit`` (numpy with it) in ``cmd_audit``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import audit as audit_mod
 from . import pipeline
 from .ledger import ChainDamaged, UnknownIdentity
 from .model import canonical_json, parse_date
@@ -137,6 +141,8 @@ def cmd_credits(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import audit as audit_mod
+
     config = pipeline.load_run_config(args.config, _home(args))
     pipeline.check_agreement(config)
     ledger = pipeline.open_ledger(config)

@@ -113,6 +113,7 @@ from .model import (
     format_ts,
     gc_paused,
     parse_ts,
+    temp_file,
     usable_cpus,
     write_new,
 )
@@ -514,15 +515,11 @@ def _publish(path: Path, data: bytes) -> bool:
     """Publish ``data`` at ``path`` by rename, without fsync, for a file that
     is checked on use: one lost or torn in a crash, or never written for want
     of space, costs only speed. False when it could not be written."""
-    tmp = f"{path}.tmp"
     try:
         path.parent.mkdir(exist_ok=True)
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
+        with temp_file(path, data, sync=False) as tmp:
+            os.replace(tmp, path)
     except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
         return False
     return True
 

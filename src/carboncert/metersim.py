@@ -13,6 +13,10 @@ tuples. ``DayStream`` gives the same day one meter at a time, each meter's
 columns and delivery drawn from the one fault stream of the whole day, so
 that a pipeline holds one meter's arrays at once.
 
+The run configuration it simulates, ``SolarProfile``, ``FaultConfig`` and
+``FleetConfig``, is defined in ``model``, so that a process that simulates
+nothing reads it without numpy; it is used here under the same names
+(``metersim.FleetConfig`` is ``model.FleetConfig``).
 ``FleetConfig.__post_init__`` holds the whole fleet policy: a fleet that
 exists is valid, however it was built, so generation checks no meter id again.
 
@@ -37,116 +41,29 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
 from .model import (
-    METER_IDS,
     SECONDS_PER_DAY,
     TOTAL_PHASES,
+    FaultConfig,
+    FleetConfig,
     PhaseReading,
-    finite_number,
+    SolarProfile,
+    check_meter,
     gc_paused,
     parse_date,
-    whole_number,
 )
 
 NOMINAL_VOLTAGE = 230.0
 NOMINAL_FREQUENCY = 50.0
 VOLTAGE_NOISE_FRACTION = 0.002
 FREQUENCY_NOISE_STDDEV = 0.01
-
-
-class InvalidMeter(ValueError):
-    """Meter id outside 1..8."""
-
-
-def _check_meter(meter_id) -> None:
-    if meter_id not in METER_IDS:
-        raise InvalidMeter(f"meter_id must be in 1..8, got {meter_id}")
-
-
-@dataclass
-class SolarProfile:
-    """Half-sine clear-sky generation curve for the plant."""
-
-    sunrise: int = 21600  # 06:00
-    sunset: int = 64800  # 18:00
-    peak_plant_power: float = 100_000.0
-    noise_stddev_fraction: float = 0.01
-
-    def __post_init__(self):
-        for what, value in vars(self).items():
-            finite_number(value, f"profile {what}")
-        if not 0 <= self.sunrise < self.sunset <= SECONDS_PER_DAY:
-            raise ValueError("sunrise/sunset must satisfy 0 <= sunrise < sunset <= 86400")
-
-
-@dataclass
-class FaultConfig:
-    duplicate_probability: float = 0.0
-    drop_then_retry_probability: float = 0.0
-    reorder_jitter_max: float = 0.0  # seconds a delivery may arrive after its reading
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        p = finite_number(self.duplicate_probability, "duplicate probability")
-        q = finite_number(self.drop_then_retry_probability, "drop-then-retry probability")
-        jitter = finite_number(self.reorder_jitter_max, "reorder jitter")
-        if not (0.0 <= p and 0.0 <= q and p + q <= 1.0 and 0.0 <= jitter):
-            raise ValueError("fault probabilities must be >= 0 with a sum <= 1, and the jitter >= 0")
-        if whole_number(self.rng_seed, "fault rng_seed") < 0:
-            raise ValueError(f"fault rng_seed must be >= 0: {self.rng_seed}")
-
-
-@dataclass
-class FleetConfig:
-    meters: tuple = METER_IDS
-    assignments: Optional[dict] = None  # collector id -> its meters; None: the defaults, narrowed
-    profile: SolarProfile = field(default_factory=SolarProfile)
-    seed: int = 0
-    accuracy_band: float = 0.01  # fixed per-meter calibration offset, +-1%
-    producer_id: str = "plant-1"
-
-    def __post_init__(self):
-        # a day is generated and delivered meter by meter (DayStream), keyed by
-        # meter, and each meter's phase records are published by one collector
-        if len(set(self.meters)) < len(self.meters):
-            raise ValueError(f"meters {list(self.meters)} name a meter twice")
-        if self.assignments is None:  # the default collectors keep the fleet's meters, and one left empty goes
-            default = {"A": (1, 2, 3, 4), "B": (5, 6, 7, 8)}
-            narrowed = {cid: tuple(m for m in meters if m in self.meters) for cid, meters in default.items()}
-            self.assignments = {cid: meters for cid, meters in narrowed.items() if meters}
-        routed = [m for meters in self.assignments.values() for m in meters]
-        if len(set(routed)) < len(routed):
-            twice = sorted({m for m in routed if routed.count(m) > 1}, key=repr)
-            raise ValueError(f"the assignments name meters {twice} more than once")
-        outside = set(routed).difference(self.meters)
-        if outside:
-            raise ValueError(f"assigned meters {sorted(outside, key=repr)} are not in the fleet's meters")
-        if not routed:
-            raise ValueError("the assignments route no meter of the fleet")
-        for meter_id in self.meters:
-            _check_meter(whole_number(meter_id, "meter_id"))
-        finite_number(self.accuracy_band, "accuracy band")
-        if not isinstance(self.producer_id, str):
-            raise ValueError(f"producer_id must be a string: {self.producer_id!r}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FleetConfig":
-        """The fleet a run configuration describes, its lists made tuples and
-        its profile a ``SolarProfile``; TypeError for a key that is not a field."""
-        convert = {
-            "meters": tuple,
-            "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
-            "profile": lambda p: SolarProfile(**p),
-        }
-        return cls(**{key: convert.get(key, lambda v: v)(value) for key, value in raw.items()})
 
 
 class TransportMessage(NamedTuple):
@@ -280,7 +197,7 @@ def sample_meter(
     Gaussian noise is clipped at three standard deviations so per-phase power
     stays inside the physical sanity envelope.
     """
-    _check_meter(meter_id)
+    check_meter(meter_id)
     block = _sample_block(meter_id, np.array([ts], dtype=np.int64), profile, seed, accuracy_band)
     return [
         PhaseReading(

@@ -1,4 +1,12 @@
-"""Shared domain types: timestamps, canonical JSON serialization, hashing.
+"""Shared domain types: timestamps, canonical JSON serialization, hashing,
+and the run configuration.
+
+The run configuration's types are here, not in the layers that use them:
+the fleet and its faults (``SolarProfile``, ``FaultConfig``, ``FleetConfig``,
+which ``metersim`` simulates), the anomaly rules (``AnomalyRules``) and the
+emission configuration (``EmissionConfig``). This module imports only the
+standard library, and ``multiprocessing`` only where ``Forked`` forks, so a
+command that reads or writes the chain alone loads no telemetry layer.
 
 Timestamps are carried as integer epoch seconds (UTC, second resolution)
 up to the records the chain stores, which hold the canonical wire form
@@ -22,7 +30,7 @@ import math
 import os
 import re
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
@@ -173,6 +181,93 @@ class EmissionConfig:
             raise ValueError(f"emission factor out of range: {self.factor_kg_per_kwh}")
         if self.plant_capacity_watts <= 0:
             raise ValueError("plant capacity must be positive")
+
+
+class InvalidMeter(ValueError):
+    """Meter id outside 1..8."""
+
+
+def check_meter(meter_id) -> None:
+    if meter_id not in METER_IDS:
+        raise InvalidMeter(f"meter_id must be in 1..8, got {meter_id}")
+
+
+@dataclass
+class SolarProfile:
+    """Half-sine clear-sky generation curve for the plant."""
+
+    sunrise: int = 21600  # 06:00
+    sunset: int = 64800  # 18:00
+    peak_plant_power: float = 100_000.0
+    noise_stddev_fraction: float = 0.01
+
+    def __post_init__(self):
+        for what, value in vars(self).items():
+            finite_number(value, f"profile {what}")
+        if not 0 <= self.sunrise < self.sunset <= SECONDS_PER_DAY:
+            raise ValueError("sunrise/sunset must satisfy 0 <= sunrise < sunset <= 86400")
+
+
+@dataclass
+class FaultConfig:
+    duplicate_probability: float = 0.0
+    drop_then_retry_probability: float = 0.0
+    reorder_jitter_max: float = 0.0  # seconds a delivery may arrive after its reading
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        p = finite_number(self.duplicate_probability, "duplicate probability")
+        q = finite_number(self.drop_then_retry_probability, "drop-then-retry probability")
+        jitter = finite_number(self.reorder_jitter_max, "reorder jitter")
+        if not (0.0 <= p and 0.0 <= q and p + q <= 1.0 and 0.0 <= jitter):
+            raise ValueError("fault probabilities must be >= 0 with a sum <= 1, and the jitter >= 0")
+        if whole_number(self.rng_seed, "fault rng_seed") < 0:
+            raise ValueError(f"fault rng_seed must be >= 0: {self.rng_seed}")
+
+
+@dataclass
+class FleetConfig:
+    meters: tuple = METER_IDS
+    assignments: Optional[dict] = None  # collector id -> its meters; None: the defaults, narrowed
+    profile: SolarProfile = field(default_factory=SolarProfile)
+    seed: int = 0
+    accuracy_band: float = 0.01  # fixed per-meter calibration offset, +-1%
+    producer_id: str = "plant-1"
+
+    def __post_init__(self):
+        # a day is generated and delivered meter by meter (metersim.DayStream),
+        # keyed by meter, and each meter's phase records are published by one collector
+        if len(set(self.meters)) < len(self.meters):
+            raise ValueError(f"meters {list(self.meters)} name a meter twice")
+        if self.assignments is None:  # the default collectors keep the fleet's meters, and one left empty goes
+            default = {"A": (1, 2, 3, 4), "B": (5, 6, 7, 8)}
+            narrowed = {cid: tuple(m for m in meters if m in self.meters) for cid, meters in default.items()}
+            self.assignments = {cid: meters for cid, meters in narrowed.items() if meters}
+        routed = [m for meters in self.assignments.values() for m in meters]
+        if len(set(routed)) < len(routed):
+            twice = sorted({m for m in routed if routed.count(m) > 1}, key=repr)
+            raise ValueError(f"the assignments name meters {twice} more than once")
+        outside = set(routed).difference(self.meters)
+        if outside:
+            raise ValueError(f"assigned meters {sorted(outside, key=repr)} are not in the fleet's meters")
+        if not routed:
+            raise ValueError("the assignments route no meter of the fleet")
+        for meter_id in self.meters:
+            check_meter(whole_number(meter_id, "meter_id"))
+        finite_number(self.accuracy_band, "accuracy band")
+        if not isinstance(self.producer_id, str):
+            raise ValueError(f"producer_id must be a string: {self.producer_id!r}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "FleetConfig":
+        """The fleet a run configuration describes, its lists made tuples and
+        its profile a ``SolarProfile``; TypeError for a key that is not a field."""
+        convert = {
+            "meters": tuple,
+            "assignments": lambda a: {k: tuple(v) for k, v in a.items()},
+            "profile": lambda p: SolarProfile(**p),
+        }
+        return cls(**{key: convert.get(key, lambda v: v)(value) for key, value in raw.items()})
 
 
 @dataclass
@@ -342,37 +437,43 @@ def _send_outcome(sender, target, args) -> None:
     sender.send(outcome)
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Publish ``data`` at ``path`` whole or not at all: temp file, fsync, rename,
-    then fsync the directory so the rename itself survives a power cut.
+@contextmanager
+def temp_file(path, data: bytes, sync: bool = True):
+    """A new file beside ``path`` holding ``data``, fsynced unless ``sync`` is
+    false; yields its name, ``<name>.<random hex>.tmp``, which no other
+    writer uses and no reader's ``*.json``, ``*.jsonl`` or ``*.csv`` matches.
+    The file is unlinked when the block ends, unless the block renamed it:
+    a failure leaves no temp file behind."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+            if sync:
+                f.flush()
+                os.fsync(f.fileno())
+        yield tmp
+    finally:
+        with suppress(OSError):
+            os.unlink(tmp)
 
-    The temp name ``<name>.tmp`` matches no reader's ``*.json`` or ``*.csv``."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+
+def write_atomic(path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` whole or not at all: a temp file of its own
+    (``temp_file``), so that writers of one path race to no error and no torn
+    file, fsync, rename, then fsync the directory so the rename itself
+    survives a power cut."""
+    with temp_file(path, data) as tmp:
+        os.replace(tmp, path)
     _fsync_dir(path)
 
 
 def write_new(path, data: bytes) -> None:
     """Publish ``data`` at ``path`` whole or not at all, and never over a file
-    there: a temp file under a name no other writer uses, fsync, a hard link
-    to ``path``, which raises FileExistsError when ``path`` exists, then the
-    temp file is unlinked and the directory fsynced.
-
-    The temp name ``<name>.<random hex>.tmp`` matches no reader's ``*.json``."""
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:
-        with open(tmp, "xb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
+    there: a temp file (``temp_file``), fsync, a hard link to ``path``, which
+    raises FileExistsError when ``path`` exists, then the temp file is
+    unlinked and the directory fsynced."""
+    with temp_file(path, data) as tmp:
         os.link(tmp, path)
-    finally:
-        with suppress(OSError):
-            os.unlink(tmp)
     _fsync_dir(path)
 
 

@@ -11,9 +11,15 @@ The chain's genesis block records the contract's parameters, its emission
 configuration and anomaly rules, and the members who may act on the chain,
 fixed when it is created: see ``open_ledger``.
 
-A ``RunConfig`` that exists is valid: it and its ``metersim.FleetConfig``
+A ``RunConfig`` that exists is valid: it and its ``model.FleetConfig``
 refuse a bad run when they are built, so a refused run writes nothing, and
 ``load_run_config`` only reads a JSON file into them.
+
+The telemetry layers, ``metersim``, ``collector`` and ``aggregator`` (and
+numpy with them), are imported by ``run_simulation`` and ``run_collector``,
+which run them; the run configuration's types are ``model``'s. Opening the
+chain and checking a configuration against it loads only ``model``,
+``ledger`` and ``chaincode``.
 """
 
 from __future__ import annotations
@@ -23,13 +29,20 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from . import aggregator as agg_mod
-from . import collector as col_mod
-from . import metersim
-from .aggregator import AnomalyRules
 from .chaincode import CONTRACT_VERSION, CreditContract, day_on_chain
 from .ledger import Ledger, NoChain, make_identity, read_genesis
-from .model import EmissionConfig, Forked, Identity, Role, parse_date, usable_cpus, whole_number
+from .model import (
+    AnomalyRules,
+    EmissionConfig,
+    FaultConfig,
+    FleetConfig,
+    Forked,
+    Identity,
+    Role,
+    parse_date,
+    usable_cpus,
+    whole_number,
+)
 
 # the keys of a run configuration beside the fleet's (FleetConfig.from_dict)
 _RUN_KEYS = ("date", "seed", "certifier", "auditor", "faults", "rules", "emission")
@@ -44,8 +57,8 @@ class RunConfig:
     home: Path
     date: str = "2025-06-01"
     seed: int = 0
-    fleet: metersim.FleetConfig = field(default_factory=metersim.FleetConfig)
-    faults: metersim.FaultConfig = field(default_factory=metersim.FaultConfig)
+    fleet: FleetConfig = field(default_factory=FleetConfig)
+    faults: FaultConfig = field(default_factory=FaultConfig)
     rules: AnomalyRules = field(default_factory=AnomalyRules)
     emission: EmissionConfig = field(default_factory=EmissionConfig)
     certifier: str = "certifier-1"
@@ -108,8 +121,8 @@ def load_run_config(
             raise ValueError("not a JSON object")
         config = RunConfig(
             home=home,
-            fleet=metersim.FleetConfig.from_dict({k: v for k, v in raw.items() if k not in _RUN_KEYS}),
-            faults=metersim.FaultConfig(**raw.get("faults", {})),
+            fleet=FleetConfig.from_dict({k: v for k, v in raw.items() if k not in _RUN_KEYS}),
+            faults=FaultConfig(**raw.get("faults", {})),
             rules=AnomalyRules.from_dict(raw.get("rules", {})),
             emission=EmissionConfig(**raw.get("emission", {})),
             **{key: raw[key] for key in ("date", "seed", "certifier", "auditor") if key in raw},
@@ -204,12 +217,14 @@ class DayResult:
 
 
 def run_collector(
-    day: metersim.DayStream, config: col_mod.CollectorConfig, date: str
+    day: "metersim.DayStream", config: "col_mod.CollectorConfig", date: str
 ) -> Tuple[int, int, int, List[Path]]:
     """One collector's day: ingest its meters' telemetry from ``day`` one meter
     at a time, the collector holding each meter's readings until the close,
     then close the day one meter at a time and publish its CSVs. Returns
     (accepted, duplicates, CSV rows, CSV paths)."""
+    from . import collector as col_mod
+
     instance = col_mod.Collector(config)
     accepted = duplicates = 0
     for meter_id in day.fleet.meters:
@@ -239,6 +254,10 @@ def run_simulation(config: RunConfig) -> DayResult:
     Refuses, before any CSV is published, a date that does not parse, a
     damaged chain, a config whose emission, rules or members differ from the
     chain's and a date the chain already holds."""
+    from . import aggregator as agg_mod
+    from . import collector as col_mod
+    from . import metersim
+
     parse_date(config.date)
     ledger = open_ledger(config)
     ledger.check_appendable()

@@ -1749,3 +1749,10 @@ LedgerMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=
 JournaledLedgerMachine.TestCase.settings = LedgerMachine.TestCase.settings
 test_ledger_state_machine = LedgerMachine.TestCase
 test_journaled_ledger_state_machine = JournaledLedgerMachine.TestCase
+
+
+def test_a_failed_publish_leaves_no_temp_file(tmp_path):
+    (tmp_path / "savepoint.json").mkdir()
+    assert ledger_mod._publish(tmp_path / "savepoint.json", b"{}") is False
+    assert ledger_mod._publish(tmp_path / "delta.json", b"{}") is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["delta.json", "savepoint.json"]

@@ -12,7 +12,6 @@ from carboncert import metersim
 from carboncert.metersim import (
     FaultConfig,
     FleetConfig,
-    InvalidMeter,
     SolarProfile,
     TransportMessage,
     clear_sky_power,
@@ -22,7 +21,7 @@ from carboncert.metersim import (
     run_day,
     sample_meter,
 )
-from carboncert.model import METER_IDS, SECONDS_PER_DAY, TOTAL_PHASES, PhaseReading, parse_date
+from carboncert.model import METER_IDS, SECONDS_PER_DAY, TOTAL_PHASES, InvalidMeter, PhaseReading, parse_date
 
 PROFILE = SolarProfile()
 

@@ -394,3 +394,26 @@ def test_write_new_publishes_whole_and_never_over_a_file(tmp_path, monkeypatch):
         write_new(path, b"second")
     assert path.read_bytes() == b"first"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["3.json"]  # no temp file left either way
+
+
+def test_two_writers_of_one_path_race_to_no_error_and_a_whole_file(tmp_path):
+    # a shared temp name used to let one writer rename the other's temp file
+    # away (FileNotFoundError) or truncate it just before it was published
+    path = tmp_path / "audit-2025-06-01.json"
+    payloads = (b"A" * 4096, b"B" * 8192)
+
+    def publish_many(data):
+        for _ in range(200):
+            write_atomic(path, data)
+
+    writers = [model.Forked(publish_many, data) for data in payloads]
+    assert [writer.join() for writer in writers] == [(True, None), (True, None)]
+    assert path.read_bytes() in payloads
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    (tmp_path / "target.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_atomic(tmp_path / "target.json", b"{}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.json"]
