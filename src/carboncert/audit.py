@@ -19,9 +19,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +33,10 @@ TOTAL_PHASES = 24
 REL_TOL = 1e-9
 # The CSVs are replayed in a forked process only for a chain of this many
 # transactions or more. On a 2-vCPU Xeon (Python 3.11.7) a day's replay took
-# about 0.08 s, 0.09-0.1 s in a forked process with its fork and join, while
-# a day's chain, about 290 transactions, was checked in 0.016 s: forked, the
-# audit took 0.12 s against 0.095 s in one process.
+# 0.066-0.072 s, 0.084-0.088 s in a forked process with its fork and join,
+# while a day's chain, 288 transactions, was checked in 0.019-0.021 s on a
+# fresh open: forked, the audit took 0.11-0.12 s against 0.084-0.09 s in one
+# process (medians of 15, in two runs).
 _FORK_MIN_TXS = 1_000
 
 CSV_COLUMNS = [
@@ -74,6 +75,19 @@ class UnreadableCsv(ValueError):
         return type(self), (self.path, self.line, self.cause)
 
 
+class UnreadableRecord(ValueError):
+    """A chain value the comparison cannot read, named by key: not a JSON
+    object, or without a field it reads, or that field of another type."""
+
+    def __init__(self, key: str, cause):
+        super().__init__(f"{key}: {cause}")
+        self.key = key
+        self.cause = cause
+
+    def __reduce__(self):  # so that it crosses a process boundary
+        return type(self), (self.key, self.cause)
+
+
 @dataclass
 class Mismatch:
     stage: str
@@ -101,7 +115,21 @@ class AuditReport:
 # -- independent canonical serialization ------------------------------------
 
 
+_json_str = json.encoder.encode_basestring_ascii  # the text json.dumps gives a str
+
+
 def _canon(value) -> str:
+    kind = type(value)  # the exact types a batch holds first; subclasses (bool, a str Enum) below
+    if kind is float:
+        return "%.3f" % (value + 0.0)
+    if kind is str:
+        return _json_str(value)
+    if kind is dict:
+        return "{" + ",".join([
+            (_json_str(k) if type(k) is str else json.dumps(k)) + ":" + _canon(value[k]) for k in sorted(value)
+        ]) + "}"
+    if kind is list:
+        return "[" + ",".join([_canon(v) for v in value]) + "]"
     if value is None:
         return "null"
     if value is True:
@@ -132,15 +160,22 @@ def _ts(epoch: int) -> str:
 _CSV_TS = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII).fullmatch
 
 
-def _epoch(text: str) -> int:
+def _epoch(text: str, midnights: Optional[Dict[str, int]] = None) -> int:
     """Epoch of the fixed-width form the collectors write; any other spelling
-    is refused, so the audit is no more lenient than the pipeline it checks."""
+    is refused, so the audit is no more lenient than the pipeline it checks.
+    ``midnights``, when given, holds the midnight epoch of each date dated:
+    a time on a date held there is dated from it."""
     if not _CSV_TS(text):
         raise ValueError(f"not a YYYY-MM-DDTHH:MM:SSZ timestamp: {text!r}")
-    # datetime() range-checks each field, so it rejects what strptime rejects
-    dt = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
-                  int(text[11:13]), int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    hour, minute, second = int(text[11:13]), int(text[14:16]), int(text[17:19])
+    midnight = None if midnights is None else midnights.get(text[:10])
+    if midnight is None or hour > 23 or minute > 59 or second > 59:
+        # datetime() range-checks each field, so it rejects what strptime rejects
+        dt = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]), hour, minute, second, tzinfo=timezone.utc)
+        midnight = int(dt.timestamp()) - 3600 * hour - 60 * minute - second
+        if midnights is not None:
+            midnights[text[:10]] = midnight
+    return midnight + 3600 * hour + 60 * minute + second
 
 
 # -- independent replay ------------------------------------------------------
@@ -160,7 +195,8 @@ class DayReplay:
 
 class _Rows(NamedTuple):
     """A collector CSV's rows as the columns the replay reads, in file order;
-    an empty reading is None. Current and apparent power are not read."""
+    an empty reading is None. Current and apparent power are not read, nor
+    the sample count beyond whether it is above 0."""
 
     minute: List[int]
     meter_id: List[int]
@@ -169,13 +205,14 @@ class _Rows(NamedTuple):
     voltage: List[Optional[float]]
     pf: List[Optional[float]]
     frequency: List[Optional[float]]
-    samples: List[int]
+    present: List[bool]  # the row has samples
 
 
-def _parse_csv(path: Path, epochs: Dict[str, int]) -> _Rows:
+def _parse_csv(path: Path, epochs: Dict[str, int], midnights: Dict[str, int]) -> _Rows:
     """Parse one collector CSV column by column; ``epochs`` holds the epoch of
-    each timestamp text seen in the day's files. A file the parse refuses is
-    read again row by row, so that the error names its first bad line."""
+    each timestamp text seen in the day's files, ``midnights`` that of each
+    date (``_epoch``). A file the parse refuses is read again row by row, so
+    that the error names its first bad line."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
@@ -195,35 +232,36 @@ def _parse_csv(path: Path, epochs: Dict[str, int]) -> _Rows:
         cells = ",".join(lines[1:]).split(",")
         stamps = cells[0::width]
         for text in set(stamps) - epochs.keys():
-            epochs[text] = _epoch(text)
-        rows = _Rows(
-            minute=[epochs[text] for text in stamps],
+            epochs[text] = _epoch(text, midnights)
+        present = _whole(cells[9::width], lambda c: int(c) > 0)
+        return _Rows(
+            minute=list(map(epochs.__getitem__, stamps)),
             meter_id=_whole(cells[1::width]),
             phase=_whole(cells[2::width]),
-            power=_reals(cells[3::width]),
-            voltage=_reals(cells[4::width]),
-            pf=_reals(cells[6::width]),
-            frequency=_reals(cells[7::width]),
-            samples=_whole(cells[9::width]),
+            power=_reals(cells[3::width], present),
+            voltage=_reals(cells[4::width], present),
+            pf=_reals(cells[6::width], present),
+            frequency=_reals(cells[7::width], present),
+            present=present,
         )
-        for readings in (rows.power, rows.voltage, rows.pf, rows.frequency):
-            if None in readings and any(value is None and n > 0 for value, n in zip(readings, rows.samples)):
-                raise ValueError("a row with samples has an empty reading")
-        return rows
     except ValueError:
         _first_bad_row(path, lines)
         raise
 
 
-def _whole(cells: List[str]) -> List[int]:
-    parsed = {c: int(c) for c in set(cells)}  # meter, phase and sample count: few distinct texts
-    return [parsed[c] for c in cells]
+def _whole(cells: List[str], parse=int) -> list:
+    """``parse`` of each cell, called once per distinct text: meter, phase and sample count have few."""
+    parsed = {c: parse(c) for c in set(cells)}
+    return list(map(parsed.__getitem__, cells))
 
 
-def _reals(cells: List[str]) -> List[Optional[float]]:
-    if "" in cells:
-        return [float(c) if c else None for c in cells]
-    return list(map(float, cells))
+def _reals(cells: List[str], present: List[bool]) -> List[Optional[float]]:
+    """The readings, an empty one None; refused where its row has samples."""
+    if "" not in cells:
+        return list(map(float, cells))
+    if any(has and not c for c, has in zip(cells, present)):
+        raise ValueError("a row with samples has an empty reading")
+    return [float(c) if c else None for c in cells]
 
 
 def _first_bad_row(path: Path, lines: List[str]) -> None:
@@ -244,10 +282,15 @@ def _first_bad_row(path: Path, lines: List[str]) -> None:
 _CODES = ("PF_BOUNDS", "RAMP", "RANGE_FREQUENCY", "RANGE_POWER", "RANGE_VOLTAGE")  # sorted
 
 
-def _sort_keys(values: List[int]) -> np.ndarray:
-    """int64 keys that order as the Python ints ``values`` do, of any size."""
-    rank = {v: i for i, v in enumerate(sorted(set(values)))}
-    return np.array([rank[v] for v in values], dtype=np.int64)
+def _concat(column: Sequence[list], dtype) -> np.ndarray:
+    """The files' lists of one column as one array, in file order."""
+    return np.concatenate([np.array(values, dtype=dtype) for values in column])
+
+
+def _sort_keys(column: Sequence[List[int]]) -> np.ndarray:
+    """int64 keys that order as the Python ints of the files' lists, joined, do, of any size."""
+    rank = {v: i for i, v in enumerate(sorted(set().union(*column)))}
+    return _concat([list(map(rank.__getitem__, values)) for values in column], np.int64)
 
 
 def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayReplay:
@@ -264,20 +307,21 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
         raise MissingData(date)
 
     epochs: Dict[str, int] = {}
-    parsed = [_parse_csv(f, epochs) for f in files]
-    day = _Rows(*(list(chain.from_iterable(column)) for column in zip(*parsed)))
-    minute = np.array(day.minute, dtype=np.int64)
+    midnights: Dict[str, int] = {}
+    parsed = [_parse_csv(f, epochs, midnights) for f in files]
+    day = _Rows(*zip(*parsed))  # each column as the files' lists
+    minute = _concat(day.minute, np.int64)
     order = np.lexsort((_sort_keys(day.phase), _sort_keys(day.meter_id), minute))
     minute = minute[order]
     new_minute = np.ones(len(minute), dtype=bool)
     new_minute[1:] = minute[1:] != minute[:-1]
     minutes = minute[new_minute]
     slot = np.cumsum(new_minute) - 1
-    present = np.array([s > 0 for s in day.samples], dtype=bool)[order]
+    present = _concat(day.present, bool)[order]
     slot = slot[present]
 
     def column(values):
-        return np.array(values, dtype=np.float64)[order][present]
+        return _concat(values, np.float64)[order][present]
 
     power, voltage, pf, frequency = column(day.power), column(day.voltage), column(day.pf), column(day.frequency)
     m = len(minutes)
@@ -304,6 +348,10 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
     flagged_at = hits.any(axis=1)
 
     day0 = _epoch(f"{date}T00:00:00Z")
+    # each epoch's text as _ts spells it: the CSVs' own, on each date whose
+    # spelling is _ts's (a year below 1000 has four digits there, not in _ts)
+    as_ts = {text for text, midnight in midnights.items() if _ts(midnight) == f"{text}T00:00:00Z"}
+    texts = {epoch: text for text, epoch in epochs.items() if text[:10] in as_ts}
     compact = date.replace("-", "")
     batches: Dict[int, dict] = {}
     batch_bytes: Dict[int, bytes] = {}
@@ -316,7 +364,7 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
     ):
         codes = [code for code, hit in zip(_CODES, hits[k].tolist()) if hit] if any_code else []
         agg = {
-            "minute_start": _ts(epoch),
+            "minute_start": texts.get(epoch) or _ts(epoch),
             "total_power": total_w,
             "avg_voltage": volts if count else None,
             "avg_frequency": hertz if count else None,
@@ -336,8 +384,8 @@ def replay_day(csv_roots, date: str, rules: AnomalyRules, producer: str) -> DayR
         start = day0 + w * 300
         batch = {
             "batch_id": f"{producer}-{compact}-{w:03d}",
-            "window_start": _ts(start),
-            "window_end": _ts(start + 300),
+            "window_start": texts.get(start) or _ts(start),
+            "window_end": texts.get(start + 300) or _ts(start + 300),
             "producer_id": producer,
             "schema_version": 1,
             "aggregates": sorted(aggs, key=lambda a: a["minute_start"]),
@@ -405,7 +453,7 @@ def compare_with_chain(
         if agg["flags"]
     }
     chain_q = {
-        int(k.rsplit("/", 1)[1]): json.loads(v.decode("utf-8"))
+        int(k.rsplit("/", 1)[1]): _record(k, v)
         for k, v in chain.state_items(f"quarantine/{producer}/{replay.date}/").items()
     }
     for minute_index in sorted(expected_q.keys() | chain_q.keys()):
@@ -435,29 +483,36 @@ def compare_with_chain(
     }
 
     # missing-window report
-    missing_raw = chain.query_state(f"missing/{producer}/{replay.date}")
-    chain_missing = json.loads(missing_raw.decode())["windows"] if missing_raw else []
+    missing_key = f"missing/{producer}/{replay.date}"
+    missing_raw = chain.query_state(missing_key)
+    chain_missing = _record(missing_key, missing_raw, windows=list)["windows"] if missing_raw else []
+    if not all(type(w) is int for w in chain_missing):
+        raise UnreadableRecord(missing_key, f"'windows' is {chain_missing!r}, not window numbers")
     if sorted(chain_missing) != sorted(replay.missing_windows):
         report.mismatches.append(
             Mismatch(
                 stage="missing",
-                key=f"missing/{producer}/{replay.date}",
+                key=missing_key,
                 expected=",".join(map(str, sorted(replay.missing_windows))),
                 found=",".join(map(str, sorted(chain_missing))),
             )
         )
 
     # credit totals
-    accrual_raw = chain.query_state(f"accrual/{producer}/{replay.date}")
+    accrual_key = f"accrual/{producer}/{replay.date}"
+    accrual_raw = chain.query_state(accrual_key)
     if accrual_raw is not None:
-        serial = json.loads(accrual_raw.decode())["serial"]
+        serial = _record(accrual_key, accrual_raw, serial=str)["serial"]
         credit_raw = chain.query_state(f"credit/{serial}")
         if credit_raw is None:
             report.mismatches.append(
                 Mismatch(stage="credit", key=serial, expected="record", found=None)
             )
         else:
-            credit = json.loads(credit_raw.decode("utf-8"))
+            credit = _record(
+                f"credit/{serial}", credit_raw, energy_kwh=_NUMBER, co2_kg=_NUMBER, factor_used=_NUMBER,
+                excluded_minutes=object, state=object,
+            )
             factor = emission.factor_kg_per_kwh
             for name, expected, found in (
                 ("energy_kwh", replay.energy_kwh, credit["energy_kwh"]),
@@ -491,6 +546,27 @@ def compare_with_chain(
     return report
 
 
+_NUMBER = (int, float)
+_KINDS = {_NUMBER: "a number", str: "a string", list: "a list"}
+
+
+def _record(key: str, raw: bytes, **fields) -> dict:
+    """The JSON object the chain holds at ``key``, with each of ``fields``
+    of its given type; UnreadableRecord where it is not one."""
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise UnreadableRecord(key, exc) from None
+    if type(record) is not dict:
+        raise UnreadableRecord(key, "not a JSON object")
+    for name, kind in fields.items():
+        if name not in record:
+            raise UnreadableRecord(key, f"no {name!r}")
+        if not isinstance(record[name], kind):
+            raise UnreadableRecord(key, f"{name!r} is {record[name]!r}, not {_KINDS[kind]}")
+    return record
+
+
 def _localize(expected_batch, found_bytes, w, producer, compact):
     """Attribute a digest mismatch to an aggregate when possible."""
     batch_key = f"{producer}-{compact}-{w:03d}"
@@ -522,8 +598,9 @@ def replay_verify(
 
     A precomputed replay may be passed when the CSV inputs are known
     unchanged (e.g. repeated chain checks over the same day). Missing or
-    unparseable CSVs, and a chain value whose payload cannot be decoded,
-    give a failed report whose notice says why.
+    unparseable CSVs, a chain value whose payload cannot be decoded, and a
+    chain value the comparison cannot read, give a failed report whose
+    notice says why.
 
     Without a replay given, with more than one CPU usable and a chain of
     ``_FORK_MIN_TXS`` transactions or more, the CSVs are replayed in a
@@ -548,7 +625,7 @@ def replay_verify(
         if replay is None:
             replay = replay_day(csv_roots, date, rules, producer)
         return compare_with_chain(replay, chain, producer, emission or EmissionConfig(), first_bad)
-    except (MissingData, UnreadableCsv, ChainDamaged) as exc:
+    except (MissingData, UnreadableCsv, ChainDamaged, UnreadableRecord) as exc:
         if isinstance(exc, ChainDamaged):  # a read that found it marked damage, maybe lower
             first_bad = chain.verify_chain()
         return AuditReport(

@@ -151,12 +151,13 @@ def _sample_block(
         u[k] = (z >> np.uint64(11)).astype(np.float64) * _TWO_POW_NEG53
     np.maximum(u, _TWO_POW_NEG53, out=u)
 
-    g = np.empty((8, n))  # Box-Muller pairs; g[0..2] power, g[3..5] voltage, g[6] frequency
+    g = np.empty((7, n))  # Box-Muller pairs; g[0..2] power, g[3..5] voltage, g[6] frequency
     for pair in range(4):
         r = np.sqrt(-2.0 * np.log(u[2 * pair]))
         a = (2.0 * math.pi) * u[2 * pair + 1]
         g[2 * pair] = r * np.cos(a)
-        g[2 * pair + 1] = r * np.sin(a)
+        if pair < 3:  # the fourth pair's sine would be an eighth normal, which nothing reads
+            g[2 * pair + 1] = r * np.sin(a)
     np.clip(g, -3.0, 3.0, out=g)
 
     nominal = clear_sky_power(ts_arr % SECONDS_PER_DAY, profile) / TOTAL_PHASES

@@ -8,6 +8,7 @@ import random
 import shutil
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from carboncert import audit, metersim, pipeline
 from carboncert.audit import (
@@ -22,7 +23,7 @@ from carboncert.audit import (
 from carboncert.aggregator import AnomalyRules
 from carboncert.chaincode import CONTRACT_VERSION, CreditContract
 from carboncert.ledger import Ledger, make_identity
-from carboncert.model import EmissionConfig, Role, canonical_json, digest_hex
+from carboncert.model import EmissionConfig, Quality, Role, canonical_json, digest_hex
 
 RULES = AnomalyRules()
 
@@ -45,11 +46,27 @@ def test_the_audit_imports_nothing_from_the_pipeline_it_checks():
     }
 
 
-def test_independent_canonical_emitter_agrees_with_pipeline():
-    value = {
-        "a": [1, 2.5, None, True, False],
-        "b": {"nested": -0.0, "s": 'quote"inside'},
-    }
+_TEXTS = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'))
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | st.floats()
+    | st.sampled_from([-0.0, 1e300, 5.0, 2.0**53]) | _TEXTS | st.sampled_from(list(Quality))
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(_TEXTS | st.sampled_from(list(Quality)), children)
+        | st.dictionaries(st.integers(), children)
+    ),
+    max_leaves=30,
+)
+
+
+@given(_VALUES)
+@example({"a": [1, 2.5, None, True, False], "b": {"nested": -0.0, "s": 'quote"inside'}})
+@example({Quality.OK: (Quality.FLAGGED, 10**30, -(10**30)), "\u00e9\n": [1e16, -0.0004]})
+@example({3: "x", -1: {2: None}})
+def test_independent_canonical_emitter_agrees_with_pipeline(value):
     assert audit._canon(value).encode() == canonical_json(value)
 
 
@@ -61,6 +78,26 @@ def test_replay_reproduces_on_chain_batches_exactly(audited):
     for w, expected in replay.batch_bytes.items():
         key = f"batch/{config.producer}/{config.producer}-20250601-{w:03d}"
         assert ledger.query_state(key) == expected
+
+
+def test_the_replay_spells_a_year_below_1000_as_ts_does(sim_day, tmp_path):
+    # the CSVs spell year 999 with four digits, _ts with three; the replay
+    # reuses a CSV's spelling of a time only where it is _ts's
+    config, _ = sim_day
+    roots = [tmp_path / root.name for root in config.collector_roots]
+    for root, copy in zip(config.collector_roots, roots):
+        (copy / "0999-06-01").mkdir(parents=True)
+        for path in (root / config.date).glob("SEM*.csv"):
+            (copy / "0999-06-01" / path.name).write_text(path.read_text().replace(config.date, "0999-06-01"))
+    replay = replay_day(roots, "0999-06-01", RULES, config.producer)
+    minutes = [agg["minute_start"] for batch in replay.batches.values() for agg in batch["aggregates"]]
+    assert len(minutes) == 1440 and all(m == audit._ts(audit._epoch(f"0{m}")) for m in minutes)
+    assert (replay.batches[0]["window_start"], replay.batches[287]["window_end"]) == (
+        "999-06-01T00:00:00Z", "999-06-02T00:00:00Z"
+    )
+    assert digest_hex(b"".join(replay.batch_bytes[w] for w in sorted(replay.batch_bytes))) == (
+        "67ab8b7cea85e279553c1ff0f5dd7b32920efbd281ac83b8dea44c220c05e147"
+    )
 
 
 def test_replay_verify_clean_day_passes(audited):
@@ -348,6 +385,54 @@ def test_the_credit_is_checked_at_the_given_factor(audited):
     serial = other.credit_summary["serial"]
     assert [m.key for m in other.mismatches] == [f"{serial}:co2_kg", f"{serial}:factor_used"]
     assert other.mismatches[1].expected == "0.5" and other.mismatches[1].found == "0.4"
+
+
+class _Overlaid:
+    """``ledger`` with the state values ``values`` at their keys."""
+
+    def __init__(self, ledger, values):
+        self._ledger, self._values = ledger, values
+
+    def __getattr__(self, name):
+        return getattr(self._ledger, name)
+
+    def query_state(self, key):
+        return self._values[key] if key in self._values else self._ledger.query_state(key)
+
+    def state_items(self, prefix):
+        return {**self._ledger.state_items(prefix), **{k: v for k, v in self._values.items() if k.startswith(prefix)}}
+
+
+_CREDIT = {"serial": "CC-x", "state": "PENDING", "energy_kwh": 1.0, "co2_kg": 0.4, "factor_used": 0.4,
+           "excluded_minutes": []}
+
+
+@pytest.mark.parametrize(
+    "key, value, cause",
+    [
+        ("quarantine/plant-1/2025-06-01/0005", b"{oops", "Expecting property name enclosed in double quotes"),
+        ("missing/plant-1/2025-06-01", b"{}", "no 'windows'"),
+        ("missing/plant-1/2025-06-01", b'{"windows": 3}', "'windows' is 3, not a list"),
+        ("missing/plant-1/2025-06-01", b'{"windows": [1, "2"]}', "'windows' is [1, '2'], not window numbers"),
+        ("accrual/plant-1/2025-06-01", b"[]", "not a JSON object"),
+        ("credit/CC-x", canonical_json({**_CREDIT, "energy_kwh": "lots"}), "'energy_kwh' is 'lots', not a number"),
+        ("credit/CC-x", canonical_json({**_CREDIT, "factor_used": None}), "'factor_used' is None, not a number"),
+        ("credit/CC-x", canonical_json({k: v for k, v in _CREDIT.items() if k != "state"}), "no 'state'"),
+        ("credit/CC-x", b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["quarantine-not-json", "missing-no-windows", "missing-not-a-list", "missing-not-numbers",
+         "accrual-not-an-object", "credit-energy-a-string", "credit-factor-null", "credit-no-state",
+         "credit-not-utf8"],
+)
+def test_a_chain_value_the_comparison_cannot_read_fails_the_audit_with_a_notice(audited, key, value, cause):
+    # each of these used to end the audit in a TypeError, KeyError or ValueError
+    config, ledger, replay = audited
+    assert config.producer == "plant-1" and config.date == "2025-06-01"
+    chain = _Overlaid(ledger, {"accrual/plant-1/2025-06-01": b'{"serial": "CC-x"}', "credit/CC-x": canonical_json(_CREDIT),
+                               key: value})
+    report = replay_verify(config.collector_roots, chain, config.date, config.producer, RULES, replay)
+    assert (report.passed, report.chain_ok, report.first_bad_height, report.mismatches) == (False, True, None, [])
+    assert len(report.notices) == 1 and report.notices[0].startswith(f"UnreadableRecord: {key}: {cause}")
 
 
 # -- the replay forked beside the chain check ---------------------------------

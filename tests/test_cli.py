@@ -1,3 +1,4 @@
+import base64
 import json
 import shutil
 from dataclasses import asdict
@@ -530,6 +531,42 @@ def test_chain_records_the_emission_factor_its_credits_use(factor_home, tmp_path
     assert rc == 0 and out.startswith("chain OK")
     rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01", "--config", str(factor_home[1]))
     assert rc == 0 and out.splitlines()[0] == "AUDIT PASS 2025-06-01"
+
+
+@pytest.mark.parametrize(
+    "change, cause",
+    [
+        (lambda record: canonical_json({**record, "energy_kwh": "lots"}), "'energy_kwh' is 'lots', not a number"),
+        (lambda record: canonical_json({k: v for k, v in record.items() if k != "co2_kg"}), "no 'co2_kg'"),
+        (lambda record: b"lots", "Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["wrong-type", "missing-key", "not-json"],
+)
+def test_audit_of_a_credit_record_it_cannot_read_writes_a_failed_report(factor_home, tmp_path, capsys, change, cause):
+    # a retired credit's record resealed into the retire block's write-set
+    # journal: a value of the wrong type ended the audit in a TypeError, one
+    # missing or not JSON in "error [audit]", and neither wrote a report
+    home, cfg = _copy_home(factor_home[0], tmp_path), factor_home[1]
+    rc, out, _ = _run(capsys, "--home", str(home), "credits", "accrue", "--date", "2025-06-01", "--as", "plant-1")
+    serial = out.split()[0]
+    for step, member in (("verify", "certifier-1"), ("issue", "certifier-1"), ("retire", "plant-1")):
+        assert _run(capsys, "--home", str(home), "credits", step, "--serial", serial, "--as", member)[0] == 0
+    writes = home / "chain" / "writes"
+    tip = max(int(p.stem) for p in writes.glob("*.json"))
+    journal = json.loads((writes / f"{tip}.json").read_bytes())["body"]
+    (written,) = [tx["writes"] for tx in journal["txs"] if f"credit/{serial}" in tx["writes"]]
+    record = json.loads(base64.b64decode(written[f"credit/{serial}"]))
+    assert record["state"] == "RETIRED"
+    written[f"credit/{serial}"] = base64.b64encode(change(record)).decode("ascii")
+    (writes / f"{tip}.json").write_bytes(ledger_mod._journal_file(canonical_json(journal)))
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert (rc, out) == (1, f"chain BROKEN at height {tip}\n")
+    rc, out, err = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01", "--config", str(cfg))
+    notice = f"UnreadableRecord: credit/{serial}: {cause}"
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[:3] == ["AUDIT FAIL 2025-06-01", f"chain inconsistent at height {tip}", notice]
+    report = json.loads((home / "reports" / "audit-2025-06-01.json").read_text())
+    assert (report["result"], report["first_bad_height"], report["notices"]) == ("FAIL", tip, [notice])
 
 
 @pytest.mark.parametrize(

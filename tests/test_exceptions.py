@@ -32,6 +32,7 @@ SAMPLE_ARGS = {  # by class name: the arguments of a class with an __init__ of i
     "MissingData": ("2025-06-01",),
     "UnreadableCsv": (Path("collector-a/2025-06-01/SEM1.csv"), 4, ValueError("12 cells, expected 10")),
     "Rejected": ("plant-1-20250601-007", "batch window does not match its aggregates"),
+    "UnreadableRecord": ("credit/CC-plant-1-20250601-1", "'energy_kwh' is 'lots', not a number"),
 }
 
 

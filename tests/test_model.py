@@ -117,10 +117,14 @@ _DATES = ["2025-06-01", "2024-02-29", "2025-02-29", "2025-02-30", "0000-01-01", 
 @example(texts=["2025-02-30T00:00:00Z", "2025-02-30T00:00:00Z", "0000-01-01T00:00:00Z", "2025-02-28T12:00:00Z"])
 @example(texts=[_arabic_indic("2025-06-01T00:00:00Z"), "2025-06-01T00:00:00Z", "2025-06-01T00:00:0\u0660Z"])
 def test_parse_ts_agrees_with_the_datetime_reference_on_repeated_dates(texts):
-    # parse_ts takes a date's midnight from a cache; times on a date already
-    # parsed, valid or not, must still give the reference's epoch or ValueError
+    # parse_ts takes a date's midnight from a cache, the audit's _epoch from the
+    # dict its caller passes; times on a date already parsed, valid or not,
+    # must still give the reference's epoch or ValueError
+    midnights = {}
     for text in texts:
-        assert _outcome(parse_ts, text) == _outcome(_datetime_epoch, text)
+        expected = _outcome(_datetime_epoch, text)
+        assert _outcome(parse_ts, text) == expected
+        assert _outcome(audit._epoch, text, midnights) == expected
 
 
 @st.composite
