@@ -77,7 +77,8 @@ class UnreadableCsv(ValueError):
 
 class UnreadableRecord(ValueError):
     """A chain value the comparison cannot read, named by key: not a JSON
-    object, or without a field it reads, or that field of another type."""
+    object, or without a field it reads, or that field of another type; or
+    a key whose window or minute is not its number in digits."""
 
     def __init__(self, key: str, cause):
         super().__init__(f"{key}: {cause}")
@@ -422,8 +423,7 @@ def compare_with_chain(
 
     compact = replay.date.replace("-", "")
     prefix = f"batch/{producer}/{producer}-{compact}-"
-    on_chain = chain.state_items(prefix)
-    chain_windows = {int(k.rsplit("-", 1)[1]): v for k, v in on_chain.items()}
+    chain_windows = _numbered(chain.state_items(prefix), prefix, 3)
 
     for w, expected_bytes in sorted(replay.batch_bytes.items()):
         expected_digest = _sha(expected_bytes)
@@ -452,12 +452,13 @@ def compare_with_chain(
         for agg in batch["aggregates"]
         if agg["flags"]
     }
+    q_prefix = f"quarantine/{producer}/{replay.date}/"
     chain_q = {
-        int(k.rsplit("/", 1)[1]): _record(k, v)
-        for k, v in chain.state_items(f"quarantine/{producer}/{replay.date}/").items()
+        minute_index: _record(f"{q_prefix}{minute_index:04d}", v)
+        for minute_index, v in _numbered(chain.state_items(q_prefix), q_prefix, 4).items()
     }
     for minute_index in sorted(expected_q.keys() | chain_q.keys()):
-        key = f"quarantine/{producer}/{replay.date}/{minute_index:04d}"
+        key = f"{q_prefix}{minute_index:04d}"
         agg, record = expected_q.get(minute_index), chain_q.get(minute_index)
         if agg is None or record is None:
             report.mismatches.append(
@@ -550,6 +551,19 @@ _NUMBER = (int, float)
 _KINDS = {_NUMBER: "a number", str: "a string", list: "a list"}
 
 
+def _numbered(values: Dict[str, bytes], prefix: str, digits: int) -> Dict[int, bytes]:
+    """The chain values of keys ``prefix`` + a number, by that number, which
+    each key spells in ``digits`` digits as the chaincode writes it;
+    UnreadableRecord names a key spelled otherwise."""
+    numbered = {}
+    for key, value in values.items():
+        number = key[len(prefix):]
+        if not re.fullmatch(f"[0-9]{{{digits}}}", number):
+            raise UnreadableRecord(key, f"{number!r} is not a {digits}-digit number")
+        numbered[int(number)] = value
+    return numbered
+
+
 def _record(key: str, raw: bytes, **fields) -> dict:
     """The JSON object the chain holds at ``key``, with each of ``fields``
     of its given type; UnreadableRecord where it is not one."""
@@ -599,8 +613,8 @@ def replay_verify(
     A precomputed replay may be passed when the CSV inputs are known
     unchanged (e.g. repeated chain checks over the same day). Missing or
     unparseable CSVs, a chain value whose payload cannot be decoded, and a
-    chain value the comparison cannot read, give a failed report whose
-    notice says why.
+    chain key or value the comparison cannot read, give a failed report
+    whose notice says why.
 
     Without a replay given, with more than one CPU usable and a chain of
     ``_FORK_MIN_TXS`` transactions or more, the CSVs are replayed in a

@@ -4,16 +4,13 @@ Each collector owns a disjoint meter subset (A: 1-4, B: 5-8 in the
 reference configuration). Ingestion is idempotent under at-least-once
 redelivery: each (meter_id, phase, ts) key is accepted once in a
 collector's life and its redeliveries, by either path, are classified as
-duplicates. Messages arrive one at a time (``ingest``, deduplicated
-against a set of keys as they come) or as a delivery of columns
-(``ingest_columns``, deduplicated against the sorted keys each earlier
-delivery accepted and those ``ingest`` accepted, merged into one sorted
-array at the next delivery). A collector holds what it accepts until
-the day closes: the readings of each message, and of each delivery its
-readings and the rows it took, uncopied. A delivery whose rows' keys
-strictly increase and belong to one assigned meter, as a
-``metersim.DayStream`` meter's do, and that holds no key accepted before,
-is deduplicated by row; any other by key.
+duplicates. Messages arrive one at a time (``ingest``) or as a delivery
+of columns (``ingest_columns``). A delivery whose rows' keys strictly
+increase and belong to one assigned meter, as a ``metersim.DayStream``
+meter's do, and that holds no key accepted before, is deduplicated by
+row: the collector holds its readings and the rows it took, uncopied,
+and keeps its sorted keys. Any other delivery is ingested one message at
+a time. A collector holds what it accepts until the day closes.
 
 ``close_day`` closes the day one meter at a time. A meter whose samples of
 the date one such delivery holds alone is summed per minute from it as it
@@ -38,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Set
 
 import numpy as np
 
@@ -47,6 +44,7 @@ from .model import (
     PHASES,
     SECONDS_PER_DAY,
     MinuteRecord,
+    PhaseReading,
     format_ts,
     parse_date,
     parse_ts,
@@ -121,7 +119,8 @@ class DayArrays(NamedTuple):
 class _Held(NamedTuple):
     """Accepted samples waiting for their day to close: ``rows`` of
     ``readings``, each key once. ``meter`` is the one meter of a delivery
-    whose rows' keys strictly increase, None for any other."""
+    deduplicated by row, None for the messages ingest accepted and for
+    samples held again for another date."""
 
     readings: ReadingColumns
     rows: np.ndarray
@@ -148,11 +147,11 @@ def _samples(held: _Held) -> ReadingColumns:
     return ReadingColumns(*(col[held.rows] for col in held.readings))
 
 
-def _meters(held: _Held) -> List[int]:
+def _meters(held: _Held) -> Set[int]:
     """The meters whose samples ``held`` holds."""
     if held.meter is not None:
-        return [held.meter]
-    return np.unique(held.readings.meter_id[held.rows]).tolist()
+        return {held.meter}
+    return set(held.readings.meter_id[held.rows].tolist())
 
 
 _AVERAGES = 6  # a minute row's averages, power to apparent power
@@ -170,13 +169,8 @@ class Collector:
 
     def __init__(self, config: CollectorConfig):
         self.config = config
-        self._seen = set()  # packed keys accepted by ingest, and by the deliveries before its last call
-        self._delivered: List[np.ndarray] = []  # packed keys each delivery accepted, sorted
-        self._unseen = 0  # how many of the last deliveries' keys are not yet in the set
-        # packed keys ingest accepted since the last delivery, and those it accepted before, sorted; None
-        # before the first delivery, so that a collector fed only by ingest keeps no second copy of its keys
-        self._ingested: Optional[List[int]] = None
-        self._ingested_before = np.empty(0, dtype=np.int64)
+        self._seen = set()  # packed keys accepted by ingest
+        self._delivered: List[np.ndarray] = []  # packed keys each delivery taken by row accepted, sorted
         self._readings: List = []  # PhaseReadings accepted by ingest, in arrival order
         self._held: List[_Held] = []  # samples accepted by ingest_columns or not yet closed
 
@@ -184,16 +178,11 @@ class Collector:
         r = msg.reading
         if r.meter_id not in self.config.assigned_meters:
             return REJECTED
-        if self._unseen:
-            self._seen.update(np.concatenate(self._delivered[-self._unseen:]).tolist())
-            self._unseen = 0
         key = ((r.meter_id * 4 + r.phase) << 40) + r.ts  # _pack, inlined on the per-message path
         seen = self._seen
-        if key in seen:
+        if key in seen or (self._delivered and self._delivered_within(key, key)):
             return DUPLICATE
         seen.add(key)
-        if self._ingested is not None:
-            self._ingested.append(key)
         self._readings.append(r)
         return ACCEPTED
 
@@ -203,13 +192,13 @@ class Collector:
 
         The outcomes are those of calling ingest once per message: a key
         this collector accepted before, by either path and in a day since
-        closed too, is a duplicate. Nothing is copied: the collector holds
-        ``readings`` and the rows it took until their day closes. Where the
-        delivered rows' keys strictly increase, belong to one assigned meter,
-        as a ``DayStream`` meter's do, and hold no key accepted before,
-        each row is a key and a redelivery repeats its row: the rows are
-        deduplicated as they are. Any other delivery is deduplicated by key,
-        first arrival first.
+        closed too, is a duplicate. Where the delivered rows' keys strictly
+        increase, belong to one assigned meter, as a ``DayStream`` meter's
+        do, and hold no key accepted before, each row is a key and a
+        redelivery repeats its row: the rows are deduplicated as they are,
+        and the collector holds ``readings`` and the rows it took, uncopied,
+        until their day closes. Any other delivery goes to ingest one
+        message at a time.
         """
         taken = np.zeros(readings.ts.shape[0], dtype=bool)
         taken[index] = True
@@ -218,43 +207,24 @@ class Collector:
             meter_id, phase, ts = (col[rows] for col in readings[:3])
             key = _pack(meter_id, phase, ts)
             meter = int(meter_id[0])
+            low, high = int(key[0]), int(key[-1])
             if (
                 meter == meter_id[-1]
                 and meter in self.config.assigned_meters
                 and (np.diff(key) > 0).all()
-                and not self._accepted_within(int(key[0]), int(key[-1])).shape[0]
+                and not self._delivered_within(low, high)
+                and not any(low <= seen <= high for seen in self._seen)
             ):
                 self._held.append(_Held(readings, rows, meter))
                 self._delivered.append(key)
-                self._unseen += 1
                 return IngestCounts(rows.shape[0], index.shape[0] - rows.shape[0], 0)
-        assigned = np.array(sorted(self.config.assigned_meters), dtype=np.int64)
-        mine = index[np.isin(readings.meter_id[index], assigned)]
-        key, first = np.unique(
-            _pack(readings.meter_id[mine], readings.phase[mine], readings.ts[mine]), return_index=True
-        )
-        if key.shape[0]:
-            new = ~np.isin(key, self._accepted_within(int(key[0]), int(key[-1])))
-            key, first = key[new], first[new]
-        self._held.append(_Held(readings, mine[first], None))
-        self._delivered.append(key)
-        self._unseen += 1
-        return IngestCounts(first.shape[0], mine.shape[0] - first.shape[0], index.shape[0] - mine.shape[0])
+        columns = (col[index].tolist() for col in readings)
+        outcomes = Counter(self.ingest(TransportMessage(PhaseReading._make(row), 1)) for row in zip(*columns))
+        return IngestCounts(outcomes[ACCEPTED], outcomes[DUPLICATE], outcomes[REJECTED])
 
-    def _accepted_within(self, low: int, high: int) -> np.ndarray:
-        """The packed keys from ``low`` to ``high`` that this collector accepted
-        before; the keys ``ingest`` accepted since the last call (at the
-        first, all in its set) are first merged into the sorted ones it
-        accepted before."""
-        new = self._seen if self._ingested is None else self._ingested
-        if new:  # a stable sort merges the sorted run in one pass
-            new = np.fromiter(new, np.int64, len(new))
-            self._ingested_before = np.sort(np.concatenate((self._ingested_before, new)), kind="stable")
-        self._ingested = []
-        return np.concatenate([
-            keys[np.searchsorted(keys, low):np.searchsorted(keys, high, "right")]
-            for keys in (*self._delivered, self._ingested_before)
-        ])
+    def _delivered_within(self, low: int, high: int) -> bool:
+        """Whether a delivery taken by row accepted a packed key from ``low`` to ``high``."""
+        return any(np.searchsorted(keys, low) < np.searchsorted(keys, high, "right") for keys in self._delivered)
 
     def close_day(self, date: str) -> DayArrays:
         """Close every minute of the date for every assigned meter-phase: the
@@ -330,11 +300,10 @@ class Collector:
         publish; byte-stable on rewrite. ValueError, before any file is
         written, for a row of a meter not assigned."""
         meters = sorted(self.config.assigned_meters)
-        stray = set(np.unique(day.meter_id).tolist()).difference(meters)
+        stray = set(day.meter_id.tolist()).difference(meters)
         if stray:
             raise ValueError(f"rows for unassigned meters {sorted(stray)}")
-        minutes = np.unique(day.minute_start).tolist()
-        stamps = dict(zip(minutes, map(format_ts, minutes)))
+        stamps = {minute: format_ts(minute) for minute in set(day.minute_start.tolist())}
         codes = (1 << np.arange(_AVERAGES)) @ day.empty
         day_dir = Path(self.config.output_root) / self.config.collector_id / date
         paths = []

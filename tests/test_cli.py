@@ -570,6 +570,32 @@ def test_audit_of_a_credit_record_it_cannot_read_writes_a_failed_report(factor_h
 
 
 @pytest.mark.parametrize(
+    "key, cause",
+    [
+        ("batch/plant-1/plant-1-20250601-00x", "'00x' is not a 3-digit number"),
+        ("quarantine/plant-1/2025-06-01/1e3", "'1e3' is not a 4-digit number"),
+    ],
+    ids=["batch-window", "quarantine-minute"],
+)
+def test_audit_of_a_chain_key_without_its_number_writes_a_failed_report(factor_home, tmp_path, capsys, key, cause):
+    # a key whose window or minute int() cannot read, forged into the
+    # savepoint at window 000's value, ended the audit in "error [audit]"
+    home, cfg = _copy_home(factor_home[0], tmp_path), factor_home[1]
+    path = home / "chain" / "state" / "savepoint.json"
+    body = json.loads(path.read_bytes())["body"]
+    body["state"][key] = body["state"]["batch/plant-1/plant-1-20250601-000"]
+    path.write_bytes(ledger_mod._journal_file(canonical_json(body)))
+    rc, out, _ = _run(capsys, "--home", str(home), "ledger", "verify")
+    assert (rc, out) == (1, "chain BROKEN at height 24\n")
+    rc, out, err = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01", "--config", str(cfg))
+    notice = f"UnreadableRecord: {key}: {cause}"
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[:3] == ["AUDIT FAIL 2025-06-01", "chain inconsistent at height 24", notice]
+    report = json.loads((home / "reports" / "audit-2025-06-01.json").read_text())
+    assert (report["result"], report["first_bad_height"], report["notices"]) == ("FAIL", 24, [notice])
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["credits", "accrue", "--date", "2025-06-01", "--as", "plant-1", "--config", "run.json"],

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from carboncert import cli, metersim, pipeline
 from carboncert import ledger as ledger_mod
 from carboncert.aggregator import AnomalyRules
-from carboncert.collector import Collector, CollectorConfig, IoFailure
+from carboncert.collector import ACCEPTED, DUPLICATE, Collector, CollectorConfig, IoFailure
 from carboncert.model import EmissionConfig, canonical_json
 
 FAULTS = dict(duplicate_probability=0.1, drop_then_retry_probability=0.05, reorder_jitter_max=30.0)
@@ -87,28 +88,45 @@ def test_streamed_day_keeps_the_whole_day_fault_stream(tmp_path, meters, assignm
     result = pipeline.run_simulation(config)
 
     # reference: the whole fleet's day generated and delivered at once, each
-    # collector ingesting that one delivery
-    readings = metersim.generate_day_columns(config.fleet, config.date)
-    delivery = metersim.deliver(readings.meter_id, readings.phase, readings.ts, config.faults)
-    messages, accepted, duplicates = delivery.index.shape[0], 0, 0
+    # collector ingesting it one message at a time
+    root = tmp_path / "per-message"
+    day = metersim.run_day(config.fleet, config.date, config.faults)
+    outcomes = Counter()
     for cid, assigned in config.fleet.assignments.items():
-        counts = Collector(CollectorConfig(cid, frozenset(assigned), tmp_path)).ingest_columns(readings, delivery.index)
-        accepted, duplicates = accepted + counts.accepted, duplicates + counts.duplicates
+        instance = Collector(CollectorConfig(cid, frozenset(assigned), root))
+        outcomes.update(map(instance.ingest, day))
+        instance.write_day_csv(config.date, instance.close_day(config.date))
+    messages, accepted, duplicates = len(day), outcomes[ACCEPTED], outcomes[DUPLICATE]
     expected = (messages, accepted, duplicates, messages - accepted - duplicates)
     assert (result.messages, result.accepted, result.duplicates, result.rejected) == expected
     assert result.duplicates > 0 and (result.rejected > 0) == rejects
-    del readings, delivery
-
-    root = tmp_path / "per-message"
-    day = metersim.run_day(config.fleet, config.date, config.faults)
-    for cid, assigned in config.fleet.assignments.items():
-        instance = Collector(CollectorConfig(cid, frozenset(assigned), root))
-        for msg in day:
-            instance.ingest(msg)
-        instance.write_day_csv(config.date, instance.close_day(config.date))
     assert len(result.csv_paths) == sum(map(len, config.fleet.assignments.values()))
     for path in result.csv_paths:
         assert (root / path.relative_to(config.collectors_root)).read_bytes() == path.read_bytes()
+
+
+def test_a_streamed_day_never_takes_the_per_message_path(tmp_path, monkeypatch):
+    # each DayStream meter's delivery is taken by row; one that fell back to
+    # ingest, a message at a time, would give the same files far slower
+    fleet = metersim.FleetConfig(meters=(2, 7))
+    day = metersim.DayStream(fleet, "2025-06-01", metersim.FaultConfig(**FAULTS, rng_seed=5))
+
+    def collect(root):
+        runs = []
+        for cid, meters in sorted(fleet.assignments.items()):
+            collector = CollectorConfig(cid, frozenset(meters), root)
+            accepted, duplicates, rows, paths = pipeline.run_collector(day, collector, "2025-06-01")
+            runs.append((accepted, duplicates, rows, [(p.relative_to(root), p.read_bytes()) for p in paths]))
+        return runs
+
+    expected = collect(tmp_path / "unpatched")
+    assert all(duplicates > 0 for _, duplicates, _, _ in expected)
+
+    def refused(self, msg):
+        raise AssertionError("a DayStream meter's delivery went to Collector.ingest")
+
+    monkeypatch.setattr(Collector, "ingest", refused)
+    assert collect(tmp_path / "patched") == expected
 
 
 def _traced_peak(run) -> int:
