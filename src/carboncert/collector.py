@@ -8,18 +8,21 @@ duplicates. Messages arrive one at a time (``ingest``) or as a delivery
 of columns (``ingest_columns``). A delivery whose rows' keys strictly
 increase and belong to one assigned meter, as a ``metersim.DayStream``
 meter's do, and that holds no key accepted before, is deduplicated by
-row: the collector holds its readings and the rows it took, uncopied,
-and keeps its sorted keys. Any other delivery is ingested one message at
-a time. A collector holds what it accepts until the day closes.
+row and keeps its sorted keys. Any other delivery is ingested one message
+at a time.
 
-``close_day`` closes the day one meter at a time. A meter whose samples of
-the date one such delivery holds alone is summed per minute from it as it
-is; the samples of every other meter are joined and sorted by key before
-they are summed. It returns ``DayArrays`` in file order: float64 averages,
-and a mask of the cells written empty, which are a minute's six averages
-when it has no sample. ``write_day_csv`` writes such rows as given, each
-meter's file by one format over its rows; ``read_day_columns`` reads one
-file back as ``DayColumns``, lists with None for an empty cell.
+A collector holds what it accepts until the day closes, in one form: one
+meter's ``ReadingColumns`` in key order. A row-path delivery is held as it
+is when it takes every row, as each ``DayStream`` meter's does, and copied
+when it takes some; ``ingest``'s readings become such pieces at the close.
+``close_day`` sums each meter's minutes from its one piece, joining and
+sorting its pieces first when it has several, and holds its samples of
+other dates again. It returns ``DayArrays`` in file order: float64
+averages, and a mask of the cells written empty, which are a minute's six
+averages when it has no sample. ``write_day_csv`` writes such rows as
+given, each meter's file by one format over its rows;
+``read_day_columns`` reads one file back as ``DayColumns``, lists with
+None for an empty cell.
 
 CSV contract (bit-exact): one file per meter per day at
 ``<output_root>/<collector_id>/<YYYY-MM-DD>/SEM<meter_id>.csv``, header
@@ -35,14 +38,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from .model import (
     MINUTES_PER_DAY,
     PHASES,
-    SECONDS_PER_DAY,
     MinuteRecord,
     PhaseReading,
     format_ts,
@@ -116,17 +118,6 @@ class DayArrays(NamedTuple):
     sample_count: np.ndarray
 
 
-class _Held(NamedTuple):
-    """Accepted samples waiting for their day to close: ``rows`` of
-    ``readings``, each key once. ``meter`` is the one meter of a delivery
-    deduplicated by row, None for the messages ingest accepted and for
-    samples held again for another date."""
-
-    readings: ReadingColumns
-    rows: np.ndarray
-    meter: Optional[int]
-
-
 def _pack(meter_id, phase, ts):
     """One int64 per (meter, phase, ts) key, ordered like the tuple; exact for
     every timestamp parse_date can produce (|ts| < 2**39)."""
@@ -140,18 +131,12 @@ def _columns(readings: List) -> ReadingColumns:
     return ReadingColumns(*(col.astype(np.int64) for col in flat[:3]), *flat[3:])
 
 
-def _samples(held: _Held) -> ReadingColumns:
-    """The held rows as columns: the delivery's own where a checked one holds every row."""
-    if held.meter is not None and held.rows.shape[0] == held.readings.ts.shape[0]:
-        return held.readings
-    return ReadingColumns(*(col[held.rows] for col in held.readings))
-
-
-def _meters(held: _Held) -> Set[int]:
-    """The meters whose samples ``held`` holds."""
-    if held.meter is not None:
-        return {held.meter}
-    return set(held.readings.meter_id[held.rows].tolist())
+def _by_meter(samples: ReadingColumns) -> List[ReadingColumns]:
+    """``samples``, each key once, sorted by key and cut into one piece per meter."""
+    order = np.argsort(_pack(*samples[:3]))
+    ordered = [col[order] for col in samples]
+    cuts = np.flatnonzero(np.diff(ordered[0])) + 1  # where the meter changes
+    return [ReadingColumns(*piece) for piece in zip(*(np.split(col, cuts) for col in ordered))]
 
 
 _AVERAGES = 6  # a minute row's averages, power to apparent power
@@ -172,7 +157,7 @@ class Collector:
         self._seen = set()  # packed keys accepted by ingest
         self._delivered: List[np.ndarray] = []  # packed keys each delivery taken by row accepted, sorted
         self._readings: List = []  # PhaseReadings accepted by ingest, in arrival order
-        self._held: List[_Held] = []  # samples accepted by ingest_columns or not yet closed
+        self._held: List[ReadingColumns] = []  # one meter's samples each, in key order, not yet closed
 
     def ingest(self, msg: TransportMessage) -> str:
         r = msg.reading
@@ -196,9 +181,9 @@ class Collector:
         increase, belong to one assigned meter, as a ``DayStream`` meter's
         do, and hold no key accepted before, each row is a key and a
         redelivery repeats its row: the rows are deduplicated as they are,
-        and the collector holds ``readings`` and the rows it took, uncopied,
-        until their day closes. Any other delivery goes to ingest one
-        message at a time.
+        and the collector holds ``readings`` until their day closes, as it
+        is where the delivery takes every row, else the rows it took. Any
+        other delivery goes to ingest one message at a time.
         """
         taken = np.zeros(readings.ts.shape[0], dtype=bool)
         taken[index] = True
@@ -215,7 +200,9 @@ class Collector:
                 and not self._delivered_within(low, high)
                 and not any(low <= seen <= high for seen in self._seen)
             ):
-                self._held.append(_Held(readings, rows, meter))
+                if rows.shape[0] < readings.ts.shape[0]:
+                    readings = ReadingColumns(*(col[rows] for col in readings))
+                self._held.append(readings)
                 self._delivered.append(key)
                 return IngestCounts(rows.shape[0], index.shape[0] - rows.shape[0], 0)
         columns = (col[index].tolist() for col in readings)
@@ -231,39 +218,42 @@ class Collector:
         collector's rows in file order (meter, then minute, then phase),
         averages as float64 and the cells of a row without samples empty.
 
-        A minute's means add its samples in (meter, phase, ts) order, whatever
-        order they arrived in. A meter whose samples of the date are all held
-        by one checked delivery (``ingest_columns``) is summed from it as it
-        is. The other held samples are sorted by key and summed together.
-        Samples of other dates stay held.
+        Each meter is summed from one piece of its samples in (phase, ts)
+        order: the piece it is held in, or its pieces joined and sorted by
+        key. A minute's means thus add its samples in (meter, phase, ts)
+        order, whatever order they arrived in. Samples of other dates stay
+        held.
         """
         day0 = parse_date(date)
         meters = sorted(self.config.assigned_meters)
-        held, self._held = self._held, []
         if self._readings:
-            held.append(_Held(_columns(self._readings), np.arange(len(self._readings)), None))
-            self._readings = []
+            samples, self._readings = _columns(self._readings), []  # the tuples go before the sorted copy
+            self._held += _by_meter(samples)
+        held = {meter: [] for meter in meters}
+        for piece in self._held:
+            held[int(piece.meter_id[0])].append(piece)
+        self._held = []
         size = MINUTES_PER_DAY * len(PHASES)  # one meter's rows
         counts = np.zeros(len(meters) * size, dtype=np.int64)
         sums = np.zeros((_AVERAGES, len(meters) * size))
-        holders = Counter(chain.from_iterable(map(_meters, held)))
-        rest = []
-        for piece in held:
-            if piece.meter is not None and holders[piece.meter] == 1:
-                samples = _samples(piece)
-                minute = (samples.ts - day0) // 60
-                if minute.min() >= 0 and minute.max() < MINUTES_PER_DAY:
-                    bins = minute * len(PHASES) + samples.phase - 1
-                    rank = meters.index(piece.meter)
-                    at = slice(rank * size, (rank + 1) * size)
-                    counts[at] = np.bincount(bins, minlength=size)
-                    # bincount adds each bin's weights in input order: (phase, ts) order.
-                    for total, col in zip(sums, samples[3:]):
-                        total[at] = np.bincount(bins, weights=col, minlength=size)
-                    continue
-            rest.append(piece)
-        if rest:
-            self._close_sorted(rest, day0, meters, counts, sums)
+        for rank, meter in enumerate(meters):
+            pieces = held.pop(meter)
+            if not pieces:
+                continue
+            if len(pieces) > 1:
+                pieces = _by_meter(ReadingColumns(*map(np.concatenate, zip(*pieces))))
+            samples = pieces[0]
+            minute = (samples.ts - day0) // 60
+            in_day = (minute >= 0) & (minute < MINUTES_PER_DAY)
+            if not in_day.all():
+                self._held.append(ReadingColumns(*(col[~in_day] for col in samples)))
+                samples, minute = ReadingColumns(*(col[in_day] for col in samples)), minute[in_day]
+            bins = minute * len(PHASES) + samples.phase - 1
+            at = slice(rank * size, (rank + 1) * size)
+            counts[at] = np.bincount(bins, minlength=size)
+            # bincount adds each bin's weights in input order: (phase, ts) order.
+            for total, col in zip(sums, samples[3:]):
+                total[at] = np.bincount(bins, weights=col, minlength=size)
         with np.errstate(invalid="ignore"):  # empty minutes: nan, marked empty
             averages = sums / counts
         minutes = np.repeat(day0 + 60 * np.arange(MINUTES_PER_DAY), len(PHASES))
@@ -275,24 +265,6 @@ class Collector:
             np.broadcast_to(counts == 0, averages.shape),
             counts,
         )
-
-    def _close_sorted(self, held: List[_Held], day0: int, meters: List[int], counts, sums) -> None:
-        """Add the date's samples of ``held``, each key once across them all,
-        to ``counts`` and ``sums``, and hold the samples of other dates again."""
-        samples = ReadingColumns(*map(np.concatenate, zip(*map(_samples, held))))
-        rows = np.argsort(_pack(samples.meter_id, samples.phase, samples.ts))  # (meter, phase, ts) order
-        ts = samples.ts[rows]
-        in_day = (ts >= day0) & (ts < day0 + SECONDS_PER_DAY)
-        if not in_day.all():
-            later = rows[~in_day]
-            self._held.append(_Held(ReadingColumns(*(col[later] for col in samples)), np.arange(later.shape[0]), None))
-            rows, ts = rows[in_day], ts[in_day]
-        rank = np.searchsorted(meters, samples.meter_id[rows])
-        bins = (rank * MINUTES_PER_DAY + (ts - day0) // 60) * len(PHASES) + samples.phase[rows] - 1
-        counts += np.bincount(bins, minlength=counts.shape[0])
-        # bincount adds each bin's weights in input order: (meter, phase, ts) order.
-        for total, col in zip(sums, samples[3:]):
-            total += np.bincount(bins, weights=col[rows], minlength=counts.shape[0])
 
     def write_day_csv(self, date: str, day: DayArrays) -> List[Path]:
         """One CSV per assigned meter, each holding that meter's rows of ``day``

@@ -202,10 +202,6 @@ class Transaction:
             self._payload = _decode_payload(self._payload)
         return self._payload
 
-    @payload.setter
-    def payload(self, value: bytes) -> None:
-        self._payload = value
-
     @property
     def payload_b64(self) -> str:
         """The payload's base64 text, as its block file holds it."""

@@ -15,10 +15,17 @@ from carboncert.model import EmissionConfig, Role, canonical_json
 
 @pytest.fixture(scope="module")
 def cli_home(tmp_path_factory):
-    """One simulated day driven entirely through the CLI."""
+    """One simulated day driven entirely through the CLI. Tests only read
+    it; a test that writes works on its own copy (``_copy_home``)."""
     home = tmp_path_factory.mktemp("cli-home")
     rc = cli.main(["--home", str(home), "simulate", "--date", "2025-06-01", "--seed", "3"])
     assert rc == 0
+    return home
+
+
+def _copy_home(cli_home, tmp_path):
+    home = tmp_path / "home"
+    shutil.copytree(cli_home, home)
     return home
 
 
@@ -43,31 +50,30 @@ def test_home_from_environment(cli_home, capsys, monkeypatch):
     assert rc == 0 and "chain OK" in out
 
 
-def test_credits_full_lifecycle(cli_home, capsys):
-    rc, out, _ = _run(
-        capsys, "--home", str(cli_home), "credits", "accrue",
-        "--date", "2025-06-01", "--as", "plant-1",
-    )
-    assert rc == 0
-    serial = out.split()[0]
-    assert serial == "CC-plant-1-20250601-1"
-    assert "state=PENDING" in out and "energy_kwh=" in out and "co2_kg=" in out
-
-    rc, out, _ = _run(capsys, "--home", str(cli_home), "credits", "verify",
-                      "--serial", serial, "--as", "certifier-1")
-    assert rc == 0 and "state=VERIFIED" in out
-    rc, out, _ = _run(capsys, "--home", str(cli_home), "credits", "issue",
-                      "--serial", serial, "--as", "certifier-1")
-    assert rc == 0 and "state=ISSUED" in out
-    rc, out, _ = _run(capsys, "--home", str(cli_home), "credits", "retire",
-                      "--serial", serial, "--as", "plant-1")
-    assert rc == 0 and "state=RETIRED" in out
+_SERIAL = "CC-plant-1-20250601-1"
+_LIFECYCLE = [  # plant-1's credit of the day from accrual to retirement, and the state each step leaves
+    (["accrue", "--date", "2025-06-01", "--as", "plant-1"], "PENDING"),
+    (["verify", "--serial", _SERIAL, "--as", "certifier-1"], "VERIFIED"),
+    (["issue", "--serial", _SERIAL, "--as", "certifier-1"], "ISSUED"),
+    (["retire", "--serial", _SERIAL, "--as", "plant-1"], "RETIRED"),
+]
 
 
-def test_credits_rejection_exits_one(cli_home, capsys):
+def test_credits_full_lifecycle(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    for argv, state in _LIFECYCLE:
+        rc, out, _ = _run(capsys, "--home", str(home), "credits", *argv)
+        assert rc == 0 and out.split()[0] == _SERIAL and f"state={state}" in out
+        if state == "PENDING":
+            assert "energy_kwh=" in out and "co2_kg=" in out
+
+
+def test_credits_rejection_exits_one(cli_home, tmp_path, capsys):
     # selling a retired credit is an illegal transition
-    rc, _, err = _run(capsys, "--home", str(cli_home), "credits", "sell",
-                      "--serial", "CC-plant-1-20250601-1", "--as", "plant-1")
+    home = _copy_home(cli_home, tmp_path)
+    for argv, _ in _LIFECYCLE:
+        assert _run(capsys, "--home", str(home), "credits", *argv)[0] == 0
+    rc, _, err = _run(capsys, "--home", str(home), "credits", "sell", "--serial", _SERIAL, "--as", "plant-1")
     assert rc == 1 and "illegal_transition" in err
 
 
@@ -84,26 +90,24 @@ def test_credits_missing_argument_exits_two(cli_home, capsys):
     assert rc == 2 and "--serial" in err
 
 
-def test_audit_pass(cli_home, capsys):
-    rc, out, _ = _run(capsys, "--home", str(cli_home), "audit", "--date", "2025-06-01")
+def test_audit_pass(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
     assert rc == 0
     assert out.splitlines()[0] == "AUDIT PASS 2025-06-01"
-    report = json.loads((cli_home / "reports" / "audit-2025-06-01.json").read_text())
+    report = json.loads((home / "reports" / "audit-2025-06-01.json").read_text())
     assert report["result"] == "PASS"
 
 
-def test_audit_fail_after_tamper(cli_home, capsys):
-    target = cli_home / "chain" / "blocks" / "2.json"
-    original = target.read_bytes()
-    try:
-        mutated = bytearray(original)
-        mutated[10] ^= 0x01
-        target.write_bytes(bytes(mutated))
-        rc, out, _ = _run(capsys, "--home", str(cli_home), "audit", "--date", "2025-06-01")
-        assert rc == 1
-        assert out.splitlines()[0] == "AUDIT FAIL 2025-06-01"
-    finally:
-        target.write_bytes(original)
+def test_audit_fail_after_tamper(cli_home, tmp_path, capsys):
+    home = _copy_home(cli_home, tmp_path)
+    target = home / "chain" / "blocks" / "2.json"
+    mutated = bytearray(target.read_bytes())
+    mutated[10] ^= 0x01
+    target.write_bytes(bytes(mutated))
+    rc, out, _ = _run(capsys, "--home", str(home), "audit", "--date", "2025-06-01")
+    assert rc == 1
+    assert out.splitlines()[0] == "AUDIT FAIL 2025-06-01"
 
 
 def test_ledger_inspect_and_history(cli_home, capsys):
@@ -111,8 +115,7 @@ def test_ledger_inspect_and_history(cli_home, capsys):
     assert rc == 0
     lines = out.splitlines()
     assert lines[0].startswith("block 0 txs=0")
-    # genesis + 24 simulation blocks, plus one per credits command above
-    assert len(lines) >= 25
+    assert len(lines) == 25  # genesis + 24 simulation blocks
 
     rc, out, _ = _run(capsys, "--home", str(cli_home), "ledger", "history",
                       "batch/plant-1/plant-1-20250601-000")
@@ -330,12 +333,6 @@ def test_config_file_overrides(tmp_path, capsys):
     assert rc == 0
     assert out.splitlines()[0] == "34560 / 1440 / 288"
     assert (tmp_path / "home" / "collectors" / "A" / "2025-07-01").is_dir()
-
-
-def _copy_home(cli_home, tmp_path):
-    home = tmp_path / "home"
-    shutil.copytree(cli_home, home)
-    return home
 
 
 def test_torn_tip_block_fails_loudly(cli_home, tmp_path, capsys):

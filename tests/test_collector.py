@@ -414,6 +414,15 @@ _TWO_DELIVERIES_OF_ONE_METER = [  # keys in order, the second delivery's overlap
 @given(ops=st.lists(_op, max_size=8))
 @example(ops=[])  # a collector with no samples
 @example(ops=_TWO_DELIVERIES_OF_ONE_METER)
+@example(ops=[  # one meter's minute from a row-path delivery and a message: summed in ts order, the sum is 1.0
+    ("columns", ([_reading(2, 1, 1, 1e16), _reading(2, 1, 59, 1.0)], [0, 1])),
+    ("message", _reading(2, 1, 0, -1e16)),
+])
+@example(ops=[  # the next date's samples held at a close, then a row-path delivery of the same meter and minute
+    ("columns", ([_reading(4, 1, SECONDS_PER_DAY + 1, 1e16), _reading(4, 1, SECONDS_PER_DAY + 59, 1.0)], [0, 1])),
+    ("close", "2025-06-01"),
+    ("columns", ([_reading(4, 1, SECONDS_PER_DAY, -1e16)], [0])),
+])
 def test_close_day_matches_the_global_sort_kernel(ops):
     config = CollectorConfig("A", ASSIGNED["A"], Path("unused"))
     collector, reference = Collector(config), _GlobalSortCollector(ASSIGNED["A"])

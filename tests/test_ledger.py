@@ -213,9 +213,10 @@ def test_verify_chain_detects_semantic_tamper_after_rehash(ledger):
     ledger.cut_all()
     path = ledger.blocks_dir / "1.json"
     content = json.loads(path.read_bytes())
+    forged = json.dumps({"op": "set", "key": "k0", "value": 999}).encode()
+    content["transactions"][0]["payload_b64"] = base64.b64encode(forged).decode("ascii")
     block = ledger_mod._block_from_dict(content)
     tx = block.transactions[0]
-    tx.payload = json.dumps({"op": "set", "key": "k0", "value": 999}).encode()
     tx.payload_digest = digest_hex(tx.payload)
     tx.tx_id = ledger_mod._tx_id(tx.payload, tx.submitter, tx.sequence)
     ident = ledger.get_identity(tx.submitter)
